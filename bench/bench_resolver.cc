@@ -3,11 +3,10 @@
 // the resolver implements.
 //
 // Compares lookup strategies over the full 1986-scale route list — linear scan of the
-// text file's order (what a naive mailer did), the in-memory indexed RouteSet, the
-// on-disk-format cdb image, and the mmap'd .pari frozen image — then measures full
-// address resolution throughput on a realistic mail trace, plus the cold-start cost a
-// mailer pays at the top of every delivery run: parse+re-intern the route text versus
-// open+mmap the frozen image.
+// text file's order (what a naive mailer did) and the indexed .pari frozen image —
+// then measures full address resolution throughput on a realistic mail trace, plus
+// the cold-start cost a mailer pays at the top of every delivery run: parse+re-intern
+// the route text versus open+mmap the frozen image.
 
 #include <benchmark/benchmark.h>
 
@@ -17,7 +16,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_set>
@@ -39,10 +37,9 @@
 #include "src/image/frozen_route_set.h"
 #include "src/image/image_writer.h"
 #include "src/incr/map_builder.h"
+#include "src/route_db/address.h"
 #include "src/route_db/resolver.h"
-#include "src/route_db/resolver_impl.h"
 #include "src/route_db/route_db.h"
-#include "src/support/cdb.h"
 #include "src/support/rng.h"
 
 namespace {
@@ -51,13 +48,9 @@ using namespace pathalias;
 
 struct Fixture {
   RouteSet routes;
-  std::string cdb_image;
-  std::unique_ptr<CdbReader> cdb;
   std::string route_text;  // what a mailer re-parses at startup today
-  std::string pari_image;  // the frozen equivalent, in memory
+  std::optional<FrozenImage> image;  // the frozen equivalent, in memory
   std::string pari_path;   // and on disk, for the mmap cold-start path
-  std::optional<image::ImageView> frozen_view;
-  std::unique_ptr<FrozenRouteSet> frozen;
   std::vector<std::string> trace;
   std::vector<std::string> lookup_keys;
   // The batch workload: N mixed queries — known hosts, strangers under known domains
@@ -67,6 +60,9 @@ struct Fixture {
   // Hot-set sweep workloads (the POI-alias traffic shape): views only — hot queries
   // repeat a small set of known hosts, cold queries reuse the mixed pool's strings.
   std::vector<std::string> hot_hosts;
+
+  // The route set every query below runs against.
+  const FrozenRouteSet& frozen() const { return image->routes(); }
 
   // Builds a kBatchQueries-view workload where `hot_permille`/1000 of the queries
   // cycle through the hot set and the rest walk the mixed pool.
@@ -98,31 +94,16 @@ const Fixture& GetFixture() {
     options.print.include_costs = true;
     RunResult result = pathalias::Run(map.files, options, &diag);
     f->routes = RouteSet::FromEntries(result.routes);
-    f->cdb_image = f->routes.ToCdbBuffer();
-    f->cdb = std::make_unique<CdbReader>(*CdbReader::FromBuffer(f->cdb_image));
     f->route_text = f->routes.ToText(/*include_costs=*/true);
-    f->pari_image = image::ImageWriter::Freeze(f->routes);
+    f->image.emplace(f->routes);
     f->pari_path = (std::filesystem::temp_directory_path() /
                     ("bench_resolver." + std::to_string(getpid()) + ".pari"))
                        .string();
-    {
-      std::FILE* out = std::fopen(f->pari_path.c_str(), "wb");
-      if (out == nullptr ||
-          std::fwrite(f->pari_image.data(), 1, f->pari_image.size(), out) !=
-              f->pari_image.size() ||
-          std::fclose(out) != 0) {
-        std::fprintf(stderr, "cannot write %s\n", f->pari_path.c_str());
-        std::abort();
-      }
-    }
     std::string error;
-    f->frozen_view =
-        image::ImageView::Adopt(f->pari_image, image::ImageView::Verify::kChecksum, &error);
-    if (!f->frozen_view.has_value()) {
-      std::fprintf(stderr, "frozen image failed validation: %s\n", error.c_str());
+    if (!image::ImageWriter::WriteFile(f->routes, f->pari_path, 0, &error)) {
+      std::fprintf(stderr, "cannot write %s: %s\n", f->pari_path.c_str(), error.c_str());
       std::abort();
     }
-    f->frozen = std::make_unique<FrozenRouteSet>(*f->frozen_view);
     f->trace = GenerateAddressTrace(map, 2000, 424242);
     for (size_t i = 0; i < f->routes.routes().size(); i += 7) {
       f->lookup_keys.push_back(std::string(f->routes.NameOf(f->routes.routes()[i])));
@@ -187,23 +168,7 @@ void BM_IndexedLookup(benchmark::State& state) {
   for (auto _ : state) {
     hits = 0;
     for (const std::string& key : f.lookup_keys) {
-      if (f.routes.Find(key) != nullptr) {
-        ++hits;
-      }
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * f.lookup_keys.size()));
-  state.counters["hits"] = static_cast<double>(hits);
-}
-
-void BM_CdbLookup(benchmark::State& state) {
-  const Fixture& f = GetFixture();
-  size_t hits = 0;
-  for (auto _ : state) {
-    hits = 0;
-    for (const std::string& key : f.lookup_keys) {
-      if (f.cdb->Get(key).has_value()) {
+      if (f.frozen().FindRouteView(key).ok()) {
         ++hits;
       }
     }
@@ -218,7 +183,7 @@ void BM_ResolveTrace(benchmark::State& state) {
   ResolveOptions options;
   options.optimize = state.range(0) != 0 ? ResolveOptions::Optimize::kRightmostKnown
                                          : ResolveOptions::Optimize::kFirstHop;
-  Resolver resolver(&f.routes, options);
+  Resolver resolver(&f.frozen(), options);
   size_t resolved = 0;
   for (auto _ : state) {
     resolved = 0;
@@ -234,12 +199,13 @@ void BM_ResolveTrace(benchmark::State& state) {
   state.counters["trace"] = static_cast<double>(f.trace.size());
 }
 
-// The tentpole case: interner-keyed batch resolution.  N mixed host/domain/miss
-// queries resolved through Resolver::ResolveBatch — one hash per query, then pure
-// id-chasing, zero per-query string allocations.
+// Interner-keyed batch resolution against the frozen image: N mixed
+// host/domain/miss queries resolved through Resolver::ResolveBatch — one hash per
+// query, then pure id-chasing through the image's probe table and suffix chains in
+// place, zero per-query string allocations.
 void BM_BatchResolve(benchmark::State& state) {
   const Fixture& f = GetFixture();
-  Resolver resolver(&f.routes, ResolveOptions{});
+  Resolver resolver(&f.frozen(), ResolveOptions{});
   std::vector<BatchLookup> results(f.batch_queries.size());
   size_t resolved = 0;
   for (auto _ : state) {
@@ -257,7 +223,7 @@ void BM_BatchResolve(benchmark::State& state) {
 // pure memory-level parallelism.
 void BM_PipelinedBatchResolve(benchmark::State& state) {
   const Fixture& f = GetFixture();
-  Resolver resolver(&f.routes, ResolveOptions{});
+  Resolver resolver(&f.frozen(), ResolveOptions{});
   std::vector<BatchLookup> results(f.batch_queries.size());
   const size_t window = static_cast<size_t>(state.range(0));
   size_t resolved = 0;
@@ -272,7 +238,7 @@ void BM_PipelinedBatchResolve(benchmark::State& state) {
   state.counters["window"] = static_cast<double>(window);
 }
 
-// The reply-path loop test (resolver_detail::HasRepeatedHost): the inline
+// The reply-path loop test (HasRepeatedHost, src/route_db/address.h): the inline
 // quadratic scan that replaced a per-call std::unordered_set, vs that set,
 // at representative bang-path lengths.  Arg(0) is the hop count; paths are
 // all-distinct (the worst case for both — a full scan with no early out).
@@ -297,7 +263,7 @@ bool HasRepeatedHostViaSet(const std::vector<std::string>& path) {
 void BM_HasRepeatedHostScan(benchmark::State& state) {
   std::vector<std::string> path = DistinctPath(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(resolver_detail::HasRepeatedHost(path));
+    benchmark::DoNotOptimize(HasRepeatedHost(path));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
@@ -354,28 +320,13 @@ class CacheMissCounter {
   int fd_ = -1;
 };
 
-// The same mixed batch against the mmap'd frozen image: FrozenResolver chases ids
-// through the image's probe table and suffix chains in place.
-void BM_FrozenBatchResolve(benchmark::State& state) {
-  const Fixture& f = GetFixture();
-  FrozenResolver resolver(f.frozen.get(), ResolveOptions{});
-  std::vector<BatchLookup> results(f.batch_queries.size());
-  size_t resolved = 0;
-  for (auto _ : state) {
-    resolved = resolver.ResolveBatch(f.batch_queries, results);
-    benchmark::DoNotOptimize(results.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * f.batch_queries.size()));
-  state.counters["resolved"] = static_cast<double>(resolved);
-}
-
 // The sharded engine over the same mixed batch: partition by destination hash, one
 // shard per thread, deterministic merge-back.  Arg(0) is the thread count.
 void BM_ParallelBatchResolve(benchmark::State& state) {
   const Fixture& f = GetFixture();
   exec::BatchEngineOptions options;
   options.threads = static_cast<int>(state.range(0));
-  exec::BatchEngine engine(&f.routes, options);
+  exec::FrozenBatchEngine engine(&f.frozen(), options);
   std::vector<BatchLookup> results(f.batch_queries.size());
   size_t resolved = 0;
   for (auto _ : state) {
@@ -394,7 +345,7 @@ void BM_HotSetBatchResolve(benchmark::State& state) {
   std::vector<std::string_view> queries = f.HotSetQueries(static_cast<int>(state.range(0)));
   exec::BatchEngineOptions options;
   options.cache_entries = static_cast<size_t>(state.range(1));
-  exec::BatchEngine engine(&f.routes, options);
+  exec::FrozenBatchEngine engine(&f.frozen(), options);
   std::vector<BatchLookup> results(queries.size());
   size_t resolved = 0;
   for (auto _ : state) {
@@ -407,16 +358,16 @@ void BM_HotSetBatchResolve(benchmark::State& state) {
 }
 
 // Cold start, the consumer-scale pain the image exists to remove: what a mailer pays
-// before its first resolve.  The parse path re-parses the linear route file and
-// re-interns every key; the image path opens + mmaps + validates and resolves in place.
+// before its first lookup.  The parse path re-parses the linear route file and
+// re-interns every key (stopping at the indexed RouteSet — freezing it for the
+// resolver would cost more on top); the image path opens + mmaps + validates and
+// resolves in place.
 void BM_ColdStartParseIntern(benchmark::State& state) {
   const Fixture& f = GetFixture();
   size_t ok = 0;
   for (auto _ : state) {
     RouteSet routes = RouteSet::FromText(f.route_text);
-    Resolver resolver(&routes, ResolveOptions{});
-    std::string_view key;
-    if (resolver.Lookup(f.lookup_keys.front(), &key).ok()) {
+    if (routes.Find(f.lookup_keys.front()) != nullptr) {
       ++ok;
     }
     benchmark::DoNotOptimize(ok);
@@ -433,7 +384,7 @@ void BM_ColdStartImageOpen(benchmark::State& state) {
       state.SkipWithError("cannot open the frozen image");
       return;
     }
-    FrozenResolver resolver(&opened->routes(), ResolveOptions{});
+    Resolver resolver(&opened->routes(), ResolveOptions{});
     std::string_view key;
     if (resolver.Lookup(f.lookup_keys.front(), &key).ok()) {
       ++ok;
@@ -795,7 +746,7 @@ ShardedMapRow MeasureShardedMapping(size_t hosts, int map_passes,
 // container) recorded alongside so the comparison travels with the repo.
 void WriteBenchJson() {
   const Fixture& f = GetFixture();
-  Resolver resolver(&f.routes, ResolveOptions{});
+  Resolver resolver(&f.frozen(), ResolveOptions{});
   std::vector<BatchLookup> results(f.batch_queries.size());
   size_t resolved = 0;
   size_t suffix_matches = 0;
@@ -899,7 +850,8 @@ void WriteBenchJson() {
   // The 4x-scale point: same workload shape over a ~4x map, where the probe
   // path outgrows L2 and the window has real latency to hide.
   ScaledWorkload scaled = BuildScaledWorkload(4, f.batch_queries.size());
-  Resolver scaled_resolver(&scaled.routes, ResolveOptions{});
+  FrozenImage scaled_image(scaled.routes);
+  Resolver scaled_resolver(&scaled_image.routes(), ResolveOptions{});
   std::vector<BatchLookup> scaled_results(scaled.queries.size());
   double scaled_scalar_ms = 0.0;
   double scaled_pipe_ms = 0.0;
@@ -940,7 +892,7 @@ void WriteBenchJson() {
     for (int pass = 0; pass < 3; ++pass) {
       bench::WallTimer scan_timer;
       for (int i = 0; i < kScanReps; ++i) {
-        benchmark::DoNotOptimize(resolver_detail::HasRepeatedHost(path));
+        benchmark::DoNotOptimize(HasRepeatedHost(path));
       }
       double ns = scan_timer.Ms() * 1e6 / kScanReps;
       if (pass == 0 || ns < point.scan_ns) {
@@ -959,49 +911,25 @@ void WriteBenchJson() {
   }
   long rss_repeat_scan_kb = bench::PeakRssKb();
 
-  // The same batch against the mmap'd frozen image.
-  FrozenResolver frozen_resolver(f.frozen.get(), ResolveOptions{});
-  size_t frozen_resolved = 0;
-  double frozen_best_ms = 0.0;
-  for (int pass = 0; pass < kPasses; ++pass) {
-    bench::WallTimer timer;
-    frozen_resolved = frozen_resolver.ResolveBatch(f.batch_queries, results);
-    double ms = timer.Ms();
-    if (pass == 0 || ms < frozen_best_ms) {
-      frozen_best_ms = ms;
-    }
-  }
-  double frozen_qps = static_cast<double>(f.batch_queries.size()) / (frozen_best_ms / 1000.0);
-  long rss_frozen_kb = bench::PeakRssKb();
-
-  // The sharded engine's scaling curve, both backends, cache off: same workload,
-  // same expected counts, threads 1/2/4/8.
+  // The sharded engine's scaling curve, cache off: same workload, same expected
+  // counts, threads 1/2/4/8.
   struct ScalingPoint {
     int threads;
-    double live_ms;
-    double frozen_ms;
-    size_t live_resolved;
-    size_t frozen_resolved;
+    double ms;
+    size_t resolved;
   };
   std::vector<ScalingPoint> scaling;
   for (int threads : {1, 2, 4, 8}) {
-    ScalingPoint point{threads, 0.0, 0.0, 0, 0};
+    ScalingPoint point{threads, 0.0, 0};
     exec::BatchEngineOptions options;
     options.threads = threads;
-    exec::BatchEngine live_engine(&f.routes, options);
-    exec::FrozenBatchEngine frozen_engine(f.frozen.get(), options);
+    exec::FrozenBatchEngine engine(&f.frozen(), options);
     for (int pass = 0; pass < kPasses; ++pass) {
-      bench::WallTimer live_timer;
-      point.live_resolved = live_engine.ResolveBatch(f.batch_queries, results);
-      double ms = live_timer.Ms();
-      if (pass == 0 || ms < point.live_ms) {
-        point.live_ms = ms;
-      }
-      bench::WallTimer frozen_timer;
-      point.frozen_resolved = frozen_engine.ResolveBatch(f.batch_queries, results);
-      ms = frozen_timer.Ms();
-      if (pass == 0 || ms < point.frozen_ms) {
-        point.frozen_ms = ms;
+      bench::WallTimer timer;
+      point.resolved = engine.ResolveBatch(f.batch_queries, results);
+      double ms = timer.Ms();
+      if (pass == 0 || ms < point.ms) {
+        point.ms = ms;
       }
     }
     scaling.push_back(point);
@@ -1027,10 +955,10 @@ void WriteBenchJson() {
     SweepPoint point{hot_permille, 0.0, 0.0, 0.0, 0, 0};
     std::vector<std::string_view> queries = f.HotSetQueries(hot_permille);
     exec::BatchEngineOptions off_options;
-    exec::BatchEngine off_engine(&f.routes, off_options);
+    exec::FrozenBatchEngine off_engine(&f.frozen(), off_options);
     exec::BatchEngineOptions on_options;
     on_options.cache_entries = kSweepCacheEntries;
-    exec::BatchEngine on_engine(&f.routes, on_options);
+    exec::FrozenBatchEngine on_engine(&f.frozen(), on_options);
     for (int pass = 0; pass < kPasses; ++pass) {
       bench::WallTimer off_timer;
       point.off_resolved = off_engine.ResolveBatch(queries, results);
@@ -1050,8 +978,8 @@ void WriteBenchJson() {
   }
   long rss_sweep_kb = bench::PeakRssKb();
 
-  // Cold start: parse+intern the route text vs open+mmap the image, each through its
-  // first resolve, best of kPasses.
+  // Cold start: parse+intern the route text through its first indexed lookup vs
+  // open+mmap the image through its first resolve, best of kPasses.
   double parse_ms = 0.0;
   double image_ms = 0.0;
   for (int pass = 0; pass < kPasses; ++pass) {
@@ -1059,8 +987,7 @@ void WriteBenchJson() {
     bench::WallTimer parse_timer;
     {
       RouteSet routes = RouteSet::FromText(f.route_text);
-      Resolver cold(&routes, ResolveOptions{});
-      cold.Lookup(f.lookup_keys.front(), &key);
+      benchmark::DoNotOptimize(routes.Find(f.lookup_keys.front()));
     }
     double ms = parse_timer.Ms();
     if (pass == 0 || ms < parse_ms) {
@@ -1073,7 +1000,7 @@ void WriteBenchJson() {
         std::fprintf(stderr, "cannot reopen %s\n", f.pari_path.c_str());
         std::abort();
       }
-      FrozenResolver cold(&opened->routes(), ResolveOptions{});
+      Resolver cold(&opened->routes(), ResolveOptions{});
       cold.Lookup(f.lookup_keys.front(), &key);
     }
     ms = image_timer.Ms();
@@ -1095,7 +1022,7 @@ void WriteBenchJson() {
 
   // Single-query path for the same trace the legacy benchmark uses.
   ResolveOptions single_options;
-  Resolver single(&f.routes, single_options);
+  Resolver single(&f.frozen(), single_options);
   size_t trace_resolved = 0;
   bench::WallTimer trace_timer;
   for (const std::string& address : f.trace) {
@@ -1175,6 +1102,8 @@ void WriteBenchJson() {
                     "between consecutive sections belongs to the later one — "
                     "bench_delta.py reports these, never gates on them\",\n");
   std::fprintf(out, "  \"batch_resolve\": {\n");
+  std::fprintf(out, "    \"note\": \"the mixed batch via Resolver::ResolveBatch over the "
+                    ".pari image, frozen in memory\",\n");
   std::fprintf(out, "    \"queries\": %zu,\n", f.batch_queries.size());
   std::fprintf(out, "    \"resolved\": %zu,\n", resolved);
   std::fprintf(out, "    \"suffix_matches\": %zu,\n", suffix_matches);
@@ -1285,16 +1214,6 @@ void WriteBenchJson() {
   }
   std::fprintf(out, "    ]\n");
   std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"frozen_batch_resolve\": {\n");
-  std::fprintf(out, "    \"note\": \"same %zu-query batch via FrozenResolver over the "
-                    "mmap'd .pari image\",\n", f.batch_queries.size());
-  std::fprintf(out, "    \"resolved\": %zu,\n", frozen_resolved);
-  std::fprintf(out, "    \"best_wall_ms\": %.3f,\n", frozen_best_ms);
-  std::fprintf(out, "    \"queries_per_second\": %.0f,\n", frozen_qps);
-  std::fprintf(out, "    \"peak_rss_kb\": %ld,\n", rss_frozen_kb);
-  std::fprintf(out, "    \"matches_live_resolved\": %s\n",
-               frozen_resolved == resolved ? "true" : "false");
-  std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"parallel_batch\": {\n");
   std::fprintf(out, "    \"note\": \"sharded batch engine (src/exec), cache off: "
                     "partition by destination hash, one shard per thread, output "
@@ -1307,24 +1226,17 @@ void WriteBenchJson() {
   for (size_t i = 0; i < scaling.size(); ++i) {
     const auto& point = scaling[i];
     std::fprintf(out,
-                 "      {\"threads\": %d, \"live_best_wall_ms\": %.3f, "
-                 "\"live_queries_per_second\": %.0f, \"frozen_best_wall_ms\": %.3f, "
-                 "\"frozen_queries_per_second\": %.0f, \"resolved\": %zu, "
+                 "      {\"threads\": %d, \"best_wall_ms\": %.3f, "
+                 "\"queries_per_second\": %.0f, \"resolved\": %zu, "
                  "\"matches_serial_resolved\": %s}%s\n",
-                 point.threads, point.live_ms,
-                 static_cast<double>(f.batch_queries.size()) / (point.live_ms / 1000.0),
-                 point.frozen_ms,
-                 static_cast<double>(f.batch_queries.size()) / (point.frozen_ms / 1000.0),
-                 point.live_resolved,
-                 (point.live_resolved == resolved && point.frozen_resolved == frozen_resolved)
-                     ? "true"
-                     : "false",
+                 point.threads, point.ms,
+                 static_cast<double>(f.batch_queries.size()) / (point.ms / 1000.0),
+                 point.resolved, point.resolved == resolved ? "true" : "false",
                  i + 1 < scaling.size() ? "," : "");
   }
   std::fprintf(out, "    ],\n");
   std::fprintf(out, "    \"speedup_8_threads_vs_1\": %.2f\n",
-               scaling.back().live_ms > 0.0 ? scaling.front().live_ms / scaling.back().live_ms
-                                            : 0.0);
+               scaling.back().ms > 0.0 ? scaling.front().ms / scaling.back().ms : 0.0);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"cache_sweep\": {\n");
   std::fprintf(out, "    \"note\": \"hot-set workloads (hot_permille/1000 of queries "
@@ -1352,12 +1264,14 @@ void WriteBenchJson() {
   std::fprintf(out, "    ]\n");
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"cold_start\": {\n");
-  std::fprintf(out, "    \"note\": \"startup through first resolve: parse+intern the "
-                    "route text vs open+mmap+validate the frozen image; best of %d\",\n",
+  std::fprintf(out, "    \"note\": \"startup through first lookup: parse+intern the "
+                    "route text (RouteSet::FromText + Find) vs open+mmap+validate the "
+                    "frozen image + Resolver::Lookup; best of %d\",\n",
                kPasses);
   std::fprintf(out, "    \"routes\": %zu,\n", f.routes.size());
   std::fprintf(out, "    \"peak_rss_kb\": %ld,\n", rss_cold_start_kb);
-  std::fprintf(out, "    \"image_bytes\": %zu,\n", f.pari_image.size());
+  std::fprintf(out, "    \"image_bytes\": %llu,\n",
+               static_cast<unsigned long long>(f.image->view().header().file_size));
   std::fprintf(out, "    \"parse_intern_ms\": %.3f,\n", parse_ms);
   std::fprintf(out, "    \"image_open_ms\": %.3f,\n", image_ms);
   std::fprintf(out, "    \"speedup\": %.1f\n", image_ms > 0.0 ? parse_ms / image_ms : 0.0);
@@ -1619,13 +1533,12 @@ void WriteBenchJson() {
               pipe_matches_all ? "byte-identical" : "MISMATCH",
               scaled_scalar_ms, scaled_pipe_ms,
               scaled_pipe_ms > 0.0 ? scaled_scalar_ms / scaled_pipe_ms : 0.0);
-  std::printf("frozen image: %.2fM queries/s steady-state; cold start %.3f ms vs "
-              "%.3f ms parse+intern (%.1fx)\n",
-              frozen_qps / 1e6, image_ms, parse_ms, image_ms > 0.0 ? parse_ms / image_ms : 0.0);
+  std::printf("cold start %.3f ms image open vs %.3f ms parse+intern (%.1fx)\n", image_ms,
+              parse_ms, image_ms > 0.0 ? parse_ms / image_ms : 0.0);
   std::printf("parallel engine (%u hardware threads): ", std::thread::hardware_concurrency());
   for (const auto& point : scaling) {
     std::printf("%dT %.1fM q/s%s", point.threads,
-                static_cast<double>(f.batch_queries.size()) / point.live_ms / 1000.0,
+                static_cast<double>(f.batch_queries.size()) / point.ms / 1000.0,
                 point.threads == 8 ? "\n" : ", ");
   }
   for (const auto& point : sweep) {
@@ -1701,7 +1614,6 @@ void WriteBenchJson() {
 
 BENCHMARK(BM_LinearScanLookup)->Name("lookup/linear_scan")->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_IndexedLookup)->Name("lookup/indexed_set")->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CdbLookup)->Name("lookup/cdb_image")->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ResolveTrace)->Name("resolve_trace/first_hop")->Arg(0)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ResolveTrace)->Name("resolve_trace/rightmost_known")->Arg(1)
@@ -1719,9 +1631,6 @@ BENCHMARK(BM_HasRepeatedHostSet)
     ->Name("reply_path/has_repeated_host_set")
     ->Arg(2)->Arg(8)->Arg(24)
     ->Unit(benchmark::kNanosecond);
-BENCHMARK(BM_FrozenBatchResolve)
-    ->Name("resolve_batch/frozen_image_1e6")
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ParallelBatchResolve)
     ->Name("resolve_batch/sharded")
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
@@ -1742,9 +1651,10 @@ int main(int argc, char** argv) {
       "E13: route database retrieval and address resolution",
       "pathalias output converted to a constant DB gives 'rapid database retrieval'; "
       "resolution follows the exact-then-domain-suffix order of the paper");
-  std::printf("route list: %zu routes; cdb image: %zu KiB; frozen .pari image: %zu KiB\n\n",
-              GetFixture().routes.size(), GetFixture().cdb_image.size() / 1024,
-              GetFixture().pari_image.size() / 1024);
+  std::printf("route list: %zu routes; frozen .pari image: %llu KiB\n\n",
+              GetFixture().routes.size(),
+              static_cast<unsigned long long>(GetFixture().image->view().header().file_size /
+                                              1024));
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 
+#include "src/image/frozen_route_set.h"
 #include "src/route_db/headers.h"
 
 namespace {
@@ -29,7 +30,8 @@ int main() {
   routes.Add("princeton", "princeton!%s");
   routes.Add("seismo", "seismo!%s");
   routes.Add("mcvax", "seismo!mcvax!%s");
-  Resolver resolver(&routes, ResolveOptions{});
+  FrozenImage image(routes);
+  Resolver resolver(&image.routes(), ResolveOptions{});
 
   // 1. mark composes mail on cbosgd.  The user typed the short forms; the originating
   //    host expands them to full database routes, and qualifies the return path —

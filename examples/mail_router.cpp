@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "src/core/pathalias.h"
+#include "src/image/frozen_route_set.h"
 #include "src/route_db/resolver.h"
 #include "src/route_db/route_db.h"
 
@@ -31,14 +32,16 @@ int main() {
   options.local = "wolf";
   pathalias::RunResult result = pathalias::RunString(kMap, options, &diag);
 
-  // In production this is `pathalias | routedb build`; in-process it is one call.
+  // In production this is `pathalias | routedb freeze`; in-process it is FromEntries
+  // here plus the in-memory FrozenImage below.
   pathalias::RouteSet routes = pathalias::RouteSet::FromEntries(result.routes);
   std::printf("route database (%zu entries):\n%s\n", routes.size(),
               routes.ToText(/*include_costs=*/false).c_str());
 
   pathalias::ResolveOptions resolve_options;
   resolve_options.optimize = pathalias::ResolveOptions::Optimize::kRightmostKnown;
-  pathalias::Resolver resolver(&routes, resolve_options);
+  pathalias::FrozenImage image(routes);
+  pathalias::Resolver resolver(&image.routes(), resolve_options);
 
   const char* destinations[] = {
       "phs!honey",                      // plain known host

@@ -1,6 +1,6 @@
-// Sharded parallel batch resolution over any route source.
+// Sharded parallel batch resolution over a frozen route image.
 //
-// BasicBatchEngine is the serving-path front end to BasicResolver::ResolveBatch: it
+// FrozenBatchEngine is the serving-path front end to Resolver::ResolveBatch: it
 // partitions a batch of destination queries into per-thread shards, resolves every
 // shard in parallel on a small fixed ThreadPool, memoizes interned-destination
 // results in a per-shard ResultCache, and writes each result back to its original
@@ -16,17 +16,14 @@
 // asked).  With caching off, affinity buys nothing, so shards are balanced
 // contiguous index ranges: no partition pass, sequential writeback, same bytes.
 //
-// Determinism: results[i] depends only on hosts[i] and the route source.  Shards
+// Determinism: results[i] depends only on hosts[i] and the route set.  Shards
 // write disjoint result slots, misses included, so the merge-back is the partition
 // itself and the resolved/suffix-match counts equal the serial path's exactly.
 //
-// Concurrency contract: the route source is the shared object — any number of
-// engines (or raw resolvers) may read one RouteSet or one FrozenRouteSet mapping
-// concurrently.  One engine instance, however, serves one calling thread at a time:
-// ResolveBatch reuses the engine's partition and cache state.
-//
-// The same code serves both backends; like BasicResolver, the template is explicitly
-// instantiated in batch_engine.cc for RouteSet and FrozenRouteSet.
+// Concurrency contract: the route set is the shared object — any number of engines
+// (or raw resolvers) may read one FrozenRouteSet mapping concurrently.  One engine
+// instance, however, serves one calling thread at a time: ResolveBatch reuses the
+// engine's partition and cache state.
 
 #ifndef SRC_EXEC_BATCH_ENGINE_H_
 #define SRC_EXEC_BATCH_ENGINE_H_
@@ -50,19 +47,6 @@ struct BatchEngineOptions {
   int threads = 1;           // shard/thread count; 0 means "all hardware threads"
   size_t cache_entries = 0;  // per-shard result cache capacity; 0 disables caching
   ResolveOptions resolve;    // forwarded to the underlying resolver
-
-  // Window for the resolver's software-pipelined loop on the uncached paths
-  // (0 = BasicResolver's default).  The cached paths run their own depth-2
-  // pipeline (lookahead Find + cache-set prefetch) regardless.
-  size_t pipeline_window = 0;
-
-  // Cache self-eviction: when > 0 and the engine's measured hit rate is below
-  // this after a probation of lookups, the caches are dropped for the life of
-  // the engine and batches take the (faster-when-cold) pipelined path.  Results
-  // are byte-identical either way; only throughput changes.  See README
-  // "Result caching" for when the cache loses (it costs ~6% at hot_permille=500
-  // — workloads without a hot set should set cache_entries = 0 or this knob).
-  double cache_min_hit_rate = 0.0;
 };
 
 // Cumulative counters across every batch the engine has served.
@@ -71,7 +55,6 @@ struct BatchEngineStats {
   uint64_t resolved = 0;
   uint64_t cache_lookups = 0;  // interned queries that consulted a shard cache
   uint64_t cache_hits = 0;     // ... and were answered from it
-  bool caches_dropped = false;  // cache_min_hit_rate fired: caching is off for good
 
   double hit_rate() const {
     return cache_lookups == 0 ? 0.0
@@ -80,16 +63,15 @@ struct BatchEngineStats {
   }
 };
 
-template <typename RouteSource>
-class BasicBatchEngine {
+class FrozenBatchEngine {
  public:
-  BasicBatchEngine(const RouteSource* routes, BatchEngineOptions options);
-  ~BasicBatchEngine();
+  FrozenBatchEngine(const FrozenRouteSet* routes, BatchEngineOptions options);
+  ~FrozenBatchEngine();
 
-  BasicBatchEngine(const BasicBatchEngine&) = delete;
-  BasicBatchEngine& operator=(const BasicBatchEngine&) = delete;
+  FrozenBatchEngine(const FrozenBatchEngine&) = delete;
+  FrozenBatchEngine& operator=(const FrozenBatchEngine&) = delete;
 
-  // Same contract as BasicResolver::ResolveBatch — resolves hosts[i] into results[i]
+  // Same contract as Resolver::ResolveBatch — resolves hosts[i] into results[i]
   // over the common prefix of the two spans and returns the number that matched —
   // with the same results, bit for bit.  Caches persist across calls: a server loop
   // keeps its hot set warm from one batch to the next.
@@ -123,12 +105,9 @@ class BasicBatchEngine {
   // (src/net's RolloverController does exactly this).  Requirements: call between
   // batches on the ResolveBatch caller thread (what makes the revocation a hard
   // cut), and fresh must share the old source's NameId assignment for surviving
-  // names (a RouteSet maintained by ApplyDelta, or an image refrozen from it,
-  // does — ids are append-only).  NOTE: mutating a live RouteSet the engine is
-  // reading (ApplyDelta in place) is NOT a supported update path — its vectors
-  // reallocate under the reader; serve from frozen images (or a second RouteSet
-  // instance) and swap here.
-  void AdoptRoutes(const RouteSource* fresh, std::span<const NameId> dirty);
+  // names (an image refrozen from a RouteSet maintained by ApplyDelta does — ids
+  // are append-only).
+  void AdoptRoutes(const FrozenRouteSet* fresh, std::span<const NameId> dirty);
 
   // Drain-then-retire instrumentation: monotonic counts of ResolveBatch calls
   // entered and returned.  started is incremented before any work, completed
@@ -156,14 +135,8 @@ class BasicBatchEngine {
 
  private:
   // The partition hash: FNV-1a over the query bytes, case-folded iff the route
-  // source's interner folds, then Fibonacci-mixed so low-entropy tails still spread.
+  // set's interner folds, then Fibonacci-mixed so low-entropy tails still spread.
   uint32_t ShardOf(std::string_view host) const;
-
-  // Resolves one query on its owning shard directly into its result slot, through
-  // that shard's cache when the query is interned.  `cache` is null when caching is
-  // disabled.  Writing in place matters: a cache hit is one probe and one copy, so a
-  // second copy would be a measurable fraction of the whole cached path.
-  void ResolveOneInto(std::string_view host, ResultCache* cache, BatchLookup* out) const;
 
   // The cached shard loop, run as a depth-2 software pipeline: while query j's
   // walk (or cache copy) completes, query j+1's interner Find has already run and
@@ -176,17 +149,6 @@ class BasicBatchEngine {
                           std::span<BatchLookup> results, ResultCache* cache,
                           size_t n, IndexFn index_of) const;
 
-  // Resolver window honoring options_.pipeline_window (0 = resolver default).
-  size_t PipelineWindow() const {
-    return options_.pipeline_window == 0 ? BasicResolver<RouteSource>::kDefaultPipelineWindow
-                                         : options_.pipeline_window;
-  }
-
-  // Applies cache_min_hit_rate after a batch: once past a probation of lookups,
-  // a hit rate below the floor drops every shard cache permanently.
-  void MaybeDropCaches();
-  static constexpr uint64_t kCacheProbationLookups = 4096;
-
   // ResolveBatch minus the drain counters (the public entry wraps it).
   size_t ResolveBatchInner(std::span<const std::string_view> hosts,
                            std::span<BatchLookup> results);
@@ -196,9 +158,9 @@ class BasicBatchEngine {
   // InvalidateRoutes share.
   bool ChainTouchesDirty(NameId id, std::span<const NameId> sorted_dirty) const;
 
-  const RouteSource* routes_;
+  const FrozenRouteSet* routes_;
   BatchEngineOptions options_;
-  BasicResolver<RouteSource> resolver_;
+  Resolver resolver_;
   int shards_;
   bool fold_case_;
   std::unique_ptr<ThreadPool> pool_;        // null when shards_ == 1
@@ -209,14 +171,6 @@ class BasicBatchEngine {
   std::atomic<uint64_t> batches_started_{0};
   std::atomic<uint64_t> batches_completed_{0};
 };
-
-// The two supported backends (FrozenRouteSet is forward-declared by resolver.h);
-// bodies are compiled once, in batch_engine.cc.
-using BatchEngine = BasicBatchEngine<RouteSet>;
-using FrozenBatchEngine = BasicBatchEngine<FrozenRouteSet>;
-
-extern template class BasicBatchEngine<RouteSet>;
-extern template class BasicBatchEngine<FrozenRouteSet>;
 
 }  // namespace exec
 }  // namespace pathalias

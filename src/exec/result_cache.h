@@ -33,7 +33,7 @@
 //
 // Lifetime: cached BatchLookups hold views into the route source's storage (interner
 // bytes, route bytes — possibly an mmap'd .pari image).  The cache must not outlive
-// the route source; when the source is replaced see BasicBatchEngine::AdoptRoutes
+// the route source; when the source is replaced see FrozenBatchEngine::AdoptRoutes
 // (targeted) or call Clear() (flush).
 
 #ifndef SRC_EXEC_RESULT_CACHE_H_
@@ -139,7 +139,7 @@ class ResultCache {
   }
 
   // Inserts (or refreshes) `key`.  The caller has just computed `value` with
-  // BasicResolver::LookupInterned, so `value` is THE result for `key` — a duplicate
+  // Resolver::LookupInterned, so `value` is THE result for `key` — a duplicate
   // insert simply overwrites with identical bytes.
   void Put(NameId key, const BatchLookup& value) { Put(Begin(key), key, value); }
 

@@ -1,13 +1,13 @@
 // FrozenRouteSet: the image-backed route database.
 //
 // The consumer-facing half of the frozen image subsystem: a RouteSet-shaped object
-// whose names, probe table, and routes all live in a validated .pari buffer.  It
-// satisfies the Resolver's RouteSource contract (names() + FindRouteView()), so
-// BasicResolver<FrozenRouteSet> — and therefore ResolveBatch — runs directly against
-// the mapping: open + mmap + resolve, no re-parsing, no re-interning, no allocation.
+// whose names, probe table, and routes all live in a validated .pari buffer.  It is
+// the one representation queries run against: the Resolver — and therefore
+// ResolveBatch — runs directly against the mapping: open + mmap + resolve, no
+// re-parsing, no re-interning, no allocation.
 //
-// FrozenImage bundles the pieces for the common case: open a file, validate it, own
-// the mapping, expose the FrozenRouteSet.
+// FrozenImage bundles the pieces: open a file (or freeze a RouteSet in memory),
+// validate it, own the bytes, expose the FrozenRouteSet.
 
 #ifndef SRC_IMAGE_FROZEN_ROUTE_SET_H_
 #define SRC_IMAGE_FROZEN_ROUTE_SET_H_
@@ -34,7 +34,6 @@ class FrozenRouteSet {
         name_count_(view.name_count()),
         route_count_(view.route_count()) {}
 
-  // The RouteSource contract (same shape as RouteSet's).
   const NameInterner& names() const { return names_; }
   RouteView FindRouteView(NameId id) const {
     if (id >= name_count_ || by_name_[id] == 0) {
@@ -50,9 +49,10 @@ class FrozenRouteSet {
     return id == kNoName ? RouteView{} : FindRouteView(id);
   }
 
-  // The pipelined resolver's FindRouteView split (same shape as RouteSet's): the
-  // by-name index slot, then — once HasRoute says yes — the frozen route record,
-  // each prefetched one pipeline round before it is read.
+  // FindRouteView split for the pipelined resolver: PrefetchFind covers the by-name
+  // index slot a HasRoute will read, PrefetchRoute the frozen route record a
+  // FindRouteView will read once HasRoute said yes — each prefetched one pipeline
+  // round before it is read.
   bool HasRoute(NameId id) const { return id < name_count_ && by_name_[id] != 0; }
   void PrefetchFind(NameId id) const {
     if (id < name_count_) {
@@ -65,7 +65,7 @@ class FrozenRouteSet {
     }
   }
 
-  // Route `index` in frozen order (the live set's insertion order), for iteration.
+  // Route `index` in frozen order (the RouteSet's insertion order), for iteration.
   RouteView RouteAt(uint32_t index) const {
     const image::FrozenRoute& route = routes_[index];
     return RouteView{route.name,
@@ -86,12 +86,18 @@ class FrozenRouteSet {
   uint32_t route_count_;
 };
 
-// Owns an open .pari file end to end: the mapping, the validated view, the route set.
-// Movable; the mapping's address (and thus every pointer in routes()) survives moves.
+// Owns a .pari image end to end: the bytes (a file mapping or an in-memory freeze),
+// the validated view, the route set.  Movable; the bytes' address (and thus every
+// pointer in routes()) survives moves.
 class FrozenImage {
  public:
+  // Freezes `routes` into an owned in-memory image — ImageWriter::Freeze, then
+  // ImageView::Adopt — for code that builds a RouteSet and resolves against it
+  // without a file.
+  explicit FrozenImage(const RouteSet& routes);
+
   // `readahead` forwards to MappedFile::Open — ask for it when the image is about
-  // to serve a bulk batch (routedb's --image paths do), skip it for one-off gets.
+  // to serve a bulk batch (routedb batch does), skip it for one-off gets.
   static std::optional<FrozenImage> Open(
       const std::string& path,
       image::ImageView::Verify verify = image::ImageView::Verify::kStructure,

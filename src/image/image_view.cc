@@ -116,6 +116,13 @@ std::optional<ImageView> ImageView::Adopt(std::string_view buffer, Verify verify
       Fail(error, "name entry has an out-of-range suffix id");
       return std::nullopt;
     }
+    if (entry.suffix != kNoName && view.names_[entry.suffix].length >= entry.length) {
+      // A domain suffix is a proper tail of its name, so every hop of a chain is
+      // strictly shorter than the last: the walk terminates.  A stored chain that
+      // loops back on itself would spin every resolver that follows it.
+      Fail(error, "name entry's suffix is not shorter than the name");
+      return std::nullopt;
+    }
     if (view.by_name_[id] > r) {
       Fail(error, "by-name index points past the route section");
       return std::nullopt;

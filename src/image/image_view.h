@@ -22,7 +22,8 @@ class ImageView {
  public:
   enum class Verify {
     // Structural checks only: header identity (magic/version/endianness), section
-    // bounds and alignment, id ranges, pool termination.  O(records) integer work;
+    // bounds and alignment, id ranges, pool termination, suffix chains that strictly
+    // shrink (so every chain walk ends).  O(records) integer work;
     // never touches the byte pools beyond their last byte — this is the zero-startup
     // open path.
     kStructure,

@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace pathalias {
 namespace image {
@@ -24,6 +25,14 @@ class MappedFile {
   // ROADMAP "image generation v2" item).  Advisory: failure is ignored, and the
   // heap-buffer fallback reads everything eagerly anyway.
   static std::optional<MappedFile> Open(const std::string& path, bool readahead = false);
+
+  // Owns bytes already in memory (an image frozen in this process), served exactly
+  // like the read fallback.
+  static MappedFile FromBuffer(std::string bytes) {
+    MappedFile file;
+    file.buffer_ = std::move(bytes);
+    return file;
+  }
 
   MappedFile(MappedFile&& other) noexcept { *this = std::move(other); }
   MappedFile& operator=(MappedFile&& other) noexcept;

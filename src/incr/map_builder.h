@@ -33,10 +33,9 @@
 //
 // Cache coherence: dirty_route_ids() after each update is exactly the set of route
 // keys whose bytes changed, in the RouteSet's stable interner space — what a serving
-// layer feeds to exec::BasicBatchEngine::AdoptRoutes after refreezing an image
+// layer feeds to exec::FrozenBatchEngine::AdoptRoutes after refreezing an image
 // (ids survive the freeze), making flush-the-world unnecessary.  Serving engines
-// read frozen images or their own RouteSet instance, never this builder's live
-// routes() (ApplyDelta reallocates under any concurrent reader).
+// read frozen images, never this builder's live routes().
 
 #ifndef SRC_INCR_MAP_BUILDER_H_
 #define SRC_INCR_MAP_BUILDER_H_

@@ -1,8 +1,7 @@
-// Counters for everything the routedbd loop does, printed on exit and on demand
-// (SIGUSR1).  Plain uint64s: the daemon loop is single-threaded, so there is
-// nothing to synchronize — the struct exists so tests and the smoke harness can
-// assert on behavior (dedup hits, truncations, rollovers) instead of scraping
-// logs.
+// Counters for everything the routedbd loop does, printed when the daemon exits.
+// Plain uint64s: the daemon loop is single-threaded, so there is nothing to
+// synchronize — the struct exists so tests and the smoke harness can assert on
+// behavior (dedup hits, truncations, rollovers) instead of scraping logs.
 
 #ifndef SRC_NET_STATS_H_
 #define SRC_NET_STATS_H_

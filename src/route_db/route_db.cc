@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
-
-#include "src/support/cdb.h"
+#include <optional>
 
 namespace pathalias {
 namespace {
@@ -167,70 +166,6 @@ std::string RouteSet::ToSortedText(bool include_costs) const {
     out += '\n';
   }
   return out;
-}
-
-std::string RouteSet::ToCdbBuffer() const {
-  CdbWriter writer;
-  for (const Route& route : routes_) {
-    std::string value;
-    if (route.cost >= 0) {
-      value = std::to_string(route.cost) + "\t" + route.route;
-    } else {
-      value = route.route;
-    }
-    writer.Put(NameOf(route), value);
-  }
-  return writer.WriteBuffer();
-}
-
-std::optional<RouteSet> RouteSet::FromCdbBuffer(std::string buffer) {
-  std::optional<CdbReader> reader = CdbReader::FromBuffer(std::move(buffer));
-  if (!reader) {
-    return std::nullopt;
-  }
-  RouteSet set;
-  reader->ForEach([&set](std::string_view key, std::string_view value) {
-    size_t tab = value.find('\t');
-    if (tab != std::string_view::npos) {
-      std::optional<Cost> cost = ParseCost(value.substr(0, tab));
-      if (cost) {
-        set.Add(key, value.substr(tab + 1), *cost);
-        return;
-      }
-    }
-    set.Add(key, value);
-  });
-  return set;
-}
-
-bool RouteSet::WriteCdbFile(const std::string& path) const {
-  CdbWriter writer;
-  for (const Route& route : routes_) {
-    std::string value =
-        route.cost >= 0 ? std::to_string(route.cost) + "\t" + route.route : route.route;
-    writer.Put(NameOf(route), value);
-  }
-  return writer.WriteFile(path);
-}
-
-std::optional<RouteSet> RouteSet::OpenCdbFile(const std::string& path) {
-  std::optional<CdbReader> reader = CdbReader::Open(path);
-  if (!reader) {
-    return std::nullopt;
-  }
-  RouteSet set;
-  reader->ForEach([&set](std::string_view key, std::string_view value) {
-    size_t tab = value.find('\t');
-    if (tab != std::string_view::npos) {
-      std::optional<Cost> cost = ParseCost(value.substr(0, tab));
-      if (cost) {
-        set.Add(key, value.substr(tab + 1), *cost);
-        return;
-      }
-    }
-    set.Add(key, value);
-  });
-  return set;
 }
 
 const Route* RouteSet::Find(std::string_view name) const {

@@ -2,15 +2,14 @@
 // with mailers).
 //
 // pathalias emits "a simple linear file, in the UNIX tradition"; this module parses
-// that file back into an indexed set, serializes it, and converts it to/from the cdb
-// image for "rapid database retrieval".  The RouteSet is the boundary between the
-// route *generator* (src/core) and the route *consumers* (Resolver, the routedb tool,
-// mailers).
+// that file back into an indexed set and serializes it.  The RouteSet is the builder
+// and delta structure between the route *generator* (src/core) and the .pari image
+// (src/image) that every query runs against — the paper's "format appropriate for
+// rapid database retrieval".
 
 #ifndef SRC_ROUTE_DB_ROUTE_DB_H_
 #define SRC_ROUTE_DB_ROUTE_DB_H_
 
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -29,9 +28,8 @@ struct Route {
   Cost cost = -1;         // -1: unknown (the file had no cost column)
 };
 
-// A non-owning route record: what the Resolver traffics in.  Both backends produce it —
-// the live RouteSet views its Route's string, the image-backed FrozenRouteSet views the
-// mmap'd route-byte pool — so resolution code is backend-agnostic and allocation-free.
+// A non-owning route record: what the Resolver traffics in.  FrozenRouteSet produces it
+// as a view into the image's route-byte pool, so resolution is allocation-free.
 struct RouteView {
   NameId name = kNoName;   // key handle; kNoName means "no route known"
   std::string_view route;  // printf format string with one %s; owned by the route set
@@ -79,44 +77,11 @@ class RouteSet {
   // incrementally patched set and a rebuilt one order their routes_ differently).
   std::string ToSortedText(bool include_costs) const;
 
-  // cdb image: key = host name; value = route, or "cost\troute" when cost is known.
-  std::string ToCdbBuffer() const;
-  static std::optional<RouteSet> FromCdbBuffer(std::string buffer);
-  bool WriteCdbFile(const std::string& path) const;
-  static std::optional<RouteSet> OpenCdbFile(const std::string& path);
-
   // Exact-name lookup; nullptr if absent.  The string_view form hashes once against
-  // the interner; the NameId form is a pure array index (the Resolver's batch path).
+  // the interner; the NameId form is a pure array index.
   const Route* Find(std::string_view name) const;
   const Route* Find(NameId id) const {
     return id < by_name_.size() && by_name_[id] != 0 ? &routes_[by_name_[id] - 1] : nullptr;
-  }
-
-  // The backend-agnostic lookup the Resolver uses (FrozenRouteSet implements the same
-  // signature over the mmap'd image).  A default RouteView means "no route".
-  RouteView FindRouteView(NameId id) const {
-    const Route* route = Find(id);
-    return route != nullptr ? RouteView{route->name, route->route, route->cost} : RouteView{};
-  }
-
-  // FindRouteView split for the pipelined resolver (FrozenRouteSet mirrors these):
-  // PrefetchFind covers the by-name index line a HasRoute will read, PrefetchRoute
-  // covers the route record a FindRouteView will read once HasRoute said yes.
-  // Each is one prefetch — callers interleave them across a window of lookups.
-  bool HasRoute(NameId id) const { return id < by_name_.size() && by_name_[id] != 0; }
-  void PrefetchFind(NameId id) const {
-    if (id < by_name_.size()) {
-      __builtin_prefetch(by_name_.data() + id);
-    }
-  }
-  void PrefetchRoute(NameId id) const {
-    if (id < by_name_.size() && by_name_[id] != 0) {
-      __builtin_prefetch(routes_.data() + (by_name_[id] - 1));
-    }
-  }
-  RouteView FindRouteView(std::string_view name) const {
-    const Route* route = Find(name);
-    return route != nullptr ? RouteView{route->name, route->route, route->cost} : RouteView{};
   }
 
   // The interner every route key (and its precomputed domain-suffix chain) lives in.

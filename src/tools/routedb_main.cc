@@ -2,15 +2,13 @@
 //
 // The paper (§Output): "a separate program may be used to convert this file into a
 // format appropriate for rapid database retrieval."  This is that program, plus the
-// query side a delivery agent would call.  Two on-disk formats are supported: the cdb
-// image (parsed back into a live RouteSet at open) and the .pari frozen route image
-// (mmap'd and queried in place — no re-parsing, no re-interning; see src/image/).
+// query side a delivery agent would call.  The database is the .pari frozen route
+// image: mmap'd and queried in place — no re-parsing, no re-interning; see src/image/.
 //
 // Usage:
-//   routedb build  <routes.txt> <routes.cdb>    build the cdb database
 //   routedb freeze <routes.txt> <routes.pari>   freeze the mmap-able route image
-//   routedb get   [--image] <db> <host>         print the raw route for a host
-//   routedb resolve [--image] <db> <address>... resolve full addresses (domain-suffix
+//   routedb get <routes.pari> <host>            print the raw route for a host
+//   routedb resolve <routes.pari> <address>...  resolve full addresses (domain-suffix
 //                                               lookup, rightmost-known rewriting)
 //   routedb update --init [--local NAME] <routes.pari> <map-files...>
 //                                               parse the map, freeze the image, and
@@ -26,8 +24,9 @@
 //                                               state untouched.  --stats adds a
 //                                               breakdown (rebuild_reason, alias/
 //                                               flag/host-state edit counts)
-//   routedb batch [--image] [--threads N] [--cache-entries M] [--chunk-lines L]
-//                 [--stats] <db> [hosts.txt]    bulk host lookup, one per line (stdin
+//   routedb batch [--threads N] [--cache-entries M] [--chunk-lines L]
+//                 [--stats] <routes.pari> [hosts.txt]
+//                                               bulk host lookup, one per line (stdin
 //                                               if no file): "host<TAB>route-key" per
 //                                               hit, "host<TAB>*miss*" per miss;
 //                                               malformed queries are reported with
@@ -81,15 +80,14 @@
 namespace {
 
 int Usage() {
-  std::cerr << "usage: routedb build <routes.txt> <routes.cdb>\n"
-               "       routedb freeze <routes.txt> <routes.pari>\n"
+  std::cerr << "usage: routedb freeze <routes.txt> <routes.pari>\n"
                "       routedb update --init [--local NAME] <routes.pari> <map-files...>\n"
                "       routedb update [--remove FILE]... [--stats] <routes.pari> "
                "[changed-map-files...]\n"
-               "       routedb get [--image] <db> <host>\n"
-               "       routedb resolve [--image] <db> <address>...\n"
-               "       routedb batch [--image] [--threads N] [--cache-entries M] "
-               "[--chunk-lines L] [--stats] <db> [hosts.txt]\n"
+               "       routedb get <routes.pari> <host>\n"
+               "       routedb resolve <routes.pari> <address>...\n"
+               "       routedb batch [--threads N] [--cache-entries M] "
+               "[--chunk-lines L] [--stats] <routes.pari> [hosts.txt]\n"
                "       routedb query (--socket PATH | --port UDPPORT) [--timeout MS] "
                "[--retries N] [--id ID] <host>...\n";
   return 2;
@@ -112,7 +110,7 @@ std::optional<uint64_t> ReadImageGeneration(const std::string& path) {
   return header.generation;
 }
 
-// The batch execution knobs, shared by the live and --image paths.
+// The batch execution knobs.
 struct BatchFlags {
   int threads = 1;
   size_t cache_entries = 0;
@@ -158,13 +156,12 @@ std::string SanitizeForTsv(const std::string& line) {
 // per-line result).  Input is consumed in chunks of flags.chunk_lines lines, the
 // ONE engine persisting across chunks (shard caches stay warm), so a
 // pipe-a-billion-lines-through-it run holds one chunk, not the whole input.
-template <typename RouteSourceT>
-int RunBatch(const RouteSourceT& routes, std::istream& in, const char* input_name,
-             const BatchFlags& flags) {
+int RunBatch(const pathalias::FrozenRouteSet& routes, std::istream& in,
+             const char* input_name, const BatchFlags& flags) {
   pathalias::exec::BatchEngineOptions engine_options;
   engine_options.threads = flags.threads;
   engine_options.cache_entries = flags.cache_entries;
-  pathalias::exec::BasicBatchEngine<RouteSourceT> engine(&routes, engine_options);
+  pathalias::exec::FrozenBatchEngine engine(&routes, engine_options);
 
   const size_t chunk_lines = flags.chunk_lines == 0 ? 1 : flags.chunk_lines;
   std::vector<std::string> hosts;
@@ -244,8 +241,7 @@ int RunBatch(const RouteSourceT& routes, std::istream& in, const char* input_nam
   return 0;
 }
 
-template <typename RouteSourceT>
-int RunGet(const RouteSourceT& routes, const char* host) {
+int RunGet(const pathalias::FrozenRouteSet& routes, const char* host) {
   pathalias::RouteView route = routes.FindRouteView(std::string_view(host));
   if (!route.ok()) {
     std::cerr << "routedb: no route to " << host << "\n";
@@ -255,11 +251,11 @@ int RunGet(const RouteSourceT& routes, const char* host) {
   return 0;
 }
 
-template <typename RouteSourceT>
-int RunResolve(const RouteSourceT& routes, const std::vector<const char*>& addresses) {
+int RunResolve(const pathalias::FrozenRouteSet& routes,
+               const std::vector<const char*>& addresses) {
   pathalias::ResolveOptions options;
   options.optimize = pathalias::ResolveOptions::Optimize::kRightmostKnown;
-  pathalias::BasicResolver<RouteSourceT> resolver(&routes, options);
+  pathalias::Resolver resolver(&routes, options);
   int failures = 0;
   for (const char* address : addresses) {
     pathalias::Resolution resolution = resolver.Resolve(address);
@@ -274,10 +270,9 @@ int RunResolve(const RouteSourceT& routes, const std::vector<const char*>& addre
   return failures == 0 ? 0 : 1;
 }
 
-// Dispatches get/resolve/batch to the cdb-backed RouteSet or the mmap'd image.
-// `operands` holds the positional arguments after the database path.
-template <typename RouteSourceT>
-int RunQueryCommand(const std::string& command, const RouteSourceT& routes,
+// Dispatches get/resolve/batch against the opened image.  `operands` holds the
+// positional arguments after the database path.
+int RunQueryCommand(const std::string& command, const pathalias::FrozenRouteSet& routes,
                     const std::vector<const char*>& operands, const BatchFlags& flags) {
   if (command == "get") {
     return RunGet(routes, operands.front());
@@ -705,7 +700,7 @@ int main(int argc, char** argv) {
     return Usage();
   }
   std::string command = argv[1];
-  if (command == "build" || command == "freeze") {
+  if (command == "freeze") {
     if (argc != 4) {
       return Usage();
     }
@@ -718,14 +713,6 @@ int main(int argc, char** argv) {
     buffer << in.rdbuf();
     pathalias::Diagnostics diag;
     pathalias::RouteSet routes = pathalias::RouteSet::FromText(buffer.str(), &diag);
-    if (command == "build") {
-      if (!routes.WriteCdbFile(argv[3])) {
-        std::cerr << "routedb: cannot write " << argv[3] << "\n";
-        return 1;
-      }
-      std::cerr << "routedb: " << routes.size() << " routes written\n";
-      return 0;
-    }
     if (!pathalias::image::ImageWriter::WriteFile(routes, argv[3])) {
       std::cerr << "routedb: cannot write " << argv[3] << "\n";
       return 1;
@@ -750,15 +737,10 @@ int main(int argc, char** argv) {
     return RunQuery(argc, argv);
   }
   if (command == "get" || command == "resolve" || command == "batch") {
-    bool use_image = false;
     BatchFlags flags;
     std::vector<const char*> positional;  // db path, then the command's operands
     for (int i = 2; i < argc; ++i) {
       std::string_view arg = argv[i];
-      if (arg == "--image") {
-        use_image = true;
-        continue;
-      }
       if (arg == "--threads" || arg == "--cache-entries" || arg == "--chunk-lines" ||
           arg == "--stats") {
         if (command != "batch") {
@@ -810,26 +792,18 @@ int main(int argc, char** argv) {
     if (command != "batch" && operands.empty()) {
       return Usage();
     }
-    if (use_image) {
-      std::string error;
-      // A batch run walks most of the image: tell the kernel up front.  get/resolve
-      // touch a handful of pages; faulting them on demand is cheaper.
-      bool readahead = command == "batch";
-      auto image = pathalias::FrozenImage::Open(
-          db_path, pathalias::image::ImageView::Verify::kStructure, &error, readahead);
-      if (!image) {
-        std::cerr << "routedb: cannot read " << db_path
-                  << (error.empty() ? "" : ": " + error) << "\n";
-        return 1;
-      }
-      return RunQueryCommand(command, image->routes(), operands, flags);
-    }
-    auto routes = pathalias::RouteSet::OpenCdbFile(db_path);
-    if (!routes) {
-      std::cerr << "routedb: cannot read " << db_path << "\n";
+    std::string error;
+    // A batch run walks most of the image: tell the kernel up front.  get/resolve
+    // touch a handful of pages; faulting them on demand is cheaper.
+    bool readahead = command == "batch";
+    auto image = pathalias::FrozenImage::Open(
+        db_path, pathalias::image::ImageView::Verify::kStructure, &error, readahead);
+    if (!image) {
+      std::cerr << "routedb: cannot read " << db_path << (error.empty() ? "" : ": " + error)
+                << "\n";
       return 1;
     }
-    return RunQueryCommand(command, *routes, operands, flags);
+    return RunQueryCommand(command, image->routes(), operands, flags);
   }
   return Usage();
 }

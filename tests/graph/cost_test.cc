@@ -49,6 +49,13 @@ struct ExprCase {
   Cost expected;
 };
 
+// gtest prints a parameter into the discovered test name.  Without this it dumps the
+// struct's raw bytes, whose string_view pointer moves with address-space randomisation,
+// so every build would name these tests differently.
+void PrintTo(const ExprCase& c, std::ostream* os) {
+  *os << '"' << c.text << "\" = " << c.expected;
+}
+
 class CostExprTest : public ::testing::TestWithParam<ExprCase> {};
 
 TEST_P(CostExprTest, Evaluates) {

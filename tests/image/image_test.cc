@@ -1,5 +1,6 @@
-// The frozen route image: freeze → adopt/mmap → resolve must be indistinguishable from
-// the live RouteSet, and a damaged image must be rejected before anything trusts it.
+// The frozen route image: freeze → adopt/mmap → resolve must serve exactly the
+// RouteSet it was frozen from, and a damaged image must be rejected before anything
+// trusts it.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "src/image/image_format.h"
 #include "src/image/image_view.h"
 #include "src/image/image_writer.h"
+#include "src/mapgen/mapgen.h"
 #include "src/route_db/resolver.h"
 #include "src/route_db/route_db.h"
 #include "src/support/failpoint.h"
@@ -84,58 +86,56 @@ TEST(ImageWriter, FrozenSetMatchesLiveRouteByRoute) {
   }
 }
 
-TEST(ImageWriter, FrozenResolverAgreesWithLiveResolverOnMixedBatch) {
-  RouteSet routes = PaperRouteSet();
-  std::string buffer = image::ImageWriter::Freeze(routes);
-  auto view = Adopt(buffer, image::ImageView::Verify::kChecksum);
-  ASSERT_TRUE(view.has_value());
-  FrozenRouteSet frozen(*view);
+// The reference check for freezing in memory — the path every RouteSet built in
+// process takes to be resolved.  Over the paper's example and the 1986-scale
+// generated map: every route comes back through the FrozenImage with identical route
+// bytes and cost, an unknown host under a routed domain resolves by domain suffix,
+// and views taken before the FrozenImage is moved stay valid after it.
+TEST(FrozenImage, InMemoryFreezeServesEveryRouteOfTheSet) {
+  std::vector<RouteSet> sets;
+  sets.push_back(PaperRouteSet());
+  GeneratedMap map = GenerateUsenetMap(MapGenConfig::Usenet1986());
+  Diagnostics diag;
+  RunOptions options;
+  options.local = map.local;
+  sets.push_back(RouteSet::FromEntries(pathalias::Run(map.files, options, &diag).routes));
+  ASSERT_GT(sets.back().size(), 1000u);
 
-  std::vector<std::string_view> queries = {
-      "phs",                  // exact hit
-      "ucbvax",               // exact hit
-      "caip.rutgers.edu",     // exact hit on a domainized key
-      "blue.rutgers.edu",     // suffix fallback to .edu through an un-interned suffix
-      "deep.caip.rutgers.edu",  // stranger under a known chain
-      "nowhere",              // undotted miss
-      "miss.example.com",     // dotted miss: the suffix walk must drain identically
-      ".edu",                 // a domain key queried directly
-  };
-  std::vector<BatchLookup> live_results(queries.size());
-  std::vector<BatchLookup> frozen_results(queries.size());
-  Resolver live_resolver(&routes, ResolveOptions{});
-  FrozenResolver frozen_resolver(&frozen, ResolveOptions{});
-  size_t live_hits = live_resolver.ResolveBatch(queries, live_results);
-  size_t frozen_hits = frozen_resolver.ResolveBatch(queries, frozen_results);
-  EXPECT_EQ(live_hits, frozen_hits);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(live_results[i].route.ok(), frozen_results[i].route.ok()) << queries[i];
-    EXPECT_EQ(live_results[i].via, frozen_results[i].via) << queries[i];
-    EXPECT_EQ(live_results[i].suffix_match, frozen_results[i].suffix_match) << queries[i];
-    if (live_results[i].route.ok()) {
-      EXPECT_EQ(live_results[i].route.route, frozen_results[i].route.route) << queries[i];
-      EXPECT_EQ(live_results[i].route.cost, frozen_results[i].route.cost) << queries[i];
+  for (const RouteSet& routes : sets) {
+    FrozenImage built(routes);
+    std::vector<RouteView> before;
+    for (const Route& route : routes.routes()) {
+      before.push_back(built.routes().FindRouteView(routes.NameOf(route)));
     }
-  }
+    FrozenImage image(std::move(built));
+    const FrozenRouteSet& frozen = image.routes();
+    ASSERT_EQ(frozen.size(), routes.size());
+    Resolver resolver(&frozen, ResolveOptions{});
 
-  // Full address resolution, both optimization policies.
-  for (auto optimize : {ResolveOptions::Optimize::kFirstHop,
-                        ResolveOptions::Optimize::kRightmostKnown}) {
-    ResolveOptions options;
-    options.optimize = optimize;
-    Resolver live(&routes, options);
-    FrozenResolver cold(&frozen, options);
-    for (std::string_view address :
-         {"phs!honey", "caip.rutgers.edu!pleasant", "duke!research!ucbvax!mcvax!piet",
-          "pleasant@blue.rutgers.edu", "duke!phs!duke!user", "ghost!user", "honey"}) {
-      Resolution a = live.Resolve(address);
-      Resolution b = cold.Resolve(address);
-      EXPECT_EQ(a.ok, b.ok) << address;
-      EXPECT_EQ(a.route, b.route) << address;
-      EXPECT_EQ(a.via, b.via) << address;
-      EXPECT_EQ(a.argument, b.argument) << address;
-      EXPECT_EQ(a.error, b.error) << address;
+    size_t domains = 0;
+    for (size_t i = 0; i < routes.size(); ++i) {
+      const Route& route = routes.routes()[i];
+      std::string_view name = routes.NameOf(route);
+      BatchLookup found = resolver.LookupOne(name);
+      ASSERT_TRUE(found.route.ok()) << name;
+      EXPECT_FALSE(found.suffix_match) << name;
+      EXPECT_EQ(frozen.names().View(found.via), name);
+      EXPECT_EQ(found.route.route, route.route) << name;
+      EXPECT_EQ(found.route.cost, route.cost) << name;
+      EXPECT_EQ(before[i].route.data(), found.route.route.data()) << name;
+      EXPECT_EQ(before[i].route, route.route) << name;
+
+      if (name.size() > 1 && name[0] == '.') {
+        ++domains;
+        std::string stranger = "no-such-host" + std::string(name);
+        BatchLookup suffix = resolver.LookupOne(stranger);
+        ASSERT_TRUE(suffix.route.ok()) << stranger;
+        EXPECT_TRUE(suffix.suffix_match) << stranger;
+        EXPECT_EQ(frozen.names().View(suffix.via), name) << stranger;
+        EXPECT_EQ(suffix.route.route, route.route) << stranger;
+      }
     }
+    EXPECT_GT(domains, 0u) << "each map must exercise the domain-suffix fallback";
   }
 }
 
@@ -263,6 +263,29 @@ TEST(ImageView, StructureCatchesCorruptedRecords) {
   }
 }
 
+// Regression: kStructure once checked only that a suffix id was in range, so an
+// image whose stored chain looped (here .rutgers.edu naming itself) was adopted,
+// and the first suffix walk to reach it never returned.
+TEST(ImageView, StructureRejectsALoopingSuffixChain) {
+  RouteSet routes;
+  routes.Add("caip.rutgers.edu", "seismo!caip.rutgers.edu!%s", 195);
+  std::string buffer = image::ImageWriter::Freeze(routes);
+  image::ImageHeader header;
+  std::memcpy(&header, buffer.data(), sizeof(header));
+  NameId domain = routes.names().Find(".rutgers.edu");
+  ASSERT_NE(domain, kNoName);
+
+  NameInterner::FrozenEntry entry;
+  char* at = buffer.data() + header.names_offset + domain * sizeof(entry);
+  std::memcpy(&entry, at, sizeof(entry));
+  entry.suffix = domain;
+  std::memcpy(at, &entry, sizeof(entry));
+
+  std::string error;
+  EXPECT_FALSE(Adopt(buffer, image::ImageView::Verify::kStructure, &error).has_value());
+  EXPECT_NE(error.find("suffix"), std::string::npos) << error;
+}
+
 TEST(ImageView, ChecksumCoversTheHeader) {
   // Flipping a *valid* flag bit (fold_case) leaves the structure plausible but changes
   // lookup semantics; the checksum must still catch it because it covers the header.
@@ -288,7 +311,7 @@ TEST(FrozenImage, FileRoundTripThroughMmap) {
   ASSERT_TRUE(opened.has_value()) << error;
   EXPECT_EQ(opened->routes().size(), routes.size());
 
-  FrozenResolver resolver(&opened->routes(), ResolveOptions{});
+  Resolver resolver(&opened->routes(), ResolveOptions{});
   std::string_view matched;
   RouteView route = resolver.Lookup("blue.rutgers.edu", &matched);
   ASSERT_TRUE(route.ok());

@@ -7,8 +7,8 @@
 // occasional net/private declarations that still force the replay-rebuild path.
 // After EVERY edit the MapBuilder's route set must be byte-identical (canonical
 // name-sorted form) to a from-scratch pipeline over the edited inputs; periodically
-// the refrozen .pari image and the sharded batch engine (serial and --threads) are
-// held to the same standard.  Three path-coverage assertions keep the property
+// the sharded batch engine (serial and --threads), over the builder's routes frozen
+// in memory and over the refrozen .pari file, is held to the same standard.  Three path-coverage assertions keep the property
 // non-vacuous: the patch path, the fallback path, AND patched updates that applied
 // alias/dead/gateway/adjust edits (if those all silently fell back, the lifted
 // gates would be untested).
@@ -108,14 +108,13 @@ std::string ReferenceSortedRoutes(const std::vector<InputFile>& files,
   return RouteSet::FromEntries(result.routes).ToSortedText(/*include_costs=*/true);
 }
 
-// Resolves `queries` against any route source and formats the outcomes; all
-// backends and execution modes must produce these bytes identically.
-template <typename RouteSourceT>
-std::string FormatBatch(const RouteSourceT& source,
+// Resolves `queries` against an image and formats the outcomes; every image of the
+// same routes and every execution mode must produce these bytes identically.
+std::string FormatBatch(const FrozenRouteSet& source,
                         const std::vector<std::string_view>& queries, int threads) {
   exec::BatchEngineOptions options;
   options.threads = threads;
-  exec::BasicBatchEngine<RouteSourceT> engine(&source, options);
+  exec::FrozenBatchEngine engine(&source, options);
   std::vector<BatchLookup> results(queries.size());
   engine.ResolveBatch(queries, results);
   std::string out;
@@ -490,7 +489,7 @@ TEST_P(IncrementalFuzz, EveryEditStaysGoldenAcrossBackends) {
         << (stats.patched ? " (patched: " : " (rebuilt: ") << stats.rebuild_reason << ")";
 
     if (step % 20 == 19) {
-      // Cross-backend, cross-execution-mode equivalence on a mixed query load.
+      // Cross-image, cross-execution-mode equivalence on a mixed query load.
       std::vector<std::string> names = model.AllHostNames();
       names.push_back("unknown-host");
       names.push_back("stranger.example");
@@ -500,17 +499,18 @@ TEST_P(IncrementalFuzz, EveryEditStaysGoldenAcrossBackends) {
       RunOptions options;
       options.local = local;
       RunResult reference = pathalias::Run(rendered, options, &diag);
-      RouteSet reference_routes = RouteSet::FromEntries(reference.routes);
+      FrozenImage reference_image(RouteSet::FromEntries(reference.routes));
+      FrozenImage patched_image(builder.routes());
 
-      std::string expected = FormatBatch(reference_routes, queries, /*threads=*/1);
-      EXPECT_EQ(FormatBatch(builder.routes(), queries, 1), expected) << "step " << step;
-      EXPECT_EQ(FormatBatch(builder.routes(), queries, 4), expected) << "step " << step;
+      std::string expected = FormatBatch(reference_image.routes(), queries, /*threads=*/1);
+      EXPECT_EQ(FormatBatch(patched_image.routes(), queries, 1), expected) << "step " << step;
+      EXPECT_EQ(FormatBatch(patched_image.routes(), queries, 4), expected) << "step " << step;
 
       // The pipelined batch loop must stay byte-identical to the scalar
       // reference over every evolving topology this fuzz produces, at a
       // degenerate, the default, and the maximum window.
       {
-        Resolver resolver(&builder.routes(), ResolveOptions{});
+        Resolver resolver(&patched_image.routes(), ResolveOptions{});
         std::vector<BatchLookup> scalar(queries.size());
         size_t scalar_resolved = resolver.ResolveBatchScalar(queries, scalar);
         for (size_t window : {size_t{1}, Resolver::kDefaultPipelineWindow,

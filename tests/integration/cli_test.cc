@@ -112,27 +112,28 @@ TEST_F(CliTest, PathaliasOutputFile) {
   EXPECT_EQ(first_line, "unc\t%s");
 }
 
+// The database build step is `routedb freeze`: the .pari image is the one format.
 TEST_F(CliTest, RoutedbBuildGetResolveRoundTrip) {
   std::string routes = (dir_ / "routes.txt").string();
-  std::string cdb = (dir_ / "routes.cdb").string();
+  std::string pari = (dir_ / "routes.pari").string();
   ASSERT_EQ(RunCommand(std::string(PATHALIAS_BIN) + " -c -l unc -o " + routes + " " +
                        map_path_)
                 .status,
             0);
-  CommandResult build =
-      RunCommand(std::string(ROUTEDB_BIN) + " build " + routes + " " + cdb);
-  EXPECT_EQ(build.status, 0);
-  EXPECT_NE(build.output.find("7 routes"), std::string::npos) << build.output;
+  CommandResult freeze =
+      RunCommand(std::string(ROUTEDB_BIN) + " freeze " + routes + " " + pari);
+  EXPECT_EQ(freeze.status, 0);
+  EXPECT_NE(freeze.output.find("7 routes"), std::string::npos) << freeze.output;
 
-  CommandResult get = RunCommand(std::string(ROUTEDB_BIN) + " get " + cdb + " phs");
+  CommandResult get = RunCommand(std::string(ROUTEDB_BIN) + " get " + pari + " phs");
   EXPECT_EQ(get.status, 0);
   EXPECT_EQ(get.output, "duke!phs!%s\n");
 
-  CommandResult missing = RunCommand(std::string(ROUTEDB_BIN) + " get " + cdb + " nowhere");
+  CommandResult missing = RunCommand(std::string(ROUTEDB_BIN) + " get " + pari + " nowhere");
   EXPECT_NE(missing.status, 0);
 
   CommandResult resolve =
-      RunCommand(std::string(ROUTEDB_BIN) + " resolve " + cdb + " 'mit-ai!honey'");
+      RunCommand(std::string(ROUTEDB_BIN) + " resolve " + pari + " 'mit-ai!honey'");
   EXPECT_EQ(resolve.status, 0);
   EXPECT_NE(resolve.output.find("duke!research!ucbvax!honey@mit-ai"), std::string::npos)
       << resolve.output;
@@ -143,7 +144,7 @@ TEST_F(CliTest, RoutedbBuildGetResolveRoundTrip) {
     out << "phs\nnowhere\nmit-ai\n";
   }
   CommandResult batch =
-      RunCommand(std::string(ROUTEDB_BIN) + " batch " + cdb + " " + hosts);
+      RunCommand(std::string(ROUTEDB_BIN) + " batch " + pari + " " + hosts);
   EXPECT_EQ(batch.status, 0);
   EXPECT_NE(batch.output.find("phs\tphs"), std::string::npos) << batch.output;
   EXPECT_NE(batch.output.find("nowhere\t*miss*"), std::string::npos) << batch.output;
@@ -151,43 +152,40 @@ TEST_F(CliTest, RoutedbBuildGetResolveRoundTrip) {
 
 TEST_F(CliTest, RoutedbFreezeAndImageBackedQueries) {
   std::string routes = (dir_ / "routes.txt").string();
-  std::string cdb = (dir_ / "routes.cdb").string();
   std::string pari = (dir_ / "routes.pari").string();
   ASSERT_EQ(RunCommand(std::string(PATHALIAS_BIN) + " -c -l unc -o " + routes + " " +
                        map_path_)
                 .status,
             0);
-  ASSERT_EQ(RunCommand(std::string(ROUTEDB_BIN) + " build " + routes + " " + cdb).status, 0);
   CommandResult freeze =
       RunCommand(std::string(ROUTEDB_BIN) + " freeze " + routes + " " + pari);
   EXPECT_EQ(freeze.status, 0);
   EXPECT_NE(freeze.output.find("frozen"), std::string::npos) << freeze.output;
 
-  CommandResult get =
-      RunCommand(std::string(ROUTEDB_BIN) + " get --image " + pari + " phs");
+  CommandResult get = RunCommand(std::string(ROUTEDB_BIN) + " get " + pari + " phs");
   EXPECT_EQ(get.status, 0);
   EXPECT_EQ(get.output, "duke!phs!%s\n");
 
   CommandResult resolve =
-      RunCommand(std::string(ROUTEDB_BIN) + " resolve --image " + pari + " 'mit-ai!honey'");
+      RunCommand(std::string(ROUTEDB_BIN) + " resolve " + pari + " 'mit-ai!honey'");
   EXPECT_EQ(resolve.status, 0);
   EXPECT_NE(resolve.output.find("duke!research!ucbvax!honey@mit-ai"), std::string::npos)
       << resolve.output;
 
-  // The acceptance bar: batch output from the image is byte-identical to the
-  // in-memory (cdb-parsed) path on the same query stream.
+  // The acceptance bar: batch output from the image is byte-identical to what the
+  // in-memory path produced on the same query stream (stdout only; the summary
+  // line goes to stderr).
   std::string hosts = (dir_ / "hosts.txt").string();
   {
     std::ofstream out(hosts);
     out << "phs\nnowhere\nmit-ai\nducati.dealers.com\nresearch\n";
   }
-  CommandResult live_batch =
-      RunCommand(std::string(ROUTEDB_BIN) + " batch " + cdb + " " + hosts);
-  CommandResult image_batch =
-      RunCommand(std::string(ROUTEDB_BIN) + " batch --image " + pari + " " + hosts);
-  EXPECT_EQ(live_batch.status, 0);
+  CommandResult image_batch = RunCommand("( " + std::string(ROUTEDB_BIN) + " batch " + pari +
+                                         " " + hosts + " 2>/dev/null )");
   EXPECT_EQ(image_batch.status, 0);
-  EXPECT_EQ(live_batch.output, image_batch.output);
+  EXPECT_EQ(image_batch.output,
+            "phs\tphs\nnowhere\t*miss*\nmit-ai\tmit-ai\nducati.dealers.com\t*miss*\n"
+            "research\tresearch\n");
 
   // A truncated image is rejected up front, not half-served.
   std::string broken = (dir_ / "broken.pari").string();
@@ -198,24 +196,46 @@ TEST_F(CliTest, RoutedbFreezeAndImageBackedQueries) {
     std::ofstream out(broken, std::ios::binary);
     out << bytes.substr(0, bytes.size() / 2);
   }
-  CommandResult rejected =
-      RunCommand(std::string(ROUTEDB_BIN) + " get --image " + broken + " phs");
+  CommandResult rejected = RunCommand(std::string(ROUTEDB_BIN) + " get " + broken + " phs");
   EXPECT_NE(rejected.status, 0);
   EXPECT_NE(rejected.output.find("cannot read"), std::string::npos) << rejected.output;
 }
 
-TEST_F(CliTest, RoutedbBatchThreadsAndCacheFlagsNeverChangeTheBytes) {
-  // The sharded engine's CLI guarantee: any --threads/--cache-entries combination —
-  // over the cdb set or the mmap'd image — emits byte-identical output, stderr
-  // summary included, on a stream where 90% of the queries repeat a hot set.
+// The .pari image is the only database format: `routedb build` (the retired cdb
+// writer) and --image (which chose between two formats) are usage errors.
+TEST_F(CliTest, RoutedbBuildAndImageFlagAreUsageErrors) {
   std::string routes = (dir_ / "routes.txt").string();
-  std::string cdb = (dir_ / "routes.cdb").string();
   std::string pari = (dir_ / "routes.pari").string();
   ASSERT_EQ(RunCommand(std::string(PATHALIAS_BIN) + " -c -l unc -o " + routes + " " +
                        map_path_)
                 .status,
             0);
-  ASSERT_EQ(RunCommand(std::string(ROUTEDB_BIN) + " build " + routes + " " + cdb).status, 0);
+  ASSERT_EQ(RunCommand(std::string(ROUTEDB_BIN) + " freeze " + routes + " " + pari).status,
+            0);
+  const std::string retired[] = {
+      " build " + routes + " " + (dir_ / "routes.cdb").string(),
+      " get --image " + pari + " phs",
+      " resolve --image " + pari + " 'mit-ai!honey'",
+      " batch --image " + pari + " < /dev/null",
+  };
+  for (const std::string& args : retired) {
+    CommandResult result = RunCommand(std::string(ROUTEDB_BIN) + args);
+    EXPECT_EQ(WEXITSTATUS(result.status), 2) << args;
+    EXPECT_NE(result.output.find("usage"), std::string::npos) << args << ": " << result.output;
+  }
+  EXPECT_FALSE(fs::exists(dir_ / "routes.cdb"));
+}
+
+TEST_F(CliTest, RoutedbBatchThreadsAndCacheFlagsNeverChangeTheBytes) {
+  // The sharded engine's CLI guarantee: any --threads/--cache-entries combination
+  // emits byte-identical output, stderr summary included, on a stream where 90% of
+  // the queries repeat a hot set.
+  std::string routes = (dir_ / "routes.txt").string();
+  std::string pari = (dir_ / "routes.pari").string();
+  ASSERT_EQ(RunCommand(std::string(PATHALIAS_BIN) + " -c -l unc -o " + routes + " " +
+                       map_path_)
+                .status,
+            0);
   ASSERT_EQ(RunCommand(std::string(ROUTEDB_BIN) + " freeze " + routes + " " + pari).status,
             0);
 
@@ -234,33 +254,29 @@ TEST_F(CliTest, RoutedbBatchThreadsAndCacheFlagsNeverChangeTheBytes) {
   }
 
   CommandResult baseline =
-      RunCommand(std::string(ROUTEDB_BIN) + " batch " + cdb + " " + hosts);
+      RunCommand(std::string(ROUTEDB_BIN) + " batch " + pari + " " + hosts);
   ASSERT_EQ(baseline.status, 0);
   EXPECT_NE(baseline.output.find("phs\tphs"), std::string::npos) << baseline.output;
   for (const char* flags : {"--threads 4", "--cache-entries 512",
-                            "--threads 8 --cache-entries 512", "--threads 0"}) {
+                            "--threads 8 --cache-entries 512", "--threads 0",
+                            "--threads 4 --cache-entries 512"}) {
     CommandResult run = RunCommand(std::string(ROUTEDB_BIN) + " batch " + flags + " " +
-                                   cdb + " " + hosts);
+                                   pari + " " + hosts);
     EXPECT_EQ(run.status, 0) << flags;
     EXPECT_EQ(run.output, baseline.output) << flags;
   }
-  CommandResult image_run = RunCommand(std::string(ROUTEDB_BIN) +
-                                       " batch --image --threads 4 --cache-entries 512 " +
-                                       pari + " " + hosts);
-  EXPECT_EQ(image_run.status, 0);
-  EXPECT_EQ(image_run.output, baseline.output);
 
   // --stats is the opt-in exception: it adds the execution summary on stderr.
   CommandResult stats_run = RunCommand(std::string(ROUTEDB_BIN) +
                                        " batch --threads 2 --cache-entries 512 --stats " +
-                                       cdb + " " + hosts);
+                                       pari + " " + hosts);
   EXPECT_EQ(stats_run.status, 0);
   EXPECT_NE(stats_run.output.find("2 shard(s)"), std::string::npos) << stats_run.output;
   EXPECT_NE(stats_run.output.find("cache hits"), std::string::npos) << stats_run.output;
 
   // The flags are batch-only.
   CommandResult misuse =
-      RunCommand(std::string(ROUTEDB_BIN) + " get --threads 4 " + cdb + " phs");
+      RunCommand(std::string(ROUTEDB_BIN) + " get --threads 4 " + pari + " phs");
   EXPECT_NE(misuse.status, 0);
   EXPECT_NE(misuse.output.find("only applies to batch"), std::string::npos)
       << misuse.output;
@@ -268,12 +284,13 @@ TEST_F(CliTest, RoutedbBatchThreadsAndCacheFlagsNeverChangeTheBytes) {
 
 TEST_F(CliTest, RoutedbBatchReportsMalformedLinesAndContinues) {
   std::string routes = (dir_ / "routes.txt").string();
-  std::string cdb = (dir_ / "routes.cdb").string();
+  std::string pari = (dir_ / "routes.pari").string();
   ASSERT_EQ(RunCommand(std::string(PATHALIAS_BIN) + " -c -l unc -o " + routes + " " +
                        map_path_)
                 .status,
             0);
-  ASSERT_EQ(RunCommand(std::string(ROUTEDB_BIN) + " build " + routes + " " + cdb).status, 0);
+  ASSERT_EQ(RunCommand(std::string(ROUTEDB_BIN) + " freeze " + routes + " " + pari).status,
+            0);
   std::string hosts = (dir_ / "hosts.txt").string();
   {
     std::ofstream out(hosts);
@@ -284,7 +301,7 @@ TEST_F(CliTest, RoutedbBatchReportsMalformedLinesAndContinues) {
            "research\n";
   }
   CommandResult batch =
-      RunCommand(std::string(ROUTEDB_BIN) + " batch " + cdb + " " + hosts);
+      RunCommand(std::string(ROUTEDB_BIN) + " batch " + pari + " " + hosts);
   EXPECT_EQ(batch.status, 0) << batch.output;
   // Every malformed line is pinpointed by number on stderr...
   EXPECT_NE(batch.output.find(hosts + ":2: malformed query"), std::string::npos)
@@ -425,7 +442,7 @@ TEST_F(CliTest, RoutedbUpdatePatchesImageInPlace) {
   ASSERT_TRUE(fs::exists(image));
   ASSERT_TRUE(fs::exists(dir_ / "routes.pari.state" / "manifest"));
 
-  CommandResult before = RunCommand(std::string(ROUTEDB_BIN) + " get --image " +
+  CommandResult before = RunCommand(std::string(ROUTEDB_BIN) + " get " +
                                     image.string() + " far");
   EXPECT_EQ(before.output, "far!%s\n");
 
@@ -445,7 +462,7 @@ TEST_F(CliTest, RoutedbUpdatePatchesImageInPlace) {
                                    core.string() + " " + mid.string());
   EXPECT_NE(plain.output.find("150\tfar"), std::string::npos);
   CommandResult batch = RunCommand("printf 'far\\nleafa\\nnowhere\\n' | " +
-                                   std::string(ROUTEDB_BIN) + " batch --image " +
+                                   std::string(ROUTEDB_BIN) + " batch " +
                                    image.string());
   EXPECT_NE(batch.output.find("far\tfar"), std::string::npos);
   EXPECT_NE(batch.output.find("leafa\tleafa"), std::string::npos);
@@ -455,7 +472,7 @@ TEST_F(CliTest, RoutedbUpdatePatchesImageInPlace) {
   CommandResult removal = RunCommand(std::string(ROUTEDB_BIN) + " update --remove " +
                                      mid.string() + " " + image.string());
   EXPECT_EQ(WEXITSTATUS(removal.status), 0) << removal.output;
-  CommandResult gone = RunCommand(std::string(ROUTEDB_BIN) + " get --image " +
+  CommandResult gone = RunCommand(std::string(ROUTEDB_BIN) + " get " +
                                   image.string() + " leafa");
   EXPECT_NE(WEXITSTATUS(gone.status), 0);
 
@@ -542,7 +559,7 @@ TEST_F(CliTest, RoutedbUpdateStatsReportsPatchBreakdown) {
   EXPECT_NE(update.output.find("link_flag_edits=1"), std::string::npos) << update.output;
   EXPECT_NE(update.output.find("region_has_aliases=1"), std::string::npos) << update.output;
   // The nickname's route serves from the refrozen image.
-  CommandResult get = RunCommand(std::string(ROUTEDB_BIN) + " get --image " + image.string() +
+  CommandResult get = RunCommand(std::string(ROUTEDB_BIN) + " get " + image.string() +
                                  " nicka");
   EXPECT_EQ(WEXITSTATUS(get.status), 0) << get.output;
 }
@@ -592,12 +609,13 @@ TEST_F(CliTest, RoutedbBatchStreamsStdinInChunksWithIdenticalOutput) {
   // emitted bytes are identical at ANY chunk size — including a stdin stream far
   // larger than a single chunk, and a pathological chunk of 1 line.
   std::string routes = (dir_ / "routes.txt").string();
-  std::string cdb = (dir_ / "routes.cdb").string();
+  std::string pari = (dir_ / "routes.pari").string();
   ASSERT_EQ(RunCommand(std::string(PATHALIAS_BIN) + " -c -l unc -o " + routes + " " +
                        map_path_)
                 .status,
             0);
-  ASSERT_EQ(RunCommand(std::string(ROUTEDB_BIN) + " build " + routes + " " + cdb).status, 0);
+  ASSERT_EQ(RunCommand(std::string(ROUTEDB_BIN) + " freeze " + routes + " " + pari).status,
+            0);
 
   std::string hosts = (dir_ / "hosts.txt").string();
   {
@@ -615,7 +633,7 @@ TEST_F(CliTest, RoutedbBatchStreamsStdinInChunksWithIdenticalOutput) {
   }
 
   CommandResult baseline =
-      RunCommand(std::string(ROUTEDB_BIN) + " batch " + cdb + " " + hosts);
+      RunCommand(std::string(ROUTEDB_BIN) + " batch " + pari + " " + hosts);
   ASSERT_EQ(baseline.status, 0);
   EXPECT_NE(baseline.output.find("phs\tphs"), std::string::npos) << baseline.output;
   EXPECT_NE(baseline.output.find("torn line 5\t*malformed*"), std::string::npos)
@@ -626,16 +644,16 @@ TEST_F(CliTest, RoutedbBatchStreamsStdinInChunksWithIdenticalOutput) {
     // <stdin>, so compare stdout only against a stdout-only baseline (subshell:
     // RunCommand appends its own 2>&1, which must not resurrect stderr).
     CommandResult stream = RunCommand("( " + std::string(ROUTEDB_BIN) + " batch " + flags +
-                                      " " + cdb + " < " + hosts + " 2>/dev/null )");
+                                      " " + pari + " < " + hosts + " 2>/dev/null )");
     CommandResult file_baseline =
-        RunCommand("( " + std::string(ROUTEDB_BIN) + " batch " + cdb + " " + hosts +
+        RunCommand("( " + std::string(ROUTEDB_BIN) + " batch " + pari + " " + hosts +
                    " 2>/dev/null )");
     EXPECT_EQ(stream.status, 0) << flags;
     EXPECT_EQ(stream.output, file_baseline.output) << flags;
   }
 
   CommandResult bad =
-      RunCommand(std::string(ROUTEDB_BIN) + " batch --chunk-lines junk " + cdb +
+      RunCommand(std::string(ROUTEDB_BIN) + " batch --chunk-lines junk " + pari +
                  " < /dev/null");
   EXPECT_EQ(WEXITSTATUS(bad.status), 2);
   EXPECT_NE(bad.output.find("--chunk-lines"), std::string::npos) << bad.output;

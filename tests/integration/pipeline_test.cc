@@ -8,6 +8,7 @@
 #include <unordered_set>
 
 #include "src/core/pathalias.h"
+#include "src/image/frozen_route_set.h"
 #include "src/mapgen/mapgen.h"
 #include "src/route_db/resolver.h"
 #include "src/route_db/route_db.h"
@@ -187,15 +188,14 @@ TEST(Pipeline, GeneratedMapRoundTripsThroughRouteDbAndResolver) {
   options.print.include_costs = true;
   RunResult result = pathalias::Run(map.files, options, &diag);
 
-  // text → RouteSet → cdb → RouteSet survives intact.
+  // text → RouteSet → frozen image survives intact.
   RouteSet from_text = RouteSet::FromText(result.output, &diag);
   EXPECT_EQ(from_text.size(), result.routes.size());
-  auto from_cdb = RouteSet::FromCdbBuffer(from_text.ToCdbBuffer());
-  ASSERT_TRUE(from_cdb.has_value());
-  EXPECT_EQ(from_cdb->size(), from_text.size());
+  FrozenImage image(from_text);
+  EXPECT_EQ(image.routes().size(), from_text.size());
 
   // Every mapped, printed host resolves through the resolver.
-  Resolver resolver(&*from_cdb, ResolveOptions{});
+  Resolver resolver(&image.routes(), ResolveOptions{});
   int resolved = 0;
   for (const RouteEntry& entry : result.routes) {
     Resolution resolution = resolver.Resolve(entry.name + "!user");

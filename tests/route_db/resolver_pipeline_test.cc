@@ -1,6 +1,5 @@
 // The pipelined batch path's contract: ResolveBatchPipelined is byte-identical to
-// ResolveBatchScalar at EVERY window size, over both backends, for every query
-// shape the stranger walk can meet — leading dots, trailing dots, consecutive
+// ResolveBatchScalar at EVERY window size, for every query shape the stranger walk can meet — leading dots, trailing dots, consecutive
 // dots, single labels, and strangers whose first interned suffix is routeless.
 // The scalar loop is the golden reference (it is the pre-pipeline ResolveBatch,
 // kept verbatim); these tests are what lets the pipeline restructure the probe
@@ -9,7 +8,9 @@
 #include "src/route_db/resolver.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <random>
 #include <string>
 #include <vector>
@@ -65,12 +66,11 @@ void ExpectIdentical(const std::vector<BatchLookup>& expected,
   }
 }
 
-// Runs the golden comparison over one route source: scalar once, pipelined at
-// every window in kWindows, bit-for-bit equal results and equal resolved counts.
-template <typename RouteSourceT>
-void ExpectPipelineMatchesScalar(const RouteSourceT& source,
+// Runs the golden comparison over one image: scalar once, pipelined at every
+// window in kWindows, bit-for-bit equal results and equal resolved counts.
+void ExpectPipelineMatchesScalar(const FrozenRouteSet& routes,
                                  const std::vector<std::string_view>& queries) {
-  BasicResolver<RouteSourceT> resolver(&source, ResolveOptions{});
+  Resolver resolver(&routes, ResolveOptions{});
   std::vector<BatchLookup> scalar(queries.size());
   size_t scalar_resolved = resolver.ResolveBatchScalar(queries, scalar);
   for (size_t window : kWindows) {
@@ -86,30 +86,30 @@ void ExpectPipelineMatchesScalar(const RouteSourceT& source,
 TEST(LookupStranger, LeadingDotQueryNeverMatchesItselfAsASuffix) {
   // ".unknown.edu" is not interned.  The walk starts at find('.', 1): the leading
   // dot is never treated as the query's own suffix, so the first probe is ".edu".
-  RouteSet routes = EdgeCaseRoutes();
-  Resolver resolver(&routes, ResolveOptions{});
+  FrozenImage image(EdgeCaseRoutes());
+  Resolver resolver(&image.routes(), ResolveOptions{});
   BatchLookup out = resolver.LookupStranger(".unknown.edu");
   ASSERT_TRUE(out.route.ok());
-  EXPECT_EQ(routes.names().View(out.via), ".edu");
+  EXPECT_EQ(image.routes().names().View(out.via), ".edu");
   EXPECT_TRUE(out.suffix_match);
 }
 
 TEST(LookupStranger, InternedLeadingDotQueryIsAnExactMatchNotASuffixMatch) {
   // ".edu" queried directly hits its own entry via the interned path: via is the
   // key itself and suffix_match is false (the mailer must NOT prepend the host).
-  RouteSet routes = EdgeCaseRoutes();
-  Resolver resolver(&routes, ResolveOptions{});
+  FrozenImage image(EdgeCaseRoutes());
+  Resolver resolver(&image.routes(), ResolveOptions{});
   BatchLookup out = resolver.LookupOne(".edu");
   ASSERT_TRUE(out.route.ok());
-  EXPECT_EQ(routes.names().View(out.via), ".edu");
+  EXPECT_EQ(image.routes().names().View(out.via), ".edu");
   EXPECT_FALSE(out.suffix_match);
 }
 
 TEST(LookupStranger, TrailingDotDrainsToAMiss) {
   // "phs." is not "phs": its only dotted suffix is ".", which is not interned,
   // so the walk must drain cleanly to a miss — no wraparound, no empty probe.
-  RouteSet routes = EdgeCaseRoutes();
-  Resolver resolver(&routes, ResolveOptions{});
+  FrozenImage image(EdgeCaseRoutes());
+  Resolver resolver(&image.routes(), ResolveOptions{});
   for (std::string_view query : {"phs.", "edu.", "caip.rutgers.edu."}) {
     BatchLookup out = resolver.LookupOne(query);
     EXPECT_FALSE(out.route.ok()) << query;
@@ -120,11 +120,11 @@ TEST(LookupStranger, TrailingDotDrainsToAMiss) {
 TEST(LookupStranger, ConsecutiveDotsProbeEachSuffixPosition) {
   // "a..edu": the suffixes tried are "..edu" (empty label — not interned) and
   // then ".edu" (a hit).  Double dots must not short-circuit or skip positions.
-  RouteSet routes = EdgeCaseRoutes();
-  Resolver resolver(&routes, ResolveOptions{});
+  FrozenImage image(EdgeCaseRoutes());
+  Resolver resolver(&image.routes(), ResolveOptions{});
   BatchLookup out = resolver.LookupOne("a..edu");
   ASSERT_TRUE(out.route.ok());
-  EXPECT_EQ(routes.names().View(out.via), ".edu");
+  EXPECT_EQ(image.routes().names().View(out.via), ".edu");
   EXPECT_TRUE(out.suffix_match);
   // All dots, no labels: every suffix position misses.
   EXPECT_FALSE(resolver.LookupOne("...").route.ok());
@@ -132,8 +132,8 @@ TEST(LookupStranger, ConsecutiveDotsProbeEachSuffixPosition) {
 
 TEST(LookupStranger, SingleLabelStrangerIsAPlainMiss) {
   // No dot after position 0 means no suffix walk at all.
-  RouteSet routes = EdgeCaseRoutes();
-  Resolver resolver(&routes, ResolveOptions{});
+  FrozenImage image(EdgeCaseRoutes());
+  Resolver resolver(&image.routes(), ResolveOptions{});
   BatchLookup out = resolver.LookupStranger("nowhere");
   EXPECT_FALSE(out.route.ok());
   EXPECT_EQ(out.via, kNoName);
@@ -144,19 +144,19 @@ TEST(LookupStranger, FirstInternedSuffixRoutelessFallsThroughToShorter) {
   // "blue.rutgers.edu" is a stranger; its first interned suffix ".rutgers.edu"
   // has no route, but the chain continues to ".edu", which does.  The walk must
   // chase the chain from the first interned suffix, not re-probe shorter ones.
-  RouteSet routes = EdgeCaseRoutes();
-  Resolver resolver(&routes, ResolveOptions{});
+  FrozenImage image(EdgeCaseRoutes());
+  Resolver resolver(&image.routes(), ResolveOptions{});
   BatchLookup out = resolver.LookupStranger("blue.rutgers.edu");
   ASSERT_TRUE(out.route.ok());
-  EXPECT_EQ(routes.names().View(out.via), ".edu");
+  EXPECT_EQ(image.routes().names().View(out.via), ".edu");
   EXPECT_TRUE(out.suffix_match);
 }
 
 TEST(LookupStranger, FullyRoutelessChainIsAMiss) {
   // "w.y.zz": first interned suffix ".y.zz" is routeless and so is its chain
   // (".zz") — the walk must drain the chain and retire a miss, never loop.
-  RouteSet routes = EdgeCaseRoutes();
-  Resolver resolver(&routes, ResolveOptions{});
+  FrozenImage image(EdgeCaseRoutes());
+  Resolver resolver(&image.routes(), ResolveOptions{});
   BatchLookup out = resolver.LookupStranger("w.y.zz");
   EXPECT_FALSE(out.route.ok());
   EXPECT_EQ(out.via, kNoName);
@@ -164,11 +164,11 @@ TEST(LookupStranger, FullyRoutelessChainIsAMiss) {
 
 TEST(LookupStranger, UninternedMiddleSuffixIsSkippedNotFatal) {
   // "m.cs.wisc.edu": ".cs.wisc.edu" and ".wisc.edu" are not interned, ".edu" is.
-  RouteSet routes = EdgeCaseRoutes();
-  Resolver resolver(&routes, ResolveOptions{});
+  FrozenImage image(EdgeCaseRoutes());
+  Resolver resolver(&image.routes(), ResolveOptions{});
   BatchLookup out = resolver.LookupStranger("m.cs.wisc.edu");
   ASSERT_TRUE(out.route.ok());
-  EXPECT_EQ(routes.names().View(out.via), ".edu");
+  EXPECT_EQ(image.routes().names().View(out.via), ".edu");
 }
 
 // --- the same shapes through the pipelined path, at every window size ---
@@ -200,29 +200,33 @@ std::vector<std::string> EdgeCasePool() {
 }
 
 TEST(ResolverPipeline, EdgeCasesMatchScalarAtEveryWindow) {
-  RouteSet routes = EdgeCaseRoutes();
+  FrozenImage image(EdgeCaseRoutes());
   std::vector<std::string> pool = EdgeCasePool();
   std::vector<std::string_view> queries(pool.begin(), pool.end());
-  ExpectPipelineMatchesScalar(routes, queries);
+  ExpectPipelineMatchesScalar(image.routes(), queries);
 }
 
+// The same golden over the image as a delivery agent meets it: written to a file
+// and mmap'd, so every probe reads page-mapped bytes rather than a heap buffer.
 TEST(ResolverPipeline, EdgeCasesMatchScalarOverTheFrozenBackend) {
-  RouteSet routes = EdgeCaseRoutes();
-  std::string image = image::ImageWriter::Freeze(routes);
+  std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("pathalias_pipeline_test_" + std::to_string(getpid()) + ".pari");
+  ASSERT_TRUE(image::ImageWriter::WriteFile(EdgeCaseRoutes(), path.string()));
   std::string error;
-  auto view = image::ImageView::Adopt(image, image::ImageView::Verify::kChecksum, &error);
-  ASSERT_TRUE(view.has_value()) << error;
-  FrozenRouteSet frozen(*view);
+  auto mapped = FrozenImage::Open(path.string(), image::ImageView::Verify::kChecksum, &error);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(mapped.has_value()) << error;
   std::vector<std::string> pool = EdgeCasePool();
   std::vector<std::string_view> queries(pool.begin(), pool.end());
-  ExpectPipelineMatchesScalar(frozen, queries);
+  ExpectPipelineMatchesScalar(mapped->routes(), queries);
 }
 
 // A batch big enough to arm the suffix memo (it engages at 64+ queries), with the
 // repeated-domain shape the memo exists for AND the edge cases interleaved — so a
 // memoized outcome must never leak onto a query whose bytes differ.
 TEST(ResolverPipeline, LargeRepeatedDomainBatchMatchesScalar) {
-  RouteSet routes = EdgeCaseRoutes();
+  FrozenImage image(EdgeCaseRoutes());
   std::vector<std::string> pool;
   std::vector<std::string> edges = EdgeCasePool();
   for (int i = 0; i < 120; ++i) {
@@ -234,14 +238,14 @@ TEST(ResolverPipeline, LargeRepeatedDomainBatchMatchesScalar) {
   }
   std::vector<std::string_view> queries(pool.begin(), pool.end());
   ASSERT_GT(queries.size(), 64u) << "must be big enough to arm the suffix memo";
-  ExpectPipelineMatchesScalar(routes, queries);
+  ExpectPipelineMatchesScalar(image.routes(), queries);
 }
 
 TEST(ResolverPipeline, RandomizedQueriesMatchScalarAtEveryWindow) {
   // Seeded fuzz over a hostile alphabet: short labels from a tiny character set
   // (maximizing accidental suffix collisions), dots sprinkled anywhere including
   // the ends, plus draws from the interned names themselves.
-  RouteSet routes = EdgeCaseRoutes();
+  FrozenImage image(EdgeCaseRoutes());
   std::mt19937_64 rng(0x50415249u);
   const char alphabet[] = "ab.z";
   std::vector<std::string> pool;
@@ -261,13 +265,13 @@ TEST(ResolverPipeline, RandomizedQueriesMatchScalarAtEveryWindow) {
     pool.push_back(std::move(q));
   }
   std::vector<std::string_view> queries(pool.begin(), pool.end());
-  ExpectPipelineMatchesScalar(routes, queries);
+  ExpectPipelineMatchesScalar(image.routes(), queries);
 }
 
 TEST(ResolverPipeline, TruncatedResultsSpanMatchesScalar) {
   // The common-prefix contract must hold identically through the pipeline.
-  RouteSet routes = EdgeCaseRoutes();
-  Resolver resolver(&routes, ResolveOptions{});
+  FrozenImage image(EdgeCaseRoutes());
+  Resolver resolver(&image.routes(), ResolveOptions{});
   std::vector<std::string_view> queries = {"phs", "nowhere", "duke", "seismo"};
   std::vector<BatchLookup> scalar(2);
   std::vector<BatchLookup> pipelined(2);
@@ -283,8 +287,8 @@ TEST(ResolverPipeline, StatsAreZeroedAndConsistent) {
   // counters must balance — every query retires exactly once — and the memo
   // must actually fire on the repeated-domain batch (otherwise the "suffix memo
   // stays byte-identical" property above is vacuous).
-  RouteSet routes = EdgeCaseRoutes();
-  Resolver resolver(&routes, ResolveOptions{});
+  FrozenImage image(EdgeCaseRoutes());
+  Resolver resolver(&image.routes(), ResolveOptions{});
   std::vector<std::string> pool;
   for (int i = 0; i < 200; ++i) {
     pool.push_back("stranger" + std::to_string(i) + ".rutgers.edu");
@@ -313,8 +317,8 @@ TEST(ResolverPipeline, StatsAreZeroedAndConsistent) {
 }
 
 TEST(ResolverPipeline, EmptyAndDegenerateBatches) {
-  RouteSet routes = EdgeCaseRoutes();
-  Resolver resolver(&routes, ResolveOptions{});
+  FrozenImage image(EdgeCaseRoutes());
+  Resolver resolver(&image.routes(), ResolveOptions{});
   std::vector<BatchLookup> none;
   EXPECT_EQ(resolver.ResolveBatchPipelined({}, none, 8), 0u);
   std::vector<std::string_view> one = {"phs"};
@@ -329,8 +333,8 @@ TEST(ResolverPipeline, EmptyAndDegenerateBatches) {
 TEST(ResolverPipeline, EmptyRouteSetFallsBackCleanly) {
   // An empty interner cannot be probed slot-wise; the pipeline must take the
   // scalar fallback and agree with it.
-  RouteSet routes;
-  Resolver resolver(&routes, ResolveOptions{});
+  FrozenImage image{RouteSet()};
+  Resolver resolver(&image.routes(), ResolveOptions{});
   std::vector<std::string_view> queries = {"phs", "a.b.c", "", "."};
   std::vector<BatchLookup> results(queries.size());
   EXPECT_EQ(resolver.ResolveBatchPipelined(queries, results, 8), 0u);
@@ -341,8 +345,8 @@ TEST(ResolverPipeline, EmptyRouteSetFallsBackCleanly) {
 
 TEST(ResolverPipeline, ResolveBatchIsThePipelinedPath) {
   // ResolveBatch == ResolveBatchPipelined at the default window, by contract.
-  RouteSet routes = EdgeCaseRoutes();
-  Resolver resolver(&routes, ResolveOptions{});
+  FrozenImage image(EdgeCaseRoutes());
+  Resolver resolver(&image.routes(), ResolveOptions{});
   std::vector<std::string> pool = EdgeCasePool();
   std::vector<std::string_view> queries(pool.begin(), pool.end());
   std::vector<BatchLookup> via_batch(queries.size());

@@ -59,24 +59,6 @@ TEST(RouteSet, ToTextRoundTrip) {
   EXPECT_EQ(reparsed.Find("b")->cost, 100);
 }
 
-TEST(RouteSet, CdbRoundTripPreservesCosts) {
-  RouteSet set;
-  set.Add("a", "%s", 0);
-  set.Add("mit-ai", "duke!research!ucbvax!%s@mit-ai", 3395);
-  set.Add("nocost", "n!%s");  // cost -1
-  auto reloaded = RouteSet::FromCdbBuffer(set.ToCdbBuffer());
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(reloaded->size(), 3u);
-  EXPECT_EQ(reloaded->Find("mit-ai")->cost, 3395);
-  EXPECT_EQ(reloaded->Find("mit-ai")->route, "duke!research!ucbvax!%s@mit-ai");
-  EXPECT_EQ(reloaded->Find("nocost")->cost, -1);
-  EXPECT_EQ(reloaded->Find("nocost")->route, "n!%s");
-}
-
-TEST(RouteSet, FromCdbBufferRejectsGarbage) {
-  EXPECT_FALSE(RouteSet::FromCdbBuffer("not a cdb image").has_value());
-}
-
 TEST(RouteSet, FromEntriesCopiesEverything) {
   std::vector<RouteEntry> entries{{"x", "x!%s", 42, nullptr}, {"y", "y!%s", 7, nullptr}};
   RouteSet set = RouteSet::FromEntries(entries);
