@@ -396,21 +396,16 @@ void BM_ColdStartImageOpen(benchmark::State& state) {
 
 // The incremental-update workload: a sparse 8000-host map spread over 80 site
 // files with a dedicated leaf in the last file whose link cost the "1-file edit"
-// flips.  The region such an edit dirties is tiny by construction — the scenario
-// the ROADMAP's incremental item describes (a production router absorbing a
-// routine cost change).  With `with_aliases` the map carries the paper's full
-// vocabulary — ~80 alias nicknames, dead hosts, a dead link, and a gatewayed net
-// with an explicit gateway, and the edited file itself holds alias + dead
-// declarations — the shapes that used to force every update onto the replay path.
+// flips (a production router absorbing a routine cost change).  The update
+// reparses that one file and replays the other 80 artifacts.
 struct IncrementalBench {
   std::vector<InputFile> files;
   InputFile edit_a;  // last file, benchleaf at cost 37
   InputFile edit_b;  // last file, benchleaf at cost 41
   size_t hosts = 0;
-  size_t alias_decls = 0;
 };
 
-IncrementalBench BuildIncrementalBenchMap(bool with_aliases) {
+IncrementalBench BuildIncrementalBenchMap() {
   IncrementalBench bench;
   constexpr int kFiles = 80;
   constexpr int kHosts = 8000;
@@ -438,55 +433,27 @@ IncrementalBench BuildIncrementalBenchMap(bool with_aliases) {
           parent + "\t" + names[i] + "(" + std::to_string(10 + rng.Below(400)) + ")\n";
     }
     contents[i % kFiles] += line + "\n";
-    if (with_aliases) {
-      if (i % 100 == 7) {  // UUCP/ARPANET-style second names, spread across files
-        contents[i % kFiles] += names[i] + " = nick" + std::to_string(i) + "\n";
-        ++bench.alias_decls;
-      }
-      if (i % 389 == 11) {  // a sprinkling of dead (terminal) hosts
-        contents[i % kFiles] += "dead {" + names[i] + "}\n";
-      }
-    }
-  }
-  if (with_aliases) {
-    // A gatewayed host with an explicit gateway, declared away from the edit site.
-    contents[3] += "gatewayed {s17}\ngateway {s17!s4}\n";
   }
   bench.hosts = kHosts + 2;  // + hedit + benchleaf below
   for (int i = 0; i < kFiles; ++i) {
     bench.files.push_back(InputFile{"site" + std::to_string(i) + ".map",
                                     std::move(contents[i])});
   }
-  // The editable tail: only benchleaf's inbound cost differs between the variants,
-  // so the declaration diff touches exactly one (from, to) pair — in the alias
-  // variant the changed file also holds (unchanged) alias and dead declarations,
-  // so the patch path must diff a non-plain file, not just tolerate aliases
-  // elsewhere in the graph.
-  auto tail = [&](int cost) {
-    std::string text = "s0\thedit(10)\nhedit\ts0(10), benchleaf(" + std::to_string(cost) +
-                       ")\nbenchleaf\thedit(5)\n";
-    if (with_aliases) {
-      text += "benchleaf = bleaf\ndead {hedit!s0}\n";
-    }
-    return text;
+  // The editable tail: only benchleaf's inbound cost differs between the two.
+  auto tail = [](int cost) {
+    return "s0\thedit(10)\nhedit\ts0(10), benchleaf(" + std::to_string(cost) +
+           ")\nbenchleaf\thedit(5)\n";
   };
   bench.edit_a = InputFile{"edit.map", tail(37)};
   bench.edit_b = InputFile{"edit.map", tail(41)};
   bench.files.push_back(bench.edit_a);
-  if (with_aliases) {
-    bench.alias_decls += 1;  // benchleaf = bleaf
-  }
   return bench;
 }
 
 struct IncrementalResults {
-  bool patched = false;
-  std::string rebuild_reason;
-  bool region_has_aliases = false;
-  size_t dirty_nodes = 0;
   size_t routes_changed = 0;
   size_t routes = 0;
-  double patch_best_ms = 0.0;
+  double update_best_ms = 0.0;
   double full_rebuild_best_ms = 0.0;   // MapBuilder::Build (records artifacts too)
   double batch_pipeline_best_ms = 0.0;  // plain Run + RouteSet::FromEntries
   double refreeze_best_ms = 0.0;
@@ -540,13 +507,9 @@ IncrementalResults MeasureIncrementalUpdate(const IncrementalBench& bench) {
     bench::WallTimer timer;
     incr::UpdateStats stats = builder.Update({edit});
     double ms = timer.Ms();
-    if (pass == 0 || ms < results.patch_best_ms) {
-      results.patch_best_ms = ms;
+    if (pass == 0 || ms < results.update_best_ms) {
+      results.update_best_ms = ms;
     }
-    results.patched = stats.patched;
-    results.rebuild_reason = stats.rebuild_reason;
-    results.region_has_aliases = stats.region_has_aliases;
-    results.dirty_nodes = stats.dirty_nodes;
     results.routes_changed = stats.routes_changed;
 
     bench::WallTimer refreeze_timer;
@@ -1010,15 +973,11 @@ void WriteBenchJson() {
   }
   long rss_cold_start_kb = bench::PeakRssKb();
 
-  // The incremental pipeline: a 1-file edit patched into a warm MapBuilder versus
-  // the full pipeline over the edited inputs — once on the plain map, once on the
-  // alias/dead/gateway-bearing variant the patch path now handles in place.
-  IncrementalBench incremental_bench = BuildIncrementalBenchMap(/*with_aliases=*/false);
+  // The incremental pipeline: a 1-file edit applied to a warm MapBuilder versus
+  // the full pipeline over the edited inputs.
+  IncrementalBench incremental_bench = BuildIncrementalBenchMap();
   IncrementalResults incremental = MeasureIncrementalUpdate(incremental_bench);
   long rss_incremental_kb = bench::PeakRssKb();
-  IncrementalBench alias_bench = BuildIncrementalBenchMap(/*with_aliases=*/true);
-  IncrementalResults alias_incremental = MeasureIncrementalUpdate(alias_bench);
-  long rss_incremental_aliases_kb = bench::PeakRssKb();
 
   // Single-query path for the same trace the legacy benchmark uses.
   ResolveOptions single_options;
@@ -1278,24 +1237,17 @@ void WriteBenchJson() {
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"incremental_update\": {\n");
   std::fprintf(out, "    \"note\": \"1-file edit (one link recost) on a sparse "
-                    "%zu-host map over %zu site files, patched into a warm "
-                    "src/incr MapBuilder vs the full lex+parse+map+emit pipeline; "
-                    "alias-free and fully reachable so the in-place patch path "
-                    "applies, and the edit dirties a small region by construction "
-                    "(dirty_nodes reports it); best of %d\",\n",
+                    "%zu-host map over %zu site files, applied to a warm src/incr "
+                    "MapBuilder (digest check, reparse of the one changed file, replay "
+                    "of every artifact, map, emit, route-set delta) vs the full "
+                    "lex+parse+map+emit pipeline; best of %d\",\n",
                incremental_bench.hosts, incremental_bench.files.size(), kPasses);
   std::fprintf(out, "    \"hosts\": %zu,\n", incremental_bench.hosts);
   std::fprintf(out, "    \"site_files\": %zu,\n", incremental_bench.files.size());
   std::fprintf(out, "    \"peak_rss_kb\": %ld,\n", rss_incremental_kb);
   std::fprintf(out, "    \"routes\": %zu,\n", incremental.routes);
-  std::fprintf(out, "    \"patched\": %s,\n", incremental.patched ? "true" : "false");
-  if (!incremental.patched) {
-    std::fprintf(out, "    \"rebuild_reason\": \"%s\",\n",
-                 incremental.rebuild_reason.c_str());
-  }
-  std::fprintf(out, "    \"dirty_nodes\": %zu,\n", incremental.dirty_nodes);
   std::fprintf(out, "    \"routes_changed\": %zu,\n", incremental.routes_changed);
-  std::fprintf(out, "    \"patch_best_wall_ms\": %.3f,\n", incremental.patch_best_ms);
+  std::fprintf(out, "    \"update_best_wall_ms\": %.3f,\n", incremental.update_best_ms);
   std::fprintf(out, "    \"full_rebuild_best_wall_ms\": %.3f,\n",
                incremental.full_rebuild_best_ms);
   std::fprintf(out, "    \"batch_pipeline_best_wall_ms\": %.3f,\n",
@@ -1303,45 +1255,10 @@ void WriteBenchJson() {
   std::fprintf(out, "    \"refreeze_best_wall_ms\": %.3f,\n", incremental.refreeze_best_ms);
   // Against the cheaper (plain batch pipeline) baseline — the conservative number.
   std::fprintf(out, "    \"speedup\": %.1f\n",
-               incremental.patch_best_ms > 0.0
+               incremental.update_best_ms > 0.0
                    ? std::min(incremental.full_rebuild_best_ms,
                               incremental.batch_pipeline_best_ms) /
-                         incremental.patch_best_ms
-                   : 0.0);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"incremental_update_aliases\": {\n");
-  std::fprintf(out, "    \"note\": \"same 1-file recost, but the map carries %zu alias "
-                    "nicknames, dead hosts/links, and a gatewayed host, and the edited "
-                    "file itself holds alias + dead declarations — the shapes that "
-                    "previously forced every update onto the replay path; CI asserts "
-                    "patched here; best of %d\",\n",
-               alias_bench.alias_decls, kPasses);
-  std::fprintf(out, "    \"hosts\": %zu,\n", alias_bench.hosts);
-  std::fprintf(out, "    \"site_files\": %zu,\n", alias_bench.files.size());
-  std::fprintf(out, "    \"peak_rss_kb\": %ld,\n", rss_incremental_aliases_kb);
-  std::fprintf(out, "    \"alias_declarations\": %zu,\n", alias_bench.alias_decls);
-  std::fprintf(out, "    \"routes\": %zu,\n", alias_incremental.routes);
-  std::fprintf(out, "    \"patched\": %s,\n", alias_incremental.patched ? "true" : "false");
-  if (!alias_incremental.patched) {
-    std::fprintf(out, "    \"rebuild_reason\": \"%s\",\n",
-                 alias_incremental.rebuild_reason.c_str());
-  }
-  std::fprintf(out, "    \"region_has_aliases\": %s,\n",
-               alias_incremental.region_has_aliases ? "true" : "false");
-  std::fprintf(out, "    \"dirty_nodes\": %zu,\n", alias_incremental.dirty_nodes);
-  std::fprintf(out, "    \"routes_changed\": %zu,\n", alias_incremental.routes_changed);
-  std::fprintf(out, "    \"patch_best_wall_ms\": %.3f,\n", alias_incremental.patch_best_ms);
-  std::fprintf(out, "    \"full_rebuild_best_wall_ms\": %.3f,\n",
-               alias_incremental.full_rebuild_best_ms);
-  std::fprintf(out, "    \"batch_pipeline_best_wall_ms\": %.3f,\n",
-               alias_incremental.batch_pipeline_best_ms);
-  std::fprintf(out, "    \"refreeze_best_wall_ms\": %.3f,\n",
-               alias_incremental.refreeze_best_ms);
-  std::fprintf(out, "    \"speedup\": %.1f\n",
-               alias_incremental.patch_best_ms > 0.0
-                   ? std::min(alias_incremental.full_rebuild_best_ms,
-                              alias_incremental.batch_pipeline_best_ms) /
-                         alias_incremental.patch_best_ms
+                         incremental.update_best_ms
                    : 0.0);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"resolve_trace\": {\n");
@@ -1548,30 +1465,17 @@ void WriteBenchJson() {
                 static_cast<double>(f.batch_queries.size()) / point.on_ms / 1000.0,
                 point.on_ms > 0.0 ? point.off_ms / point.on_ms : 0.0, point.hit_rate);
   }
-  std::printf("incremental update (%zu hosts, %zu files): 1-file edit %s in %.3f ms "
-              "(%zu dirty nodes) vs %.3f ms batch pipeline / %.3f ms full rebuild "
-              "(%.1fx); refreeze %.3f ms\n",
+  std::printf("incremental update (%zu hosts, %zu files): 1-file edit in %.3f ms vs "
+              "%.3f ms batch pipeline / %.3f ms full rebuild (%.1fx); refreeze %.3f ms\n",
               incremental_bench.hosts, incremental_bench.files.size(),
-              incremental.patched ? "patched" : "REBUILT", incremental.patch_best_ms,
-              incremental.dirty_nodes, incremental.batch_pipeline_best_ms,
+              incremental.update_best_ms, incremental.batch_pipeline_best_ms,
               incremental.full_rebuild_best_ms,
-              incremental.patch_best_ms > 0.0
+              incremental.update_best_ms > 0.0
                   ? std::min(incremental.full_rebuild_best_ms,
                              incremental.batch_pipeline_best_ms) /
-                        incremental.patch_best_ms
+                        incremental.update_best_ms
                   : 0.0,
               incremental.refreeze_best_ms);
-  std::printf("incremental update with aliases (%zu hosts, %zu alias decls): 1-file "
-              "edit %s in %.3f ms (%zu dirty nodes) vs %.3f ms batch pipeline (%.1fx)\n",
-              alias_bench.hosts, alias_bench.alias_decls,
-              alias_incremental.patched ? "patched" : "REBUILT",
-              alias_incremental.patch_best_ms, alias_incremental.dirty_nodes,
-              alias_incremental.batch_pipeline_best_ms,
-              alias_incremental.patch_best_ms > 0.0
-                  ? std::min(alias_incremental.full_rebuild_best_ms,
-                             alias_incremental.batch_pipeline_best_ms) /
-                        alias_incremental.patch_best_ms
-                  : 0.0);
   if (daemon_single.ok && daemon_batch32.ok) {
     std::printf("daemon latency (unix socket, closed loop): 1 query p50 %.0f us / "
                 "p99 %.0f us; 32 queries p50 %.0f us / p99 %.0f us per request\n",

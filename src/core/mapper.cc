@@ -397,384 +397,4 @@ Mapper::Result Mapper::Run() {
   return result;
 }
 
-// --- incremental patching ------------------------------------------------------
-
-struct Mapper::PatchState {
-  std::vector<uint8_t> dirty;  // by node->order
-  std::vector<Node*> dirty_nodes;
-  std::vector<PathLabel*> stack;  // DirtySubtree scratch
-  bool reopened = false;
-  // First refusal the drain hit, if any: a tie whose full-run winner depends on
-  // alias-warped pop order, or a late arrival that invalidates an already-drained
-  // label (see Patch's header comment).  Non-null means the patch must refuse.
-  const char* refusal = nullptr;
-
-  void Refuse(const char* reason) {
-    if (refusal == nullptr) {
-      refusal = reason;
-    }
-  }
-
-  bool IsDirty(const Node* node) const {
-    return static_cast<size_t>(node->order) < dirty.size() && dirty[node->order] != 0;
-  }
-  void MarkDirty(Node* node) {
-    dirty[node->order] = 1;
-    dirty_nodes.push_back(node);
-  }
-};
-
-namespace {
-
-void ResetMappingState(Node* node) {
-  node->label[0] = nullptr;
-  node->label[1] = nullptr;
-  node->parent = nullptr;
-  node->parent_link = nullptr;
-  node->cost = kUnreached;
-  node->hops = 0;
-}
-
-}  // namespace
-
-void Mapper::DirtySubtree(Node* node, PatchState& state) {
-  if (state.IsDirty(node)) {
-    return;
-  }
-  PathLabel* label = node->label[0];
-  state.MarkDirty(node);
-  ResetMappingState(node);
-  if (label == nullptr) {
-    return;
-  }
-  state.stack.clear();
-  state.stack.push_back(label);
-  while (!state.stack.empty()) {
-    PathLabel* current = state.stack.back();
-    state.stack.pop_back();
-    for (PathLabel* child = current->child; child != nullptr; child = child->sibling) {
-      Node* child_node = child->node;
-      if (state.IsDirty(child_node)) {
-        continue;  // its subtree was reset when it was
-      }
-      state.MarkDirty(child_node);
-      ResetMappingState(child_node);
-      state.stack.push_back(child);
-    }
-  }
-}
-
-void Mapper::PatchRelax(PathLabel& from, Link& link, MapperHeap& heap, Result& result,
-                        PatchState& state) {
-  Node* to = link.to;
-  if (to->deleted() || from.node->deleted()) {
-    return;
-  }
-  ++result.relaxations;
-  uint32_t penalty_bits = 0;
-  Cost cost = CostOf(from, link, &penalty_bits);
-  uint32_t penalties = from.penalties | penalty_bits;
-  uint8_t taint = TaintAfter(from, *to);
-  int32_t hops = from.hops + (link.alias() ? 0 : 1);
-  LabelLess less{&graph_->names(), options_.prefer_fewer_hops};
-
-  auto apply = [&](PathLabel* label) {
-    label->cost = cost;
-    label->hops = hops;
-    label->parent = &from;
-    label->via = &link;
-    label->taint = taint;
-    label->penalties = penalties;
-    PropagateSyntax(from, link, *label);
-  };
-
-  PathLabel* label = to->label[0];
-  if (label == nullptr) {
-    // First candidate: either a dirty node being recomputed or a previously
-    // unreachable placeholder the edits just made reachable — either way it is now
-    // part of the patched region (its route may appear).
-    if (!state.IsDirty(to)) {
-      state.MarkDirty(to);
-    }
-    label = MakeLabel(to, taint);
-    to->label[0] = label;
-    apply(label);
-    heap.Push(label);
-    ++result.heap_pushes;
-    return;
-  }
-
-  bool better = cost < label->cost ||
-                (cost == label->cost && options_.prefer_fewer_hops && hops < label->hops);
-  bool equal = cost == label->cost && (!options_.prefer_fewer_hops || hops == label->hops);
-
-  // Full-run winner of an equal-(cost, hops) tie between the existing label's parent
-  // and this candidate's (distinct) parent: +1 the candidate, -1 the existing label,
-  // 0 undecidable locally (alias-warped pop order; the patch must refuse).  See the
-  // header's tie-break proof: parents at different (cost, hops) popped in that
-  // order; parents at equal (cost, hops) popped in LabelLess order unless either
-  // reached its value over an alias edge (then its pop slot depends on when the
-  // alias source popped, which the retained labels do not record).
-  auto tie_outcome = [&]() -> int {
-    const PathLabel* existing = label->parent;
-    if (existing == nullptr) {
-      return -1;  // the root label: nothing re-parents it
-    }
-    // A cycle echo: the candidate parent is this label's own tree child (alias
-    // pairs and chains bounce every relaxation straight back).  The child popped
-    // after this label did — parenthood fixes pop order — so in the full run its
-    // arrival came after the label was final and changed nothing.
-    if (from.parent == label) {
-      return -1;
-    }
-    // Parents at different (cost, hops) popped in that order no matter how either
-    // was reached — extraction is monotone in (cost, hops) even over alias edges —
-    // so the earlier key arrived first and won.  (This also settles alias-cycle
-    // echoes: the alias child relaxing back into its parent loses to the parent's
-    // strictly earlier original parent.)
-    if (existing->cost != from.cost || existing->hops != from.hops) {
-      bool candidate_first =
-          from.cost < existing->cost ||
-          (from.cost == existing->cost && from.hops < existing->hops);
-      return candidate_first ? +1 : -1;
-    }
-    // Parents tie in (cost, hops).  Equal-key pop order is LabelLess order only for
-    // labels created before their plateau began draining; an alias edge anywhere in
-    // the tie — the arrival edges (equal parent keys force both to be alias edges
-    // if either is), or a parent that reached its own value over one — makes the
-    // winner depend on flood order the retained labels do not record.
-    if (link.alias() || (label->via != nullptr && label->via->alias())) {
-      return 0;
-    }
-    if ((existing->via != nullptr && existing->via->alias()) ||
-        (from.via != nullptr && from.via->alias())) {
-      return 0;
-    }
-    return less(&from, existing) ? +1 : -1;
-  };
-
-  if (!label->mapped) {
-    // Queued (dirty) label.  Unlike Run's first-wins rule, ties resolve by comparing
-    // parent labels: relaxation order inside the patch differs from a full run, so
-    // the winner must be decided by the graph, not by arrival.  A same-parent
-    // candidate refreshes in place: the parent was reopened at unchanged
-    // (cost, hops) and its final state must propagate over the stale one.
-    if (better) {
-      apply(label);
-      heap.DecreaseKey(label);
-    } else if (equal && label->parent != nullptr) {
-      if (label->parent->node == from.node) {
-        apply(label);  // (cost, hops) unchanged: the heap position stays valid
-      } else {
-        switch (tie_outcome()) {
-          case +1:
-            apply(label);
-            break;
-          case 0:
-            state.Refuse("ambiguous alias tie in the dirty region");
-            break;
-          default:
-            break;
-        }
-      }
-    }
-    return;
-  }
-
-  if (state.IsDirty(to)) {
-    // Drained within this patch.  Mid-drain arrivals were all weighed before the
-    // pop (a non-alias candidate's parent pops strictly earlier; alias echoes lose
-    // on parent keys), but a node that entered the dirty region mid-drain (a
-    // reopened subtree) meets its boundary parents only at the NEXT seeding round —
-    // possibly after it popped.  A late equal arrival whose parent the full run
-    // provably elected (+1), or whose tie is alias-warped (0), means the drained
-    // label kept the wrong parent: refuse.  (-1 is the normal case: the existing
-    // parent won.)  A late better arrival is impossible — reopens only improve the
-    // region, so every boundary candidate was ≥ the old (hence the new) optimum —
-    // but it would be a silent mis-patch, so it refuses defensively too.
-    if (better) {
-      state.Refuse("late arrival into a reopened region");
-    } else if (equal && label->parent != nullptr && label->parent->node != from.node) {
-      switch (tie_outcome()) {
-        case +1:
-          state.Refuse("late arrival into a reopened region");
-          break;
-        case 0:
-          state.Refuse("ambiguous alias tie in the dirty region");
-          break;
-        default:
-          break;
-      }
-    }
-    return;
-  }
-  // A clean, mapped label the edits now beat (or tie with a parent the full run
-  // elects): the full rebuild would have routed it differently.  Reopen it — its old
-  // subtree's route strings embed its old route, so the whole subtree re-enters the
-  // dirty region — and requeue it under the new candidate.  The outer loop reseeds
-  // the new region's boundary before the next drain.
-  bool tie_win = false;
-  if (!better && equal && label->parent != nullptr && label->parent->node != from.node) {
-    switch (tie_outcome()) {
-      case +1:
-        tie_win = true;
-        break;
-      case 0:
-        state.Refuse("ambiguous alias tie in the dirty region");
-        return;
-      default:
-        break;
-    }
-  }
-  if (!better && !tie_win) {
-    return;
-  }
-  DirtySubtree(to, state);
-  PathLabel* fresh = MakeLabel(to, taint);
-  to->label[0] = fresh;
-  apply(fresh);
-  heap.Push(fresh);
-  ++result.heap_pushes;
-  state.reopened = true;
-}
-
-std::optional<std::vector<Node*>> Mapper::Patch(Result& result,
-                                                std::span<Node* const> dirty_seeds,
-                                                std::string* why) {
-  auto refuse = [why](const char* reason) -> std::nullopt_t {
-    if (why != nullptr) {
-      *why = reason;
-    }
-    return std::nullopt;
-  };
-  // --- gates (see header) ---
-  if (options_.two_label || !options_.trace.empty() || !options_.prefer_fewer_hops) {
-    return refuse("non-default mapping options");
-  }
-  Node* local = graph_->local();
-  if (local == nullptr || local->deleted()) {
-    return refuse("no live local host");
-  }
-  if (result.names != &graph_->names()) {
-    return refuse("retained result belongs to another graph");
-  }
-  if (graph_->invented_link_count() > 0) {
-    return refuse("graph holds invented back links");
-  }
-  for (Node* seed : dirty_seeds) {
-    if (seed == local) {
-      return refuse("local host is a dirty seed");
-    }
-  }
-
-  result_ = &result;
-  PatchState state;
-  state.dirty.assign(graph_->node_count(), 0);
-
-  // Rebuild the old tree's child lists (the route printer may have left its own).
-  for (PathLabel* label : result.labels) {
-    label->child = nullptr;
-    label->sibling = nullptr;
-  }
-  for (PathLabel* label : result.labels) {
-    if (label->mapped && label->parent != nullptr) {
-      label->sibling = label->parent->child;
-      label->parent->child = label;
-    }
-  }
-
-  for (Node* seed : dirty_seeds) {
-    DirtySubtree(seed, state);
-  }
-
-  // Outside the dirty region every label is reused as-is, so the previous result
-  // must have been complete there: an unreached clean host means the previous run
-  // needed back links (or this graph was never mapped) — global, so bail.  Inside
-  // the region unreached is the starting state; the post-drain check below decides.
-  for (Node* node : graph_->nodes()) {
-    if (!node->deleted() && !node->placeholder() && node->cost == kUnreached &&
-        !state.IsDirty(node)) {
-      result_ = nullptr;
-      return refuse("previous result left hosts unreachable");
-    }
-  }
-
-  LabelLess less{&graph_->names(), options_.prefer_fewer_hops};
-  MapperHeap heap(less);
-
-  // Alternate boundary seeding and draining until no drain reopens clean territory.
-  // Seeding relaxes every clean final label across the boundary into the dirty
-  // region; the drain is Run's extraction loop with the patch relaxation rule.
-  // Re-relaxing an already-drained dirty target is a no-op (mapped, final), so the
-  // rescans stay idempotent.
-  do {
-    for (Node* node : graph_->nodes()) {
-      if (node->deleted()) {
-        continue;
-      }
-      // Every FINAL label is a seeding source: clean ones across the boundary, and —
-      // after a reopen grows the region — already-drained dirty ones whose earlier
-      // relaxations into the reopened nodes were discarded with their labels.
-      PathLabel* label = node->label[0];
-      if (label == nullptr || !label->mapped) {
-        continue;
-      }
-      for (Link* link = node->links; link != nullptr; link = link->next) {
-        if (state.IsDirty(link->to)) {
-          PatchRelax(*label, *link, heap, result, state);
-        }
-      }
-    }
-    state.reopened = false;
-    while (!heap.empty() && state.refusal == nullptr) {
-      PathLabel* label = heap.PopMin();
-      ++result.heap_pops;
-      label->mapped = true;
-      Node* node = label->node;
-      if (node->cost == kUnreached) {
-        label->best = true;
-        node->cost = label->cost;
-        node->hops = label->hops;
-        node->parent = label->parent != nullptr ? label->parent->node : nullptr;
-        node->parent_link = label->via;
-      }
-      for (Link* link = node->links; link != nullptr; link = link->next) {
-        PatchRelax(*label, *link, heap, result, state);
-      }
-    }
-  } while (state.reopened && state.refusal == nullptr);
-
-  if (state.refusal != nullptr) {
-    result_ = nullptr;
-    return refuse(state.refusal);
-  }
-
-  // A real host left unreached would need the back-link fixpoint — global, so bail.
-  for (Node* node : state.dirty_nodes) {
-    if (!node->deleted() && !node->placeholder() && node->cost == kUnreached) {
-      result_ = nullptr;
-      return refuse("patched region ends unreachable");
-    }
-  }
-
-  // Rebuild the label list from the nodes (dropping the discarded dirty labels) and
-  // recompute the aggregates the labels feed.
-  result.labels.clear();
-  for (Node* node : graph_->nodes()) {
-    if (node->label[0] != nullptr) {
-      result.labels.push_back(node->label[0]);
-    }
-  }
-  result.label_count = result.labels.size();
-  result.mapped_labels = 0;
-  for (PathLabel* label : result.labels) {
-    if (label->mapped) {
-      ++result.mapped_labels;
-    }
-  }
-  CollectFinalStats(result);
-  result_ = nullptr;
-  return std::move(state.dirty_nodes);
-}
-
 }  // namespace pathalias

@@ -41,8 +41,6 @@
 #define SRC_CORE_MAPPER_H_
 
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -140,46 +138,6 @@ class Mapper {
   // state on the nodes, so a graph can be mapped repeatedly (benchmarks do).
   Result Run();
 
-  // Incrementally remaps after graph edits, recomputing only the affected region.
-  // `result` is the retained Result of the previous Run()/Patch() over this graph;
-  // `dirty_seeds` are the nodes whose declarations changed (added, retired, flag- or
-  // adjust-edited, or an incident in-link added/removed/recosted/reflagged).  On
-  // success the result is updated in place — labels, routes and statistics exactly
-  // as a from-scratch Run() on the edited graph would produce them — and the return
-  // value lists every node whose label was recomputed (seeds, their old
-  // shortest-path-tree subtrees, and any region the edits improved into).  Returns
-  // nullopt when the patch cannot be applied exactly (`why`, when non-null, says
-  // which gate refused); the caller must then fall back to a full Run() (on a fresh
-  // graph: a failed patch leaves mapping state partially reset).
-  //
-  // Exactness rests on the drain order being a pure function of the graph, which
-  // holds under these gates (checked here; any miss returns nullopt):
-  //   * default options: !two_label, prefer_fewer_hops, no trace requests —
-  //     prefer_fewer_hops makes every non-alias relaxation strictly increase
-  //     (cost, hops), so extraction is monotone in (cost, hops) and a popped label
-  //     is never beaten by a strictly better later candidate;
-  //   * no invented back links and no unreachable hosts in the previous result, and
-  //     none created by the patch (back-link invention is a global fixpoint);
-  //   * the local host is not a seed.
-  // Within the region, ties between equal-(cost, hops) candidates from distinct
-  // parents are resolved to the parent a full Run() provably elects:
-  //   * parents at different (cost, hops) — the lexicographically smaller parent
-  //     popped (hence relaxed) first in the full run, so it wins;
-  //   * parents at equal (cost, hops), neither of which was reached over an alias
-  //     edge — all such labels enter the heap before their (cost, hops) plateau
-  //     begins draining, so they pop in LabelLess order and the LabelLess-least
-  //     parent wins.
-  // Alias edges (zero cost, zero hops) keep the candidate inside its parent's
-  // plateau, where pop order depends on label-creation order, not sorted order.
-  // Strict improvements and sole-parent arrivals are still exact (arrival order
-  // cannot change the winner), so aliases are allowed; but a tie whose winner
-  // depends on alias-warped pop order — either side arriving over an alias edge, or
-  // equal-(cost, hops) parents one of which was reached over one — cannot be
-  // resolved locally, and the patch refuses ("ambiguous alias tie").  The fuzz
-  // harness drives alias-bearing maps through this path per edit.
-  std::optional<std::vector<Node*>> Patch(Result& result, std::span<Node* const> dirty_seeds,
-                                          std::string* why = nullptr);
-
   // The heuristic traversal cost described above; exposed so the dense-Dijkstra
   // baseline prices paths identically (experiment E8 compares algorithms, not models).
   // When `penalty_bits` is non-null it receives the PenaltyBits this edge incurred.
@@ -190,7 +148,6 @@ class Mapper {
   static void PropagateSyntax(const PathLabel& prev, const Link& link, PathLabel& to);
 
  private:
-  struct PatchState;
   // The domain-sharded parallel mapper reuses CostOf/taint/syntax plus the private
   // back-link and final-accounting passes so the two produce identical results.
   friend class ShardedMapper;
@@ -198,13 +155,8 @@ class Mapper {
   void ApplyTraceRequests();
   PathLabel* MakeLabel(Node* node, uint8_t taint);
   void Relax(PathLabel& from, Link& link, struct MapperHeap& heap, Result& result);
-  void PatchRelax(PathLabel& from, Link& link, struct MapperHeap& heap, Result& result,
-                  PatchState& state);
-  // Marks `node` and its old shortest-path-tree subtree dirty, resetting their
-  // mapping state (ancestor routes are baked into descendant route strings).
-  void DirtySubtree(Node* node, PatchState& state);
   // Recomputes the label-derived aggregates (mapped/unreachable/penalty counts) by
-  // scanning the graph — shared by Run's final accounting and Patch's rebuild.
+  // scanning the graph — shared by Run's and ShardedMapper::Run's final accounting.
   void CollectFinalStats(Result& result) const;
   size_t InventBackLinks(Result& result);
 

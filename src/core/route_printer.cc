@@ -82,8 +82,7 @@ std::string Domainize(std::string_view name, const Node& parent, const std::stri
 }
 
 // The preorder traversal's descent step: the frame for `child` given its parent's
-// frame.  Factored out so the incremental per-node builder (BuildEntryFor) replays
-// the exact same name/route/suffix/syntax logic the full traversal uses.
+// frame.
 Frame MakeChildFrame(const Frame& frame, const PathLabel& child, const NameInterner& names) {
   const PathLabel& label = *frame.label;
   const Node& node = *label.node;
@@ -188,11 +187,10 @@ std::vector<RouteEntry> RoutePrinter::Build() {
     Frame frame = std::move(stack.back());
     stack.pop_back();
     const PathLabel& label = *frame.label;
-    const Node& node = *label.node;
 
     if (Printable(label)) {
       Cost cost = options_.first_hop_cost ? frame.first_hop : label.cost;
-      entries.push_back(RouteEntry{frame.display_name, frame.route, cost, &node});
+      entries.push_back(RouteEntry{frame.display_name, frame.route, cost});
     }
 
     // Child lists are descending, so pushing in list order leaves the cheapest
@@ -202,26 +200,6 @@ std::vector<RouteEntry> RoutePrinter::Build() {
     }
   }
   return entries;
-}
-
-std::optional<RouteEntry> RoutePrinter::BuildEntryFor(const PathLabel* label) const {
-  if (label == nullptr || !label->mapped || !Printable(*label)) {
-    return std::nullopt;
-  }
-  std::vector<const PathLabel*> chain;  // label up to the root...
-  for (const PathLabel* ancestor = label; ancestor != nullptr; ancestor = ancestor->parent) {
-    chain.push_back(ancestor);
-  }
-  const NameInterner& names = *map_->names;
-  Frame frame;  // ...then the root's frame walked back down the chain
-  frame.label = chain.back();
-  frame.display_name = std::string(names.View(chain.back()->node->name));
-  frame.route = "%s";
-  for (size_t i = chain.size() - 1; i-- > 0;) {
-    frame = MakeChildFrame(frame, *chain[i], names);
-  }
-  Cost cost = options_.first_hop_cost ? frame.first_hop : label->cost;
-  return RouteEntry{std::move(frame.display_name), std::move(frame.route), cost, label->node};
 }
 
 std::string RoutePrinter::Render(const std::vector<RouteEntry>& entries,

@@ -24,7 +24,6 @@
 #ifndef SRC_CORE_ROUTE_PRINTER_H_
 #define SRC_CORE_ROUTE_PRINTER_H_
 
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,7 +39,6 @@ struct RouteEntry {
   std::string name;   // output name (domainized for hosts reached through domains)
   std::string route;  // printf format string containing exactly one %s
   Cost cost = 0;      // total path cost, or first-hop cost under -f
-  const Node* node = nullptr;
 };
 
 struct PrintOptions {
@@ -55,14 +53,6 @@ class RoutePrinter {
 
   // Produces entries in output order.
   std::vector<RouteEntry> Build();
-
-  // Builds the single entry `label`'s host would contribute to Build()'s output —
-  // same display name (domain suffixes included), same route string, same cost — by
-  // replaying the frame logic along the label's ancestor chain alone.  Returns
-  // nullopt for labels Build() would not print (placeholders, private hosts,
-  // non-best labels, unmapped labels).  The incremental pipeline uses this to
-  // regenerate only the dirty region's routes.
-  std::optional<RouteEntry> BuildEntryFor(const PathLabel* label) const;
 
   // Tab-separated lines: "name<TAB>route" or "cost<TAB>name<TAB>route" under -c.
   static std::string Render(const std::vector<RouteEntry>& entries, const PrintOptions& options);

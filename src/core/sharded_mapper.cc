@@ -102,8 +102,8 @@ const char* ShardedMapper::GateReason() const {
     return "shard count <= 1";
   }
   // The parallel schedule reproduces the default mapping mode only: the exactness
-  // argument (monotone (cost, hops) keys, parent election at ties) is the one
-  // Mapper::Patch relies on, and it needs the same gates.
+  // argument (monotone (cost, hops) keys, parent election at ties; see the header)
+  // holds under these gates and no others.
   if (options_.two_label) {
     return "two-label mode";
   }
@@ -227,8 +227,8 @@ PathLabel* ShardedMapper::MakeLabel(State& state, Node* node) {
 // label is final, equal-key arrivals lose to whoever came first), shards drain out
 // of global key order, so this is label-correcting: every arrival is weighed
 // against the stored state on its merits, and the winner of an equal-(cost, hops)
-// tie is *elected* by the rule a full run provably follows (see Mapper::Patch's
-// header): the parent with the earlier key relaxed first; equal-key parents pop in
+// tie is *elected* by the rule a full run provably follows (see the header
+// comment): the parent with the earlier key relaxed first; equal-key parents pop in
 // LabelLess order; alias-warped ties (either arrival over an alias edge, or either
 // parent's own value reached over one) depend on flood order no local rule can
 // reconstruct — those refuse, and the run falls back to the exact serial mapper.

@@ -24,12 +24,21 @@
 //
 // Because shards drain concurrently, labels are *not* extracted in global key
 // order; the relax rule is therefore order-independent (label-correcting rather
-// than label-setting).  Ties between equal-(cost, hops) parents are resolved by
-// the same parent-election rule Mapper::Patch proves correct for the full run:
-// the parent with the earlier (cost, hops) key won, equal keys fall to LabelLess
-// order, and ties whose full-run winner depends on alias-warped pop order cannot
-// be decided locally — the run *refuses* and falls back to the exact single-shard
-// mapper.  Fallback is also taken when the map is small, the partition is
+// than label-setting).  A tie between equal-(cost, hops) candidates from distinct
+// parents goes to the parent a full Mapper::Run() provably elects.  Under
+// prefer_fewer_hops every non-alias relaxation strictly increases (cost, hops), so
+// the full run extracts labels in (cost, hops) order:
+//   * parents at different (cost, hops): the smaller popped, hence relaxed, first
+//     and wins;
+//   * parents at equal (cost, hops), neither reached over an alias edge: all such
+//     labels are queued before their plateau starts draining, so they pop in
+//     LabelLess order and the LabelLess-least parent wins;
+//   * an alias edge (zero cost, zero hops) keeps a candidate inside its parent's
+//     plateau, where pop order follows label creation, not LabelLess.  A tie whose
+//     winner depends on that order (either arrival over an alias edge, or either
+//     parent reached over one) cannot be decided locally — the run *refuses* and
+//     falls back to the exact single-shard mapper.
+// Fallback is also taken when the map is small, the partition is
 // degenerate (one subtree dominates), or non-default mapping options are in play.
 // Either way the produced routes are byte-identical to Mapper::Run()'s — the
 // golden and fuzz tests, and CI, assert exactly that.

@@ -118,9 +118,6 @@ Link* Graph::AddLink(Node* from, Node* to, Cost cost, char op, bool right_syntax
         link->decl_line = pos.line;
       }
     }
-    if (!link->invented() && (extra_flags & kLinkInvented) != 0) {
-      ++invented_link_count_;
-    }
     link->flags |= extra_flags;
     return link;
   }
@@ -129,9 +126,6 @@ Link* Graph::AddLink(Node* from, Node* to, Cost cost, char op, bool right_syntax
   link->cost = cost;
   link->op = op;
   link->flags = extra_flags | (right_syntax ? kLinkRight : 0u);
-  if (link->invented()) {
-    ++invented_link_count_;
-  }
   link->decl_file = current_file_;
   link->decl_line = pos.line;
   if (from->links_tail == nullptr) {
@@ -151,114 +145,6 @@ Link* Graph::FindLink(Node* from, Node* to) const {
     }
   }
   return nullptr;
-}
-
-Link* Graph::SetLinkState(Node* from, Node* to, Cost cost, char op, bool right,
-                          uint32_t decl_flags) {
-  constexpr uint32_t kDeclFlagMask = kLinkDead | kLinkGateway | kLinkNetMember;
-  decl_flags &= kDeclFlagMask;
-  if (from == to) {
-    return nullptr;
-  }
-  if (cost < 0) {
-    cost = 0;
-  }
-  if (Link* link = FindLink(from, to)) {
-    link->cost = cost;
-    link->op = op;
-    if (right) {
-      link->flags |= kLinkRight;
-    } else {
-      link->flags &= ~static_cast<uint32_t>(kLinkRight);
-    }
-    link->flags = (link->flags & ~kDeclFlagMask) | decl_flags;
-    return link;
-  }
-  return AddLink(from, to, cost, op, right, SourcePos{}, decl_flags);
-}
-
-bool Graph::RemoveLink(Node* from, Node* to) {
-  Link* previous = nullptr;
-  for (Link* link = from->links; link != nullptr; previous = link, link = link->next) {
-    if (link->to != to || link->alias()) {
-      continue;
-    }
-    if (previous == nullptr) {
-      from->links = link->next;
-    } else {
-      previous->next = link->next;
-    }
-    if (from->links_tail == link) {
-      from->links_tail = previous;
-    }
-    --link_count_;
-    if (link->invented()) {
-      --invented_link_count_;
-    }
-    return true;  // at most one non-alias link per (from, to): AddLink deduplicates
-  }
-  return false;
-}
-
-Link* Graph::FindAlias(Node* from, Node* to) const {
-  for (Link* link = from->links; link != nullptr; link = link->next) {
-    if (link->to == to && link->alias()) {
-      return link;
-    }
-  }
-  return nullptr;
-}
-
-bool Graph::RemoveAlias(Node* a, Node* b) {
-  bool removed = false;
-  for (auto [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
-    Link* previous = nullptr;
-    for (Link* link = from->links; link != nullptr; previous = link, link = link->next) {
-      if (link->to != to || !link->alias()) {
-        continue;
-      }
-      if (previous == nullptr) {
-        from->links = link->next;
-      } else {
-        previous->next = link->next;
-      }
-      if (from->links_tail == link) {
-        from->links_tail = previous;
-      }
-      --link_count_;
-      removed = true;
-      break;  // AddAlias deduplicates: at most one alias edge per direction
-    }
-  }
-  return removed;
-}
-
-void Graph::SetHostState(Node* node, uint32_t decl_flags, Cost adjust) {
-  constexpr uint32_t kDeclFlagMask =
-      kNodeTerminal | kNodeDeleted | kNodeGatewayed | kNodeExplicitGateways;
-  node->flags = (node->flags & ~kDeclFlagMask) | (decl_flags & kDeclFlagMask);
-  node->adjust = adjust;
-}
-
-void Graph::RetireNode(Node* node) {
-  size_t dropped = 0;
-  for (Link* link = node->links; link != nullptr; link = link->next) {
-    ++dropped;
-    if (link->invented()) {
-      --invented_link_count_;
-    }
-  }
-  link_count_ -= dropped;
-  node->links = nullptr;
-  node->links_tail = nullptr;
-  node->flags |= kNodeDeleted;
-}
-
-void Graph::ReviveNode(Node* node) {
-  node->flags = IsDomainName(NameOf(node)) ? (kNodeDomain | kNodeGatewayed) : 0u;
-  node->adjust = 0;
-  node->links = nullptr;
-  node->links_tail = nullptr;
 }
 
 void Graph::AddAlias(Node* a, Node* b, SourcePos pos) {

@@ -83,42 +83,8 @@ class Graph {
   // Declares `a` and `b` to be the same machine (a pair of zero-cost ALIAS edges).
   void AddAlias(Node* a, Node* b, SourcePos pos);
 
-  // --- incremental patching (src/incr) ---
-  //
-  // These bypass the duplicate-resolution diagnostics: the caller (MapBuilder) has
-  // already computed the declaration set's effective winner and is bringing the live
-  // graph to the state a from-scratch rebuild would produce.
-
   // Finds the non-alias from→to link; nullptr if absent.
   Link* FindLink(Node* from, Node* to) const;
-  // Sets the effective (cost, op, right, declaration flags) of from→to, creating the
-  // link if absent.  `decl_flags` ⊆ kLinkDead|kLinkGateway|kLinkNetMember is applied
-  // exactly: bits outside the set (invented/traced) are preserved, bits inside it
-  // are overwritten — dead{a!b} and gateway{net!host} edits patch through here.
-  Link* SetLinkState(Node* from, Node* to, Cost cost, char op, bool right,
-                     uint32_t decl_flags = 0);
-  // Unlinks the non-alias from→to link; returns true if one existed.
-  bool RemoveLink(Node* from, Node* to);
-  // Finds the directed alias edge from→to; nullptr if absent.
-  Link* FindAlias(Node* from, Node* to) const;
-  // Unlinks both alias edges of the a = b pair; returns true if either existed.
-  bool RemoveAlias(Node* a, Node* b);
-  // Sets the declaration-derived host state exactly: `decl_flags` ⊆
-  // kNodeTerminal|kNodeDeleted|kNodeGatewayed|kNodeExplicitGateways replaces those
-  // bits (everything else is preserved) and `adjust` replaces the accumulated bias —
-  // dead{a} / delete{a} / adjust{a(n)} / gatewayed{a} edits patch through here.
-  void SetHostState(Node* node, uint32_t decl_flags, Cost adjust);
-  // Retires a node no remaining declaration references: marks it deleted and drops
-  // its adjacency.  The node object survives (NameIds and shadow chains are stable);
-  // ReviveNode restores it to the state CreateNode would have produced.
-  void RetireNode(Node* node);
-  void ReviveNode(Node* node);
-  // True if `id`'s shadow chain holds more than one node or a private node — the
-  // name-keyed declaration diffing the patcher does is only sound without shadows.
-  bool HasShadowedName(NameId id) const {
-    const Node* head = ChainHead(id);
-    return head != nullptr && (head->shadow != nullptr || head->is_private());
-  }
 
   // NAME = op{members}(cost): placeholder node, member→net at `cost`, net→member at 0.
   Node* DeclareNet(Node* net, const std::vector<Node*>& members, Cost cost, char op,
@@ -149,9 +115,6 @@ class Graph {
   std::span<Node* const> nodes() const { return nodes_; }
   size_t node_count() const { return nodes_.size(); }
   size_t link_count() const { return link_count_; }
-  // Links carrying kLinkInvented (back links).  Maintained so Mapper::Patch's
-  // no-invented-links gate is O(1) instead of a full adjacency rescan per update.
-  size_t invented_link_count() const { return invented_link_count_; }
 
   Arena& arena() { return arena_; }
   Diagnostics& diag() { return *diag_; }
@@ -176,7 +139,6 @@ class Graph {
   std::vector<Node*> nodes_;
   std::vector<std::string> files_;
   size_t link_count_ = 0;
-  size_t invented_link_count_ = 0;
   int current_file_ = -1;
   Node* local_ = nullptr;
 };

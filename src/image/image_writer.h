@@ -28,7 +28,7 @@ class ImageWriter {
   static bool WriteFile(const RouteSet& routes, const std::string& path,
                         uint64_t generation = 0, std::string* error = nullptr);
 
-  // Rewrites an existing image in place from a patched RouteSet.  Same durable
+  // Rewrites an existing image in place from an updated RouteSet.  Same durable
   // temp+rename commit as WriteFile: a reader that opened (and mmap'd) the old
   // image keeps its intact mapping while new opens see the fresh routes — the
   // update step of the incremental pipeline.  A crash at any point leaves the

@@ -88,7 +88,6 @@ class ArtifactRecorder : public ParseRecorder {
         op.kind != OpKind::kLink) {
       artifact_->plain_links = false;
     }
-    artifact_->kind_mask |= 1u << static_cast<uint8_t>(op.kind);
     artifact_->ops.push_back(op);
   }
 
@@ -300,6 +299,9 @@ std::optional<FileArtifact> DeserializeArtifact(std::string_view bytes) {
     return std::nullopt;
   }
   artifact.plain_links = plain != 0;
+  if (artifact.first_host != kNoSymbol && artifact.first_host >= symbol_count) {
+    return std::nullopt;  // the default-local candidate must name a stored symbol
+  }
   // Counts come from the file: bound every one by the bytes that could possibly
   // back it BEFORE allocating, so a corrupt payload is a nullopt, not a bad_alloc.
   auto remaining = [&reader] { return static_cast<size_t>(reader.end - reader.cursor); };
@@ -347,15 +349,16 @@ std::optional<FileArtifact> DeserializeArtifact(std::string_view bytes) {
     op.op = static_cast<char>((packed >> 16) & 0xff);
     op.cost = static_cast<Cost>(cost);
     // Symbol references must stay inside the table; a truncated or foreign file must
-    // not become out-of-bounds indexing later.
-    auto valid_symbol = [&](uint32_t symbol) {
-      return symbol == kNoSymbol || symbol < symbol_count;
-    };
-    if (!valid_symbol(op.a) || !valid_symbol(op.b) ||
+    // not become out-of-bounds indexing later.  The recorder sets `a` on every op
+    // and `b` on the two-operand kinds, which replay indexes unconditionally; any
+    // other `b` is unused and may only be inside the table or kNoSymbol.
+    bool two_operands = op.kind == OpKind::kLink || op.kind == OpKind::kAlias ||
+                        op.kind == OpKind::kDeadLink || op.kind == OpKind::kGatewayLink;
+    bool b_ok = op.b < symbol_count || (op.b == kNoSymbol && !two_operands);
+    if (op.a >= symbol_count || !b_ok ||
         static_cast<uint64_t>(op.member_offset) + op.member_count > member_count) {
       return std::nullopt;
     }
-    artifact.kind_mask |= 1u << static_cast<uint8_t>(op.kind);
     artifact.ops.push_back(op);
   }
   for (uint32_t member : artifact.net_members) {

@@ -84,15 +84,9 @@ struct FileArtifact {
   std::vector<ParseError> errors;
   // First non-domain host-declaration symbol (the file's default-local candidate).
   uint32_t first_host = kNoSymbol;
-  // True when ops are only kIntern/kHostDecl/kLink.  Retained for serialization
-  // compatibility; the patch path now classifies by kind_mask instead (aliases and
-  // the keyword declarations are diffable — only nets and private scoping are not).
+  // True when ops are only kIntern/kHostDecl/kLink.  Kept in the serialized
+  // format for compatibility with existing state dirs; nothing branches on it.
   bool plain_links = true;
-  // Bitmask of the OpKinds present in `ops` (bit = 1u << kind).  Derived — computed
-  // at record time and recomputed after deserialization, never serialized.
-  uint32_t kind_mask = 0;
-
-  bool HasOp(OpKind kind) const { return (kind_mask & (1u << static_cast<uint8_t>(kind))) != 0; }
 
   std::string_view Symbol(uint32_t index) const { return symbols[index]; }
   // Re-reports the retained parse errors (used when the artifact is reused).

@@ -174,8 +174,7 @@ ReloadOutcome RolloverController::ReloadFromSources(std::string* detail) {
     return ReloadOutcome::kError;
   }
   Swap(std::make_unique<FrozenImage>(std::move(*fresh)), builder_->dirty_route_ids());
-  *detail += (stats.patched ? "patched" : "rebuilt");
-  *detail += ", " + std::to_string(stats.routes_changed) + " route(s) changed, " +
+  *detail += "rebuilt, " + std::to_string(stats.routes_changed) + " route(s) changed, " +
              std::to_string(builder_->routes().size()) + " total";
   return ReloadOutcome::kApplied;
 }

@@ -9,12 +9,12 @@
 //
 //   ReloadFromSources() — the SIGHUP path.  Re-reads the configured map files and
 //   runs the routedb-update flow in process: MapBuilder::Update (digest check
-//   skips unchanged files; patch or replay as the edit allows), then
+//   skips unchanged files, then the retained artifacts replay), then
 //   ImageWriter::Refreeze (temp + rename, so concurrent opens never see a torn
 //   image), SaveStateDir, reopen the fresh image, and
 //   engine->AdoptRoutes(fresh, builder.dirty_route_ids()).  The builder stays
-//   resident, so repeated HUPs get the patch path's full advantage (no state-dir
-//   reload, no replay of the previous state).
+//   resident, so repeated HUPs skip the state-dir load and the replay of the
+//   previous state that a one-shot `routedb update` pays.
 //
 //   CheckImage() — the changed-file-notification path.  Detects that some OTHER
 //   process replaced the image on disk (routedb update's rename), reopens it, and

@@ -73,8 +73,8 @@ class RouteSet {
   std::string ToText(bool include_costs) const;
 
   // ToText in name order regardless of insertion history: the canonical form the
-  // incremental pipeline's golden-equivalence checks compare byte-for-byte (an
-  // incrementally patched set and a rebuilt one order their routes_ differently).
+  // incremental pipeline's golden-equivalence checks compare byte-for-byte (a set
+  // grown by deltas and one built fresh order their routes_ differently).
   std::string ToSortedText(bool include_costs) const;
 
   // Exact-name lookup; nullptr if absent.  The string_view form hashes once against

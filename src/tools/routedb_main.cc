@@ -14,16 +14,15 @@
 //                                               parse the map, freeze the image, and
 //                                               record per-file parse artifacts in
 //                                               <routes.pari>.state for later updates
-//   routedb update [--remove FILE]... [--stats] <routes.pari> [changed-map-files...]
+//   routedb update [--remove FILE]... <routes.pari> [changed-map-files...]
 //                                               re-parse only the named (changed)
-//                                               files, patch the retained pipeline
-//                                               state, rewrite the image atomically,
-//                                               and report patch vs rebuild; with no
-//                                               changed files at all, report
-//                                               "nothing to do" and leave image and
-//                                               state untouched.  --stats adds a
-//                                               breakdown (rebuild_reason, alias/
-//                                               flag/host-state edit counts)
+//                                               files, replay the retained
+//                                               artifacts, rewrite the image
+//                                               atomically, and report files
+//                                               reparsed/unchanged and routes
+//                                               changed; with no changed files at
+//                                               all, report "nothing to do" and
+//                                               leave image and state untouched
 //   routedb batch [--threads N] [--cache-entries M] [--chunk-lines L]
 //                 [--stats] <routes.pari> [hosts.txt]
 //                                               bulk host lookup, one per line (stdin
@@ -82,7 +81,7 @@ namespace {
 int Usage() {
   std::cerr << "usage: routedb freeze <routes.txt> <routes.pari>\n"
                "       routedb update --init [--local NAME] <routes.pari> <map-files...>\n"
-               "       routedb update [--remove FILE]... [--stats] <routes.pari> "
+               "       routedb update [--remove FILE]... <routes.pari> "
                "[changed-map-files...]\n"
                "       routedb get <routes.pari> <host>\n"
                "       routedb resolve <routes.pari> <address>...\n"
@@ -294,15 +293,14 @@ int RunQueryCommand(const std::string& command, const pathalias::FrozenRouteSet&
 // The incremental image pipeline: map files → MapBuilder → refrozen .pari, with the
 // per-file parse artifacts retained in <image>.state between invocations.
 //
-// A one-shot process has no retained shortest-path tree, so the update first
-// replays + maps the PREVIOUS state (no lexing — that is the win at this
-// granularity) and then patches to the new one; the patch pass is what yields the
-// per-edit delta report (dirty nodes, routes changed) an operator reads for blast
-// radius.  The patch path's full wall-clock advantage belongs to process-resident
-// builders (see the incremental_update benchmark), not this CLI.
+// An update loads the retained artifacts, swaps in fresh ones for the files whose
+// digest changed (only those are lexed and parsed), replays every artifact into a
+// fresh graph, maps, emits, and republishes image and state.  The route-set delta
+// yields the per-edit report (routes changed) an operator reads for blast radius.
+// A one-shot process replays the previous state once before applying the edit;
+// process-resident builders (routedbd's SIGHUP path) skip that.
 int RunUpdate(int argc, char** argv) {
   bool init = false;
-  bool stats_requested = false;
   std::string local;
   std::vector<std::string> removed;
   std::vector<const char*> positional;
@@ -310,8 +308,6 @@ int RunUpdate(int argc, char** argv) {
     std::string_view arg = argv[i];
     if (arg == "--init") {
       init = true;
-    } else if (arg == "--stats") {
-      stats_requested = true;
     } else if (arg == "--local") {
       if (i + 1 >= argc) {
         return Usage();
@@ -332,12 +328,6 @@ int RunUpdate(int argc, char** argv) {
   if (positional.empty() || (init && positional.size() < 2)) {
     return Usage();
   }
-  if (init && stats_requested) {
-    // There is no patch/rebuild decision on the init path, so a silent no-op
-    // --stats would mislead scripted callers expecting the breakdown line.
-    std::cerr << "routedb: --stats does not apply to update --init\n";
-    return 2;
-  }
   std::string image_path = positional.front();
   std::string state_dir = image_path + ".state";
 
@@ -357,7 +347,6 @@ int RunUpdate(int argc, char** argv) {
   builder_options.local = local;
 
   if (!init) {
-    pathalias::incr::UpdateStats stats;
     std::string error;
     auto state = pathalias::incr::LoadStateDir(state_dir, &error);
     if (!state.has_value()) {
@@ -377,13 +366,6 @@ int RunUpdate(int argc, char** argv) {
       // a conflicting --local must not be swallowed by the fast path.)
       std::cerr << "routedb: nothing to do (no changed files); " << image_path
                 << " left untouched\n";
-      if (stats_requested) {
-        // Keep the scripted contract: --stats always emits the breakdown line,
-        // here the trivial all-zero patch.
-        std::cerr << "routedb: update stats: patched=1 rebuilt=0 rebuild_reason=\"\" "
-                     "alias_edits=0 link_flag_edits=0 host_state_edits=0 "
-                     "region_has_aliases=0\n";
-      }
       return 0;
     }
     builder_options.local = state->local;
@@ -398,7 +380,7 @@ int RunUpdate(int argc, char** argv) {
       std::cerr << "routedb: retained state no longer builds; re-run --init\n";
       return 1;
     }
-    stats = builder.Update(files, removed);
+    pathalias::incr::UpdateStats stats = builder.Update(files, removed);
     if (!builder.valid()) {
       std::cerr << "routedb: update left no buildable map\n";
       return 1;
@@ -433,26 +415,9 @@ int RunUpdate(int argc, char** argv) {
       std::cerr << "routedb: cannot save " << state_dir << "\n";
       return 1;
     }
-    std::cerr << "routedb: " << (stats.patched ? "patched" : "rebuilt") << " ("
-              << stats.files_reparsed << " file(s) reparsed, " << stats.files_unchanged
-              << " unchanged";
-    if (stats.patched) {
-      std::cerr << ", " << stats.dirty_nodes << " dirty node(s)";
-    } else {
-      std::cerr << ", reason: " << stats.rebuild_reason;
-    }
-    std::cerr << "); " << stats.routes_changed << " route(s) changed, "
-              << builder.routes().size() << " total\n";
-    if (stats_requested) {
-      // Opt-in breakdown of what the patch absorbed (or why it could not), keyed
-      // the same way UpdateStats::rebuild_reason is counted in CI and benchmarks.
-      std::cerr << "routedb: update stats: patched=" << (stats.patched ? 1 : 0)
-                << " rebuilt=" << (stats.patched ? 0 : 1) << " rebuild_reason=\""
-                << stats.rebuild_reason << "\" alias_edits=" << stats.alias_edits
-                << " link_flag_edits=" << stats.link_flag_edits
-                << " host_state_edits=" << stats.host_state_edits
-                << " region_has_aliases=" << (stats.region_has_aliases ? 1 : 0) << "\n";
-    }
+    std::cerr << "routedb: rebuilt (" << stats.files_reparsed << " file(s) reparsed, "
+              << stats.files_unchanged << " unchanged); " << stats.routes_changed
+              << " route(s) changed, " << builder.routes().size() << " total\n";
     // The image and state were written (a bad line skips one declaration, pathalias
     // style), but an automated updater must see that the inputs were not clean.
     if (builder.diag().error_count() > 0) {

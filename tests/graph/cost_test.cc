@@ -13,6 +13,11 @@ struct SymbolCase {
   Cost value;
 };
 
+// Printed into the discovered test name; see ExprCase's PrintTo below for why.
+void PrintTo(const SymbolCase& c, std::ostream* os) {
+  *os << '"' << c.name << "\" = " << c.value;
+}
+
 class CostSymbolTest : public ::testing::TestWithParam<SymbolCase> {};
 
 TEST_P(CostSymbolTest, MatchesPaperTable) {

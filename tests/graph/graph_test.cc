@@ -9,15 +9,6 @@ class GraphTest : public ::testing::Test {
  protected:
   Diagnostics diag;
   Graph graph{&diag};
-
-  Link* FindLink(Node* from, Node* to) {
-    for (Link* link = from->links; link != nullptr; link = link->next) {
-      if (link->to == to && !link->alias()) {
-        return link;
-      }
-    }
-    return nullptr;
-  }
 };
 
 TEST_F(GraphTest, InternReturnsSameNodeForSameName) {
@@ -143,11 +134,11 @@ TEST_F(GraphTest, NetDeclarationBuildsTollBoothEdges) {
   std::vector<Node*> members{graph.Intern("mit-ai"), graph.Intern("ucbvax")};
   graph.DeclareNet(net, members, 95, '@', true, {});
   EXPECT_TRUE(net->net());
-  Link* on = FindLink(members[0], net);
+  Link* on = graph.FindLink(members[0], net);
   ASSERT_NE(on, nullptr);
   EXPECT_EQ(on->cost, 95);
   EXPECT_TRUE(on->right_syntax());
-  Link* off = FindLink(net, members[0]);
+  Link* off = graph.FindLink(net, members[0]);
   ASSERT_NE(off, nullptr);
   EXPECT_EQ(off->cost, 0);
   EXPECT_TRUE(off->net_member());
@@ -243,8 +234,8 @@ TEST_F(GraphTest, DeadLinkMarksOnlyThatDirection) {
   graph.AddLink(a, b, 10, '!', false, {});
   graph.AddLink(b, a, 10, '!', false, {});
   graph.MarkDeadLink(a, b, {});
-  EXPECT_TRUE(FindLink(a, b)->dead());
-  EXPECT_FALSE(FindLink(b, a)->dead());
+  EXPECT_TRUE(graph.FindLink(a, b)->dead());
+  EXPECT_FALSE(graph.FindLink(b, a)->dead());
 }
 
 TEST_F(GraphTest, DeadLinkOnUndeclaredLinkWarns) {
@@ -269,14 +260,14 @@ TEST_F(GraphTest, GatewayLinkMarksExistingLink) {
   graph.MarkGatewayLink(net, gw, {});
   EXPECT_TRUE(net->gatewayed());
   EXPECT_TRUE((net->flags & kNodeExplicitGateways) != 0);
-  EXPECT_TRUE(FindLink(gw, net)->gateway());
+  EXPECT_TRUE(graph.FindLink(gw, net)->gateway());
 }
 
 TEST_F(GraphTest, GatewayLinkCreatesMissingLinkAtZeroCost) {
   Node* net = graph.Intern("BITNET");
   Node* gw = graph.Intern("psuvax1");
   graph.MarkGatewayLink(net, gw, {});
-  Link* link = FindLink(gw, net);
+  Link* link = graph.FindLink(gw, net);
   ASSERT_NE(link, nullptr);
   EXPECT_EQ(link->cost, 0);
   EXPECT_TRUE(link->gateway());

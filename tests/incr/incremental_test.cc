@@ -1,15 +1,14 @@
 // Unit tests for the incremental pipeline's pieces: artifact record/replay/serialize,
-// per-node route building, RouteSet deltas, the MapBuilder's patch and fallback
-// paths, and state-dir persistence.  The randomized-edit equivalence property lives
-// in incremental_fuzz_test.cc.
+// RouteSet deltas, the MapBuilder's update path, and state-dir persistence.  The
+// randomized-edit equivalence property lives in incremental_fuzz_test.cc.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
 #include "src/core/pathalias.h"
-#include "src/core/route_printer.h"
 #include "src/incr/artifact.h"
 #include "src/incr/map_builder.h"
 #include "src/incr/state_dir.h"
@@ -115,6 +114,21 @@ TEST(Artifact, SerializationRoundTrips) {
     EXPECT_FALSE(DeserializeArtifact(std::string_view(bytes).substr(0, cut)).has_value())
         << cut;
   }
+  // So must symbol references replay would follow out of the table: a link's
+  // missing endpoint (either side), and a default-local candidate past the end.
+  auto link = std::find_if(artifact.ops.begin(), artifact.ops.end(),
+                           [](const Op& op) { return op.kind == OpKind::kLink; });
+  ASSERT_NE(link, artifact.ops.end());
+  size_t link_index = static_cast<size_t>(link - artifact.ops.begin());
+  FileArtifact no_from = artifact;
+  no_from.ops[link_index].a = kNoSymbol;
+  EXPECT_FALSE(DeserializeArtifact(SerializeArtifact(no_from)).has_value());
+  FileArtifact no_to = artifact;
+  no_to.ops[link_index].b = kNoSymbol;
+  EXPECT_FALSE(DeserializeArtifact(SerializeArtifact(no_to)).has_value());
+  FileArtifact far_host = artifact;
+  far_host.first_host = 1000000;
+  EXPECT_FALSE(DeserializeArtifact(SerializeArtifact(far_host)).has_value());
 }
 
 // Replaying recorded artifacts must build the same routes a direct parse does —
@@ -128,31 +142,6 @@ TEST(Artifact, ReplayMatchesDirectParseOnGeneratedMap) {
   ASSERT_TRUE(builder.Build(map.files));
   EXPECT_EQ(BuilderSortedRoutes(builder), reference);
   EXPECT_FALSE(reference.empty());
-}
-
-TEST(RoutePrinter, BuildEntryForMatchesFullTraversal) {
-  GeneratedMap map = GenerateUsenetMap(MapGenConfig::Small());
-  Diagnostics diag;
-  RunOptions options;
-  options.local = map.local;
-  RunResult result = pathalias::Run(map.files, options, &diag);
-
-  RoutePrinter printer(result.map, PrintOptions{});
-  std::vector<RouteEntry> full = printer.Build();
-  ASSERT_FALSE(full.empty());
-  size_t matched = 0;
-  for (const RouteEntry& entry : full) {
-    const PathLabel* label = entry.node->label[0] != nullptr && entry.node->label[0]->best
-                                 ? entry.node->label[0]
-                                 : entry.node->label[1];
-    std::optional<RouteEntry> single = printer.BuildEntryFor(label);
-    ASSERT_TRUE(single.has_value()) << entry.name;
-    EXPECT_EQ(single->name, entry.name);
-    EXPECT_EQ(single->route, entry.route);
-    EXPECT_EQ(single->cost, entry.cost);
-    ++matched;
-  }
-  EXPECT_EQ(matched, full.size());
 }
 
 TEST(RouteSet, ApplyDeltaUpsertsErasesAndReportsDirtyIds) {
@@ -188,6 +177,9 @@ TEST(RouteSet, ApplyDeltaUpsertsErasesAndReportsDirtyIds) {
   EXPECT_EQ(dirty2[0], expected[1]);
 }
 
+// Every case pins an update's routes to a from-scratch run over the edited inputs.
+// The names date from an in-place patch path that has since been retired; each
+// edit shape they name still has to land byte-identical through the replay.
 class MapBuilderPatchTest : public ::testing::Test {
  protected:
   // A three-file map with an unambiguous tree and room to edit.
@@ -211,9 +203,7 @@ TEST_F(MapBuilderPatchTest, RecostPatchesInPlace) {
 
   std::vector<InputFile> edited = Files(200);
   UpdateStats stats = builder.Update({edited[0]});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
   EXPECT_EQ(stats.files_reparsed, 1u);
-  EXPECT_GT(stats.dirty_nodes, 0u);
   ExpectGolden(builder, edited);
 
   // The dirty id list names exactly the changed routes.
@@ -226,7 +216,7 @@ TEST_F(MapBuilderPatchTest, UnchangedDigestSkipsReparse) {
   MapBuilder builder(MapBuilderOptions{.local = "hub"});
   ASSERT_TRUE(builder.Build(Files(400)));
   UpdateStats stats = builder.Update({Files(400)[0]});
-  EXPECT_TRUE(stats.patched);
+  EXPECT_TRUE(stats.patched);  // nothing changed, so nothing replayed
   EXPECT_EQ(stats.files_reparsed, 0u);
   EXPECT_EQ(stats.files_unchanged, 1u);
   EXPECT_EQ(stats.routes_changed, 0u);
@@ -237,28 +227,24 @@ TEST_F(MapBuilderPatchTest, AddAndRemoveHostsAndFiles) {
   std::vector<InputFile> files = Files(400);
   ASSERT_TRUE(builder.Build(files));
 
-  // Add a new leaf with a return link: patchable.
+  // Add a new leaf with a return link.
   files[1].content = "mid\thub(100), leafa(50), leafb(60), leafd(70)\nleafd\tmid(70)\n";
-  UpdateStats stats = builder.Update({files[1]});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
+  builder.Update({files[1]});
   ExpectGolden(builder, files);
 
   // Remove it again: its node is orphaned and its route must vanish.
   files[1].content = "mid\thub(100), leafa(50), leafb(60)\n";
-  stats = builder.Update({files[1]});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
+  builder.Update({files[1]});
   ExpectGolden(builder, files);
 
   // Add a whole new file, then remove it.
   InputFile extra{"extra.map", "mid\tleafe(5)\nleafe\tmid(5)\n"};
   files.push_back(extra);
-  stats = builder.Update({extra});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
+  builder.Update({extra});
   ExpectGolden(builder, files);
 
   files.pop_back();
-  stats = builder.Update({}, {"extra.map"});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
+  builder.Update({}, {"extra.map"});
   ExpectGolden(builder, files);
 }
 
@@ -268,8 +254,7 @@ TEST_F(MapBuilderPatchTest, RenameHostPatches) {
   ASSERT_TRUE(builder.Build(files));
 
   files[2].content = "far\thub(400), leafz(10)\nleafz\tfar(10)\n";
-  UpdateStats stats = builder.Update({files[2]});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
+  builder.Update({files[2]});
   ExpectGolden(builder, files);
 }
 
@@ -278,29 +263,21 @@ TEST_F(MapBuilderPatchTest, AliasEditsPatchInPlace) {
   std::vector<InputFile> files = Files(400);
   ASSERT_TRUE(builder.Build(files));
 
-  // Adding an alias is an in-place patch: the nickname's route appears without a
-  // replay, and the alias edge count surfaces in the stats.
+  // Adding an alias: the nickname's route appears and matches far's.
   files[2].content = "far\thub(400), leafc(10)\nleafc\tfar(10)\nfar = faraway\n";
-  UpdateStats stats = builder.Update({files[2]});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
-  EXPECT_EQ(stats.alias_edits, 1u);
-  EXPECT_TRUE(stats.region_has_aliases);
+  builder.Update({files[2]});
   ASSERT_NE(builder.routes().Find("faraway"), nullptr);
   EXPECT_EQ(builder.routes().Find("faraway")->route, builder.routes().Find("far")->route);
   ExpectGolden(builder, files);
 
-  // A plain edit with the alias still in the graph also patches (the old blanket
-  // alias gate) ...
+  // A plain edit with the alias still in the map ...
   files[0].content = "hub\tmid(100), far(350)\n";
-  stats = builder.Update({files[0]});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
+  builder.Update({files[0]});
   ExpectGolden(builder, files);
 
-  // ... and removing the alias patches the nickname's route away again.
+  // ... and removing the alias takes the nickname's route away again.
   files[2].content = "far\thub(400), leafc(10)\nleafc\tfar(10)\n";
-  stats = builder.Update({files[2]});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
-  EXPECT_EQ(stats.alias_edits, 1u);
+  builder.Update({files[2]});
   EXPECT_EQ(builder.routes().Find("faraway"), nullptr);
   ExpectGolden(builder, files);
 }
@@ -312,65 +289,54 @@ TEST_F(MapBuilderPatchTest, KeywordDeclarationEditsPatchInPlace) {
 
   // dead {hub!far} penalizes the direct link; far re-routes through mid.
   files[2].content = "far\thub(400), leafc(10)\nleafc\tfar(10)\ndead {hub!far}\n";
-  UpdateStats stats = builder.Update({files[2]});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
-  EXPECT_GT(stats.link_flag_edits, 0u);
+  builder.Update({files[2]});
   ExpectGolden(builder, files);
 
   // dead {mid} (terminal host) penalizes relaying through mid.
   files[1].content = "mid\thub(100), leafa(50), leafb(60)\ndead {mid}\n";
-  stats = builder.Update({files[1]});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
-  EXPECT_GT(stats.host_state_edits, 0u);
+  builder.Update({files[1]});
   ExpectGolden(builder, files);
 
   // adjust {far(75)} biases every path through far.
   files[2].content = "far\thub(400), leafc(10)\nleafc\tfar(10)\nadjust {far(75)}\n";
-  stats = builder.Update({files[2]});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
+  builder.Update({files[2]});
   ExpectGolden(builder, files);
 
   // gatewayed {far} + gateway {far!hub}: entry anywhere but hub's link costs extra.
   files[2].content =
       "far\thub(400), leafc(10)\nleafc\tfar(10)\ngatewayed {far}\ngateway {far!hub}\n";
-  stats = builder.Update({files[2]});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
+  builder.Update({files[2]});
   ExpectGolden(builder, files);
 
-  // delete {leafb} removes its route; undeleting restores it.  Both patch.
+  // delete {leafb} removes its route; undeleting restores it.
   files[1].content = "mid\thub(100), leafa(50), leafb(60)\ndelete {leafb}\n";
-  stats = builder.Update({files[1]});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
+  builder.Update({files[1]});
   EXPECT_EQ(builder.routes().Find("leafb"), nullptr);
   ExpectGolden(builder, files);
   files[1].content = "mid\thub(100), leafa(50), leafb(60)\n";
-  stats = builder.Update({files[1]});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
+  builder.Update({files[1]});
   EXPECT_NE(builder.routes().Find("leafb"), nullptr);
   ExpectGolden(builder, files);
 }
 
 TEST_F(MapBuilderPatchTest, CrossReferencedEditsWidenTheSeedSetInsteadOfRefusing) {
   // A dead {hub!far} declaration lives in a file that never changes; editing the
-  // referenced link's cost in ANOTHER file used to force a replay ("changed link is
-  // referenced by a dead/gateway declaration") and now recomputes the effective
-  // state — cheaper cost, dead flag preserved — in place.
+  // referenced link's cost in ANOTHER file must keep the dead flag on the cheaper
+  // link.
   std::vector<InputFile> files = Files(400);
   files.push_back({"marks.map", "dead {hub!far}\n"});
   MapBuilder builder(MapBuilderOptions{.local = "hub"});
   ASSERT_TRUE(builder.Build(files));
 
   files[0].content = "hub\tmid(100), far(250)\n";
-  UpdateStats stats = builder.Update({files[0]});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
+  builder.Update({files[0]});
   ExpectGolden(builder, files);
 }
 
 TEST_F(MapBuilderPatchTest, NetMembershipCoincidenceComputesTheCombinedWinner) {
   // wan = {mid, far}(80) declares member→net and net→member edges that take part
   // in duplicate resolution with plain links.  A plain edit on the coinciding
-  // (mid, wan) pair used to force a replay and now recomputes the winner across
-  // both declaration kinds.
+  // (mid, wan) pair must land on the winner across both declaration kinds.
   std::vector<InputFile> files = Files(400);
   files.push_back({"nets.map", "wan = {mid, far}(80)\n"});
   files.push_back({"extra.map", "mid\twan(200)\n"});  // loses to the net's 80
@@ -378,13 +344,11 @@ TEST_F(MapBuilderPatchTest, NetMembershipCoincidenceComputesTheCombinedWinner) {
   ASSERT_TRUE(builder.Build(files));
 
   files.back().content = "mid\twan(40)\n";  // now beats the net's 80
-  UpdateStats stats = builder.Update({files.back()});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
+  builder.Update({files.back()});
   ExpectGolden(builder, files);
 
   files.back().content = "mid\twan(120)\n";  // back under the net's winner
-  stats = builder.Update({files.back()});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
+  builder.Update({files.back()});
   ExpectGolden(builder, files);
 }
 
@@ -396,8 +360,6 @@ TEST_F(MapBuilderPatchTest, NetAndPrivateChangedFilesStillFallBack) {
   files[2].content = "far\thub(400), leafc(10)\nleafc\tfar(10)\nlan = {far, leafc}(30)\n";
   UpdateStats stats = builder.Update({files[2]});
   EXPECT_FALSE(stats.patched);
-  EXPECT_NE(stats.rebuild_reason.find("net or private"), std::string::npos)
-      << stats.rebuild_reason;
   ExpectGolden(builder, files);
 
   files[1].content = "mid\thub(100), leafa(50), leafb(60)\nprivate {leafa}\n";
@@ -411,32 +373,24 @@ TEST_F(MapBuilderPatchTest, AliasChainsPatchAndSurviveUnrelatedEdits) {
   std::vector<InputFile> files = Files(400);
   ASSERT_TRUE(builder.Build(files));
 
-  // A two-deep nickname chain lands in one patch; both nicknames route like far.
+  // A two-deep nickname chain lands in one update; both nicknames route like far.
   files[2].content =
       "far\thub(400), leafc(10)\nleafc\tfar(10)\nfar = faraway\nfaraway = farther\n";
-  UpdateStats stats = builder.Update({files[2]});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
-  EXPECT_EQ(stats.alias_edits, 2u);
+  builder.Update({files[2]});
   ASSERT_NE(builder.routes().Find("farther"), nullptr);
   EXPECT_EQ(builder.routes().Find("farther")->route, builder.routes().Find("far")->route);
   ExpectGolden(builder, files);
 
-  // A plain recost in ANOTHER file, with the chain untouched in the graph and the
-  // changed-file diff side empty of alias edits, still patches — the chain re-maps
-  // inside the dirty region.
+  // A plain recost in ANOTHER file, with the chain untouched.
   files[0].content = "hub\tmid(100), far(120)\n";
-  stats = builder.Update({files[0]});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
-  EXPECT_EQ(stats.alias_edits, 0u);
-  EXPECT_TRUE(stats.region_has_aliases);
+  builder.Update({files[0]});
   ExpectGolden(builder, files);
 }
 
 TEST_F(MapBuilderPatchTest, AmbiguousAliasTieFallsBackAndStaysGolden) {
-  // nick is aliased to BOTH p1 and p2.  While p1 is strictly cheaper the alias
-  // region patches fine; once the edit makes p1 and p2 tie at equal (cost, hops),
-  // nick's parent depends on alias-warped pop order the patch cannot reconstruct,
-  // so it must refuse — and the replay still lands on the golden output.
+  // nick is aliased to BOTH p1 and p2.  Once the edit makes p1 and p2 tie at equal
+  // (cost, hops), nick's parent depends on alias-warped pop order; the update must
+  // still land on the golden output.
   std::vector<InputFile> files = {
       {"f0.map", "hub\tp1(10), p2(20)\n"},
       {"f1.map", "p1\thub(10)\np2\thub(20)\nnick = p1\nnick = p2\n"},
@@ -447,8 +401,6 @@ TEST_F(MapBuilderPatchTest, AmbiguousAliasTieFallsBackAndStaysGolden) {
   files[0].content = "hub\tp1(10), p2(10)\n";
   UpdateStats stats = builder.Update({files[0]});
   EXPECT_FALSE(stats.patched);
-  EXPECT_NE(stats.rebuild_reason.find("ambiguous alias tie"), std::string::npos)
-      << stats.rebuild_reason;
   ExpectGolden(builder, files);
 }
 
@@ -457,8 +409,8 @@ TEST_F(MapBuilderPatchTest, UnreachableRegionForcesRebuild) {
   std::vector<InputFile> files = Files(400);
   ASSERT_TRUE(builder.Build(files));
 
-  // leafc loses its only inbound path but keeps an outbound link: a rebuild invents
-  // a back link, which the patch cannot do locally.
+  // leafc loses its only inbound path but keeps an outbound link: the map phase
+  // invents a back link to reach it.
   files[2].content = "far\thub(400)\nleafc\tfar(10)\n";
   UpdateStats stats = builder.Update({files[2]});
   EXPECT_FALSE(stats.patched);
@@ -467,7 +419,7 @@ TEST_F(MapBuilderPatchTest, UnreachableRegionForcesRebuild) {
 
 TEST_F(MapBuilderPatchTest, DefaultLocalTracksFirstHost) {
   // No explicit local: the first declared host is the source, and an edit that
-  // changes it forces a rebuild rooted at the new source.
+  // changes it re-roots the map at the new source.
   MapBuilder builder(MapBuilderOptions{});
   std::vector<InputFile> files = Files(400);
   ASSERT_TRUE(builder.Build(files));
@@ -482,8 +434,7 @@ TEST_F(MapBuilderPatchTest, DefaultLocalTracksFirstHost) {
 
 TEST_F(MapBuilderPatchTest, ImprovementReopensCleanRegion) {
   // y initially routes directly from hub (50); cheapening a's link to x makes the
-  // path hub!a!x!y (25) win.  y is OUTSIDE the edit's dirty closure (not in x's old
-  // subtree), so the patch must reopen it mid-drain — and its subtree with it.
+  // path hub!a!x!y (25) win, far from the edited link — and y's subtree with it.
   std::vector<InputFile> files = {
       {"f0.map", "hub\ta(10), y(50)\n"},
       {"f1.map", "a\thub(10), x(50)\n"},
@@ -494,8 +445,7 @@ TEST_F(MapBuilderPatchTest, ImprovementReopensCleanRegion) {
   ASSERT_EQ(builder.routes().Find("y")->route, "y!%s");
 
   files[1].content = "a\thub(10), x(5)\n";
-  UpdateStats stats = builder.Update({files[1]});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
+  builder.Update({files[1]});
   EXPECT_EQ(builder.routes().Find("y")->route, "a!x!y!%s");
   EXPECT_EQ(builder.routes().Find("yleaf")->route, "a!x!y!yleaf!%s");
   ExpectGolden(builder, files);
@@ -503,10 +453,8 @@ TEST_F(MapBuilderPatchTest, ImprovementReopensCleanRegion) {
 
 TEST_F(MapBuilderPatchTest, EqualCostTieReopensToExtractionOrderWinner) {
   // p1 and p2 offer z identical (cost, hops); a full run routes z via p1 (p1 pops
-  // first: equal cost and hops, smaller name).  Knock p1 out, then restore it: the
-  // restoring patch relaxes z with an EQUAL candidate from p1, and must reopen z
-  // because the full rebuild's tie-break elects p1 — byte-identity demands the
-  // parent switch, not just the cost.
+  // first: equal cost and hops, smaller name).  Knock p1 out, then restore it:
+  // byte-identity demands the parent switch back to p1, not just the cost.
   std::vector<InputFile> files = {
       {"f0.map", "hub\tp1(10), p2(10)\n"},
       {"f1.map", "p1\thub(10), z(5)\np2\thub(10), z(5)\nz\tp1(5)\n"},
@@ -516,14 +464,12 @@ TEST_F(MapBuilderPatchTest, EqualCostTieReopensToExtractionOrderWinner) {
   ASSERT_EQ(builder.routes().Find("z")->route, "p1!z!%s");
 
   files[0].content = "hub\tp1(30), p2(10)\n";
-  UpdateStats stats = builder.Update({files[0]});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
+  builder.Update({files[0]});
   EXPECT_EQ(builder.routes().Find("z")->route, "p2!z!%s");
   ExpectGolden(builder, files);
 
   files[0].content = "hub\tp1(10), p2(10)\n";
-  stats = builder.Update({files[0]});
-  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
+  builder.Update({files[0]});
   EXPECT_EQ(builder.routes().Find("z")->route, "p1!z!%s");
   ExpectGolden(builder, files);
 }

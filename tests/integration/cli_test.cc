@@ -454,7 +454,8 @@ TEST_F(CliTest, RoutedbUpdatePatchesImageInPlace) {
   CommandResult update = RunCommand(std::string(ROUTEDB_BIN) + " update " + image.string() +
                                     " " + core.string());
   EXPECT_EQ(WEXITSTATUS(update.status), 0) << update.output;
-  EXPECT_NE(update.output.find("patched"), std::string::npos) << update.output;
+  EXPECT_NE(update.output.find("rebuilt (1 file(s) reparsed"), std::string::npos)
+      << update.output;
 
   // The refrozen image serves the updated cost; batch output matches a fresh
   // pathalias over the edited inputs.
@@ -503,12 +504,11 @@ TEST_F(CliTest, RoutedbUpdateWithNothingToDoLeavesImageUntouched) {
   CommandResult noop = RunCommand(std::string(ROUTEDB_BIN) + " update " + image.string());
   EXPECT_EQ(WEXITSTATUS(noop.status), 0) << noop.output;
   EXPECT_NE(noop.output.find("nothing to do"), std::string::npos) << noop.output;
-  // --stats keeps its contract on the fast path: the breakdown line still appears
-  // (all zeros), so scripted parsers keyed on it never stall.
+  // The retired --stats is refused before anything is read or written.
   CommandResult noop_stats =
       RunCommand(std::string(ROUTEDB_BIN) + " update --stats " + image.string());
-  EXPECT_EQ(WEXITSTATUS(noop_stats.status), 0) << noop_stats.output;
-  EXPECT_NE(noop_stats.output.find("update stats: patched=1"), std::string::npos)
+  EXPECT_EQ(WEXITSTATUS(noop_stats.status), 2) << noop_stats.output;
+  EXPECT_NE(noop_stats.output.find("unknown option --stats"), std::string::npos)
       << noop_stats.output;
   // Neither refrozen nor re-saved: bytes AND mtimes are exactly as the init left
   // them (a rewrite-with-identical-bytes would still bump the timestamps).
@@ -523,14 +523,16 @@ TEST_F(CliTest, RoutedbUpdateWithNothingToDoLeavesImageUntouched) {
   EXPECT_NE(WEXITSTATUS(conflict.status), 0);
   EXPECT_NE(conflict.output.find("re-run --init"), std::string::npos) << conflict.output;
 
-  // --stats has no meaning on the init path; a silent no-op would mislead scripts.
+  // --stats is refused on the init path too.
   CommandResult init_stats = RunCommand(std::string(ROUTEDB_BIN) + " update --init --stats " +
                                         image.string() + " " + map_path_);
   EXPECT_EQ(WEXITSTATUS(init_stats.status), 2);
   EXPECT_NE(init_stats.output.find("--stats"), std::string::npos) << init_stats.output;
 }
 
-TEST_F(CliTest, RoutedbUpdateStatsReportsPatchBreakdown) {
+// `routedb update` has no --stats: it is a usage error like any unknown option
+// (the image is left alone), and the same alias + dead edit applies without it.
+TEST_F(CliTest, RoutedbUpdateStatsFlagIsAUsageError) {
   fs::path core = dir_ / "core.map";
   fs::path nick = dir_ / "nick.map";
   {
@@ -551,13 +553,20 @@ TEST_F(CliTest, RoutedbUpdateStatsReportsPatchBreakdown) {
     std::ofstream out(nick, std::ios::trunc);
     out << "leafa\tmid(50)\nleafa = nicka\ndead {leafa!mid}\n";
   }
-  CommandResult update = RunCommand(std::string(ROUTEDB_BIN) + " update --stats " +
-                                    image.string() + " " + nick.string());
+  CommandResult refused = RunCommand(std::string(ROUTEDB_BIN) + " update --stats " +
+                                     image.string() + " " + nick.string());
+  EXPECT_EQ(WEXITSTATUS(refused.status), 2) << refused.output;
+  EXPECT_NE(refused.output.find("unknown option --stats"), std::string::npos)
+      << refused.output;
+  EXPECT_NE(refused.output.find("usage"), std::string::npos) << refused.output;
+  EXPECT_NE(WEXITSTATUS(RunCommand(std::string(ROUTEDB_BIN) + " get " + image.string() +
+                                   " nicka")
+                            .status),
+            0);
+
+  CommandResult update = RunCommand(std::string(ROUTEDB_BIN) + " update " + image.string() +
+                                    " " + nick.string());
   EXPECT_EQ(WEXITSTATUS(update.status), 0) << update.output;
-  EXPECT_NE(update.output.find("patched"), std::string::npos) << update.output;
-  EXPECT_NE(update.output.find("alias_edits=1"), std::string::npos) << update.output;
-  EXPECT_NE(update.output.find("link_flag_edits=1"), std::string::npos) << update.output;
-  EXPECT_NE(update.output.find("region_has_aliases=1"), std::string::npos) << update.output;
   // The nickname's route serves from the refrozen image.
   CommandResult get = RunCommand(std::string(ROUTEDB_BIN) + " get " + image.string() +
                                  " nicka");

@@ -20,15 +20,7 @@ class ParserTest : public ::testing::Test {
   Link* FindLink(std::string_view from, std::string_view to) {
     Node* f = graph.Find(from);
     Node* t = graph.Find(to);
-    if (f == nullptr || t == nullptr) {
-      return nullptr;
-    }
-    for (Link* link = f->links; link != nullptr; link = link->next) {
-      if (link->to == t && !link->alias()) {
-        return link;
-      }
-    }
-    return nullptr;
+    return f == nullptr || t == nullptr ? nullptr : graph.FindLink(f, t);
   }
 };
 

@@ -60,7 +60,7 @@ TEST(RouteSet, ToTextRoundTrip) {
 }
 
 TEST(RouteSet, FromEntriesCopiesEverything) {
-  std::vector<RouteEntry> entries{{"x", "x!%s", 42, nullptr}, {"y", "y!%s", 7, nullptr}};
+  std::vector<RouteEntry> entries{{"x", "x!%s", 42}, {"y", "y!%s", 7}};
   RouteSet set = RouteSet::FromEntries(entries);
   EXPECT_EQ(set.size(), 2u);
   EXPECT_EQ(set.Find("x")->cost, 42);
