@@ -11,6 +11,7 @@
 #ifndef BENCH_DAEMON_LATENCY_H_
 #define BENCH_DAEMON_LATENCY_H_
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -26,6 +27,7 @@
 #include "src/net/daemon.h"
 #include "src/net/socket.h"
 #include "src/net/wire.h"
+#include "src/support/io_retry.h"
 
 namespace pathalias {
 namespace bench_daemon {
@@ -188,6 +190,23 @@ struct OpenLoopStats {
   double p99_ms = 0.0;
   double max_ms = 0.0;
 };
+
+// True once any of `sockets` has a datagram queued; false after `timeout_ms`.
+// The open-loop client waits on all of its sockets at once: waiting on one
+// leaves the other clients' replies unread until the timeout, which then shows
+// up as every run's max latency.
+inline bool AnyReadable(const std::vector<net::DatagramSocket>& sockets, int timeout_ms) {
+  std::vector<pollfd> entries;
+  entries.reserve(sockets.size());
+  for (const net::DatagramSocket& socket : sockets) {
+    entries.push_back({socket.fd(), POLLIN, 0});
+  }
+  int ready = support::RetryEintr(
+      [&] { return ::poll(entries.data(), entries.size(), timeout_ms); });
+  return ready > 0 && std::any_of(entries.begin(), entries.end(), [](const pollfd& entry) {
+           return (entry.revents & POLLIN) != 0;
+         });
+}
 
 // Open-loop, multi-client: single-query requests are SENT on a fixed aggregate
 // schedule (offered_rate per second, round-robin across `clients` independent
@@ -356,7 +375,7 @@ inline OpenLoopStats MeasureDaemonOfferedLoad(const std::string& image_path,
         if (Clock::now() - scheduled(requests) > deadline_slack) {
           break;  // whatever is still missing was lost: count it, don't hang
         }
-        if (!sockets.front().WaitReadable(10)) {
+        if (!AnyReadable(sockets, 10)) {
           // A reply was lost (or shed) — the protocol's discipline is client
           // retransmit under the SAME id, which the daemon's replay buffer
           // answers without re-resolving.  Latency is still clocked from the

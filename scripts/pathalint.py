@@ -15,12 +15,9 @@ Rules (each docstring links its canonical invariant):
   R5  memory_order rationale               docs/INVARIANTS.md#r5
   R6  include layering                     docs/INVARIANTS.md#r6
 
-Engines:
-  token     comment/string-aware lexical analysis (always available; what CI
-            and the ctest gate run — deterministic, zero dependencies)
-  libclang  AST-accurate field/include analysis via clang.cindex when the
-            python bindings are importable; falls back to token otherwise
-  auto      libclang if importable, else token (the default)
+Analysis is comment/string-aware and lexical: deterministic, with no
+dependency beyond the python standard library, so every entry point (ctest,
+CI, the `lint` build target) reports the same findings.
 
 Allowlisting: a finding is suppressed by an inline pragma on the flagged line
 or in the contiguous comment block directly above it:
@@ -28,7 +25,7 @@ or in the contiguous comment block directly above it:
 The justification is part of the contract — an empty reason does not suppress.
 
 Usage:
-  scripts/pathalint.py [--gate] [--root DIR] [--engine E] [--rules R1,R5]
+  scripts/pathalint.py [--gate] [--root DIR] [--rules R1,R5]
   scripts/pathalint.py --self-test tests/lint      # fixture corpus check
   scripts/pathalint.py --list-rules
 Exit codes: 0 clean (or findings without --gate), 1 findings with --gate,
@@ -38,7 +35,6 @@ Exit codes: 0 clean (or findings without --gate), 1 findings with --gate,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -261,7 +257,7 @@ def emit(findings, sf: SourceFile, line: int, rule: str, message: str):
 
 
 # --------------------------------------------------------------------------
-# Rule implementations (token engine).
+# Rule implementations.
 # --------------------------------------------------------------------------
 
 # Layers below src/tools where the interner owns all name bytes (R1 scope).
@@ -516,44 +512,6 @@ RULES = {
 
 
 # --------------------------------------------------------------------------
-# libclang engine (optional): AST-accurate R1 field detection.
-# --------------------------------------------------------------------------
-
-
-def try_libclang():
-    try:
-        import clang.cindex as cindex  # type: ignore
-        cindex.Index.create()
-        return cindex
-    except Exception:
-        return None
-
-
-def libclang_r1(cindex, root, rel_path, compile_args, findings, sf):
-    """AST-exact variant of R1: FIELD_DECL cursors of string-ish type with a
-    name-ish identifier, in R1 layers.  Used when the bindings import; results
-    replace the token R1 for this file."""
-    index = cindex.Index.create()
-    tu = index.parse(os.path.join(root, rel_path), args=compile_args)
-    stringish = ("std::string", "std::basic_string", "std::string_view",
-                 "std::vector<std::string")
-    for cursor in tu.cursor.walk_preorder():
-        if cursor.kind != cindex.CursorKind.FIELD_DECL:
-            continue
-        if not cursor.location.file or \
-           os.path.relpath(str(cursor.location.file), root).replace(os.sep, "/") != rel_path:
-            continue
-        type_text = cursor.type.get_canonical().spelling
-        if not any(s in type_text for s in stringish):
-            continue
-        words = set(w for w in cursor.spelling.strip("_").lower().split("_") if w)
-        if words & R1_NAMEISH:
-            emit(findings, sf, cursor.location.line, "R1",
-                 f"member '{cursor.spelling}' looks like owned name bytes "
-                 f"({cursor.type.spelling}); layers below src/tools key on NameId")
-
-
-# --------------------------------------------------------------------------
 # Driver.
 # --------------------------------------------------------------------------
 
@@ -569,39 +527,11 @@ def discover_files(root: str):
     return sorted(files)
 
 
-def load_compile_commands(root: str, explicit: str | None):
-    candidates = ([explicit] if explicit else
-                  [os.path.join(root, "build", "compile_commands.json"),
-                   os.path.join(root, "compile_commands.json")])
-    for path in candidates:
-        if path and os.path.isfile(path):
-            try:
-                with open(path, "r", encoding="utf-8") as f:
-                    return {os.path.relpath(e["file"], root).replace(os.sep, "/"):
-                            e.get("command", "") for e in json.load(f)}
-            except (OSError, ValueError, KeyError):
-                return {}
-    return {}
-
-
-def run_rules(root, files, rules, engine):
-    cindex = try_libclang() if engine in ("auto", "libclang") else None
-    if engine == "libclang" and cindex is None:
-        print("pathalint: libclang engine requested but clang.cindex is not "
-              "importable; falling back to token engine", file=sys.stderr)
-    compile_commands = load_compile_commands(root, None) if cindex else {}
+def run_rules(root, files, rules):
     findings: list = []
     for rel_path in files:
         sf = load_source(root, rel_path)
         for rule_name in rules:
-            if rule_name == "R1" and cindex and rel_path in compile_commands:
-                args = [a for a in compile_commands[rel_path].split()[1:]
-                        if a.startswith(("-I", "-D", "-std", "-isystem"))]
-                try:
-                    libclang_r1(cindex, root, rel_path, args, findings, sf)
-                    continue
-                except Exception:
-                    pass  # any libclang hiccup: token engine is authoritative
             RULES[rule_name](sf, findings)
     return sorted(set(findings), key=lambda f: (f.path, f.line, f.rule))
 
@@ -643,7 +573,7 @@ def self_test(lint_dir: str, rules) -> int:
             if "pathalint: allow(" in comment:
                 pragma_sites += 1
     actual = set((f.path, f.line, f.rule)
-                 for f in run_rules(fixture_root, files, rules, "token"))
+                 for f in run_rules(fixture_root, files, rules))
     missing = expected - actual
     unexpected = actual - expected
     ok = not missing and not unexpected
@@ -672,8 +602,6 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--root", default=os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), help="repo root (default: script's parent)")
-    parser.add_argument("--engine", choices=("auto", "token", "libclang"),
-                        default="auto")
     parser.add_argument("--rules", default=",".join(RULES),
                         help="comma-separated rule subset (default: all)")
     parser.add_argument("--gate", action="store_true",
@@ -708,7 +636,7 @@ def main(argv=None) -> int:
     root = os.path.abspath(args.root)
     files = ([p.replace(os.sep, "/") for p in args.files]
              if args.files else discover_files(root))
-    findings = run_rules(root, files, rules, args.engine)
+    findings = run_rules(root, files, rules)
     for f in findings:
         print(f.render())
     if args.summary:

@@ -91,20 +91,6 @@ size_t FrozenBatchEngine::ResolveCachedRun(std::span<const std::string_view> hos
 
 size_t FrozenBatchEngine::ResolveBatch(std::span<const std::string_view> hosts,
                                        std::span<BatchLookup> results) {
-  // memory_order: acq_rel — the completed_ increment must release every read
-  // this batch performed on the (possibly old) route source, so that a retirer
-  // who acquires batches_completed() >= mark knows the mapping is unreferenced
-  // and may unmap it; started_ matches so the counter pair itself is ordered.
-  batches_started_.fetch_add(1, std::memory_order_acq_rel);
-  size_t resolved = ResolveBatchInner(hosts, results);
-  // memory_order: acq_rel — see batches_started_ above (release half is the
-  // load-bearing part; see also batches_completed() in batch_engine.h).
-  batches_completed_.fetch_add(1, std::memory_order_acq_rel);
-  return resolved;
-}
-
-size_t FrozenBatchEngine::ResolveBatchInner(std::span<const std::string_view> hosts,
-                                            std::span<BatchLookup> results) {
   size_t count = std::min(hosts.size(), results.size());
   stats_.queries += count;
   if (shards_ == 1 && caches_.empty()) {
@@ -184,19 +170,6 @@ bool FrozenBatchEngine::ChainTouchesDirty(NameId id,
     }
   }
   return false;
-}
-
-void FrozenBatchEngine::InvalidateRoutes(std::span<const NameId> dirty) {
-  if (caches_.empty() || dirty.empty()) {
-    return;
-  }
-  std::vector<NameId> sorted(dirty.begin(), dirty.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (ResultCache& cache : caches_) {
-    // Full key scan (capacity × chain walk): dirty sets are small and updates are
-    // rare next to lookups; correctness of the suffix closure is worth the scan.
-    cache.InvalidateKeysWhere([&](NameId key) { return ChainTouchesDirty(key, sorted); });
-  }
 }
 
 void FrozenBatchEngine::AdoptRoutes(const FrozenRouteSet* fresh,

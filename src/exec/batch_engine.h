@@ -22,13 +22,15 @@
 //
 // Concurrency contract: the route set is the shared object — any number of engines
 // (or raw resolvers) may read one FrozenRouteSet mapping concurrently.  One engine
-// instance, however, serves one calling thread at a time: ResolveBatch reuses the
-// engine's partition and cache state.
+// instance has one owner: every method runs on the calling thread, one at a time.
+// Each shard's cache is touched only by that shard's job, which a pool thread
+// picks up and hands back through ThreadPool::Run's lock handoff, so no cache,
+// counter or partition buffer needs an atomic.  ResolveBatch is fork-join: when it
+// returns, no pool thread is still reading the route source.
 
 #ifndef SRC_EXEC_BATCH_ENGINE_H_
 #define SRC_EXEC_BATCH_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -78,54 +80,20 @@ class FrozenBatchEngine {
   size_t ResolveBatch(std::span<const std::string_view> hosts,
                       std::span<BatchLookup> results);
 
-  // Revokes cached results invalidated by a change to the `dirty` route keys,
-  // across every shard.  Because a cached result for destination `d` depends on
-  // d's whole domain-suffix chain (LookupInterned walks it), revocation condemns
-  // every cached KEY whose chain intersects `dirty` — not just the dirty ids
-  // themselves — so a suffix-match result whose via-route changed, and a cached
-  // miss whose domain just gained a route, both come back fresh.  Safe
-  // (data-race-free; TSan-enforced) to call from another thread WHILE a batch is
-  // in flight, but then only BEST-EFFORT: a query already past its cache probe
-  // may serve the pre-update result one last time, and a miss being resolved
-  // concurrently may Put a pre-update result back AFTER the revocation, where it
-  // stays until something invalidates or evicts it again.  A hard cut therefore
-  // requires invalidating with no batch in flight — which is exactly what
-  // AdoptRoutes (the intended update entry point) does after swapping sources.
-  // No-op when caching is off.
-  void InvalidateRoutes(std::span<const NameId> dirty);
-
-  // The sound update flow: switches the engine to `fresh` routes, revokes every
-  // cached entry whose suffix chain intersects the `dirty` ids
+  // The update flow: switches the engine to `fresh` routes, revokes every cached
+  // entry whose suffix chain intersects the `dirty` ids
   // (MapBuilder::dirty_route_ids() after a Refreeze), and RE-HOMES every surviving
   // entry's views onto the fresh source's storage (identical bytes — the entry
-  // survived precisely because nothing on its chain changed).  After this returns
-  // the engine holds NO references to the old source: the caller may retire (and
-  // unmap) it as soon as every batch that started before the swap has drained —
-  // poll batches_completed() against a batches_started() mark taken at swap time
-  // (src/net's RolloverController does exactly this).  Requirements: call between
-  // batches on the ResolveBatch caller thread (what makes the revocation a hard
-  // cut), and fresh must share the old source's NameId assignment for surviving
-  // names (an image refrozen from a RouteSet maintained by ApplyDelta does — ids
-  // are append-only).
+  // survived precisely because nothing on its chain changed).  A cached result for
+  // destination `d` depends on d's whole domain-suffix chain (LookupInterned walks
+  // it), so a suffix-match result whose via-route changed, and a cached miss whose
+  // domain just gained a route, both come back fresh.  After this returns the
+  // engine holds NO references to the old source, and since no batch is in flight
+  // between calls the caller may unmap it at once (src/net's RolloverController
+  // frees it at its next RetireDrained).  Requirement: fresh must share the old
+  // source's NameId assignment for surviving names (an image refrozen from a
+  // RouteSet maintained by ApplyDelta does — ids are append-only).
   void AdoptRoutes(const FrozenRouteSet* fresh, std::span<const NameId> dirty);
-
-  // Drain-then-retire instrumentation: monotonic counts of ResolveBatch calls
-  // entered and returned.  started is incremented before any work, completed
-  // after all of it (release; read with acquire), so once
-  // batches_completed() >= a mark taken from batches_started(), every batch the
-  // mark covers has fully drained and resources those batches could have read —
-  // an old mapping after AdoptRoutes — are retirable.  Readable from any thread.
-  uint64_t batches_started() const {
-    // memory_order: acquire — pairs with the acq_rel increment in ResolveBatch
-    // so a mark read here happens-after everything the counted batches did.
-    return batches_started_.load(std::memory_order_acquire);
-  }
-  uint64_t batches_completed() const {
-    // memory_order: acquire — the retire gate: once this reaches a started
-    // mark, the old mapping's reads are all visible-before here and unmapping
-    // it cannot race them (RolloverController's drain loop relies on this).
-    return batches_completed_.load(std::memory_order_acquire);
-  }
 
   int shards() const { return shards_; }
   size_t cache_entries_per_shard() const {
@@ -149,13 +117,8 @@ class FrozenBatchEngine {
                           std::span<BatchLookup> results, ResultCache* cache,
                           size_t n, IndexFn index_of) const;
 
-  // ResolveBatch minus the drain counters (the public entry wraps it).
-  size_t ResolveBatchInner(std::span<const std::string_view> hosts,
-                           std::span<BatchLookup> results);
-
   // True when any id on `id`'s domain-suffix chain (per `names`) is in the
-  // sorted `dirty` list — the invalidation predicate AdoptRoutes and
-  // InvalidateRoutes share.
+  // sorted `dirty` list — AdoptRoutes' revocation predicate.
   bool ChainTouchesDirty(NameId id, std::span<const NameId> sorted_dirty) const;
 
   const FrozenRouteSet* routes_;
@@ -168,8 +131,6 @@ class FrozenBatchEngine {
   std::vector<std::vector<uint32_t>> shard_indices_;  // reused partition buffers
   std::vector<size_t> shard_resolved_;      // per-shard hit counts, one write each
   BatchEngineStats stats_;
-  std::atomic<uint64_t> batches_started_{0};
-  std::atomic<uint64_t> batches_completed_{0};
 };
 
 }  // namespace exec

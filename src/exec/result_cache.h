@@ -15,33 +15,24 @@
 // first unarmed way and disarms the armed ones it passes.  No linked lists, no
 // tombstones, no allocation after construction.
 //
-// Concurrency: single-owner reads and writes, concurrent invalidation.  A
-// ResultCache belongs to exactly one shard of one batch engine, and a shard runs on
-// one thread at a time — sharding by destination is what makes this single-owner
-// design safe AND maximizes hits (a destination always lands in the same shard, so
-// its cached result is always in the cache that is asked).  The ONE cross-thread
-// entry point is Invalidate(): an updater may revoke dirty keys while the owner
-// thread serves a batch.  Keys are therefore atomics; values never are — the
-// invalidator writes only keys, so values stay single-owner.  The race semantics
-// are best-effort revocation: a lookup that overlaps an invalidation may return
-// the pre-update result one last time (the query was in flight when the routes
-// changed), and a Put may land a result computed BEFORE the invalidation just
-// after it, where it survives until the next invalidation or eviction.  A hard
-// cut needs the invalidation to happen with no batch in flight (the engine's
-// AdoptRoutes flow).  What cannot happen is a key matching one entry while the
-// value bytes belong to another.
+// Concurrency: one owner.  A ResultCache belongs to exactly one shard of one batch
+// engine, and nothing but that shard's job touches it — sharding by destination is
+// what makes the single owner possible AND maximizes hits (a destination always
+// lands in the same shard, so its cached result is always in the cache that is
+// asked).  The job may run on a different pool thread from one batch to the next;
+// ThreadPool::Run's lock handoff orders each batch's accesses after the previous
+// batch's, so keys and values are plain memory.  Every other entry point
+// (VisitEntries, the stats) runs on the engine's calling thread between batches.
 //
 // Lifetime: cached BatchLookups hold views into the route source's storage (interner
 // bytes, route bytes — possibly an mmap'd .pari image).  The cache must not outlive
-// the route source; when the source is replaced see FrozenBatchEngine::AdoptRoutes
-// (targeted) or call Clear() (flush).
+// the route source; when the source is replaced, FrozenBatchEngine::AdoptRoutes
+// revokes or re-homes every entry through VisitEntries.
 
 #ifndef SRC_EXEC_RESULT_CACHE_H_
 #define SRC_EXEC_RESULT_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "src/route_db/resolver.h"
@@ -54,10 +45,10 @@ class ResultCache {
  private:
   // Defined up front so the public Handle below can point at one.
   struct Set {
-    std::atomic<NameId> keys[4] = {kNoName, kNoName, kNoName, kNoName};
-    uint8_t armed[4] = {0, 0, 0, 0};  // CLOCK reference bits (owner-only)
+    NameId keys[4] = {kNoName, kNoName, kNoName, kNoName};
+    uint8_t armed[4] = {0, 0, 0, 0};  // CLOCK reference bits
     uint8_t hand = 0;
-    BatchLookup values[4];  // owner-only: the invalidator never touches values
+    BatchLookup values[4];
   };
 
  public:
@@ -97,7 +88,7 @@ class ResultCache {
     while (sets * kWays < entries) {
       sets *= 2;
     }
-    sets_ = std::vector<Set>(sets);  // atomics: construct in place, never move
+    sets_ = std::vector<Set>(sets);
     set_mask_ = sets - 1;
   }
 
@@ -121,15 +112,8 @@ class ResultCache {
     ++stats_.lookups;
     Set& set = *handle.set_;
     for (size_t way = 0; way < kWays; ++way) {
-      // memory_order: relaxed — keys are revocation flags, not publication: the
-      // value bytes a match licenses us to read are owner-written (this thread),
-      // so no acquire is needed to see them; a racing invalidation is allowed
-      // to miss a lookup already past this check (documented best-effort).
-      if (set.keys[way].load(std::memory_order_relaxed) == key) {
+      if (set.keys[way] == key) {
         set.armed[way] = 1;
-        // Safe even if an invalidation lands between the key check and this copy:
-        // only the owner thread (us) ever writes values, so these are the bytes
-        // that were current when the key matched.
         *out = set.values[way];
         ++stats_.hits;
         return true;
@@ -148,11 +132,7 @@ class ResultCache {
     Set& set = *handle.set_;
     size_t victim = kWays;  // first empty or matching way wins without the hand
     for (size_t way = 0; way < kWays; ++way) {
-      // memory_order: relaxed — owner-thread read of its own slots; the only
-      // concurrent writer (an invalidator) can only flip keys to kNoName, and
-      // either side of that race picks a valid victim.
-      NameId current = set.keys[way].load(std::memory_order_relaxed);
-      if (current == key || current == kNoName) {
+      if (set.keys[way] == key || set.keys[way] == kNoName) {
         victim = way;
         break;
       }
@@ -171,95 +151,25 @@ class ResultCache {
       }
       ++stats_.evictions;
     }
-    // Value before key: a concurrent invalidator matching the OLD key must never
-    // expose the new value under it, and publishing the new key only after the
-    // bytes are in place keeps key↔value pairing coherent for our own next Get.
-    // memory_order: relaxed — no cross-thread publication happens through these
-    // stores: values are only ever read by this owner thread (program order
-    // suffices), and the invalidator reads keys alone, never values.
-    set.keys[victim].store(kNoName, std::memory_order_relaxed);
+    set.keys[victim] = key;
     set.values[victim] = value;
-    set.keys[victim].store(key, std::memory_order_relaxed);
     set.armed[victim] = 1;
     ++stats_.insertions;
   }
 
-  // Revokes `keys` (sorted or not, duplicates fine).  The only entry point that may
-  // run concurrently with the owner thread's Get/Put: it writes nothing but key
-  // slots, flipping matches to kNoName.  Lookups already past their key check keep
-  // the stale result (documented in-flight semantics); later lookups miss and
-  // recompute against the fresh routes.
-  void Invalidate(std::span<const NameId> keys) {
-    if (sets_.empty()) {
-      return;
-    }
-    for (NameId key : keys) {
-      Set& set = sets_[SetOf(key)];
-      for (size_t way = 0; way < kWays; ++way) {
-        // memory_order: relaxed — best-effort revocation by contract: the
-        // invalidator touches keys only, the hard cut (no batch in flight) is
-        // provided by AdoptRoutes' sequencing, not by these operations.
-        if (set.keys[way].load(std::memory_order_relaxed) == key) {
-          set.keys[way].store(kNoName, std::memory_order_relaxed);
-        }
-      }
-    }
-  }
-
-  // Full-scan form of Invalidate: revokes every entry whose KEY the predicate
-  // condemns.  Same concurrency contract as Invalidate (keys only, values never
-  // read), so an updater thread may run it mid-batch best-effort.  This is what a
-  // route update actually needs: a cached result for destination `id` depends on
-  // id's whole domain-suffix chain, not just on id — the predicate gets the key
-  // and decides with the interner's chain in hand (see AdoptRoutes).
-  template <typename Predicate>
-  void InvalidateKeysWhere(Predicate&& condemned) {
-    for (Set& set : sets_) {
-      for (size_t way = 0; way < kWays; ++way) {
-        // memory_order: relaxed — same best-effort revocation contract as
-        // Invalidate: keys only, hard cut supplied by the caller's sequencing.
-        NameId key = set.keys[way].load(std::memory_order_relaxed);
-        if (key != kNoName && condemned(key)) {
-          set.keys[way].store(kNoName, std::memory_order_relaxed);
-        }
-      }
-    }
-  }
-
-  // OWNER-THREAD-ONLY (no batch in flight): visits every live entry with mutable
-  // access to its value; a false return revokes the entry.  This is the adoption
-  // hook — after a route-source swap the engine re-homes each surviving value's
-  // views onto the fresh source's storage so nothing in the cache references the
-  // old mapping, which is what lets the old mapping actually be unmapped once
-  // in-flight batches drain (AdoptRoutes + batches_completed()).
+  // Visits every live entry with mutable access to its value; a false return
+  // revokes the entry.  This is the adoption hook — after a route-source swap the
+  // engine re-homes each surviving value's views onto the fresh source's storage,
+  // so nothing in the cache references the old mapping and the old mapping can be
+  // unmapped.
   template <typename Visitor>
   void VisitEntries(Visitor&& visit) {
     for (Set& set : sets_) {
       for (size_t way = 0; way < kWays; ++way) {
-        // memory_order: relaxed — owner-thread-only entry point (contract
-        // above): there is no concurrent access at all during a visit.
-        NameId key = set.keys[way].load(std::memory_order_relaxed);
-        if (key == kNoName) {
-          continue;
-        }
-        if (!visit(key, &set.values[way])) {
-          // memory_order: relaxed — same owner-thread-only contract as the
-          // load above; revocation needs no ordering when nothing races.
-          set.keys[way].store(kNoName, std::memory_order_relaxed);
+        if (set.keys[way] != kNoName && !visit(set.keys[way], &set.values[way])) {
+          set.keys[way] = kNoName;
         }
       }
-    }
-  }
-
-  void Clear() {
-    for (Set& set : sets_) {
-      for (size_t way = 0; way < kWays; ++way) {
-        // memory_order: relaxed — owner-thread flush between batches; nothing
-        // concurrent reads these slots while Clear runs.
-        set.keys[way].store(kNoName, std::memory_order_relaxed);
-        set.armed[way] = 0;
-      }
-      set.hand = 0;
     }
   }
 

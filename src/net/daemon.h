@@ -1,5 +1,7 @@
-// The routedbd serving loop: datagram resolve service with zero-downtime
-// rollover.
+// The routedbd serving loop: datagram resolve service with in-process rollover.
+// A rollover never tears or mixes a reply, but it is not free of downtime: the
+// reload runs on the serving thread, so queries that arrive during it wait until
+// it ends.
 //
 // One thread, one poll loop, three wakeup sources: the unix-domain socket, the
 // UDP socket, and a self-pipe the (async-signal-safe) signal handlers write one
@@ -14,8 +16,10 @@
 //      reply datagram per request, sliced back out of the flat result span,
 //      bounded by max_reply_bytes with explicit truncation flags.
 //   3. Housekeeping: a pending SIGHUP runs the in-process reload; the image file
-//      is polled for external replacement on watch_interval_ms cadence; drained
-//      old mappings are unmapped (RolloverController::RetireDrained).
+//      is polled for external replacement on watch_interval_ms cadence; any image
+//      a swap took out of service is unmapped (RolloverController::RetireDrained).
+//      The engine's batch is fork-join and this loop owns it, so by this point no
+//      thread still reads the old mapping.
 //
 // Because the resolve happens between drains, a rollover observed by this loop is
 // linearizable from any client's point of view: every reply sent after

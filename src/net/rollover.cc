@@ -229,13 +229,11 @@ ReloadOutcome RolloverController::CheckImage(std::string* detail) {
     // Different id universe: targeted invalidation is meaningless.  Replace the
     // whole engine — cold caches, correct results.  The old engine dies here on
     // the serving thread (between batches), so nothing references the old image
-    // except possibly pool-thread batches already counted; retire as usual.
-    std::unique_ptr<FrozenImage> old = std::move(current_);
-    uint64_t mark = engine_->batches_started();
+    // any more; retire it as usual.
+    retired_.push_back(std::move(current_));
     current_ = std::move(fresh);
     image_generation_ = current_->view().header().generation;
     engine_ = std::make_unique<exec::FrozenBatchEngine>(&current_->routes(), options_.engine);
-    retired_.push_back({std::move(old), mark});
     identity_ = now;
     ++generation_;
     *detail = "image replaced with an incompatible id assignment; engine rebuilt cold";
@@ -265,23 +263,17 @@ ReloadOutcome RolloverController::CheckImage(std::string* detail) {
 
 void RolloverController::Swap(std::unique_ptr<FrozenImage> fresh,
                               std::span<const NameId> dirty) {
-  uint64_t mark = engine_->batches_started();
-  std::unique_ptr<FrozenImage> old = std::move(current_);
+  retired_.push_back(std::move(current_));
   current_ = std::move(fresh);
   image_generation_ = current_->view().header().generation;
   engine_->AdoptRoutes(&current_->routes(), dirty);
-  retired_.push_back({std::move(old), mark});
   StatImage(&identity_);
   ++generation_;
 }
 
 size_t RolloverController::RetireDrained() {
-  size_t freed = 0;
-  uint64_t completed = engine_->batches_completed();
-  while (!retired_.empty() && completed >= retired_.front().mark) {
-    retired_.pop_front();
-    ++freed;
-  }
+  size_t freed = retired_.size();
+  retired_.clear();
   return freed;
 }
 

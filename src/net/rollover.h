@@ -1,9 +1,11 @@
-// RolloverController: zero-downtime route updates for a serving process.
+// RolloverController: route updates for a serving process, swapped in between
+// batches so no reply is torn or mixed.
 //
 // Owns the pieces a long-lived server needs to swap its mapping under live
 // traffic: the current FrozenImage, the FrozenBatchEngine resolving against it,
-// an optionally-resident incr::MapBuilder for in-process updates, and a retire
-// list of old mappings waiting for in-flight batches to drain.
+// an optionally-resident incr::MapBuilder for in-process updates, and the old
+// mappings that a swap took out of service.  An update runs to completion on the
+// serving thread, so queries that arrive meanwhile wait until it ends.
 //
 // Two update entry points, matching routedbd's two triggers:
 //
@@ -25,18 +27,15 @@
 //   with a different id assignment) falls back to replacing the whole engine,
 //   which flushes the caches — correct, just colder.
 //
-// Either way the OLD image is not unmapped at swap time: it goes on the retire
-// list with a mark taken from engine->batches_started(), and RetireDrained() —
-// called from the serving loop whenever convenient — frees it only once
-// engine->batches_completed() has reached the mark, i.e. once every batch that
-// could have been reading the old bytes has returned.  AdoptRoutes re-homes the
-// caches onto the fresh image, so after the drain nothing references the old
-// mapping at all.
+// Either way the OLD image is not unmapped inside the swap: it goes on the retired
+// list, and the next RetireDrained() — which routedbd calls at the end of every
+// loop turn — frees it.  AdoptRoutes re-homes the caches onto the fresh image (an
+// incompatible swap discards the old engine), so by then nothing references the
+// old mapping at all.
 //
-// Threading: all methods run on the serving thread, between batches (the
-// AdoptRoutes contract).  The drain counters exist for engines whose batches are
-// executed by pool threads — the mark/drain protocol is what makes the unmap safe
-// without joining them.
+// Threading: one owner.  All methods run on the serving thread, between batches
+// (the AdoptRoutes contract); the engine's batches are fork-join, so no pool
+// thread still reads the old image once a batch has returned.
 
 #ifndef SRC_NET_ROLLOVER_H_
 #define SRC_NET_ROLLOVER_H_
@@ -44,7 +43,6 @@
 #include <sys/stat.h>
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -94,8 +92,8 @@ class RolloverController {
   // unchanged.  Cheap when nothing changed (one stat), so poll freely.
   ReloadOutcome CheckImage(std::string* detail);
 
-  // Unmaps every retired image whose drain mark has been reached.  Returns how
-  // many were freed.  Call from the serving loop after batches complete.
+  // Unmaps every image a swap has taken out of service.  Returns how many were
+  // freed.  Call from the serving loop between batches.
   size_t RetireDrained();
 
   size_t pending_retirements() const { return retired_.size(); }
@@ -116,10 +114,6 @@ class RolloverController {
     int64_t mtime_nsec = 0;
     bool operator==(const ImageIdentity&) const = default;
   };
-  struct RetiredImage {
-    std::unique_ptr<FrozenImage> image;
-    uint64_t mark;  // retire once engine batches_completed() >= mark
-  };
 
   // stat() the served path into *out; false if it cannot be stat'd.
   bool StatImage(ImageIdentity* out) const;
@@ -139,7 +133,7 @@ class RolloverController {
   std::unique_ptr<exec::FrozenBatchEngine> engine_;
   std::unique_ptr<incr::MapBuilder> builder_;  // lazy: loaded on first HUP
   ImageIdentity identity_;                     // what is being served
-  std::deque<RetiredImage> retired_;
+  std::vector<std::unique_ptr<FrozenImage>> retired_;
   uint64_t generation_ = 0;
   uint64_t image_generation_ = 0;  // ImageHeader::generation of current_
 };

@@ -429,21 +429,6 @@ TEST(BatchEngine, AdoptRoutesReleasesEveryReferenceToTheOldImage) {
   }
 }
 
-// The drain counters: started moves before the work, completed after, so a mark
-// taken mid-traffic is reached exactly when every covered batch has returned.
-TEST(BatchEngine, BatchCountersBracketEveryResolve) {
-  FrozenImage image(BuildChainRoutes("gate!%s"));
-  FrozenBatchEngine engine(&image.routes(), BatchEngineOptions{});
-  EXPECT_EQ(engine.batches_started(), 0u);
-  EXPECT_EQ(engine.batches_completed(), 0u);
-  std::vector<std::string_view> query = {"gate"};
-  std::vector<BatchLookup> result(1);
-  engine.ResolveBatch(query, result);
-  engine.ResolveBatch(query, result);
-  EXPECT_EQ(engine.batches_started(), 2u);
-  EXPECT_EQ(engine.batches_completed(), 2u);
-}
-
 }  // namespace
 }  // namespace exec
 }  // namespace pathalias

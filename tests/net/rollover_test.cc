@@ -1,4 +1,4 @@
-// Zero-downtime rollover, observed from a client's chair.  The daemon is
+// Rollover, observed from a client's chair.  The daemon is
 // single-threaded and stepped with PollOnce, so these tests are deterministic:
 // no sanitizer, no sleeps-as-synchronization — the linearizability claim (a
 // reply acked after an update completes never carries the pre-update route) is
@@ -388,6 +388,59 @@ TEST(RolloverController, CheckImageIsANoopWhenUntouched) {
   EXPECT_EQ(controller.CheckImage(&detail), ReloadOutcome::kNoop);
   EXPECT_EQ(controller.generation(), 0u);
   EXPECT_EQ(controller.pending_retirements(), 0u);
+}
+
+// Regression: a swapped-out image is freed at the next RetireDrained, however
+// many batches the engine served before the swap, and also after an incompatible
+// swap, which replaces the engine that served them.
+TEST(RolloverController, SwappedOutImagesAreFreedAtTheNextRetire) {
+  fs::path dir = MakeScratchDir();
+  std::string image_path = (dir / "routes.pari").string();
+  InitImage(FilesA(dir), image_path);
+
+  RolloverOptions options;
+  options.image_path = image_path;
+  options.engine.cache_entries = 64;
+  RolloverController controller(options);
+  std::string error;
+  ASSERT_TRUE(controller.Start(&error)) << error;
+  std::vector<std::string_view> queries = {"leafc", "hub"};
+  std::vector<BatchLookup> results(queries.size());
+  for (int batch = 0; batch < 5; ++batch) {
+    ASSERT_EQ(controller.engine()->ResolveBatch(queries, results), 2u);
+  }
+  exec::FrozenBatchEngine* old_engine = controller.engine();
+
+  // A from-scratch build with another id space: the engine is rebuilt cold.
+  std::vector<InputFile> files = {{(dir / "other.map").string(), "zzz\tleafc(10), leafa(20)\n"}};
+  WriteMapFiles(files);
+  incr::MapBuilder builder(incr::MapBuilderOptions{.local = "zzz"});
+  ASSERT_TRUE(builder.Build(files));
+  ASSERT_TRUE(image::ImageWriter::Refreeze(builder.routes(), image_path));
+  std::string detail;
+  ASSERT_EQ(controller.CheckImage(&detail), ReloadOutcome::kApplied) << detail;
+  ASSERT_NE(controller.engine(), old_engine) << detail;
+  EXPECT_EQ(controller.RetireDrained(), 1u);
+  EXPECT_EQ(controller.pending_retirements(), 0u);
+
+  // A compatible refreeze of that image (ids are append-only) hot-swaps into the
+  // same engine.
+  files[0].content = "zzz\tleafc(10), leafa(20), leafd(30)\n";
+  WriteMapFiles(files);
+  builder.Update(files);
+  ASSERT_TRUE(builder.valid());
+  ASSERT_TRUE(image::ImageWriter::Refreeze(builder.routes(), image_path));
+  exec::FrozenBatchEngine* cold_engine = controller.engine();
+  ASSERT_EQ(controller.CheckImage(&detail), ReloadOutcome::kApplied) << detail;
+  ASSERT_EQ(controller.engine(), cold_engine) << detail;
+  EXPECT_EQ(controller.RetireDrained(), 1u);
+  EXPECT_EQ(controller.pending_retirements(), 0u);
+  EXPECT_EQ(controller.generation(), 2u);
+
+  std::vector<std::string_view> fresh = {"leafd"};
+  std::vector<BatchLookup> answer(1);
+  ASSERT_EQ(controller.engine()->ResolveBatch(fresh, answer), 1u);
+  EXPECT_EQ(answer[0].route.route, "leafd!%s");
 }
 
 TEST(RolloverController, ReloadWithoutMapFilesIsAnError) {
