@@ -8,6 +8,9 @@
 #   5a. SIGHUP rollover              daemon re-reads its --map files in process
 #   5b. watch rollover               external `routedb update` refreezes the image;
 #                                    the daemon's file poll picks the rename up
+#   5c. external update + SIGHUP     an external update adds a host, then a map
+#                                    edit and SIGHUP; every name must answer as
+#                                    `routedb batch` over the image on disk does
 #   6. routedb query                 assert the NEW route, under the SAME daemon pid
 #   7. SIGTERM                       clean exit (status 0) with stats on stderr
 #
@@ -46,19 +49,21 @@ expect_route() {
   say "route for $host = $got"
 }
 
-# --- 1. build the image from a three-file map (leafc reachable via far) ---
+# --- 1. build the image from a four-file map (leafc reachable via far, and a
+# domain behind mid) ---
 mkdir -p "$DIR"
 printf 'hub\tmid(100), far(400)\n' > "$DIR/core.map"
 printf 'mid\thub(100), leafa(50), leafb(60)\n' > "$DIR/mid.map"
 printf 'far\thub(400), leafc(10)\nleafc\tfar(10)\n' > "$DIR/far.map"
+printf 'mid\t.rutgers.edu(10)\n.rutgers.edu\tcaip(0), topaz(0)\n' > "$DIR/edu.map"
 "$ROUTEDB" update --init --local hub "$IMAGE" \
-    "$DIR/core.map" "$DIR/mid.map" "$DIR/far.map"
+    "$DIR/core.map" "$DIR/mid.map" "$DIR/far.map" "$DIR/edu.map"
 say "image built: $IMAGE"
 
 # --- 2. start the daemon; --ready-fd replaces sleep-and-hope ---
 READY="$DIR/ready"
 "$ROUTEDBD" --image "$IMAGE" --unix "$SOCK" \
-    --map "$DIR/core.map" --map "$DIR/mid.map" --map "$DIR/far.map" \
+    --map "$DIR/core.map" --map "$DIR/mid.map" --map "$DIR/far.map" --map "$DIR/edu.map" \
     --watch-interval 50 --ready-fd 3 3>"$READY" &
 DAEMON_PID=$!
 for _ in $(seq 1 100); do
@@ -94,6 +99,35 @@ for _ in $(seq 1 100); do
 done
 expect_route leafc 'far!leafc!%s'
 say "file-watch rollover applied"
+
+# --- 5c. an external update adds newa, which it appends to the id space; then a
+# map edit and SIGHUP, whose builder reloads from the state dir and numbers names
+# in emission order.  Every name, answered from a warm cache, must match the
+# image on disk. ---
+printf 'hub\tmid(100), far(400), newa(1)\n' > "$DIR/core.map"
+"$ROUTEDB" update "$IMAGE" "$DIR/core.map"
+for _ in $(seq 1 100); do
+  [[ "$(route_of newa)" == 'newa!%s' ]] && break
+  sleep 0.05
+done
+expect_route newa 'newa!%s'
+NAMES=(hub mid far newa leafa leafb leafc leafz .edu .rutgers.edu
+       caip.rutgers.edu topaz.rutgers.edu)
+# (query exits 1 when any name misses; the diff below checks every answer.)
+"$ROUTEDB" query --socket "$SOCK" --timeout 2000 "${NAMES[@]}" > /dev/null || true
+printf 'mid\tleafz(5)\n' >> "$DIR/mid.map"
+kill -HUP "$DAEMON_PID"
+for _ in $(seq 1 100); do
+  [[ "$(route_of leafz)" == 'mid!leafz!%s' ]] && break
+  sleep 0.05
+done
+expect_route leafz 'mid!leafz!%s'
+{ "$ROUTEDB" query --socket "$SOCK" --timeout 2000 "${NAMES[@]}" || true; } \
+    | cut -f1,2 > "$DIR/served.txt"
+printf '%s\n' "${NAMES[@]}" | "$ROUTEDB" batch "$IMAGE" > "$DIR/on_disk.txt" 2>/dev/null
+diff "$DIR/on_disk.txt" "$DIR/served.txt" \
+    || fail "after SIGHUP the daemon answers differ from routedb batch on the image"
+say "SIGHUP after an external update answers like the image on disk"
 
 # Queries kept flowing the whole time against one daemon process.
 kill -0 "$DAEMON_PID" || fail "daemon restarted somewhere along the way"

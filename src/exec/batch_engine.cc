@@ -8,6 +8,19 @@
 namespace pathalias {
 namespace exec {
 
+namespace {
+
+// Route equality for DiffRoutes: same key, same expansion bytes, same cost (two
+// no-routes are equal).
+bool SameRoute(const RouteView& a, const RouteView& b) {
+  if (a.ok() != b.ok()) {
+    return false;
+  }
+  return !a.ok() || (a.name == b.name && a.cost == b.cost && a.route == b.route);
+}
+
+}  // namespace
+
 FrozenBatchEngine::FrozenBatchEngine(const FrozenRouteSet* routes, BatchEngineOptions options)
     : routes_(routes),
       options_(options),
@@ -205,6 +218,32 @@ void FrozenBatchEngine::AdoptRoutes(const FrozenRouteSet* fresh,
       return true;
     });
   }
+}
+
+std::optional<std::vector<NameId>> DiffRoutes(const FrozenRouteSet& served,
+                                              const FrozenRouteSet& fresh) {
+  const NameInterner& old_names = served.names();
+  const NameInterner& new_names = fresh.names();
+  if (old_names.fold_case() != new_names.fold_case() ||
+      new_names.size() < old_names.size()) {
+    return std::nullopt;
+  }
+  const NameId kept = static_cast<NameId>(old_names.size());
+  std::vector<NameId> dirty;
+  for (NameId id = 0; id < kept; ++id) {
+    if (old_names.View(id) != new_names.View(id)) {
+      return std::nullopt;
+    }
+    if (!SameRoute(served.FindRouteView(id), fresh.FindRouteView(id))) {
+      dirty.push_back(id);
+    }
+  }
+  for (NameId id = kept; id < new_names.size(); ++id) {
+    if (fresh.HasRoute(id)) {
+      dirty.push_back(id);
+    }
+  }
+  return dirty;
 }
 
 }  // namespace exec

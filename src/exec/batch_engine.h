@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -82,7 +83,7 @@ class FrozenBatchEngine {
 
   // The update flow: switches the engine to `fresh` routes, revokes every cached
   // entry whose suffix chain intersects the `dirty` ids
-  // (MapBuilder::dirty_route_ids() after a Refreeze), and RE-HOMES every surviving
+  // (DiffRoutes of the served and the fresh image), and RE-HOMES every surviving
   // entry's views onto the fresh source's storage (identical bytes — the entry
   // survived precisely because nothing on its chain changed).  A cached result for
   // destination `d` depends on d's whole domain-suffix chain (LookupInterned walks
@@ -90,9 +91,9 @@ class FrozenBatchEngine {
   // domain just gained a route, both come back fresh.  After this returns the
   // engine holds NO references to the old source, and since no batch is in flight
   // between calls the caller may unmap it at once (src/net's RolloverController
-  // frees it at its next RetireDrained).  Requirement: fresh must share the old
-  // source's NameId assignment for surviving names (an image refrozen from a
-  // RouteSet maintained by ApplyDelta does — ids are append-only).
+  // frees it at its next RetireDrained).  Requirement: fresh must keep the old
+  // source's NameId assignment, which DiffRoutes verifies (within one MapBuilder's
+  // life ids are append-only, so its dirty_route_ids() after a Refreeze also fit).
   void AdoptRoutes(const FrozenRouteSet* fresh, std::span<const NameId> dirty);
 
   int shards() const { return shards_; }
@@ -132,6 +133,15 @@ class FrozenBatchEngine {
   std::vector<size_t> shard_resolved_;      // per-shard hit counts, one write each
   BatchEngineStats stats_;
 };
+
+// The dirty ids AdoptRoutes needs to move an engine from `served` to `fresh`,
+// computed from the two images alone: every served id whose route changed (key,
+// expansion bytes or cost), plus every id past the served range that has a route
+// (a cached miss whose chain now reaches it must be condemned).  nullopt when
+// `fresh` does not keep every served NameId (another case folding, fewer names,
+// or a served id naming other bytes): the caller must build a fresh engine.
+std::optional<std::vector<NameId>> DiffRoutes(const FrozenRouteSet& served,
+                                              const FrozenRouteSet& fresh);
 
 }  // namespace exec
 }  // namespace pathalias

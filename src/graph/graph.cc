@@ -8,7 +8,6 @@ Graph::Graph(Diagnostics* diag, Options options)
     : diag_(diag),
       options_(options),
       names_(&arena_, NameInterner::Options{.fold_case = options.ignore_case,
-                                            .suffix_chains = true,
                                             .initial_capacity = 61}) {}
 
 std::string Graph::Describe(const Node* from, const Node* to) const {

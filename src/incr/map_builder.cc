@@ -15,40 +15,10 @@ bool MapBuilder::Build(const std::vector<InputFile>& files) {
   artifacts.reserve(files.size());
   for (const InputFile& file : files) {
     // Errors surface once, in BuildFromArtifacts (which also covers artifacts that
-    // arrive pre-parsed from a state dir or a digest-matched reuse).
+    // arrive pre-parsed from a state dir).
     artifacts.push_back(ParseFileToArtifact(file, nullptr));
   }
   return BuildFromArtifacts(std::move(artifacts));
-}
-
-bool MapBuilder::BuildReusing(const std::vector<InputFile>& files,
-                              std::vector<FileArtifact> prior, size_t* files_reparsed,
-                              size_t* files_reused) {
-  std::unordered_map<std::string, size_t> prior_index;
-  for (size_t i = 0; i < prior.size(); ++i) {
-    prior_index[prior[i].file_name] = i;
-  }
-  size_t reparsed = 0;
-  size_t reused = 0;
-  std::vector<FileArtifact> merged;
-  merged.reserve(files.size());
-  for (const InputFile& file : files) {
-    auto it = prior_index.find(file.name);
-    if (it != prior_index.end() && prior[it->second].digest == DigestBytes(file.content)) {
-      merged.push_back(std::move(prior[it->second]));
-      ++reused;
-    } else {
-      merged.push_back(ParseFileToArtifact(file, nullptr));  // reported below
-      ++reparsed;
-    }
-  }
-  if (files_reparsed != nullptr) {
-    *files_reparsed = reparsed;
-  }
-  if (files_reused != nullptr) {
-    *files_reused = reused;
-  }
-  return BuildFromArtifacts(std::move(merged));
 }
 
 bool MapBuilder::BuildFromArtifacts(std::vector<FileArtifact> artifacts) {

@@ -21,11 +21,12 @@
 // (ToSortedText byte-identical) to a from-scratch pipeline over the current inputs —
 // the randomized-edit fuzz test enforces this per edit.
 //
-// Cache coherence: dirty_route_ids() after each update is exactly the set of route
-// keys whose bytes changed, in the RouteSet's stable interner space — what a serving
-// layer feeds to exec::FrozenBatchEngine::AdoptRoutes after refreezing an image
-// (ids survive the freeze), making flush-the-world unnecessary.  Serving engines
-// read frozen images, never this builder's live routes().
+// Dirty ids: dirty_route_ids() after each update is exactly the set of route keys
+// whose bytes changed, in the RouteSet's interner space.  Those ids are stable only
+// within this builder's life: a builder loaded from a state dir numbers names in
+// emission order, so its ids need not match an image another builder wrote.  A
+// serving layer therefore diffs the served and the refrozen image
+// (exec::DiffRoutes) before AdoptRoutes, and never reads this builder's routes().
 
 #ifndef SRC_INCR_MAP_BUILDER_H_
 #define SRC_INCR_MAP_BUILDER_H_
@@ -74,13 +75,6 @@ class MapBuilder {
 
   // Same, from pre-parsed artifacts (the state-dir load path: no lexing at all).
   bool BuildFromArtifacts(std::vector<FileArtifact> artifacts);
-
-  // Full build over `files`, reusing any artifact in `prior` whose digest matches —
-  // the one-shot CLI flow (`pathalias --incremental`): unchanged files skip the
-  // lexer and parser entirely, then one replay + map + emit runs.  The counters
-  // (when non-null) report how many files were actually reparsed vs reused.
-  bool BuildReusing(const std::vector<InputFile>& files, std::vector<FileArtifact> prior,
-                    size_t* files_reparsed = nullptr, size_t* files_reused = nullptr);
 
   // Applies edits: `changed` holds new/updated file contents (unknown names are
   // appended as new files, in order), `removed` names files to drop.  Everything

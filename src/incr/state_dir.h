@@ -16,9 +16,9 @@
 // back generation 0.  Unrecognized future versions are rejected with a clean
 // rebuild-needed error, never parsed on faith.
 //
-// Consumers: `pathalias --incremental <dir>` (skip lexing unchanged inputs across
-// invocations) and `routedb update <image> <changed-files...>` (which keeps the
-// state beside the image at <image>.state).
+// Every state dir accompanies a .pari image, at <image>.state.  Consumers:
+// `routedb update <image> <changed-files...>` and routedbd's SIGHUP reload
+// (src/net/rollover.h), which both load it into a MapBuilder.
 
 #ifndef SRC_INCR_STATE_DIR_H_
 #define SRC_INCR_STATE_DIR_H_
@@ -38,10 +38,10 @@ struct StateDirContents {
   std::string local;        // the effective local host the state was built with
   bool ignore_case = false;
   // Publish generation of the .pari image this state was saved alongside
-  // (ImageHeader::generation).  0 = unstamped: a v1 manifest, or a state dir
-  // that does not accompany an image.  Consumers that pair a state dir with an
-  // image (RolloverController, routedb update) compare the two stamps and
-  // treat a mismatch as a torn update — rebuild, never mix-and-match.
+  // (ImageHeader::generation).  0 = unstamped: a v1 manifest.  Both consumers
+  // compare the two stamps and treat a mismatch as a torn update, never
+  // mix-and-match: RolloverController refuses it, and routedb update heals it
+  // by re-reading every source the manifest names.
   uint64_t image_generation = 0;
   std::vector<FileArtifact> artifacts;
 };

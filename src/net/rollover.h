@@ -7,29 +7,31 @@
 // mappings that a swap took out of service.  An update runs to completion on the
 // serving thread, so queries that arrive meanwhile wait until it ends.
 //
-// Two update entry points, matching routedbd's two triggers:
+// One way into service, reached from routedbd's two triggers:
 //
-//   ReloadFromSources() — the SIGHUP path.  Re-reads the configured map files and
-//   runs the routedb-update flow in process: MapBuilder::Update (digest check
-//   skips unchanged files, then the retained artifacts replay), then
-//   ImageWriter::Refreeze (temp + rename, so concurrent opens never see a torn
-//   image), SaveStateDir, reopen the fresh image, and
-//   engine->AdoptRoutes(fresh, builder.dirty_route_ids()).  The builder stays
+//   ReloadFromSources() — SIGHUP.  Re-reads the configured map files and runs the
+//   routedb-update flow in process: MapBuilder::Update (digest check skips
+//   unchanged files, then the retained artifacts replay), and when a route
+//   changed, ImageWriter::Refreeze (temp + rename, so concurrent opens never see
+//   a torn image) and SaveStateDir.  Then the adopt step.  The builder stays
 //   resident, so repeated HUPs skip the state-dir load and the replay of the
 //   previous state that a one-shot `routedb update` pays.
 //
-//   CheckImage() — the changed-file-notification path.  Detects that some OTHER
-//   process replaced the image on disk (routedb update's rename), reopens it, and
-//   computes the dirty-id set itself by diffing per-id route views old vs new
-//   (frozen ids are append-only across Refreeze, so the common prefix of the two
-//   interners must agree — verified, not assumed).  Compatible images hot-swap via
-//   AdoptRoutes like the HUP path; an incompatible image (rebuilt from scratch
-//   with a different id assignment) falls back to replacing the whole engine,
-//   which flushes the caches — correct, just colder.
+//   CheckImage() — the file watch.  The adopt step alone, for an image some OTHER
+//   process replaced (routedb update's rename).  The resident builder no longer
+//   describes that image, so an adopted replacement drops it.
 //
-// Either way the OLD image is not unmapped inside the swap: it goes on the retired
-// list, and the next RetireDrained() — which routedbd calls at the end of every
-// loop turn — frees it.  AdoptRoutes re-homes the caches onto the fresh image (an
+// The adopt step stats the image and, when the file is not the one being served,
+// opens it and asks exec::DiffRoutes for the ids whose routes changed.  The diff
+// first verifies that the fresh interner keeps every served NameId, because
+// nothing else guarantees it: a builder loaded from the state dir numbers names
+// in emission order, while a one-shot update appends its new names at the end.
+// Compatible images hot-swap via AdoptRoutes and keep the warm cache; an
+// incompatible one replaces the whole engine — correct, just colder.
+//
+// The OLD image is not unmapped inside the swap: it goes on the retired list,
+// and the next RetireDrained() — which routedbd calls at the end of every loop
+// turn — frees it.  AdoptRoutes re-homes the caches onto the fresh image (an
 // incompatible swap discards the old engine), so by then nothing references the
 // old mapping at all.
 //
@@ -76,20 +78,20 @@ class RolloverController {
   bool Start(std::string* error);
 
   // The serving engine.  The pointer is stable across rollovers (AdoptRoutes swaps
-  // its internals) except after an incompatible CheckImage() swap, which replaces
-  // the engine object — re-fetch after every reload, which costs nothing.
+  // its internals) except after an incompatible swap, which replaces the engine
+  // object — re-fetch after every reload, which costs nothing.
   exec::FrozenBatchEngine* engine() { return engine_.get(); }
   const FrozenRouteSet* routes() const { return &current_->routes(); }
 
-  // SIGHUP: re-read options_.map_files and run the in-process update pipeline.
-  // kNoop when every file's digest matches the retained state (no refreeze, no
-  // swap — image mtime untouched).  *detail gets a one-line human summary either
-  // way (the reason, on kError).
+  // SIGHUP: re-read options_.map_files, run the in-process update pipeline, then
+  // the adopt step.  kNoop when no route changed and the image on disk is the one
+  // being served (no refreeze, no swap — image mtime untouched).  *detail gets a
+  // one-line human summary either way (the reason, on kError).
   ReloadOutcome ReloadFromSources(std::string* detail);
 
-  // File-watch: if the image on disk is no longer the one being served (rename by
-  // an external `routedb update`), reopen and hot-swap it.  kNoop when the file is
-  // unchanged.  Cheap when nothing changed (one stat), so poll freely.
+  // File-watch: the adopt step for an image replaced on disk (rename by an
+  // external `routedb update`).  kNoop when the file is unchanged.  Cheap when
+  // nothing changed (one stat), so poll freely.
   ReloadOutcome CheckImage(std::string* detail);
 
   // Unmaps every image a swap has taken out of service.  Returns how many were
@@ -119,14 +121,17 @@ class RolloverController {
   bool StatImage(ImageIdentity* out) const;
   // Loads <image>.state into the resident builder (first HUP only); false + detail
   // on failure.  Refuses a state dir whose generation stamp disagrees with the
-  // served image's — that pairing only arises from a torn update (crash between
-  // the image rename and the manifest rename), and updating from mismatched
-  // state would hand AdoptRoutes NameIds from a different id universe: the
-  // "serve garbage" failure this PR exists to close.  The old map keeps serving.
+  // served image's.  That pairing comes from a torn update (a crash between the
+  // image rename and the manifest rename): the state lacks edits the image
+  // already carries, and an update built on it would drop them from any file the
+  // daemon does not re-read.  The old map keeps serving until `routedb update`,
+  // which re-reads every source the manifest names, re-pairs the two.  (Wrong
+  // ids are not the risk: the adopt step checks them against the served image.)
   bool EnsureBuilder(std::string* detail);
-  // Installs `fresh` as the serving image: AdoptRoutes with `dirty`, queue the old
-  // image for retirement, refresh the identity record.
-  void Swap(std::unique_ptr<FrozenImage> fresh, std::span<const NameId> dirty);
+  // The adopt step: stat the image; if it is not the one being served, open it
+  // and either AdoptRoutes with DiffRoutes' ids or, for another id universe,
+  // build the engine cold.  The old image goes on the retired list.
+  ReloadOutcome AdoptImage(std::string* detail);
 
   RolloverOptions options_;
   std::unique_ptr<FrozenImage> current_;

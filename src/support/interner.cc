@@ -221,16 +221,14 @@ NameId NameInterner::Intern(std::string_view name) {
   NameId id = static_cast<NameId>(entries_.size());
   entries_.push_back(Entry{chars, static_cast<uint32_t>(name.size()), kNoName, k});
 
-  if (options_.suffix_chains) {
-    // Precompute the domain-suffix chain: ".rutgers.edu" for "caip.rutgers.edu", and
-    // so on recursively.  Suffixes are strictly shorter, so this terminates; interning
-    // may rehash, so re-index entries_ after the recursive call.
-    std::string_view stored{chars, name.size()};
-    size_t dot = stored.find('.', 1);
-    if (dot != std::string_view::npos) {
-      NameId suffix = Intern(stored.substr(dot));
-      entries_[id].suffix = suffix;
-    }
+  // Precompute the domain-suffix chain: ".rutgers.edu" for "caip.rutgers.edu", and
+  // so on recursively.  Suffixes are strictly shorter, so this terminates; interning
+  // may rehash, so re-index entries_ after the recursive call.
+  std::string_view stored{chars, name.size()};
+  size_t dot = stored.find('.', 1);
+  if (dot != std::string_view::npos) {
+    NameId suffix = Intern(stored.substr(dot));
+    entries_[id].suffix = suffix;
   }
   return id;
 }

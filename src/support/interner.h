@@ -53,8 +53,7 @@ inline constexpr NameId kNoName = std::numeric_limits<uint32_t>::max();
 class NameInterner {
  public:
   struct Options {
-    bool fold_case = false;      // normalize ASCII upper case away (-i)
-    bool suffix_chains = true;   // precompute domain-suffix chains for dotted names
+    bool fold_case = false;  // normalize ASCII upper case away (-i)
     uint64_t initial_capacity = 0;
   };
 

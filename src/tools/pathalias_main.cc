@@ -18,12 +18,6 @@
 //   --shards N    map large maps with the domain-sharded parallel mapper (output
 //                 is byte-identical to the serial mapper; small or degenerate
 //                 maps fall back to it automatically)
-//   --incremental DIR  keep per-file parse artifacts in DIR between runs: files
-//                 whose bytes are unchanged since the last run skip the lexer and
-//                 parser entirely (digest match); output is identical to a plain
-//                 run over the same files.  Incompatible with -d/-t/--two-label/
-//                 --strict-syntax/--no-back-links (those alter mapping semantics
-//                 the retained state does not parameterize).
 //   files         map files; "-" or none reads standard input
 
 #include <cstdlib>
@@ -34,9 +28,6 @@
 #include <vector>
 
 #include "src/core/pathalias.h"
-#include "src/core/route_printer.h"
-#include "src/incr/map_builder.h"
-#include "src/incr/state_dir.h"
 #include "src/support/failpoint.h"
 
 namespace {
@@ -44,7 +35,7 @@ namespace {
 void Usage() {
   std::cerr << "usage: pathalias [-c] [-f] [-i] [-v] [-l localname] [-d deadarg] [-t tracearg]\n"
                "                 [-o outfile] [--two-label] [--strict-syntax] [--no-back-links]\n"
-               "                 [--shards N] [--incremental statedir] [files...]\n";
+               "                 [--shards N] [files...]\n";
 }
 
 std::string ReadStream(std::istream& in) {
@@ -61,7 +52,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> dead_args;
   std::vector<std::string> file_names;
   std::string out_file;
-  std::string incremental_dir;
   bool verbose = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -106,8 +96,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.shard.shards = static_cast<int>(shards);
-    } else if (arg == "--incremental") {
-      incremental_dir = needs_value("--incremental");
     } else if (arg == "-h" || arg == "--help") {
       Usage();
       return 0;
@@ -135,72 +123,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     files.push_back({name, ReadStream(in)});
-  }
-
-  if (!incremental_dir.empty()) {
-    if (!dead_args.empty() || !options.map.trace.empty() || options.map.two_label ||
-        options.map.penalize_left_then_right || !options.map.back_links) {
-      std::cerr << "pathalias: --incremental does not combine with -d, -t, --two-label, "
-                   "--strict-syntax, or --no-back-links\n";
-      return 2;
-    }
-    pathalias::incr::MapBuilderOptions builder_options;
-    builder_options.local = options.local;
-    builder_options.ignore_case = options.graph.ignore_case;
-    pathalias::incr::MapBuilder builder(builder_options);
-    builder.diag().set_sink([](const pathalias::Diagnostic& diagnostic) {
-      if (diagnostic.severity != pathalias::Severity::kNote) {
-        std::cerr << pathalias::ToString(diagnostic) << "\n";
-      }
-    });
-    // Reuse retained artifacts when they exist AND were built under the same
-    // options; a mismatch (or missing/corrupt state) silently falls back to a full
-    // parse and re-seeds the directory.
-    std::vector<pathalias::incr::FileArtifact> prior;
-    std::string state_error;
-    if (auto state = pathalias::incr::LoadStateDir(incremental_dir, &state_error)) {
-      if (state->local == builder_options.local &&
-          state->ignore_case == builder_options.ignore_case) {
-        prior = std::move(state->artifacts);
-      }
-    }
-    size_t reparsed = 0;
-    size_t reused = 0;
-    bool built = builder.BuildReusing(files, std::move(prior), &reparsed, &reused);
-    pathalias::incr::StateDirContents contents;
-    contents.local = builder_options.local;
-    contents.ignore_case = builder_options.ignore_case;
-    contents.artifacts = builder.artifacts();
-    if (!pathalias::incr::SaveStateDir(incremental_dir, contents)) {
-      std::cerr << "pathalias: cannot save state to " << incremental_dir << "\n";
-      return 1;
-    }
-    if (!built) {
-      return 1;
-    }
-    // Render from the builder's tree with the user's print options: byte-identical
-    // to a plain (non-incremental) run over the same inputs.  This is a second
-    // traversal (the builder emitted once into routes() already) — deliberate:
-    // -f/-c change what Build/Render produce, so the internal emission cannot be
-    // reused, and a traversal is milliseconds even at full 1986 scale.
-    pathalias::RoutePrinter printer(builder.map(), options.print);
-    std::string output = printer.BuildAndRender();
-    if (out_file.empty()) {
-      std::cout << output;
-    } else {
-      std::ofstream out(out_file, std::ios::trunc);
-      if (!out) {
-        std::cerr << "pathalias: cannot write " << out_file << "\n";
-        return 1;
-      }
-      out << output;
-    }
-    if (verbose) {
-      std::cerr << "pathalias: incremental: " << reused << " file(s) reused, " << reparsed
-                << " reparsed; " << builder.routes().size() << " routes (local "
-                << builder.local_name() << ")\n";
-    }
-    return builder.diag().error_count() == 0 ? 0 : 1;
   }
 
   // Command-line dead declarations become a synthetic trailing input file, which is

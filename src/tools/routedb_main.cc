@@ -109,6 +109,18 @@ std::optional<uint64_t> ReadImageGeneration(const std::string& path) {
   return header.generation;
 }
 
+// Appends `path` and its bytes to *files; false if it cannot be read.
+bool ReadSource(const std::string& path, std::vector<pathalias::InputFile>* files) {
+  std::ifstream in(path);
+  if (!in) {
+    return false;
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  files->push_back({path, std::move(buffer).str()});
+  return true;
+}
+
 // The batch execution knobs.
 struct BatchFlags {
   int threads = 1;
@@ -333,14 +345,10 @@ int RunUpdate(int argc, char** argv) {
 
   std::vector<pathalias::InputFile> files;
   for (size_t i = 1; i < positional.size(); ++i) {
-    std::ifstream in(positional[i]);
-    if (!in) {
+    if (!ReadSource(positional[i], &files)) {
       std::cerr << "routedb: cannot open " << positional[i] << "\n";
       return 1;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    files.push_back({positional[i], std::move(buffer).str()});
   }
 
   pathalias::incr::MapBuilderOptions builder_options;
@@ -358,6 +366,33 @@ int RunUpdate(int argc, char** argv) {
       std::cerr << "routedb: state was built with local '" << state->local
                 << "'; re-run --init to change it\n";
       return 1;
+    }
+    // Generation pairing.  A state stamp that disagrees with the image's means
+    // the previous publish tore between the two renames, so the image carries
+    // edits the state lacks.  Offer every source the manifest names, read from
+    // disk: the digest check reparses the ones those edits touched, and both
+    // files leave this run paired.
+    std::optional<uint64_t> image_generation = ReadImageGeneration(image_path);
+    if (image_generation.has_value() && *image_generation != 0 &&
+        state->image_generation != 0 && *image_generation != state->image_generation) {
+      std::cerr << "routedb: warning: " << image_path << " is generation "
+                << *image_generation << " but " << state_dir << " is generation "
+                << state->image_generation
+                << " (torn update?); re-reading every source and republishing both in step\n";
+      for (const pathalias::incr::FileArtifact& artifact : state->artifacts) {
+        const std::string& name = artifact.file_name;
+        if (std::ranges::find(removed, name) != removed.end() ||
+            std::ranges::any_of(files, [&name](const pathalias::InputFile& file) {
+              return file.name == name;
+            })) {
+          continue;
+        }
+        if (!ReadSource(name, &files)) {
+          std::cerr << "routedb: cannot read " << name << ", which " << state_dir
+                    << " names; nothing published\n";
+          return 1;
+        }
+      }
     }
     if (files.empty() && removed.empty()) {
       // Nothing to apply: leave the image and the state directory byte-for-byte
@@ -384,18 +419,6 @@ int RunUpdate(int argc, char** argv) {
     if (!builder.valid()) {
       std::cerr << "routedb: update left no buildable map\n";
       return 1;
-    }
-    // Generation pairing.  A state stamp that disagrees with the image's means
-    // the previous publish tore between the two renames; that is safe to heal
-    // here — this update re-freezes the WHOLE image from the state just loaded,
-    // so both files leave this run paired — but the operator should know.
-    std::optional<uint64_t> image_generation = ReadImageGeneration(image_path);
-    if (image_generation.has_value() && *image_generation != 0 &&
-        state->image_generation != 0 && *image_generation != state->image_generation) {
-      std::cerr << "routedb: warning: " << image_path << " is generation "
-                << *image_generation << " but " << state_dir << " is generation "
-                << state->image_generation
-                << " (torn update?); republishing both in step\n";
     }
     uint64_t next_generation =
         std::max(image_generation.value_or(0), state->image_generation) + 1;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -376,6 +377,35 @@ TEST(BatchEngine, AdoptRoutesCondemnsCachedMissWhoseDomainGainedARoute) {
       << "cached miss survived although its domain gained a route";
   EXPECT_TRUE(result[0].suffix_match);
   EXPECT_EQ(result[0].route.route, "gate!%s");
+}
+
+// DiffRoutes decides between AdoptRoutes and a cold engine: it names exactly the
+// changed ids of an image that keeps every served id, and refuses one that
+// numbers the same names differently.
+TEST(BatchEngine, DiffRoutesNamesChangedIdsAndRefusesShiftedOnes) {
+  RouteSet routes = BuildRoutes();
+  FrozenImage served(routes);
+  FrozenImage same(routes);
+  std::optional<std::vector<NameId>> diff = DiffRoutes(served.routes(), same.routes());
+  ASSERT_TRUE(diff.has_value());
+  EXPECT_TRUE(diff->empty());
+
+  routes.Add("newa", "newa!%s", 1);  // interned past the served range
+  FrozenImage appended(routes);
+  NameId newa = appended.routes().names().Find("newa");
+  ASSERT_GE(newa, served.routes().names().size());
+  diff = DiffRoutes(served.routes(), appended.routes());
+  ASSERT_TRUE(diff.has_value());
+  EXPECT_EQ(*diff, std::vector<NameId>{newa});
+
+  // The same routes added in another order: every name is there, under other ids.
+  RouteSet rebuilt;
+  rebuilt.Add("newa", "newa!%s", 1);
+  for (const Route& route : routes.routes()) {
+    rebuilt.Add(routes.NameOf(route), route.route, route.cost);
+  }
+  FrozenImage shifted(rebuilt);
+  EXPECT_FALSE(DiffRoutes(served.routes(), shifted.routes()).has_value());
 }
 
 // After AdoptRoutes, NOTHING in the engine may reference the old source: clean

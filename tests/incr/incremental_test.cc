@@ -483,7 +483,7 @@ TEST(Artifact, StoredParseErrorsSurviveReuse) {
   EXPECT_EQ(artifact.errors[0].line, 2u);
 
   // The errors ride through serialization, and a builder fed the pre-parsed
-  // artifact (the digest-matched reuse path) reports them again: a still-broken
+  // artifact (the state-dir load path) reports them again: a still-broken
   // input must not decay into a silent success.
   std::optional<FileArtifact> loaded = DeserializeArtifact(SerializeArtifact(artifact));
   ASSERT_TRUE(loaded.has_value());
@@ -495,13 +495,6 @@ TEST(Artifact, StoredParseErrorsSurviveReuse) {
   artifacts.push_back(std::move(*loaded));
   ASSERT_TRUE(builder.BuildFromArtifacts(std::move(artifacts)));
   EXPECT_EQ(builder.diag().error_count(), 1u);
-
-  size_t reparsed = 0;
-  size_t reused = 0;
-  MapBuilder again(MapBuilderOptions{.local = "hub"});
-  ASSERT_TRUE(again.BuildReusing({broken}, builder.artifacts(), &reparsed, &reused));
-  EXPECT_EQ(reused, 1u);
-  EXPECT_EQ(again.diag().error_count(), 1u);
 }
 
 TEST(StateDir, SaveLoadRoundTripAndRejection) {

@@ -391,38 +391,6 @@ TEST_F(CliTest, EveryToolRejectsUnknownOptions) {
   }
 }
 
-TEST_F(CliTest, PathaliasIncrementalMatchesPlainRunAcrossEdits) {
-  fs::path state = dir_ / "state";
-  std::string base = std::string(PATHALIAS_BIN) + " -c -l unc ";
-  CommandResult plain = RunCommand(base + map_path_);
-  CommandResult incremental =
-      RunCommand(base + "--incremental " + state.string() + " " + map_path_);
-  EXPECT_EQ(WEXITSTATUS(incremental.status), 0);
-  EXPECT_EQ(incremental.output, plain.output);
-
-  // Edit the map; the incremental run must re-parse and match the plain run again.
-  {
-    std::ofstream map(map_path_, std::ios::app);
-    map << "newleaf\tduke(25)\nduke\tnewleaf(25)\n";
-  }
-  plain = RunCommand(base + map_path_);
-  incremental = RunCommand(base + "-v --incremental " + state.string() + " " + map_path_);
-  EXPECT_EQ(WEXITSTATUS(incremental.status), 0);
-  EXPECT_NE(incremental.output.find("1 reparsed"), std::string::npos);
-  // Strip the -v stderr tail before comparing stdout content.
-  std::string body = incremental.output.substr(0, incremental.output.find("pathalias:"));
-  EXPECT_EQ(body, plain.output);
-
-  // Unchanged bytes: the state must satisfy the run without reparsing.
-  incremental = RunCommand(base + "-v --incremental " + state.string() + " " + map_path_);
-  EXPECT_NE(incremental.output.find("1 file(s) reused, 0 reparsed"), std::string::npos);
-
-  // Incompatible flags are refused up front.
-  CommandResult refused =
-      RunCommand(base + "--two-label --incremental " + state.string() + " " + map_path_);
-  EXPECT_EQ(WEXITSTATUS(refused.status), 2);
-}
-
 TEST_F(CliTest, RoutedbUpdatePatchesImageInPlace) {
   // Split map: one file per site so a 1-file edit is a genuine partial reparse.
   fs::path core = dir_ / "core.map";
@@ -482,6 +450,66 @@ TEST_F(CliTest, RoutedbUpdatePatchesImageInPlace) {
                                            (dir_ / "other.pari").string());
   EXPECT_NE(WEXITSTATUS(uninitialized.status), 0);
   EXPECT_NE(uninitialized.output.find("--init"), std::string::npos);
+}
+
+// Regression: healing a torn image/state pair must keep the edits the torn
+// publish already put in the image.  The healing update re-reads every source
+// the state names, and publishes nothing when one of them is gone.
+TEST_F(CliTest, RoutedbUpdateHealsATornPairWithoutDroppingEdits) {
+  fs::path core = dir_ / "core.map";
+  fs::path mid = dir_ / "mid.map";
+  fs::path far = dir_ / "far.map";
+  auto write = [](const fs::path& path, const char* text, std::ios::openmode mode) {
+    std::ofstream out(path, mode);
+    out << text;
+  };
+  write(core, "hub\tmid(100), far(400)\n", std::ios::trunc);
+  write(mid, "mid\thub(100), leafa(50)\n", std::ios::trunc);
+  write(far, "far\thub(400)\n", std::ios::trunc);
+  fs::path image = dir_ / "routes.pari";
+  const std::string routedb = ROUTEDB_BIN;
+  const std::string torn_update =
+      "PATHALIAS_FAILPOINTS=state.publish.rename=always " + routedb + " update " +
+      image.string() + " ";
+  CommandResult init = RunCommand(routedb + " update --init --local hub " + image.string() +
+                                  " " + core.string() + " " + mid.string() + " " +
+                                  far.string());
+  ASSERT_EQ(WEXITSTATUS(init.status), 0) << init.output;
+
+  // The image publish lands and the state publish fails: the pair tears.
+  write(mid, "mid\tleafz(5)\n", std::ios::app);
+  CommandResult torn = RunCommand(torn_update + mid.string());
+  EXPECT_EQ(WEXITSTATUS(torn.status), 1) << torn.output;
+  EXPECT_EQ(RunCommand(routedb + " get " + image.string() + " leafz").output,
+            "mid!leafz!%s\n");
+
+  // The next update names another file only, and must keep leafz.
+  write(far, "far\tleafy(5)\n", std::ios::app);
+  CommandResult heal = RunCommand(routedb + " update " + image.string() + " " + far.string());
+  EXPECT_EQ(WEXITSTATUS(heal.status), 0) << heal.output;
+  EXPECT_NE(heal.output.find("torn update?"), std::string::npos) << heal.output;
+  EXPECT_EQ(RunCommand(routedb + " get " + image.string() + " leafz").output,
+            "mid!leafz!%s\n");
+  EXPECT_EQ(RunCommand(routedb + " get " + image.string() + " leafy").output,
+            "far!leafy!%s\n");
+
+  // Tear again, then lose a source the state names: nothing is published.
+  write(mid, "mid\tleafw(5)\n", std::ios::app);
+  torn = RunCommand(torn_update + mid.string());
+  ASSERT_EQ(WEXITSTATUS(torn.status), 1) << torn.output;
+  auto read_bytes = [](const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  std::string image_before = read_bytes(image);
+  fs::remove(core);
+  write(far, "far\tleafv(5)\n", std::ios::app);
+  CommandResult refused =
+      RunCommand(routedb + " update " + image.string() + " " + far.string());
+  EXPECT_EQ(WEXITSTATUS(refused.status), 1) << refused.output;
+  EXPECT_NE(refused.output.find(core.string()), std::string::npos) << refused.output;
+  EXPECT_TRUE(read_bytes(image) == image_before) << "the image was republished";
 }
 
 TEST_F(CliTest, RoutedbUpdateWithNothingToDoLeavesImageUntouched) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -77,14 +78,16 @@ void WriteMapFiles(const std::vector<InputFile>& files) {
   }
 }
 
-void InitImage(const std::vector<InputFile>& files, const std::string& image_path) {
+void InitImage(const std::vector<InputFile>& files, const std::string& image_path,
+               uint64_t generation = 0) {
   WriteMapFiles(files);
   incr::MapBuilder builder(incr::MapBuilderOptions{.local = "hub"});
   ASSERT_TRUE(builder.Build(files));
-  ASSERT_TRUE(image::ImageWriter::Refreeze(builder.routes(), image_path));
+  ASSERT_TRUE(image::ImageWriter::Refreeze(builder.routes(), image_path, generation));
   incr::StateDirContents contents;
   contents.local = "hub";
   contents.ignore_case = false;
+  contents.image_generation = generation;
   contents.artifacts = builder.artifacts();
   ASSERT_TRUE(incr::SaveStateDir(image_path + ".state", contents));
 }
@@ -441,6 +444,97 @@ TEST(RolloverController, SwappedOutImagesAreFreedAtTheNextRetire) {
   std::vector<BatchLookup> answer(1);
   ASSERT_EQ(controller.engine()->ResolveBatch(fresh, answer), 1u);
   EXPECT_EQ(answer[0].route.route, "leafd!%s");
+}
+
+// Every interned name of `routes`, in id order.
+std::vector<std::string> InternedNames(const FrozenRouteSet& routes) {
+  std::vector<std::string> names;
+  for (NameId id = 0; id < routes.names().size(); ++id) {
+    names.emplace_back(routes.names().View(id));
+  }
+  return names;
+}
+
+// One answer as text: the matched key, the route and its cost, or "*miss*".
+std::string AnswerText(const FrozenRouteSet& routes, const BatchLookup& lookup) {
+  if (!lookup.route.ok()) {
+    return "*miss*";
+  }
+  return std::string(routes.names().View(lookup.via)) + "\t" +
+         std::string(lookup.route.route) + "\t" + std::to_string(lookup.route.cost);
+}
+
+// Regression: the first SIGHUP after a one-shot `routedb update` must answer
+// every name as the image on disk does.  The one-shot update appends its new
+// names at the end of the id space, but the daemon's builder, loaded from the
+// state dir, numbers names in emission order, so the image it refreezes has
+// another id assignment; adopting the builder's dirty ids re-homed cached
+// results onto other names (".rutgers.edu" came back as a miss).
+TEST(RolloverController, HupAfterAOneShotUpdateAnswersLikeTheImageOnDisk) {
+  fs::path dir = MakeScratchDir();
+  std::string image_path = (dir / "routes.pari").string();
+  std::vector<InputFile> files = {
+      {(dir / "core.map").string(), "hub\tmid(100), gw(50)\n"},
+      {(dir / "mid.map").string(), "mid\thub(100), leafa(50)\n"},
+      {(dir / "gw.map").string(),
+       "gw\thub(50), .rutgers.edu(10)\n.rutgers.edu\tcaip(0), topaz(0)\n"},
+  };
+  InitImage(files, image_path, /*generation=*/1);
+
+  {  // `routedb update routes.pari core.map`, in process: publishes generation 2.
+    files[0].content = "hub\tmid(100), gw(50), newa(1)\n";
+    WriteMapFiles(files);
+    std::string error;
+    auto state = incr::LoadStateDir(image_path + ".state", &error);
+    ASSERT_TRUE(state.has_value()) << error;
+    incr::MapBuilder builder(incr::MapBuilderOptions{.local = state->local});
+    ASSERT_TRUE(builder.BuildFromArtifacts(std::move(state->artifacts)));
+    builder.Update({files[0]});
+    ASSERT_TRUE(builder.valid());
+    ASSERT_TRUE(image::ImageWriter::Refreeze(builder.routes(), image_path, 2, &error))
+        << error;
+    incr::StateDirContents contents;
+    contents.local = "hub";
+    contents.image_generation = 2;
+    contents.artifacts = builder.artifacts();
+    ASSERT_TRUE(incr::SaveStateDir(image_path + ".state", contents));
+  }
+
+  RolloverOptions options;
+  options.image_path = image_path;
+  for (const InputFile& file : files) {
+    options.map_files.push_back(file.name);
+  }
+  options.engine.cache_entries = 4096;  // routedbd's default
+  RolloverController controller(options);
+  std::string error;
+  ASSERT_TRUE(controller.Start(&error)) << error;
+  std::vector<std::string> warm = InternedNames(*controller.routes());
+  std::vector<std::string_view> warm_views(warm.begin(), warm.end());
+  std::vector<BatchLookup> warm_results(warm_views.size());
+  controller.engine()->ResolveBatch(warm_views, warm_results);
+
+  files[1].content += "mid\tleafz(5)\n";
+  WriteMapFiles(files);
+  std::string detail;
+  ASSERT_EQ(controller.ReloadFromSources(&detail), ReloadOutcome::kApplied) << detail;
+
+  auto disk = FrozenImage::Open(image_path, image::ImageView::Verify::kStructure, &error);
+  ASSERT_TRUE(disk.has_value()) << error;
+  exec::FrozenBatchEngine reference(&disk->routes(), exec::BatchEngineOptions{});
+  std::vector<std::string> names = InternedNames(disk->routes());
+  names.insert(names.end(), warm.begin(), warm.end());
+  std::vector<std::string_view> queries(names.begin(), names.end());
+  std::vector<BatchLookup> served(queries.size());
+  std::vector<BatchLookup> expected(queries.size());
+  controller.engine()->ResolveBatch(queries, served);
+  reference.ResolveBatch(queries, expected);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(AnswerText(*controller.routes(), served[i]),
+              AnswerText(disk->routes(), expected[i]))
+        << queries[i];
+  }
+  ASSERT_NE(std::find(names.begin(), names.end(), ".rutgers.edu"), names.end());
 }
 
 TEST(RolloverController, ReloadWithoutMapFilesIsAnError) {
