@@ -13,7 +13,12 @@
 #   5. external update + watch        plain `routedb update` (unarmed: the
 #                                     failpoints live only in the daemon's env)
 #                                     replaces the image; the watch picks it up
-#   6. SIGTERM                        clean exit (status 0)
+#   6. damaged state dir + SIGHUP     a same-length edit inside a kept source's
+#                                     payload: the reload must fail and the old
+#                                     map keep serving; `routedb update --init`
+#                                     re-pairs image and state, the watch adopts
+#                                     it, and the next SIGHUP applies again
+#   7. SIGTERM                        clean exit (status 0)
 #
 # Usage: chaos_smoke.sh <routedb-bin> <routedbd-bin> [workdir]
 # Exits nonzero on the first broken step.
@@ -47,6 +52,22 @@ expect_route() {
   got=$(route_of "$host") || fail "query for $host failed"
   [[ "$got" == "$want" ]] || fail "route for $host: got '$got', want '$want'"
   say "route for $host = $got"
+}
+
+expect_miss() {
+  local got  # a miss makes the query exit 1, so only its output counts
+  got=$({ "$ROUTEDB" query --socket "$SOCK" --timeout 2000 "$1" || true; } | cut -f2)
+  [[ "$got" == '*miss*' ]] || fail "$1 should miss, got '$got'"
+  say "$1 misses"
+}
+
+wait_for_route() {
+  local host=$1 want=$2
+  for _ in $(seq 1 100); do
+    [[ "$(route_of "$host")" == "$want" ]] && break
+    sleep 0.05
+  done
+  expect_route "$host" "$want"
 }
 
 # --- 1. build the image (leafc reachable via far) ---
@@ -118,7 +139,42 @@ done
 expect_route leafc 'far!leafc!%s'
 say "external update picked up by the watch"
 
-# --- 6. clean shutdown ---
+# --- 6. a damaged state dir.  Step 5's watch adoption dropped the resident
+# builder, so the next SIGHUP loads <image>.state.  Swap leafb for leafz
+# inside the payload that mid.map's manifest line names (same length, so only
+# the payload's own digest can tell), and give far.map a new host. ---
+STATE="$IMAGE.state"
+PAYLOAD=$(awk -F'\t' -v src="$DIR/mid.map" '$3 == src {print $2}' "$STATE/manifest")
+[[ -n "$PAYLOAD" && -f "$STATE/artifacts/$PAYLOAD" ]] \
+    || fail "no payload for mid.map in $STATE/manifest"
+sed -i 's/leafb/leafz/' "$STATE/artifacts/$PAYLOAD"
+printf 'far\thub(400), leafc(10), leafd(5)\nleafc\tfar(10)\n' > "$DIR/far.map"
+FAILED_BEFORE=$(grep -c 'reload (SIGHUP) failed' "$DIR/daemon.log")
+kill -HUP "$DAEMON_PID"
+for _ in $(seq 1 100); do
+  (( $(grep -c 'reload (SIGHUP) failed' "$DIR/daemon.log") > FAILED_BEFORE )) && break
+  sleep 0.05
+done
+(( $(grep -c 'reload (SIGHUP) failed' "$DIR/daemon.log") > FAILED_BEFORE )) \
+    || fail "daemon reloaded from a damaged state dir"
+kill -0 "$DAEMON_PID" || fail "daemon died on a damaged state dir"
+expect_route leafb 'mid!leafb!%s'
+expect_miss leafz
+expect_miss leafd
+say "damaged state dir refused (old map still serving)"
+
+# Rebuild the state dir as the refusal says; the watch adopts the new image,
+# and the next edit plus SIGHUP applies on the re-paired state.
+"$ROUTEDB" update --init --local hub "$IMAGE" \
+    "$DIR/core.map" "$DIR/mid.map" "$DIR/far.map"
+wait_for_route leafd 'far!leafd!%s'
+printf 'far\thub(400), leafc(10), leafd(5), leafe(5)\nleafc\tfar(10)\n' > "$DIR/far.map"
+kill -HUP "$DAEMON_PID"
+wait_for_route leafe 'far!leafe!%s'
+expect_route leafb 'mid!leafb!%s'
+say "state dir rebuilt; SIGHUP applies again (same pid)"
+
+# --- 7. clean shutdown ---
 kill -TERM "$DAEMON_PID"
 wait "$DAEMON_PID" || fail "daemon exited nonzero on SIGTERM"
 DAEMON_PID=""

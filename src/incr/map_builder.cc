@@ -10,47 +10,19 @@ namespace incr {
 
 MapBuilder::MapBuilder(MapBuilderOptions options) : options_(std::move(options)) {}
 
-bool MapBuilder::Build(const std::vector<InputFile>& files) {
-  std::vector<FileArtifact> artifacts;
-  artifacts.reserve(files.size());
-  for (const InputFile& file : files) {
-    // Errors surface once, in BuildFromArtifacts (which also covers artifacts that
-    // arrive pre-parsed from a state dir).
-    artifacts.push_back(ParseFileToArtifact(file, nullptr));
-  }
-  return BuildFromArtifacts(std::move(artifacts));
-}
-
-bool MapBuilder::BuildFromArtifacts(std::vector<FileArtifact> artifacts) {
-  artifacts_ = std::move(artifacts);
-  // Stored parse errors re-surface every time an artifact set enters a builder: a
-  // broken input stays broken (and the exit code stays non-zero) no matter how
-  // many digest-matched runs reuse its artifact.
-  for (const FileArtifact& artifact : artifacts_) {
-    artifact.ReportStoredErrors(&diag_);
-  }
+bool MapBuilder::Build(std::vector<InputFile> files) {
+  artifacts_ = std::move(files);
   valid_ = Rebuild();
   return valid_;
 }
 
-std::string MapBuilder::ComputeLocalName() const {
-  if (!options_.local.empty()) {
-    return options_.local;
-  }
-  for (const FileArtifact& artifact : artifacts_) {
-    if (artifact.first_host != kNoSymbol) {
-      return std::string(artifact.Symbol(artifact.first_host));
-    }
-  }
-  return std::string();
-}
-
 bool MapBuilder::Rebuild() {
+  diag_.Clear();  // each build reports only its own diagnostics
   graph_ = std::make_unique<Graph>(&diag_, Graph::Options{.ignore_case = options_.ignore_case});
-  for (const FileArtifact& artifact : artifacts_) {
-    ReplayArtifact(artifact, graph_.get());
-  }
-  local_name_ = ComputeLocalName();
+  Parser parser(graph_.get());
+  parser.ParseFiles(artifacts_);
+  // The same default the batch pipeline applies: the first host declared.
+  local_name_ = options_.local.empty() ? std::string(parser.first_host()) : options_.local;
   if (local_name_.empty()) {
     diag_.Error(SourcePos{}, "no hosts declared and no local host named");
     map_ = Mapper::Result{};
@@ -99,37 +71,35 @@ UpdateStats MapBuilder::Update(const std::vector<InputFile>& changed,
 
   std::unordered_map<std::string, size_t> index_by_name;  // owned keys: artifacts_ moves
   for (size_t i = 0; i < artifacts_.size(); ++i) {
-    index_by_name[artifacts_[i].file_name] = i;
+    index_by_name[artifacts_[i].name] = i;
   }
 
-  // Reparse real changes (in place, or appended as new files); skip the rest.
+  // Take real changes (in place, or appended as new files); skip the rest.
   bool edited = false;
   for (const InputFile& file : changed) {
     auto it = index_by_name.find(file.name);
-    if (it != index_by_name.end() &&
-        artifacts_[it->second].digest == DigestBytes(file.content)) {
+    if (it != index_by_name.end() && artifacts_[it->second].content == file.content) {
       ++stats.files_unchanged;
       continue;
     }
-    FileArtifact fresh = ParseFileToArtifact(file, &diag_);
-    ++stats.files_reparsed;
+    ++stats.files_changed;
     edited = true;
     if (it != index_by_name.end()) {
-      artifacts_[it->second] = std::move(fresh);
+      artifacts_[it->second].content = file.content;
     } else {
       index_by_name[file.name] = artifacts_.size();
-      artifacts_.push_back(std::move(fresh));
+      artifacts_.push_back(file);
     }
   }
   // Names that match no retained file are ignored.
-  if (std::erase_if(artifacts_, [&removed](const FileArtifact& artifact) {
-        return std::ranges::find(removed, artifact.file_name) != removed.end();
+  if (std::erase_if(artifacts_, [&removed](const InputFile& file) {
+        return std::ranges::find(removed, file.name) != removed.end();
       }) > 0) {
     edited = true;
   }
 
   if (!edited) {
-    stats.patched = true;  // nothing to replay
+    stats.patched = true;  // nothing to rebuild
     dirty_route_ids_.clear();
     return stats;
   }

@@ -1,25 +1,31 @@
 // MapBuilder: the incremental parse→build→map→emit pipeline.
 //
 // A MapBuilder owns what the batch pipeline recomputes from scratch on every run:
-// the per-file parse artifacts (src/incr/artifact.h), the live Graph, the Mapper
-// result (the shortest-path tree), and the emitted RouteSet.  Build() runs the full
-// pipeline once; Update() takes the changed files and brings everything to the
-// state a from-scratch run over the edited inputs would produce, in two steps:
+// the map sources themselves (each file's name and bytes), the live Graph, the
+// Mapper result (the shortest-path tree), and the emitted RouteSet.  Build() runs
+// the full pipeline once; Update() takes the changed files and brings everything
+// to the state a from-scratch run over the edited inputs would produce, in two
+// steps:
 //
-//   1. digest check — files whose bytes didn't change are not even re-lexed, and
+//   1. byte check — a file whose bytes equal the retained copy is unchanged, and
 //      an update that changes nothing returns without touching anything;
-//   2. replay — the retained artifacts replay into a fresh graph (no lexing or
-//      parsing for any unchanged file), the map and emit phases run in full, and
-//      the emitted entries land through RouteSet::ApplyDelta, so route-set NameIds
-//      stay stable and the dirty-id list stays precise.
+//   2. rebuild — every retained source is parsed into a fresh graph by the
+//      production Parser, the map and emit phases run in full, and the emitted
+//      entries land through RouteSet::ApplyDelta, so route-set NameIds stay
+//      stable and the dirty-id list stays precise.
 //
-// This is the paper's answer to a changed map — rerun pathalias — minus the lexer
-// and parser for every file that did not change.  Back links (paper §Back links)
-// are a fixpoint over the whole graph, so the map phase always runs in full.
+// This is the paper's answer to a changed map — rerun pathalias — kept warm: the
+// route set, its ids and the dirty list survive between runs.  Back links (paper
+// §Back links) are a fixpoint over the whole graph, so the map phase always runs
+// in full.
 //
 // Golden equivalence: after any Build/Update sequence, routes() is content-identical
 // (ToSortedText byte-identical) to a from-scratch pipeline over the current inputs —
 // the randomized-edit fuzz test enforces this per edit.
+//
+// Diagnostics: diag() holds the last build's diagnostics only.  Every rebuild
+// starts from a cleared record, so a fixed file's errors go away and a long-lived
+// builder's record does not grow with each update.
 //
 // Dirty ids: dirty_route_ids() after each update is exactly the set of route keys
 // whose bytes changed, in the RouteSet's interner space.  Those ids are stable only
@@ -37,7 +43,7 @@
 
 #include "src/core/mapper.h"
 #include "src/graph/graph.h"
-#include "src/incr/artifact.h"
+#include "src/parser/parser.h"
 #include "src/route_db/route_db.h"
 #include "src/support/diag.h"
 
@@ -54,11 +60,12 @@ struct MapBuilderOptions {
 };
 
 struct UpdateStats {
-  // True when no replay was needed: every offered file was digest-unchanged and
-  // nothing was removed.  False: the retained artifacts replayed.
+  // True when no rebuild was needed: every offered file was byte-identical to its
+  // retained copy and nothing was removed.  False: every retained file was parsed
+  // again.
   bool patched = false;
-  size_t files_reparsed = 0;   // digest mismatch: lexer + parser ran
-  size_t files_unchanged = 0;  // digest match among the files offered
+  size_t files_changed = 0;    // new, or bytes differ from the retained copy
+  size_t files_unchanged = 0;  // byte-identical among the files offered
   size_t routes_changed = 0;   // routes actually replaced/erased
 };
 
@@ -69,16 +76,15 @@ class MapBuilder {
   MapBuilder(const MapBuilder&) = delete;
   MapBuilder& operator=(const MapBuilder&) = delete;
 
-  // Full pipeline over `files` (parse → artifacts → graph → map → routes).
-  // False if no local host could be determined; diagnostics explain.
-  bool Build(const std::vector<InputFile>& files);
-
-  // Same, from pre-parsed artifacts (the state-dir load path: no lexing at all).
-  bool BuildFromArtifacts(std::vector<FileArtifact> artifacts);
+  // Full pipeline over `files` (parse → graph → map → routes); the files become
+  // the retained sources.  False if no local host could be determined;
+  // diagnostics explain.
+  bool Build(std::vector<InputFile> files);
 
   // Applies edits: `changed` holds new/updated file contents (unknown names are
-  // appended as new files, in order), `removed` names files to drop.  Everything
-  // else is reused from the retained artifacts.
+  // appended as new files, in order), `removed` names files to drop; names that
+  // match no retained file are ignored.  Every other file is reused from the
+  // retained sources.
   UpdateStats Update(const std::vector<InputFile>& changed,
                      const std::vector<std::string>& removed = {});
 
@@ -86,7 +92,8 @@ class MapBuilder {
   const RouteSet& routes() const { return routes_; }
   // Route keys changed by the last Build/Update, in routes().names() id space.
   const std::vector<NameId>& dirty_route_ids() const { return dirty_route_ids_; }
-  const std::vector<FileArtifact>& artifacts() const { return artifacts_; }
+  // The retained sources, in input order: what a state dir saves.
+  const std::vector<InputFile>& artifacts() const { return artifacts_; }
   const std::string& local_name() const { return local_name_; }
   const MapBuilderOptions& options() const { return options_; }
   const Graph* graph() const { return graph_.get(); }
@@ -94,10 +101,8 @@ class MapBuilder {
   Diagnostics& diag() { return diag_; }
 
  private:
-  // Replays artifacts_ into a fresh graph, maps, emits, and diffs into routes_.
+  // Parses artifacts_ into a fresh graph, maps, emits, and diffs into routes_.
   bool Rebuild();
-  // Re-derives the effective local host name from artifacts_; empty when none.
-  std::string ComputeLocalName() const;
   // Applies printer `entries` (a full emission) to routes_ via ApplyDelta.
   void CommitEmission(const std::vector<RouteEntry>& entries);
 
@@ -105,7 +110,7 @@ class MapBuilder {
   Diagnostics diag_;
   bool valid_ = false;
 
-  std::vector<FileArtifact> artifacts_;
+  std::vector<InputFile> artifacts_;
   std::unique_ptr<Graph> graph_;
   Mapper::Result map_;
   // pathalint: allow(R1): survives interner replacement — every rebuild discards

@@ -17,17 +17,25 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// v1: local / ignore_case / files.  v2 adds a generation line (the image publish
-// generation) between ignore_case and files; v1 loads back as generation 0.
-constexpr int kManifestVersion = 2;
+// v1 and v2 stored each file as a parse-op stream; v3 stores the source bytes
+// and ends the manifest with a digest line.
+constexpr int kManifestVersion = 3;
 
-// Slot index + digest of the serialized bytes: content-addressed, so a re-save
-// never overwrites a payload an older manifest still references (unless the bytes
-// are identical, in which case overwriting is a no-op).
-std::string ArtifactFileName(size_t index, uint64_t bytes_digest) {
+// FNV-1a over raw bytes.
+uint64_t DigestBytes(std::string_view bytes) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (unsigned char byte : bytes) {
+    hash = (hash ^ byte) * 0x00000100000001B3ull;
+  }
+  return hash;
+}
+
+// Slot index + digest of the source bytes: content-addressed, so a re-save never
+// overwrites a payload an older manifest still references.
+std::string ArtifactFileName(size_t index, uint64_t digest) {
   char name[48];
   std::snprintf(name, sizeof(name), "%04zu-%016llx.pai", index,
-                static_cast<unsigned long long>(bytes_digest));
+                static_cast<unsigned long long>(digest));
   return name;
 }
 
@@ -73,19 +81,21 @@ bool SaveStateDir(const std::string& dir, const StateDirContents& contents) {
   manifest += "generation\t" + std::to_string(contents.image_generation) + "\n";
   manifest += "files\t" + std::to_string(contents.artifacts.size()) + "\n";
   for (size_t i = 0; i < contents.artifacts.size(); ++i) {
-    const FileArtifact& artifact = contents.artifacts[i];
-    std::string bytes = SerializeArtifact(artifact);
-    std::string file_name = ArtifactFileName(i, DigestBytes(bytes));
+    const InputFile& source = contents.artifacts[i];
+    uint64_t digest = DigestBytes(source.content);
+    std::string file_name = ArtifactFileName(i, digest);
     fs::path payload_path = fs::path(dir) / "artifacts" / file_name;
-    // Content-addressed: an existing file already holds exactly these bytes, so a
-    // 1-file update writes one payload, not the whole map's worth.
-    if (!fs::exists(payload_path, ec) && !WriteFileAtomically(payload_path, bytes)) {
+    // Content-addressed: a payload that already holds these bytes stays, so a
+    // 1-file update writes one payload, not the whole map's worth.  A damaged
+    // one is written again.
+    if (ReadWholeFile(payload_path) != source.content &&
+        !WriteFileAtomically(payload_path, source.content)) {
       return false;
     }
-    manifest += std::to_string(artifact.digest) + "\t" + file_name + "\t" +
-                artifact.file_name + "\n";
+    manifest += std::to_string(digest) + "\t" + file_name + "\t" + source.name + "\n";
     referenced.insert(std::move(file_name));
   }
+  manifest += "digest\t" + std::to_string(DigestBytes(manifest)) + "\n";
   if (!WriteFileAtomically(fs::path(dir) / "manifest", manifest)) {
     return false;
   }
@@ -112,15 +122,20 @@ std::optional<StateDirContents> LoadStateDir(const std::string& dir, std::string
   if (!manifest.has_value()) {
     return fail("cannot read manifest");
   }
+  if (!manifest->ends_with('\n')) {
+    return fail("manifest truncated");
+  }
   std::istringstream in(*manifest);
   std::string word;
   int version = 0;
   if (!(in >> word >> version) || word != "pathalias-state" || version < 1) {
     return fail("unrecognized manifest header");
   }
-  if (version > kManifestVersion) {
-    return fail("manifest version " + std::to_string(version) +
-                " is newer than this binary understands — rebuild the state dir");
+  if (version != kManifestVersion) {
+    return fail("manifest version " + std::to_string(version) + " is " +
+                (version > kManifestVersion ? "newer than this binary understands"
+                                            : "an older format that stored no sources") +
+                " — rebuild the state dir");
   }
   StateDirContents contents;
   std::string line;
@@ -144,15 +159,13 @@ std::optional<StateDirContents> LoadStateDir(const std::string& dir, std::string
     return fail("manifest missing ignore_case");
   }
   contents.ignore_case = field == "1";
-  if (version >= 2) {
-    if (!next_field("generation", &field)) {
-      return fail("manifest missing generation");
-    }
-    try {
-      contents.image_generation = std::stoull(field);
-    } catch (...) {
-      return fail("malformed generation");
-    }
+  if (!next_field("generation", &field)) {
+    return fail("manifest missing generation");
+  }
+  try {
+    contents.image_generation = std::stoull(field);
+  } catch (...) {
+    return fail("malformed generation");
   }
   if (!next_field("files", &field)) {
     return fail("manifest missing file count");
@@ -179,17 +192,28 @@ std::optional<StateDirContents> LoadStateDir(const std::string& dir, std::string
       return fail("malformed digest");
     }
     std::string artifact_file = line.substr(tab1 + 1, tab2 - tab1 - 1);
-    std::string input_name = line.substr(tab2 + 1);
     std::optional<std::string> bytes = ReadWholeFile(fs::path(dir) / "artifacts" / artifact_file);
     if (!bytes.has_value()) {
       return fail("cannot read artifact " + artifact_file);
     }
-    std::optional<FileArtifact> artifact = DeserializeArtifact(*bytes);
-    if (!artifact.has_value() || artifact->digest != digest ||
-        artifact->file_name != input_name) {
+    if (DigestBytes(*bytes) != digest) {
       return fail("artifact " + artifact_file + " does not match its manifest entry");
     }
-    contents.artifacts.push_back(std::move(*artifact));
+    contents.artifacts.push_back(InputFile{line.substr(tab2 + 1), std::move(*bytes)});
+  }
+  // The last line digests every byte before it, so no damaged field loads.
+  const std::streampos sealed = in.tellg();
+  if (sealed == std::streampos(-1) || !next_field("digest", &field)) {
+    return fail("manifest missing digest");
+  }
+  uint64_t seal = 0;
+  try {
+    seal = std::stoull(field);
+  } catch (...) {
+    return fail("malformed manifest digest");
+  }
+  if (seal != DigestBytes(std::string_view(*manifest).substr(0, static_cast<size_t>(sealed)))) {
+    return fail("manifest does not match its digest");
   }
   return contents;
 }

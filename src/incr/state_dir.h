@@ -1,20 +1,21 @@
-// StateDir: the on-disk form of a MapBuilder's retained artifacts.
+// StateDir: the on-disk form of a MapBuilder's retained sources.
 //
 // Layout (all files under one directory):
-//   manifest            text header: format version, local host, ignore_case, then
-//                       one line per input file — digest, artifact file, input name
-//   artifacts/NNNN.pai  serialized FileArtifact (src/incr/artifact.h), in file order
+//   manifest            text: format version, local host, ignore_case, generation,
+//                       one line per input file — digest, payload file, input
+//                       name — and last a digest of every line before it
+//   artifacts/NNNN-DIGEST.pai  one input file's bytes, in file order
 //
 // The manifest is written last, via durable temp-file + fsync + rename (see
 // src/support/durable_file.h), so a crashed save leaves the previous state
-// readable.  Digests live in both the manifest and the artifact bodies; Load
-// verifies they agree and rejects the directory wholesale on any mismatch (a
-// state dir is a cache — the inputs can always rebuild it).
+// readable.  Digests are FNV-1a-64.  Load recomputes the digest of every payload
+// and of the manifest itself, and rejects the directory wholesale on any
+// mismatch: a state dir is a cache, and the inputs can always rebuild it.
 //
-// Manifest format version 2 adds a `generation` line (the publish generation of
-// the image this state accompanies); version-1 directories still load, reading
-// back generation 0.  Unrecognized future versions are rejected with a clean
-// rebuild-needed error, never parsed on faith.
+// Manifest format version 3 stores the sources themselves.  Versions 1 and 2
+// stored a parse form that is gone, so they are refused like an unrecognized
+// future version: with a clean rebuild-the-state-dir error, never parsed on
+// faith.
 //
 // Every state dir accompanies a .pari image, at <image>.state.  Consumers:
 // `routedb update <image> <changed-files...>` and routedbd's SIGHUP reload
@@ -27,7 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "src/incr/artifact.h"
+#include "src/parser/parser.h"
 
 namespace pathalias {
 namespace incr {
@@ -38,19 +39,21 @@ struct StateDirContents {
   std::string local;        // the effective local host the state was built with
   bool ignore_case = false;
   // Publish generation of the .pari image this state was saved alongside
-  // (ImageHeader::generation).  0 = unstamped: a v1 manifest.  Both consumers
+  // (ImageHeader::generation).  0 = unstamped, never checked.  Both consumers
   // compare the two stamps and treat a mismatch as a torn update, never
   // mix-and-match: RolloverController refuses it, and routedb update heals it
   // by re-reading every source the manifest names.
   uint64_t image_generation = 0;
-  std::vector<FileArtifact> artifacts;
+  // The map sources the state was built from (MapBuilder::artifacts()), in
+  // input order.
+  std::vector<InputFile> artifacts;
 };
 
 // Writes `contents` under `dir` (created if missing).  False on any I/O failure.
 bool SaveStateDir(const std::string& dir, const StateDirContents& contents);
 
-// Reads a state directory back.  nullopt (with *error set) on missing/corrupt
-// manifest, unreadable artifacts, or digest disagreement.
+// Reads a state directory back.  nullopt (with *error set) on a missing, corrupt
+// or other-version manifest, an unreadable payload, or any digest disagreement.
 std::optional<StateDirContents> LoadStateDir(const std::string& dir, std::string* error);
 
 }  // namespace incr

@@ -65,7 +65,7 @@ bool RolloverController::EnsureBuilder(std::string* detail) {
   builder_options.local = state->local;
   builder_options.ignore_case = state->ignore_case;
   auto builder = std::make_unique<incr::MapBuilder>(builder_options);
-  if (!builder->BuildFromArtifacts(std::move(state->artifacts))) {
+  if (!builder->Build(std::move(state->artifacts))) {
     *detail = "retained state in " + state_dir + " no longer builds";
     return false;
   }
@@ -81,8 +81,8 @@ ReloadOutcome RolloverController::ReloadFromSources(std::string* detail) {
   if (!EnsureBuilder(detail)) {
     return ReloadOutcome::kError;
   }
-  // Offer every configured file; the builder's digest check turns the unchanged
-  // ones into no-ops without lexing them.
+  // Offer every configured file; the builder's byte check turns an all-unchanged
+  // set into a no-op.
   std::vector<InputFile> files;
   files.reserve(options_.map_files.size());
   for (const std::string& path : options_.map_files) {
@@ -113,7 +113,7 @@ ReloadOutcome RolloverController::ReloadFromSources(std::string* detail) {
     if (!image::ImageWriter::Refreeze(builder_->routes(), options_.image_path,
                                       next_generation, &error)) {
       // The builder already absorbed the file changes, so a retry would see
-      // digest-clean sources and no-op with the publish still missing.  Drop it:
+      // unchanged sources and no-op with the publish still missing.  Drop it:
       // the next reload rebuilds from the state dir (still paired with the served
       // image) and re-applies the edits as a fresh update.
       builder_.reset();
@@ -136,7 +136,7 @@ ReloadOutcome RolloverController::ReloadFromSources(std::string* detail) {
   ReloadOutcome outcome = AdoptImage(detail);
   if (outcome == ReloadOutcome::kNoop) {
     *detail = "no route changed (" + std::to_string(stats.files_unchanged) +
-              " file(s) digest-unchanged)";
+              " file(s) unchanged)";
   }
   *detail = note + *detail;
   return outcome;

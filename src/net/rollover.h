@@ -10,11 +10,11 @@
 // One way into service, reached from routedbd's two triggers:
 //
 //   ReloadFromSources() — SIGHUP.  Re-reads the configured map files and runs the
-//   routedb-update flow in process: MapBuilder::Update (digest check skips
-//   unchanged files, then the retained artifacts replay), and when a route
+//   routedb-update flow in process: MapBuilder::Update (a byte check against the
+//   retained sources, then a rebuild that parses every file), and when a route
 //   changed, ImageWriter::Refreeze (temp + rename, so concurrent opens never see
 //   a torn image) and SaveStateDir.  Then the adopt step.  The builder stays
-//   resident, so repeated HUPs skip the state-dir load and the replay of the
+//   resident, so repeated HUPs skip the state-dir load and the build of the
 //   previous state that a one-shot `routedb update` pays.
 //
 //   CheckImage() — the file watch.  The adopt step alone, for an image some OTHER

@@ -36,7 +36,7 @@ struct DaemonStats {
   // Rollover.
   uint64_t reloads_attempted = 0;
   uint64_t reloads_applied = 0;    // the engine adopted a fresh mapping
-  uint64_t reloads_noop = 0;       // nothing changed (digest-clean sources)
+  uint64_t reloads_noop = 0;       // no route changed; the served image stays
   uint64_t reload_errors = 0;
   uint64_t images_retired = 0;     // old mappings unmapped after their drain
 

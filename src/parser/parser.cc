@@ -100,10 +100,6 @@ void Parser::ParseLine() {
 
 void Parser::ParseHostDeclaration(Token name) {
   Node* from = graph_->Intern(name.id);
-  if (recorder_ != nullptr) {
-    recorder_->RecordIntern(name.text);
-    recorder_->RecordHostDecl(name.text);
-  }
   if (first_host_ == kNoName && !IsDomainName(name.text)) {
     first_host_ = name.id;
   }
@@ -119,10 +115,6 @@ void Parser::ParseHostDeclaration(Token name) {
     }
     Node* to = graph_->Intern(spec.id);
     graph_->AddLink(from, to, spec.cost, spec.op, spec.right, Here());
-    if (recorder_ != nullptr) {
-      recorder_->RecordIntern(spec.name);
-      recorder_->RecordLink(name.text, spec.name, spec.cost, spec.op, spec.right);
-    }
     if (At(TokenKind::kComma)) {
       Advance();
       SkipNewlines();  // a trailing comma continues the declaration on the next line
@@ -155,7 +147,6 @@ Parser::LinkSpec Parser::ParseLinkSpec() {
     ErrorHere("expected a host name in link");
     return spec;
   }
-  spec.name = token_.text;
   spec.id = token_.id;
   Advance();
   if (At(TokenKind::kOp)) {
@@ -209,7 +200,6 @@ void Parser::ParseEqualsDeclaration(Token name) {
     Advance();
     SkipNewlines();
     std::vector<Node*> members;
-    std::vector<std::string_view> member_names;
     bool bad = false;
     while (!At(TokenKind::kRBrace)) {
       if (At(TokenKind::kEnd)) {
@@ -223,10 +213,6 @@ void Parser::ParseEqualsDeclaration(Token name) {
         break;
       }
       members.push_back(graph_->Intern(token_.id));
-      member_names.push_back(token_.text);
-      if (recorder_ != nullptr) {
-        recorder_->RecordIntern(token_.text);
-      }
       Advance();
       if (At(TokenKind::kComma)) {
         Advance();
@@ -245,10 +231,6 @@ void Parser::ParseEqualsDeclaration(Token name) {
     Cost cost = ParseOptionalCost(kDefaultCost);
     Node* net = graph_->Intern(name.id);
     graph_->DeclareNet(net, members, cost, op, right, Here());
-    if (recorder_ != nullptr) {
-      recorder_->RecordIntern(name.text);
-      recorder_->RecordNet(name.text, member_names, cost, op, right);
-    }
     ++accepted_;
     return;
   }
@@ -260,15 +242,10 @@ void Parser::ParseEqualsDeclaration(Token name) {
   if (At(TokenKind::kName)) {
     // name = other: the two names refer to the same machine.  The interns are
     // sequenced explicitly: node-creation order must not depend on argument
-    // evaluation order (replay reproduces this exact sequence).
+    // evaluation order.
     Node* a = graph_->Intern(name.id);
     Node* b = graph_->Intern(token_.id);
     graph_->AddAlias(a, b, Here());
-    if (recorder_ != nullptr) {
-      recorder_->RecordIntern(name.text);
-      recorder_->RecordIntern(token_.text);
-      recorder_->RecordAlias(name.text, token_.text);
-    }
     Advance();
     ++accepted_;
     return;
@@ -305,9 +282,6 @@ bool Parser::ParseKeywordDeclaration(const Token& name) {
 void Parser::ParsePrivateBody() {
   while (At(TokenKind::kName)) {
     graph_->DeclarePrivate(token_.id, Here());
-    if (recorder_ != nullptr) {
-      recorder_->RecordPrivate(token_.text);
-    }
     Advance();
     if (At(TokenKind::kComma)) {
       Advance();
@@ -329,18 +303,9 @@ void Parser::ParseDeadBody() {
       Node* from = graph_->Intern(first.id);
       Node* to = graph_->Intern(token_.id);
       graph_->MarkDeadLink(from, to, Here());
-      if (recorder_ != nullptr) {
-        recorder_->RecordIntern(first.text);
-        recorder_->RecordIntern(token_.text);
-        recorder_->RecordDeadLink(first.text, token_.text);
-      }
       Advance();
     } else {
       graph_->MarkDeadHost(graph_->Intern(first.id), Here());
-      if (recorder_ != nullptr) {
-        recorder_->RecordIntern(first.text);
-        recorder_->RecordDeadHost(first.text);
-      }
     }
     if (At(TokenKind::kComma)) {
       Advance();
@@ -352,10 +317,6 @@ void Parser::ParseDeadBody() {
 void Parser::ParseDeleteBody() {
   while (At(TokenKind::kName)) {
     graph_->DeleteHost(graph_->Intern(token_.id), Here());
-    if (recorder_ != nullptr) {
-      recorder_->RecordIntern(token_.text);
-      recorder_->RecordDelete(token_.text);
-    }
     Advance();
     if (At(TokenKind::kComma)) {
       Advance();
@@ -367,10 +328,6 @@ void Parser::ParseDeleteBody() {
 void Parser::ParseAdjustBody() {
   while (At(TokenKind::kName)) {
     Node* host = graph_->Intern(token_.id);
-    std::string_view host_name = token_.text;
-    if (recorder_ != nullptr) {
-      recorder_->RecordIntern(host_name);
-    }
     Advance();
     bool had_cost = false;
     Cost amount = ParseOptionalCost(0, &had_cost);
@@ -379,9 +336,6 @@ void Parser::ParseAdjustBody() {
       return;
     }
     graph_->AdjustHost(host, amount, Here());
-    if (recorder_ != nullptr) {
-      recorder_->RecordAdjust(host_name, amount);
-    }
     if (At(TokenKind::kComma)) {
       Advance();
     }
@@ -392,10 +346,6 @@ void Parser::ParseAdjustBody() {
 void Parser::ParseGatewayedBody() {
   while (At(TokenKind::kName)) {
     graph_->MarkGatewayed(graph_->Intern(token_.id), Here());
-    if (recorder_ != nullptr) {
-      recorder_->RecordIntern(token_.text);
-      recorder_->RecordGatewayed(token_.text);
-    }
     Advance();
     if (At(TokenKind::kComma)) {
       Advance();
@@ -420,11 +370,6 @@ void Parser::ParseGatewayBody() {
     Node* net_node = graph_->Intern(net.id);
     Node* gateway = graph_->Intern(token_.id);
     graph_->MarkGatewayLink(net_node, gateway, Here());
-    if (recorder_ != nullptr) {
-      recorder_->RecordIntern(net.text);
-      recorder_->RecordIntern(token_.text);
-      recorder_->RecordGatewayLink(net.text, token_.text);
-    }
     Advance();
     if (At(TokenKind::kComma)) {
       Advance();

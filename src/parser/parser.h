@@ -17,7 +17,6 @@
 
 #include "src/graph/graph.h"
 #include "src/parser/lexer.h"
-#include "src/parser/parse_recorder.h"
 #include "src/parser/scanner.h"
 
 namespace pathalias {
@@ -35,10 +34,6 @@ class Parser {
  public:
   explicit Parser(Graph* graph) : graph_(graph) {}
 
-  // Mirrors every graph mutation to `recorder` (see parse_recorder.h); nullptr stops
-  // recording.  The incremental pipeline records per-file artifacts this way.
-  void set_recorder(ParseRecorder* recorder) { recorder_ = recorder; }
-
   // Parses one file through the given scanner.  Errors are reported to the graph's
   // diagnostics; returns the number of declarations accepted.
   int ParseFile(std::string_view file_name, Scanner& scanner);
@@ -55,9 +50,6 @@ class Parser {
 
  private:
   struct LinkSpec {
-    // pathalint: allow(R1): pre-interning token — a view into the scanner's
-    // buffer held only until the link is committed, at which point `id` rules.
-    std::string_view name;
     NameId id = kNoName;
     char op = kDefaultOp;
     bool right = false;
@@ -90,7 +82,6 @@ class Parser {
   void ParseGatewayBody();
 
   Graph* graph_;
-  ParseRecorder* recorder_ = nullptr;
   Scanner* scanner_ = nullptr;
   // pathalint: allow(R1): diagnostics only — error messages cite the input file
   // path; it is never a routing name and never interned.

@@ -12,17 +12,17 @@
 //                                               lookup, rightmost-known rewriting)
 //   routedb update --init [--local NAME] <routes.pari> <map-files...>
 //                                               parse the map, freeze the image, and
-//                                               record per-file parse artifacts in
+//                                               keep the map sources in
 //                                               <routes.pari>.state for later updates
 //   routedb update [--remove FILE]... <routes.pari> [changed-map-files...]
-//                                               re-parse only the named (changed)
-//                                               files, replay the retained
-//                                               artifacts, rewrite the image
-//                                               atomically, and report files
-//                                               reparsed/unchanged and routes
-//                                               changed; with no changed files at
-//                                               all, report "nothing to do" and
-//                                               leave image and state untouched
+//                                               swap the named files' new bytes into
+//                                               the kept sources (a --remove must
+//                                               name a kept file), rebuild, rewrite
+//                                               the image atomically, and report
+//                                               files changed/unchanged and routes
+//                                               changed; when no file changed,
+//                                               report "nothing to do" and leave
+//                                               image and state untouched
 //   routedb batch [--threads N] [--cache-entries M] [--chunk-lines L]
 //                 [--stats] <routes.pari> [hosts.txt]
 //                                               bulk host lookup, one per line (stdin
@@ -302,15 +302,25 @@ int RunQueryCommand(const std::string& command, const pathalias::FrozenRouteSet&
   return RunBatch(routes, in, operands.front(), flags);
 }
 
+// Prints a build's warnings and errors; notes stay quiet.
+void PrintDiagnostics(const pathalias::Diagnostics& diag) {
+  for (const pathalias::Diagnostic& diagnostic : diag.diagnostics()) {
+    if (diagnostic.severity != pathalias::Severity::kNote) {
+      std::cerr << pathalias::ToString(diagnostic) << "\n";
+    }
+  }
+}
+
 // The incremental image pipeline: map files → MapBuilder → refrozen .pari, with the
-// per-file parse artifacts retained in <image>.state between invocations.
+// map sources kept in <image>.state between invocations.
 //
-// An update loads the retained artifacts, swaps in fresh ones for the files whose
-// digest changed (only those are lexed and parsed), replays every artifact into a
-// fresh graph, maps, emits, and republishes image and state.  The route-set delta
-// yields the per-edit report (routes changed) an operator reads for blast radius.
-// A one-shot process replays the previous state once before applying the edit;
-// process-resident builders (routedbd's SIGHUP path) skip that.
+// An update loads the kept sources, swaps in the new bytes of the files it is
+// given, parses every source into a fresh graph, maps, emits, and republishes
+// image and state.  The route-set delta yields the per-edit report (routes
+// changed) an operator reads for blast radius.  A one-shot process builds the
+// previous state once before applying the edit; process-resident builders
+// (routedbd's SIGHUP path) skip that.  Only the published build's diagnostics
+// are printed and counted.
 int RunUpdate(int argc, char** argv) {
   bool init = false;
   std::string local;
@@ -367,20 +377,31 @@ int RunUpdate(int argc, char** argv) {
                 << "'; re-run --init to change it\n";
       return 1;
     }
+    for (const std::string& name : removed) {
+      if (std::ranges::none_of(state->artifacts, [&name](const pathalias::InputFile& kept) {
+            return kept.name == name;
+          })) {
+        std::cerr << "routedb: --remove " << name << " names no file in " << state_dir
+                  << "; nothing published\n";
+        return 1;
+      }
+    }
     // Generation pairing.  A state stamp that disagrees with the image's means
     // the previous publish tore between the two renames, so the image carries
     // edits the state lacks.  Offer every source the manifest names, read from
-    // disk: the digest check reparses the ones those edits touched, and both
+    // disk: the byte check picks up the ones those edits touched, and both
     // files leave this run paired.
     std::optional<uint64_t> image_generation = ReadImageGeneration(image_path);
-    if (image_generation.has_value() && *image_generation != 0 &&
-        state->image_generation != 0 && *image_generation != state->image_generation) {
+    const bool torn = image_generation.has_value() && *image_generation != 0 &&
+                      state->image_generation != 0 &&
+                      *image_generation != state->image_generation;
+    if (torn) {
       std::cerr << "routedb: warning: " << image_path << " is generation "
                 << *image_generation << " but " << state_dir << " is generation "
                 << state->image_generation
                 << " (torn update?); re-reading every source and republishing both in step\n";
-      for (const pathalias::incr::FileArtifact& artifact : state->artifacts) {
-        const std::string& name = artifact.file_name;
+      for (const pathalias::InputFile& source : state->artifacts) {
+        const std::string& name = source.name;
         if (std::ranges::find(removed, name) != removed.end() ||
             std::ranges::any_of(files, [&name](const pathalias::InputFile& file) {
               return file.name == name;
@@ -394,11 +415,18 @@ int RunUpdate(int argc, char** argv) {
         }
       }
     }
-    if (files.empty() && removed.empty()) {
-      // Nothing to apply: leave the image and the state directory byte-for-byte
-      // (and mtime-for-mtime) alone instead of rebuilding, refreezing, and
-      // rewriting the manifest for a no-op.  (Flag validation above still runs —
-      // a conflicting --local must not be swallowed by the fast path.)
+    // Nothing to apply when every offered file matches its kept bytes (the test
+    // MapBuilder::Update makes) and nothing is removed: leave the image and the
+    // state directory byte-for-byte (and mtime-for-mtime) alone instead of
+    // rebuilding, refreezing, and rewriting the manifest for a no-op.  A torn
+    // pair is republished regardless.  (Flag validation above still runs — a
+    // conflicting --local must not be swallowed by the fast path.)
+    auto unchanged = [&state](const pathalias::InputFile& file) {
+      return std::ranges::any_of(state->artifacts, [&file](const pathalias::InputFile& kept) {
+        return kept.name == file.name && kept.content == file.content;
+      });
+    };
+    if (!torn && removed.empty() && std::ranges::all_of(files, unchanged)) {
       std::cerr << "routedb: nothing to do (no changed files); " << image_path
                 << " left untouched\n";
       return 0;
@@ -406,16 +434,13 @@ int RunUpdate(int argc, char** argv) {
     builder_options.local = state->local;
     builder_options.ignore_case = state->ignore_case;
     pathalias::incr::MapBuilder builder(builder_options);
-    builder.diag().set_sink([](const pathalias::Diagnostic& diagnostic) {
-      if (diagnostic.severity != pathalias::Severity::kNote) {
-        std::cerr << pathalias::ToString(diagnostic) << "\n";
-      }
-    });
-    if (!builder.BuildFromArtifacts(std::move(state->artifacts))) {
+    if (!builder.Build(std::move(state->artifacts))) {
+      PrintDiagnostics(builder.diag());
       std::cerr << "routedb: retained state no longer builds; re-run --init\n";
       return 1;
     }
     pathalias::incr::UpdateStats stats = builder.Update(files, removed);
+    PrintDiagnostics(builder.diag());
     if (!builder.valid()) {
       std::cerr << "routedb: update left no buildable map\n";
       return 1;
@@ -438,7 +463,7 @@ int RunUpdate(int argc, char** argv) {
       std::cerr << "routedb: cannot save " << state_dir << "\n";
       return 1;
     }
-    std::cerr << "routedb: rebuilt (" << stats.files_reparsed << " file(s) reparsed, "
+    std::cerr << "routedb: rebuilt (" << stats.files_changed << " file(s) changed, "
               << stats.files_unchanged << " unchanged); " << stats.routes_changed
               << " route(s) changed, " << builder.routes().size() << " total\n";
     // The image and state were written (a bad line skips one declaration, pathalias
@@ -453,12 +478,9 @@ int RunUpdate(int argc, char** argv) {
   }
 
   pathalias::incr::MapBuilder builder(builder_options);
-  builder.diag().set_sink([](const pathalias::Diagnostic& diagnostic) {
-    if (diagnostic.severity != pathalias::Severity::kNote) {
-      std::cerr << pathalias::ToString(diagnostic) << "\n";
-    }
-  });
-  if (!builder.Build(files)) {
+  bool built = builder.Build(std::move(files));
+  PrintDiagnostics(builder.diag());
+  if (!built) {
     std::cerr << "routedb: no routes could be built\n";
     return 1;
   }
@@ -477,7 +499,7 @@ int RunUpdate(int argc, char** argv) {
     std::cerr << "routedb: cannot save " << state_dir << "\n";
     return 1;
   }
-  std::cerr << "routedb: initialized " << state_dir << " (" << files.size()
+  std::cerr << "routedb: initialized " << state_dir << " (" << builder.artifacts().size()
             << " file(s)); froze " << builder.routes().size() << " routes (local "
             << builder.local_name() << ")\n";
   if (builder.diag().error_count() > 0) {

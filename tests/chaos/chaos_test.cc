@@ -165,7 +165,7 @@ bool TryUpdateCycle(const fs::path& /*dir*/, const std::string& image_path,
   auto state = incr::LoadStateDir(image_path + ".state", &error);
   incr::MapBuilder builder(incr::MapBuilderOptions{.local = "hub"});
   if (state.has_value()) {
-    if (!builder.BuildFromArtifacts(std::move(state->artifacts))) {
+    if (!builder.Build(std::move(state->artifacts))) {
       return false;
     }
     builder.Update(loaded);

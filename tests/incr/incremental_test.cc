@@ -1,5 +1,5 @@
-// Unit tests for the incremental pipeline's pieces: artifact record/replay/serialize,
-// RouteSet deltas, the MapBuilder's update path, and state-dir persistence.  The
+// Unit tests for the incremental pipeline's pieces: RouteSet deltas, the
+// MapBuilder's update path and diagnostics, and state-dir persistence.  The
 // randomized-edit equivalence property lives in incremental_fuzz_test.cc.
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <fstream>
 
 #include "src/core/pathalias.h"
-#include "src/incr/artifact.h"
 #include "src/incr/map_builder.h"
 #include "src/incr/state_dir.h"
 #include "src/mapgen/mapgen.h"
@@ -36,105 +35,10 @@ std::string BuilderSortedRoutes(const MapBuilder& builder) {
   return builder.routes().ToSortedText(/*include_costs=*/true);
 }
 
-TEST(Artifact, RecordsEveryDeclarationKind) {
-  InputFile file{"kitchen.map",
-                 "alpha\tbeta(10), gamma(4), @delta\n"
-                 "net = @{alpha, beta}(25)\n"
-                 "alpha = omega\n"
-                 "private {secret}\n"
-                 "dead {beta, alpha!gamma}\n"
-                 "delete {zombie}\n"
-                 "adjust {alpha(+5)}\n"
-                 "gatewayed {net}\n"
-                 "gateway {net!alpha}\n"};
-  Diagnostics diag;
-  FileArtifact artifact = ParseFileToArtifact(file, &diag);
-  EXPECT_EQ(artifact.file_name, "kitchen.map");
-  EXPECT_EQ(artifact.digest, DigestBytes(file.content));
-  EXPECT_FALSE(artifact.plain_links);
-  EXPECT_NE(artifact.first_host, kNoSymbol);
-  EXPECT_EQ(artifact.Symbol(artifact.first_host), "alpha");
-
-  size_t links = 0, nets = 0, aliases = 0, privates = 0, dead_hosts = 0, dead_links = 0,
-         deletes = 0, adjusts = 0, gatewayed = 0, gateways = 0;
-  for (const Op& op : artifact.ops) {
-    switch (op.kind) {
-      case OpKind::kLink: ++links; break;
-      case OpKind::kNet: ++nets; break;
-      case OpKind::kAlias: ++aliases; break;
-      case OpKind::kPrivate: ++privates; break;
-      case OpKind::kDeadHost: ++dead_hosts; break;
-      case OpKind::kDeadLink: ++dead_links; break;
-      case OpKind::kDelete: ++deletes; break;
-      case OpKind::kAdjust: ++adjusts; break;
-      case OpKind::kGatewayed: ++gatewayed; break;
-      case OpKind::kGatewayLink: ++gateways; break;
-      default: break;
-    }
-  }
-  EXPECT_EQ(links, 3u);
-  EXPECT_EQ(nets, 1u);
-  EXPECT_EQ(aliases, 1u);
-  EXPECT_EQ(privates, 1u);
-  EXPECT_EQ(dead_hosts, 1u);
-  EXPECT_EQ(dead_links, 1u);
-  EXPECT_EQ(deletes, 1u);
-  EXPECT_EQ(adjusts, 1u);
-  EXPECT_EQ(gatewayed, 1u);
-  EXPECT_EQ(gateways, 1u);
-}
-
-TEST(Artifact, SerializationRoundTrips) {
-  InputFile file{"round.map",
-                 "a\tb(10), c(HOURLY)\n"
-                 "n = {a, b, c}(50)\n"
-                 "private {p}\n"};
-  Diagnostics diag;
-  FileArtifact artifact = ParseFileToArtifact(file, &diag);
-  std::string bytes = SerializeArtifact(artifact);
-  std::optional<FileArtifact> loaded = DeserializeArtifact(bytes);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->file_name, artifact.file_name);
-  EXPECT_EQ(loaded->digest, artifact.digest);
-  EXPECT_EQ(loaded->symbols, artifact.symbols);
-  EXPECT_EQ(loaded->net_members, artifact.net_members);
-  EXPECT_EQ(loaded->first_host, artifact.first_host);
-  EXPECT_EQ(loaded->plain_links, artifact.plain_links);
-  ASSERT_EQ(loaded->ops.size(), artifact.ops.size());
-  for (size_t i = 0; i < artifact.ops.size(); ++i) {
-    EXPECT_EQ(loaded->ops[i].kind, artifact.ops[i].kind) << i;
-    EXPECT_EQ(loaded->ops[i].a, artifact.ops[i].a) << i;
-    EXPECT_EQ(loaded->ops[i].b, artifact.ops[i].b) << i;
-    EXPECT_EQ(loaded->ops[i].cost, artifact.ops[i].cost) << i;
-    EXPECT_EQ(loaded->ops[i].op, artifact.ops[i].op) << i;
-    EXPECT_EQ(loaded->ops[i].right, artifact.ops[i].right) << i;
-  }
-  // Truncations must be rejected, never mis-read.
-  for (size_t cut : {size_t{3}, bytes.size() / 2, bytes.size() - 1}) {
-    EXPECT_FALSE(DeserializeArtifact(std::string_view(bytes).substr(0, cut)).has_value())
-        << cut;
-  }
-  // So must symbol references replay would follow out of the table: a link's
-  // missing endpoint (either side), and a default-local candidate past the end.
-  auto link = std::find_if(artifact.ops.begin(), artifact.ops.end(),
-                           [](const Op& op) { return op.kind == OpKind::kLink; });
-  ASSERT_NE(link, artifact.ops.end());
-  size_t link_index = static_cast<size_t>(link - artifact.ops.begin());
-  FileArtifact no_from = artifact;
-  no_from.ops[link_index].a = kNoSymbol;
-  EXPECT_FALSE(DeserializeArtifact(SerializeArtifact(no_from)).has_value());
-  FileArtifact no_to = artifact;
-  no_to.ops[link_index].b = kNoSymbol;
-  EXPECT_FALSE(DeserializeArtifact(SerializeArtifact(no_to)).has_value());
-  FileArtifact far_host = artifact;
-  far_host.first_host = 1000000;
-  EXPECT_FALSE(DeserializeArtifact(SerializeArtifact(far_host)).has_value());
-}
-
-// Replaying recorded artifacts must build the same routes a direct parse does —
-// across the full declaration surface the synthetic generator exercises (nets,
-// domains, aliases, private collisions, dead links).
-TEST(Artifact, ReplayMatchesDirectParseOnGeneratedMap) {
+// The builder must build the same routes the batch pipeline does — across the
+// full declaration surface the synthetic generator exercises (nets, domains,
+// aliases, private collisions, dead links).
+TEST(MapBuilder, BuildMatchesBatchRunOnGeneratedMap) {
   GeneratedMap map = GenerateUsenetMap(MapGenConfig::Small());
   std::string reference = ReferenceSortedRoutes(map.files, map.local);
 
@@ -179,7 +83,7 @@ TEST(RouteSet, ApplyDeltaUpsertsErasesAndReportsDirtyIds) {
 
 // Every case pins an update's routes to a from-scratch run over the edited inputs.
 // The names date from an in-place patch path that has since been retired; each
-// edit shape they name still has to land byte-identical through the replay.
+// edit shape they name still has to land byte-identical through the rebuild.
 class MapBuilderPatchTest : public ::testing::Test {
  protected:
   // A three-file map with an unambiguous tree and room to edit.
@@ -203,7 +107,7 @@ TEST_F(MapBuilderPatchTest, RecostPatchesInPlace) {
 
   std::vector<InputFile> edited = Files(200);
   UpdateStats stats = builder.Update({edited[0]});
-  EXPECT_EQ(stats.files_reparsed, 1u);
+  EXPECT_EQ(stats.files_changed, 1u);
   ExpectGolden(builder, edited);
 
   // The dirty id list names exactly the changed routes.
@@ -216,8 +120,8 @@ TEST_F(MapBuilderPatchTest, UnchangedDigestSkipsReparse) {
   MapBuilder builder(MapBuilderOptions{.local = "hub"});
   ASSERT_TRUE(builder.Build(Files(400)));
   UpdateStats stats = builder.Update({Files(400)[0]});
-  EXPECT_TRUE(stats.patched);  // nothing changed, so nothing replayed
-  EXPECT_EQ(stats.files_reparsed, 0u);
+  EXPECT_TRUE(stats.patched);  // nothing changed, so nothing rebuilt
+  EXPECT_EQ(stats.files_changed, 0u);
   EXPECT_EQ(stats.files_unchanged, 1u);
   EXPECT_EQ(stats.routes_changed, 0u);
 }
@@ -474,27 +378,49 @@ TEST_F(MapBuilderPatchTest, EqualCostTieReopensToExtractionOrderWinner) {
   ExpectGolden(builder, files);
 }
 
+// Each build's diagnostics replace the last: a long-lived builder (routedbd's
+// resident one) must not accumulate every update's warnings.
+TEST(MapBuilder, DiagnosticsDescribeOnlyTheLastBuild) {
+  GeneratedMap map = GenerateUsenetMap(MapGenConfig::Small());
+  MapBuilder builder(MapBuilderOptions{.local = map.local});
+  ASSERT_TRUE(builder.Build(map.files));
+  std::vector<InputFile> files = map.files;
+  for (size_t step = 0; step < 20; ++step) {
+    InputFile& edited = files[step % files.size()];
+    edited.content += "edit" + std::to_string(step) + "\t" + map.local + "(" +
+                      std::to_string(100 + step) + ")\n";
+    builder.Update({edited});
+    ASSERT_TRUE(builder.valid()) << step;
+  }
+  MapBuilder fresh(MapBuilderOptions{.local = map.local});
+  ASSERT_TRUE(fresh.Build(files));
+  EXPECT_GT(fresh.diag().diagnostics().size(), 0u);
+  EXPECT_EQ(builder.diag().diagnostics().size(), fresh.diag().diagnostics().size());
+  EXPECT_EQ(builder.diag().ToString(), fresh.diag().ToString());
+}
+
 TEST(Artifact, StoredParseErrorsSurviveReuse) {
-  InputFile broken{"broken.map", "hub\tleaf(10)\nbogus !!! line\n"};
-  Diagnostics parse_diag;
-  FileArtifact artifact = ParseFileToArtifact(broken, &parse_diag);
-  EXPECT_EQ(parse_diag.error_count(), 1u);
-  ASSERT_EQ(artifact.errors.size(), 1u);
-  EXPECT_EQ(artifact.errors[0].line, 2u);
-
-  // The errors ride through serialization, and a builder fed the pre-parsed
-  // artifact (the state-dir load path) reports them again: a still-broken
-  // input must not decay into a silent success.
-  std::optional<FileArtifact> loaded = DeserializeArtifact(SerializeArtifact(artifact));
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->errors.size(), 1u);
-  EXPECT_EQ(loaded->errors[0].message, artifact.errors[0].message);
-
+  std::vector<InputFile> files = {{"broken.map", "hub\tleaf(10)\nbogus !!! line\n"},
+                                  {"other.map", "leaf\thub(10)\n"}};
   MapBuilder builder(MapBuilderOptions{.local = "hub"});
-  std::vector<FileArtifact> artifacts;
-  artifacts.push_back(std::move(*loaded));
-  ASSERT_TRUE(builder.BuildFromArtifacts(std::move(artifacts)));
-  EXPECT_EQ(builder.diag().error_count(), 1u);
+  ASSERT_TRUE(builder.Build(files));
+  ASSERT_EQ(builder.diag().error_count(), 1);
+
+  // A builder fed the saved sources (the state-dir load path) reports the error
+  // again: a still-broken input must not decay into a silent success.  An edit
+  // of another file reports it once more, not once per build the builder ran.
+  MapBuilder restored(MapBuilderOptions{.local = "hub"});
+  ASSERT_TRUE(restored.Build(builder.artifacts()));
+  EXPECT_EQ(restored.diag().error_count(), 1);
+  files[1].content = "leaf\thub(20)\n";
+  restored.Update({files[1]});
+  EXPECT_EQ(restored.diag().error_count(), 1);
+  EXPECT_TRUE(restored.diag().Mentions("expected"));
+
+  // Fixing the file clears its error.
+  files[0].content = "hub\tleaf(10)\n";
+  restored.Update({files[0]});
+  EXPECT_EQ(restored.diag().error_count(), 0);
 }
 
 TEST(StateDir, SaveLoadRoundTripAndRejection) {
@@ -519,7 +445,7 @@ TEST(StateDir, SaveLoadRoundTripAndRejection) {
 
   // A builder restored from the state dir produces identical routes.
   MapBuilder restored(MapBuilderOptions{.local = loaded->local});
-  ASSERT_TRUE(restored.BuildFromArtifacts(std::move(loaded->artifacts)));
+  ASSERT_TRUE(restored.Build(std::move(loaded->artifacts)));
   EXPECT_EQ(BuilderSortedRoutes(restored), BuilderSortedRoutes(builder));
 
   // Corruption is refused, not misread.

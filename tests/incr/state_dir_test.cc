@@ -1,6 +1,7 @@
 // State-dir robustness: generation stamping, corrupt/truncated/skewed loads
-// falling back cleanly to rebuild-needed, and crash-safe manifest publishing
-// under injected faults.  The happy-path round trip lives in incremental_test.cc.
+// falling back cleanly to rebuild-needed (swept over every truncation and bit
+// flip), and crash-safe manifest publishing under injected faults.  The
+// happy-path round trip lives in incremental_test.cc.
 
 #include "src/incr/state_dir.h"
 
@@ -11,8 +12,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
-#include "src/incr/artifact.h"
 #include "src/support/failpoint.h"
 
 namespace pathalias {
@@ -36,11 +37,8 @@ StateDirContents SmallContents() {
   contents.local = "hub";
   contents.ignore_case = false;
   contents.image_generation = 7;
-  Diagnostics diag;
-  contents.artifacts.push_back(
-      ParseFileToArtifact({"a.map", "hub\talpha(3), beta\n"}, &diag));
-  contents.artifacts.push_back(
-      ParseFileToArtifact({"b.map", "beta\tgamma(2)\n"}, &diag));
+  contents.artifacts.push_back({"a.map", "hub\talpha(3), beta\n"});
+  contents.artifacts.push_back({"b.map", "beta\tgamma(2)\n"});
   return contents;
 }
 
@@ -78,30 +76,28 @@ TEST_F(StateDirTest, GenerationRoundTrips) {
   EXPECT_EQ(loaded->artifacts.size(), 2u);
 }
 
-TEST_F(StateDirTest, Version1ManifestLoadsAsGenerationZero) {
+// Versions 1 and 2 stored a parse form of each file that this binary no longer
+// reads: both get the clean rebuild-needed refusal, like a future version.
+TEST_F(StateDirTest, OlderVersionsRejectedCleanly) {
   ASSERT_TRUE(SaveStateDir(dir_.string(), SmallContents()));
-  // Rewrite the manifest as the v1 format: old header, no generation line.
-  std::string manifest = ReadFileText(dir_ / "manifest");
-  size_t generation_at = manifest.find("generation\t");
-  ASSERT_NE(generation_at, std::string::npos);
-  size_t line_end = manifest.find('\n', generation_at);
-  manifest.erase(generation_at, line_end - generation_at + 1);
-  size_t header_at = manifest.find("pathalias-state 2");
+  const std::string manifest = ReadFileText(dir_ / "manifest");
+  size_t header_at = manifest.find("pathalias-state 3");
   ASSERT_NE(header_at, std::string::npos);
-  manifest.replace(header_at, 17, "pathalias-state 1");
-  WriteFileText(dir_ / "manifest", manifest);
+  for (const char* header : {"pathalias-state 1", "pathalias-state 2"}) {
+    std::string old_manifest = manifest;
+    old_manifest.replace(header_at, 17, header);
+    WriteFileText(dir_ / "manifest", old_manifest);
 
-  std::string error;
-  auto loaded = LoadStateDir(dir_.string(), &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  EXPECT_EQ(loaded->image_generation, 0u);
-  EXPECT_EQ(loaded->artifacts.size(), 2u);
+    std::string error;
+    EXPECT_FALSE(LoadStateDir(dir_.string(), &error).has_value()) << header;
+    EXPECT_NE(error.find("rebuild the state dir"), std::string::npos) << error;
+  }
 }
 
 TEST_F(StateDirTest, FutureVersionRejectedCleanly) {
   ASSERT_TRUE(SaveStateDir(dir_.string(), SmallContents()));
   std::string manifest = ReadFileText(dir_ / "manifest");
-  size_t header_at = manifest.find("pathalias-state 2");
+  size_t header_at = manifest.find("pathalias-state 3");
   ASSERT_NE(header_at, std::string::npos);
   manifest.replace(header_at, 17, "pathalias-state 9");
   WriteFileText(dir_ / "manifest", manifest);
@@ -164,6 +160,40 @@ TEST_F(StateDirTest, MalformedGenerationRejectedCleanly) {
   std::string error;
   EXPECT_FALSE(LoadStateDir(dir_.string(), &error).has_value());
   EXPECT_NE(error.find("generation"), std::string::npos) << error;
+}
+
+// Every truncation and every single-bit flip of the manifest and of each
+// payload is refused with an error: the payloads' digests sit in the manifest,
+// and the manifest's last line digests the rest of it.
+TEST_F(StateDirTest, EveryTruncationAndBitFlipIsRefused) {
+  ASSERT_TRUE(SaveStateDir(dir_.string(), SmallContents()));
+  std::vector<fs::path> targets = {dir_ / "manifest"};
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir_ / "artifacts")) {
+    targets.push_back(entry.path());
+  }
+  ASSERT_EQ(targets.size(), 3u);
+
+  for (const fs::path& target : targets) {
+    const std::string original = ReadFileText(target);
+    auto expect_refused = [&](const std::string& damaged, const std::string& what) {
+      WriteFileText(target, damaged);
+      std::string error;
+      EXPECT_FALSE(LoadStateDir(dir_.string(), &error).has_value())
+          << what << " of " << target.filename() << " loaded";
+      EXPECT_FALSE(error.empty()) << what;
+    };
+    for (size_t keep = 0; keep < original.size(); ++keep) {
+      expect_refused(original.substr(0, keep), "truncation to " + std::to_string(keep));
+    }
+    for (size_t bit = 0; bit < 8 * original.size(); ++bit) {
+      std::string damaged = original;
+      damaged[bit / 8] = static_cast<char>(damaged[bit / 8] ^ (1 << (bit % 8)));
+      expect_refused(damaged, "flip of bit " + std::to_string(bit));
+    }
+    WriteFileText(target, original);
+  }
+  std::string error;
+  ASSERT_TRUE(LoadStateDir(dir_.string(), &error).has_value()) << error;
 }
 
 // The satellite regression: a crash (injected failure) between writing the

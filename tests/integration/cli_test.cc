@@ -2,6 +2,7 @@
 // downstream user runs.  Binary locations are injected by CMake.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <array>
 #include <cstdio>
@@ -422,7 +423,7 @@ TEST_F(CliTest, RoutedbUpdatePatchesImageInPlace) {
   CommandResult update = RunCommand(std::string(ROUTEDB_BIN) + " update " + image.string() +
                                     " " + core.string());
   EXPECT_EQ(WEXITSTATUS(update.status), 0) << update.output;
-  EXPECT_NE(update.output.find("rebuilt (1 file(s) reparsed"), std::string::npos)
+  EXPECT_NE(update.output.find("rebuilt (1 file(s) changed"), std::string::npos)
       << update.output;
 
   // The refrozen image serves the updated cost; batch output matches a fresh
@@ -599,6 +600,144 @@ TEST_F(CliTest, RoutedbUpdateStatsFlagIsAUsageError) {
   CommandResult get = RunCommand(std::string(ROUTEDB_BIN) + " get " + image.string() +
                                  " nicka");
   EXPECT_EQ(WEXITSTATUS(get.status), 0) << get.output;
+}
+
+// An update prints and counts the diagnostics of the build it publishes only:
+// an error fixed on disk is gone, even though the kept state still has it.
+TEST_F(CliTest, RoutedbUpdateDropsTheErrorsOfAFixedFile) {
+  const std::string routedb = ROUTEDB_BIN;
+  fs::path core = dir_ / "core.map";
+  fs::path mid = dir_ / "mid.map";
+  fs::path image = dir_ / "routes.pari";
+  auto write = [](const fs::path& path, const char* text) {
+    std::ofstream out(path, std::ios::trunc);
+    out << text;
+  };
+  write(core, "hub\tmid(100), far(400)\n");
+  write(mid, "mid\thub(100), leafa(50)\nmid\t(((broken\n");
+  CommandResult init = RunCommand(routedb + " update --init --local hub " + image.string() +
+                                  " " + core.string() + " " + mid.string());
+  EXPECT_EQ(WEXITSTATUS(init.status), 1) << init.output;
+  EXPECT_NE(init.output.find("mid.map:2: error"), std::string::npos) << init.output;
+
+  // core.map need not stay on disk: the state keeps its bytes.
+  fs::remove(core);
+  write(mid, "mid\thub(100), leafa(50)\n");
+  CommandResult fixed =
+      RunCommand(routedb + " update " + image.string() + " " + mid.string());
+  EXPECT_EQ(WEXITSTATUS(fixed.status), 0) << fixed.output;
+  EXPECT_EQ(fixed.output.find("error"), std::string::npos) << fixed.output;
+  EXPECT_EQ(RunCommand(routedb + " get " + image.string() + " far").output, "far!%s\n");
+}
+
+// A broken file the state keeps, left alone while another file changes, is
+// reported once per update (not once per build the update ran) and still fails
+// the exit status.
+TEST_F(CliTest, RoutedbUpdateReportsAnUntouchedBrokenFileOnce) {
+  const std::string routedb = ROUTEDB_BIN;
+  fs::path core = dir_ / "core.map";
+  fs::path mid = dir_ / "mid.map";
+  fs::path image = dir_ / "routes.pari";
+  auto write = [](const fs::path& path, const char* text) {
+    std::ofstream out(path, std::ios::trunc);
+    out << text;
+  };
+  write(core, "hub\tmid(100), far(400)\n");
+  write(mid, "mid\thub(100), leafa(50)\nmid\t(((broken\n");
+  ASSERT_EQ(WEXITSTATUS(RunCommand(routedb + " update --init --local hub " +
+                                   image.string() + " " + core.string() + " " +
+                                   mid.string())
+                            .status),
+            1);
+
+  write(core, "hub\tmid(100), far(300)\n");
+  CommandResult other =
+      RunCommand(routedb + " update " + image.string() + " " + core.string());
+  EXPECT_EQ(WEXITSTATUS(other.status), 1) << other.output;
+  size_t first = other.output.find("mid.map:2: error");
+  ASSERT_NE(first, std::string::npos) << other.output;
+  EXPECT_EQ(other.output.find("mid.map:2: error", first + 1), std::string::npos)
+      << other.output;
+  EXPECT_NE(other.output.find("1 parse error(s)"), std::string::npos) << other.output;
+}
+
+// Offering a file whose bytes did not change publishes nothing: the image keeps
+// its inode and mtime and the manifest its bytes, so a watching daemon has no
+// new image to adopt.
+TEST_F(CliTest, RoutedbUpdateOfAnUnchangedFileLeavesImageAndStateUntouched) {
+  const std::string routedb = ROUTEDB_BIN;
+  fs::path core = dir_ / "core.map";
+  fs::path gw = dir_ / "gw.map";
+  {
+    std::ofstream out(core);
+    out << "hub\tmid(100)\nmid\thub(100)\n";
+  }
+  {
+    std::ofstream out(gw);
+    out << "hub\tgw(50)\ngw\thub(50)\n";
+  }
+  fs::path image = dir_ / "routes.pari";
+  fs::path manifest = dir_ / "routes.pari.state" / "manifest";
+  ASSERT_EQ(WEXITSTATUS(RunCommand(routedb + " update --init --local hub " + image.string() +
+                                   " " + core.string() + " " + gw.string())
+                            .status),
+            0);
+  auto read_bytes = [](const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  struct stat before {};
+  ASSERT_EQ(::stat(image.c_str(), &before), 0);
+  auto image_mtime = fs::last_write_time(image);
+  std::string manifest_before = read_bytes(manifest);
+
+  CommandResult noop = RunCommand(routedb + " update " + image.string() + " " + gw.string());
+  EXPECT_EQ(WEXITSTATUS(noop.status), 0) << noop.output;
+  EXPECT_NE(noop.output.find("nothing to do"), std::string::npos) << noop.output;
+  struct stat after {};
+  ASSERT_EQ(::stat(image.c_str(), &after), 0);
+  EXPECT_EQ(after.st_ino, before.st_ino);
+  EXPECT_EQ(fs::last_write_time(image), image_mtime);
+  EXPECT_EQ(read_bytes(manifest), manifest_before);
+}
+
+// A --remove must name a file the state keeps, spelled as the manifest spells
+// it; otherwise the update fails, names the file, and publishes nothing.
+TEST_F(CliTest, RoutedbUpdateRemoveOfAnUnknownFileIsAnError) {
+  const std::string in_dir = "cd " + dir_.string() + " && " + ROUTEDB_BIN;
+  {
+    std::ofstream out(dir_ / "core.map");
+    out << "hub\tmid(100)\nmid\thub(100)\n";
+  }
+  {
+    std::ofstream out(dir_ / "gw.map");
+    out << "hub\tgw(50)\ngw\thub(50)\n";
+  }
+  fs::path image = dir_ / "routes.pari";
+  ASSERT_EQ(
+      WEXITSTATUS(RunCommand(in_dir + " update --init --local hub routes.pari core.map gw.map")
+                      .status),
+      0);
+  struct stat before {};
+  ASSERT_EQ(::stat(image.c_str(), &before), 0);
+
+  for (const char* name : {"nosuch.map", "./gw.map"}) {
+    CommandResult removal =
+        RunCommand(in_dir + " update --remove " + name + " routes.pari");
+    EXPECT_EQ(WEXITSTATUS(removal.status), 1) << name << ": " << removal.output;
+    EXPECT_NE(removal.output.find(std::string("--remove ") + name), std::string::npos)
+        << removal.output;
+    struct stat after {};
+    ASSERT_EQ(::stat(image.c_str(), &after), 0);
+    EXPECT_EQ(after.st_ino, before.st_ino) << name << ": the image was republished";
+  }
+  EXPECT_EQ(RunCommand(in_dir + " get routes.pari gw").output, "gw!%s\n");
+
+  // The manifest's own spelling removes the file.
+  CommandResult removal = RunCommand(in_dir + " update --remove gw.map routes.pari");
+  EXPECT_EQ(WEXITSTATUS(removal.status), 0) << removal.output;
+  EXPECT_NE(WEXITSTATUS(RunCommand(in_dir + " get routes.pari gw").status), 0);
 }
 
 // Numeric-flag parsing parity: junk, negative, overflow, and out-of-bounds operands

@@ -244,7 +244,7 @@ TEST_F(RolloverDaemonTest, WatchPicksUpExternalImageReplacement) {
     ASSERT_TRUE(state.has_value()) << error;
     incr::MapBuilder builder(
         incr::MapBuilderOptions{.local = state->local, .ignore_case = state->ignore_case});
-    ASSERT_TRUE(builder.BuildFromArtifacts(std::move(state->artifacts)));
+    ASSERT_TRUE(builder.Build(std::move(state->artifacts)));
     WriteMapFiles(FilesB(dir_));
     std::vector<InputFile> changed;
     for (const InputFile& file : FilesB(dir_)) {
@@ -320,7 +320,7 @@ TEST_F(RolloverDaemonTest, WatchRetriesAfterTransientReopenFailure) {
     ASSERT_TRUE(state.has_value()) << error;
     incr::MapBuilder builder(
         incr::MapBuilderOptions{.local = state->local, .ignore_case = state->ignore_case});
-    ASSERT_TRUE(builder.BuildFromArtifacts(std::move(state->artifacts)));
+    ASSERT_TRUE(builder.Build(std::move(state->artifacts)));
     WriteMapFiles(FilesB(dir_));
     std::vector<InputFile> changed;
     for (const InputFile& file : FilesB(dir_)) {
@@ -340,8 +340,8 @@ TEST_F(RolloverDaemonTest, WatchRetriesAfterTransientReopenFailure) {
 }
 
 // The torn-update refusal: a state dir stamped for a DIFFERENT image generation
-// must not be adopted for incremental rebuilds (its artifact ids describe some
-// other image) — the controller reports the mismatch and serves the old map.
+// must not be adopted for incremental rebuilds (its sources describe some other
+// image) — the controller reports the mismatch and serves the old map.
 TEST(RolloverController, RefusesStateStampedForADifferentImageGeneration) {
   fs::path dir = MakeScratchDir();
   std::string image_path = (dir / "routes.pari").string();
@@ -488,7 +488,7 @@ TEST(RolloverController, HupAfterAOneShotUpdateAnswersLikeTheImageOnDisk) {
     auto state = incr::LoadStateDir(image_path + ".state", &error);
     ASSERT_TRUE(state.has_value()) << error;
     incr::MapBuilder builder(incr::MapBuilderOptions{.local = state->local});
-    ASSERT_TRUE(builder.BuildFromArtifacts(std::move(state->artifacts)));
+    ASSERT_TRUE(builder.Build(std::move(state->artifacts)));
     builder.Update({files[0]});
     ASSERT_TRUE(builder.valid());
     ASSERT_TRUE(image::ImageWriter::Refreeze(builder.routes(), image_path, 2, &error))
