@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 
 namespace pathalias {
 namespace {
@@ -28,12 +29,15 @@ bool LabelBefore(const PathLabel* a, const PathLabel* b, const NameInterner& nam
   return a->node->order < b->node->order;
 }
 
-// The parent's route with %s replaced by host-op-%s (left) or %s-op-host (right).
+// The parent's route with %s replaced by host-op-%s (left) or %s-op-host (right),
+// built in one allocation.
 std::string Splice(const std::string& parent_route, const std::string& name, char op,
                    bool right) {
   size_t marker = parent_route.find("%s");
   assert(marker != std::string::npos);
-  std::string replacement;
+  std::string out;
+  out.reserve(parent_route.size() + name.size() + 1);
+  out.append(parent_route, 0, marker);
   if (right) {
     // An address may carry only one '@'; a second right-hand hop inside an existing
     // user@host form uses the "underground syntax" the paper describes
@@ -42,12 +46,15 @@ std::string Splice(const std::string& parent_route, const std::string& name, cha
     if (op == '@' && parent_route.find('@', marker + 2) != std::string::npos) {
       effective = '%';
     }
-    replacement = "%s" + std::string(1, effective) + name;
+    out += "%s";
+    out += effective;
+    out += name;
   } else {
-    replacement = name + std::string(1, op) + "%s";
+    out += name;
+    out += op;
+    out += "%s";
   }
-  std::string out = parent_route;
-  out.replace(marker, 2, replacement);
+  out.append(parent_route, marker + 2);
   return out;
 }
 
@@ -119,8 +126,8 @@ Frame MakeChildFrame(const Frame& frame, const PathLabel& child, const NameInter
     std::string name = Domainize(names.View(child_node.name), node, frame.domain_suffix);
     char op = node.placeholder() ? frame.entry_op : via.op;
     bool right = node.placeholder() ? frame.entry_right : via.right_syntax();
-    next.display_name = name;
     next.route = Splice(frame.route, name, op, right);
+    next.display_name = std::move(name);
   }
   return next;
 }
@@ -142,14 +149,11 @@ bool Printable(const PathLabel& label) {
 }  // namespace
 
 std::vector<RouteEntry> RoutePrinter::Build() {
-  std::vector<RouteEntry> entries;
-  entries.reserve(map_->mapped_hosts);
-  // Attach each mapped label to its parent's child list.  Pushing in ascending
-  // order leaves every child list descending, which is exactly the order the
-  // traversal wants to push frames (cheapest child ends up on top of the stack)
-  // — no per-node child buffer or reversal on the emission path.
-  std::vector<PathLabel*> mapped;
+  // Attach each mapped label to its parent's child list, in label order, and note
+  // the parents that got two children or more.
   const PathLabel* root = nullptr;
+  std::vector<PathLabel*> parents;
+  size_t printable = 0;
   for (PathLabel* label : map_->labels) {
     label->child = nullptr;
     label->sibling = nullptr;
@@ -158,22 +162,46 @@ std::vector<RouteEntry> RoutePrinter::Build() {
     if (!label->mapped) {
       continue;
     }
+    if (Printable(*label)) {
+      ++printable;
+    }
     if (label->parent == nullptr) {
       root = label;
       continue;
     }
-    mapped.push_back(label);
+    PathLabel* parent = label->parent;
+    if (parent->child != nullptr && parent->child->sibling == nullptr) {
+      parents.push_back(parent);
+    }
+    label->sibling = parent->child;
+    parent->child = label;
   }
-  const NameInterner& names = *map_->names;
-  std::sort(mapped.begin(), mapped.end(), [&names](const PathLabel* a, const PathLabel* b) {
-    return LabelBefore(a, b, names);
-  });
-  for (PathLabel* label : mapped) {
-    label->sibling = label->parent->child;
-    label->parent->child = label;
-  }
+  std::vector<RouteEntry> entries;
+  entries.reserve(printable);
   if (root == nullptr) {
     return entries;
+  }
+
+  // Only the order among siblings reaches the output, so sort each list of two or
+  // more, and relink it descending: that is the order the traversal pushes frames
+  // in, so the cheapest child ends up on top of the stack.  LabelBefore is a total
+  // order, so this is the order one sort of every label would give.
+  const NameInterner& names = *map_->names;
+  std::vector<PathLabel*> siblings;
+  for (PathLabel* parent : parents) {
+    siblings.clear();
+    for (PathLabel* child = parent->child; child != nullptr; child = child->sibling) {
+      siblings.push_back(child);
+    }
+    std::sort(siblings.begin(), siblings.end(),
+              [&names](const PathLabel* a, const PathLabel* b) {
+                return LabelBefore(a, b, names);
+              });
+    parent->child = nullptr;
+    for (PathLabel* child : siblings) {
+      child->sibling = parent->child;
+      parent->child = child;
+    }
   }
 
   std::vector<Frame> stack;
@@ -188,15 +216,17 @@ std::vector<RouteEntry> RoutePrinter::Build() {
     stack.pop_back();
     const PathLabel& label = *frame.label;
 
-    if (Printable(label)) {
-      Cost cost = options_.first_hop_cost ? frame.first_hop : label.cost;
-      entries.push_back(RouteEntry{frame.display_name, frame.route, cost});
-    }
-
     // Child lists are descending, so pushing in list order leaves the cheapest
-    // child on top of the stack — it is popped (and printed) first.
+    // child on top of the stack — it is popped (and printed) first.  The children
+    // are made first so the frame's strings can move into its entry.
     for (const PathLabel* child = label.child; child != nullptr; child = child->sibling) {
       stack.push_back(MakeChildFrame(frame, *child, names));
+    }
+
+    if (Printable(label)) {
+      Cost cost = options_.first_hop_cost ? frame.first_hop : label.cost;
+      entries.push_back(
+          RouteEntry{std::move(frame.display_name), std::move(frame.route), cost});
     }
   }
   return entries;
@@ -204,10 +234,22 @@ std::vector<RouteEntry> RoutePrinter::Build() {
 
 std::string RoutePrinter::Render(const std::vector<RouteEntry>& entries,
                                  const PrintOptions& options) {
-  std::string out;
+  char digits[24];
+  auto cost_text = [&digits](Cost cost) {
+    return std::string_view(digits, std::to_chars(digits, digits + sizeof(digits), cost).ptr);
+  };
+  size_t size = 0;
   for (const RouteEntry& entry : entries) {
     if (options.include_costs) {
-      out += std::to_string(entry.cost);
+      size += cost_text(entry.cost).size() + 1;
+    }
+    size += entry.name.size() + entry.route.size() + 2;
+  }
+  std::string out;
+  out.reserve(size);
+  for (const RouteEntry& entry : entries) {
+    if (options.include_costs) {
+      out += cost_text(entry.cost);
       out += '\t';
     }
     out += entry.name;

@@ -92,10 +92,7 @@ Link* Graph::AddLink(Node* from, Node* to, Cost cost, char op, bool right_syntax
   }
   // Duplicate resolution: the same physical link reported twice (usually by the two
   // endpoint sites) keeps the cheaper estimate.
-  for (Link* link = from->links; link != nullptr; link = link->next) {
-    if (link->to != to || link->alias()) {
-      continue;
-    }
+  if (Link* link = link_index_.Find(from, to)) {
     if (link->cost != cost) {
       Severity severity =
           link->decl_file == current_file_ && link->decl_file >= 0 && (extra_flags == 0)
@@ -133,17 +130,9 @@ Link* Graph::AddLink(Node* from, Node* to, Cost cost, char op, bool right_syntax
     from->links_tail->next = link;
   }
   from->links_tail = link;
+  link_index_.Insert(from, to, link);
   ++link_count_;
   return link;
-}
-
-Link* Graph::FindLink(Node* from, Node* to) const {
-  for (Link* link = from->links; link != nullptr; link = link->next) {
-    if (link->to == to && !link->alias()) {
-      return link;
-    }
-  }
-  return nullptr;
 }
 
 void Graph::AddAlias(Node* a, Node* b, SourcePos pos) {
@@ -214,11 +203,9 @@ void Graph::MarkDeadHost(Node* host, SourcePos pos) {
 }
 
 void Graph::MarkDeadLink(Node* from, Node* to, SourcePos pos) {
-  for (Link* link = from->links; link != nullptr; link = link->next) {
-    if (link->to == to && !link->alias()) {
-      link->flags |= kLinkDead;
-      return;
-    }
+  if (Link* link = link_index_.Find(from, to)) {
+    link->flags |= kLinkDead;
+    return;
   }
   diag_->Warn(pos, "dead link " + Describe(from, to) + " was never declared; ignored");
 }
@@ -240,11 +227,9 @@ void Graph::MarkGatewayed(Node* net, SourcePos pos) {
 
 void Graph::MarkGatewayLink(Node* net, Node* gateway, SourcePos pos) {
   net->flags |= kNodeGatewayed | kNodeExplicitGateways;
-  for (Link* link = gateway->links; link != nullptr; link = link->next) {
-    if (link->to == net && !link->alias()) {
-      link->flags |= kLinkGateway;
-      return;
-    }
+  if (Link* link = link_index_.Find(gateway, net)) {
+    link->flags |= kLinkGateway;
+    return;
   }
   diag_->Note(pos, "gateway " + std::string(NameOf(gateway)) + " had no declared link into " +
                        std::string(NameOf(net)) + "; creating one at zero cost");

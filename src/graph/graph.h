@@ -7,7 +7,9 @@
 //     NameId-indexed node vector rather than by deletion;
 //   * duplicate-link resolution — the same link declared twice keeps the cheaper cost
 //     [R: the paper notes file boundaries matter here but not the rule; cheapest-wins
-//     with a warning on conflicting same-file declarations is our reconstruction];
+//     with a warning on conflicting same-file declarations is our reconstruction].
+//     The first declaration is found through a (from, to) hash index (LinkIndex), not
+//     by walking the source's adjacency list, so a 20,000-member net costs O(members);
 //   * network declarations — a net is a single placeholder node with member→net edges
 //     at the declared cost and net→member edges at zero ("you pay to get into the City,
 //     but you get back to Jersey for free");
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "src/graph/link.h"
+#include "src/graph/link_index.h"
 #include "src/graph/node.h"
 #include "src/support/arena.h"
 #include "src/support/diag.h"
@@ -65,6 +68,14 @@ class Graph {
   NameInterner& names() { return names_; }
   const NameInterner& names() const { return names_; }
 
+  // Presizes the interner for `names` names and the link index for `links` links in
+  // all, so a caller that can estimate its input spares both tables their growth
+  // rehashes.  Estimates only: either table still grows past them.
+  void Reserve(size_t names, size_t links) {
+    names_.Reserve(names);
+    link_index_.Reserve(links);
+  }
+
   // --- node and link construction ---
 
   // Finds the visible node named `name`, creating a global one if absent.
@@ -84,7 +95,7 @@ class Graph {
   void AddAlias(Node* a, Node* b, SourcePos pos);
 
   // Finds the non-alias from→to link; nullptr if absent.
-  Link* FindLink(Node* from, Node* to) const;
+  Link* FindLink(Node* from, Node* to) const { return link_index_.Find(from, to); }
 
   // NAME = op{members}(cost): placeholder node, member→net at `cost`, net→member at 0.
   Node* DeclareNet(Node* net, const std::vector<Node*>& members, Cost cost, char op,
@@ -137,6 +148,9 @@ class Graph {
   NameInterner names_;
   std::vector<Node*> by_name_;  // NameId -> shadow-chain head (private first)
   std::vector<Node*> nodes_;
+  // Every non-alias link by (from, to).  It lives as long as the graph: the mapper's
+  // back-link pass adds links after parsing ends.
+  LinkIndex link_index_;
   std::vector<std::string> files_;
   size_t link_count_ = 0;
   int current_file_ = -1;

@@ -1,10 +1,11 @@
 // ImageWriter: freeze a live NameInterner + RouteSet into a .pari image.
 //
-// Freezing walks the route set once, lays every name and route string into offset-based
-// pools, rebuilds the probe table from the hashes the interner recorded at intern time
-// (so freezing works even after the mapper stole the live table), and stamps the header
-// with the checksum.  The output is position-independent: mmap it anywhere and hand it
-// to ImageView / FrozenRouteSet.
+// Freezing sizes every section first and allocates the image once.  It then writes each
+// section at its offset: the name records and the route records with their
+// offset-based string pools, and the probe table rebuilt from the hashes the interner
+// recorded at intern time (so freezing works even after the mapper stole the live
+// table).  Last it stamps the header with the checksum.  The output is
+// position-independent: mmap it anywhere and hand it to ImageView / FrozenRouteSet.
 
 #ifndef SRC_IMAGE_IMAGE_WRITER_H_
 #define SRC_IMAGE_IMAGE_WRITER_H_

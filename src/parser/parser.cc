@@ -23,6 +23,7 @@ bool IsKeyword(std::string_view name) {
 }  // namespace
 
 int Parser::ParseFile(std::string_view file_name, Scanner& scanner) {
+  accepted_ = 0;
   scanner_ = &scanner;
   file_name_ = std::string(file_name);
   graph_->BeginFile(file_name);
@@ -41,6 +42,12 @@ int Parser::ParseFile(const InputFile& file) {
 }
 
 int Parser::ParseFiles(const std::vector<InputFile>& files) {
+  size_t bytes = 0;
+  for (const InputFile& file : files) {
+    bytes += file.content.size();
+  }
+  graph_->Reserve(graph_->names().size() + bytes / kBytesPerName,
+                  graph_->link_count() + bytes / kBytesPerLink);
   int total = 0;
   for (const InputFile& file : files) {
     total += ParseFile(file);

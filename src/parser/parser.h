@@ -35,11 +35,13 @@ class Parser {
   explicit Parser(Graph* graph) : graph_(graph) {}
 
   // Parses one file through the given scanner.  Errors are reported to the graph's
-  // diagnostics; returns the number of declarations accepted.
+  // diagnostics; returns the number of declarations accepted from this file.
   int ParseFile(std::string_view file_name, Scanner& scanner);
 
   // Convenience: parse with the production Lexer.
   int ParseFile(const InputFile& file);
+  // Parses every file in order and returns the declarations accepted from all of
+  // them.  Presizes the graph's tables from the total input size first.
   int ParseFiles(const std::vector<InputFile>& files);
 
   // First host declared across all parsed files: the default local host when the
@@ -81,6 +83,14 @@ class Parser {
   void ParseGatewayedBody();
   void ParseGatewayBody();
 
+  // Input bytes per distinct name and per link, for ParseFiles' presizing.  The
+  // usenet-scale generator writes about 59 bytes per name and 34 per link; the
+  // paper-scale one, with shorter names and denser nets, about 49 and 17.  So the
+  // name estimate leaves headroom at both scales, and the link estimate fits the
+  // large maps, where a late growth rehash would cost the most.
+  static constexpr size_t kBytesPerName = 40;
+  static constexpr size_t kBytesPerLink = 32;
+
   Graph* graph_;
   Scanner* scanner_ = nullptr;
   // pathalint: allow(R1): diagnostics only — error messages cite the input file
@@ -88,7 +98,7 @@ class Parser {
   std::string file_name_;
   Token token_;
   NameId first_host_ = kNoName;
-  int accepted_ = 0;
+  int accepted_ = 0;  // declarations accepted from the file being parsed
 };
 
 }  // namespace pathalias

@@ -74,11 +74,13 @@ bool NameInterner::EqualName(NameId id, std::string_view name) const {
   return true;
 }
 
-uint64_t NameInterner::ProbeFor(const Slot* slots, uint64_t capacity, std::string_view name,
-                                uint64_t k, Stats* stats) const {
-  uint64_t index = k % capacity;
-  // The paper's secondary hash: T-2-(k mod T-2), range [1, T-2].
-  uint64_t stride = capacity - 2 - (k % (capacity - 2));
+uint64_t NameInterner::ProbeFor(std::string_view name, uint64_t k, Stats* stats) const {
+  const Slot* slots = probe_slots();
+  const uint64_t capacity = table_capacity();
+  // Slot k mod T and the paper's secondary hash T-2-(k mod T-2), range [1, T-2].
+  const ProbeCursor start = BeginProbe(k);
+  uint64_t index = start.index;
+  const uint64_t stride = start.stride;
   const uint32_t hash32 = static_cast<uint32_t>(k);
   for (;;) {
     if (stats != nullptr) {
@@ -112,9 +114,9 @@ void NameInterner::Rehash(uint64_t new_capacity) {
     if (old_slots[i].id == kNoName) {
       continue;
     }
-    uint64_t k = entries_[old_slots[i].id].hash;
-    uint64_t index = k % capacity_;
-    uint64_t stride = capacity_ - 2 - (k % (capacity_ - 2));
+    const ProbeCursor start = BeginProbe(entries_[old_slots[i].id].hash);
+    uint64_t index = start.index;
+    const uint64_t stride = start.stride;
     while (slots_[index].id != kNoName) {
       index += stride;
       if (index >= capacity_) {
@@ -146,9 +148,7 @@ NameId NameInterner::Find(std::string_view name) const {
     if (frozen_.entry_count == 0 || frozen_.table_capacity < 5) {
       return kNoName;
     }
-    uint64_t index =
-        ProbeFor(frozen_.slots, frozen_.table_capacity, name, HashName(name), nullptr);
-    return frozen_.slots[index].id;
+    return frozen_.slots[ProbeFor(name, HashName(name), nullptr)].id;
   }
   if (stolen_) {
     return LinearFind(name);
@@ -156,8 +156,7 @@ NameId NameInterner::Find(std::string_view name) const {
   if (capacity_ == 0) {
     return kNoName;
   }
-  uint64_t index = ProbeFor(slots_, capacity_, name, HashName(name), nullptr);
-  return slots_[index].id;  // kNoName when the probe stopped at an empty slot
+  return slots_[ProbeFor(name, HashName(name), nullptr)].id;  // kNoName: an empty slot
 }
 
 NameId NameInterner::FindPrehashed(std::string_view name, uint64_t hash) const {
@@ -167,8 +166,7 @@ NameId NameInterner::FindPrehashed(std::string_view name, uint64_t hash) const {
     if (frozen_.entry_count == 0 || frozen_.table_capacity < 5) {
       return kNoName;
     }
-    uint64_t index = ProbeFor(frozen_.slots, frozen_.table_capacity, name, hash, nullptr);
-    return frozen_.slots[index].id;
+    return frozen_.slots[ProbeFor(name, hash, nullptr)].id;
   }
   if (stolen_) {
     return LinearFind(name);
@@ -176,8 +174,7 @@ NameId NameInterner::FindPrehashed(std::string_view name, uint64_t hash) const {
   if (capacity_ == 0) {
     return kNoName;
   }
-  uint64_t index = ProbeFor(slots_, capacity_, name, hash, nullptr);
-  return slots_[index].id;
+  return slots_[ProbeFor(name, hash, nullptr)].id;
 }
 
 NameId NameInterner::Intern(std::string_view name) {
@@ -201,7 +198,7 @@ NameId NameInterner::Intern(std::string_view name) {
                               kHighWater * static_cast<double>(capacity_)) {
       Rehash(growth_.NextSize(capacity_ < 5 ? 5 : capacity_));
     }
-    uint64_t index = ProbeFor(slots_, capacity_, name, k, &stats_);
+    uint64_t index = ProbeFor(name, k, &stats_);
     if (slots_[index].id != kNoName) {
       return slots_[index].id;
     }
@@ -231,6 +228,19 @@ NameId NameInterner::Intern(std::string_view name) {
     entries_[id].suffix = suffix;
   }
   return id;
+}
+
+void NameInterner::Reserve(uint64_t names) {
+  if (frozen() || stolen_) {
+    return;
+  }
+  // Intern grows before the insert that would pass αH; `needed` keeps all `names`
+  // under it.
+  uint64_t needed = static_cast<uint64_t>(static_cast<double>(names) / kHighWater) + 1;
+  if (needed <= capacity_) {
+    return;
+  }
+  Rehash(NextPrime(needed < 5 ? 5 : needed));
 }
 
 std::pair<void*, size_t> NameInterner::StealTable() {

@@ -124,6 +124,13 @@ class NameInterner {
   // Forbidden on a frozen interner (asserts; degrades to Find in release builds).
   NameId Intern(std::string_view name);
 
+  // Presizes the probe table for `names` names in one rehash, so a caller that can
+  // estimate its input skips the growth rehashes on the way there.  The new capacity
+  // is the smallest prime that holds `names` under αH; growth past it continues the
+  // Fibonacci-prime sequence.  A no-op on a frozen or stolen table, or on one that
+  // already holds `names`.
+  void Reserve(uint64_t names);
+
   // Read-only lookup: the id for `name`, or kNoName.  Never allocates and never
   // writes (see Stats): safe to call from many threads against one table.
   NameId Find(std::string_view name) const;
@@ -337,11 +344,11 @@ class NameInterner {
 
   uint64_t HashName(std::string_view name) const;
   bool EqualName(NameId id, std::string_view name) const;
-  // Index of the slot holding `name` (hash `k`), or of the empty slot where it belongs.
-  // `stats` is where probe counts accrue: &stats_ on the Intern path, nullptr on the
-  // const Find path (which must stay mutation-free for concurrent readers).
-  uint64_t ProbeFor(const Slot* slots, uint64_t capacity, std::string_view name,
-                    uint64_t k, Stats* stats) const;
+  // Index of the probe_slots() slot holding `name` (hash `k`), or of the empty slot
+  // where it belongs; requires can_probe().  `stats` is where probe counts accrue:
+  // &stats_ on the Intern path, nullptr on the const Find path (which must stay
+  // mutation-free for concurrent readers).
+  uint64_t ProbeFor(std::string_view name, uint64_t k, Stats* stats) const;
   void Rehash(uint64_t new_capacity);
   NameId LinearFind(std::string_view name) const;
 

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace pathalias {
 namespace {
 
@@ -288,6 +295,341 @@ TEST_F(GraphTest, SetLocalMovesTheFlag) {
   Node* b = graph.SetLocal("b");
   EXPECT_FALSE(a->local());
   EXPECT_TRUE(b->local());
+}
+
+TEST_F(GraphTest, BigNetDeclaredTwiceKeepsCheaperCostsWithNotesInOrder) {
+  constexpr int kMembers = 5000;
+  Node* net = graph.Intern("BIGNET");
+  std::vector<Node*> members;
+  for (int i = 0; i < kMembers; ++i) {
+    members.push_back(graph.Intern("m" + std::to_string(i)));
+  }
+  graph.BeginFile("a.map");
+  graph.DeclareNet(net, members, 500, '!', false, SourcePos{"a.map", 1});
+  graph.EndFile();
+  graph.BeginFile("b.map");
+  graph.DeclareNet(net, members, 200, '@', true, SourcePos{"b.map", 7});
+  graph.EndFile();
+
+  EXPECT_EQ(graph.link_count(), 2u * kMembers);
+  for (Node* member : members) {
+    Link* on = graph.FindLink(member, net);
+    ASSERT_NE(on, nullptr);
+    EXPECT_EQ(on->cost, 200);
+    EXPECT_EQ(on->op, '@');
+    EXPECT_TRUE(on->right_syntax());
+    EXPECT_EQ(on->decl_file, 1);
+    EXPECT_EQ(on->decl_line, 7);
+    Link* off = graph.FindLink(net, member);
+    ASSERT_NE(off, nullptr);
+    EXPECT_EQ(off->cost, 0);
+    EXPECT_TRUE(off->net_member());
+    EXPECT_EQ(off->decl_file, 0) << "an equal-cost redeclaration keeps the first";
+  }
+  // One cross-file note per member link, in declaration order; the zero-cost
+  // net->member links match their first declaration and say nothing.
+  const std::vector<Diagnostic>& notes = diag.diagnostics();
+  ASSERT_EQ(notes.size(), static_cast<size_t>(kMembers));
+  for (int i = 0; i < kMembers; ++i) {
+    EXPECT_EQ(notes[i].severity, Severity::kNote);
+    EXPECT_EQ(notes[i].pos, (SourcePos{"b.map", 7}));
+    EXPECT_EQ(notes[i].message, "duplicate link m" + std::to_string(i) +
+                                    "!BIGNET declared with cost 200 (previously 500); "
+                                    "keeping the cheaper");
+  }
+  int index = 0;
+  for (Link* link = net->links; link != nullptr; link = link->next, ++index) {
+    ASSERT_LT(index, kMembers);
+    EXPECT_EQ(link->to, members[index]);
+  }
+  EXPECT_EQ(index, kMembers);
+}
+
+TEST_F(GraphTest, PrivateShadowAndItsGlobalGetSeparateLinks) {
+  graph.BeginFile("a.map");
+  Node* global = graph.Intern("bilbo");
+  Node* hub = graph.Intern("hub");
+  graph.AddLink(global, hub, 10, '!', false, {});
+  graph.AddLink(hub, global, 10, '!', false, {});
+  graph.EndFile();
+  graph.BeginFile("b.map");
+  graph.DeclarePrivate("bilbo", {});
+  Node* shadow = graph.Intern("bilbo");
+  ASSERT_NE(shadow, global);
+  graph.AddLink(shadow, hub, 20, '!', false, {});
+  graph.AddLink(hub, shadow, 30, '!', false, {});
+  graph.EndFile();
+
+  EXPECT_TRUE(diag.diagnostics().empty()) << diag.ToString();
+  EXPECT_EQ(graph.link_count(), 4u);
+  EXPECT_EQ(graph.FindLink(global, hub)->cost, 10);
+  EXPECT_EQ(graph.FindLink(shadow, hub)->cost, 20);
+  EXPECT_EQ(graph.FindLink(hub, global)->cost, 10);
+  EXPECT_EQ(graph.FindLink(hub, shadow)->cost, 30);
+  ASSERT_NE(hub->links, nullptr);
+  EXPECT_EQ(hub->links->to, global);
+  ASSERT_NE(hub->links->next, nullptr);
+  EXPECT_EQ(hub->links->next->to, shadow);
+}
+
+// A reference for Graph's link rules that finds every link by walking the source
+// node's list.  Nodes are resolved through the graph itself (name scoping is not
+// what this models), so the model is keyed by Node*.
+class LinkModel {
+ public:
+  struct ModelLink {
+    Node* to;
+    Cost cost;
+    char op;
+    uint32_t flags;
+    int32_t decl_file;
+    int32_t decl_line;
+  };
+
+  explicit LinkModel(const Graph& graph) : graph_(graph) {}
+
+  void AddLink(Node* from, Node* to, Cost cost, char op, bool right, const SourcePos& pos,
+               uint32_t extra_flags) {
+    if (from == to) {
+      Expect(Severity::kWarning, pos, "link from " + Name(from) + " to itself ignored");
+      return;
+    }
+    if (cost < 0) {
+      Expect(Severity::kWarning, pos,
+             "negative cost on link " + Describe(from, to) + " clamped to 0");
+      cost = 0;
+    }
+    const int32_t file = graph_.current_file();
+    if (ModelLink* link = Walk(from, to)) {
+      if (link->cost != cost) {
+        bool same_file = link->decl_file == file && link->decl_file >= 0 && extra_flags == 0;
+        Expect(same_file ? Severity::kWarning : Severity::kNote, pos,
+               "duplicate link " + Describe(from, to) + " declared with cost " +
+                   std::to_string(cost) + " (previously " + std::to_string(link->cost) +
+                   "); keeping the cheaper");
+        if (cost < link->cost) {
+          link->cost = cost;
+          link->op = op;
+          link->flags = right ? (link->flags | kLinkRight) : (link->flags & ~kLinkRight);
+          link->decl_file = file;
+          link->decl_line = pos.line;
+        }
+      }
+      link->flags |= extra_flags;
+      return;
+    }
+    links_[from].push_back(
+        ModelLink{to, cost, op, extra_flags | (right ? kLinkRight : 0u), file, pos.line});
+  }
+
+  void AddAlias(Node* a, Node* b, const SourcePos& pos) {
+    if (a == b) {
+      Expect(Severity::kWarning, pos, "alias of " + Name(a) + " to itself ignored");
+      return;
+    }
+    for (const ModelLink& link : links_[a]) {
+      if (link.to == b && (link.flags & kLinkAlias) != 0) {
+        return;
+      }
+    }
+    const int32_t file = graph_.current_file();
+    links_[a].push_back(ModelLink{b, 0, kDefaultOp, kLinkAlias, file, pos.line});
+    links_[b].push_back(ModelLink{a, 0, kDefaultOp, kLinkAlias, file, pos.line});
+  }
+
+  void DeclareNet(Node* net, const std::vector<Node*>& members, Cost cost, char op, bool right,
+                  const SourcePos& pos) {
+    for (Node* member : members) {
+      if (member == net) {
+        Expect(Severity::kWarning, pos, "network " + Name(net) + " lists itself as a member");
+        continue;
+      }
+      AddLink(member, net, cost, op, right, pos, 0);
+      AddLink(net, member, 0, op, right, pos, kLinkNetMember);
+    }
+  }
+
+  void MarkDeadLink(Node* from, Node* to, const SourcePos& pos) {
+    if (ModelLink* link = Walk(from, to)) {
+      link->flags |= kLinkDead;
+      return;
+    }
+    Expect(Severity::kWarning, pos,
+           "dead link " + Describe(from, to) + " was never declared; ignored");
+  }
+
+  void MarkGatewayLink(Node* net, Node* gateway, const SourcePos& pos) {
+    if (ModelLink* link = Walk(gateway, net)) {
+      link->flags |= kLinkGateway;
+      return;
+    }
+    Expect(Severity::kNote, pos,
+           "gateway " + Name(gateway) + " had no declared link into " + Name(net) +
+               "; creating one at zero cost");
+    AddLink(gateway, net, 0, kDefaultOp, false, pos, kLinkGateway);
+  }
+
+  void DeclarePrivate(const std::string& name, const SourcePos& pos) {
+    if (!privates_.emplace(name, graph_.current_file()).second) {
+      Expect(Severity::kWarning, pos, "host " + name + " is already private in this file");
+    }
+  }
+
+  // The first non-alias from→to link, found by walking from's list.
+  ModelLink* Walk(Node* from, Node* to) {
+    for (ModelLink& link : links_[from]) {
+      if (link.to == to && (link.flags & kLinkAlias) == 0) {
+        return &link;
+      }
+    }
+    return nullptr;
+  }
+
+  const std::vector<ModelLink>& LinksOf(Node* node) { return links_[node]; }
+  const std::vector<Diagnostic>& expected() const { return expected_; }
+  size_t link_count() const {
+    size_t count = 0;
+    for (const auto& [node, links] : links_) {
+      count += links.size();
+    }
+    return count;
+  }
+
+ private:
+  std::string Name(const Node* node) const { return std::string(graph_.NameOf(node)); }
+  std::string Describe(const Node* from, const Node* to) const {
+    return Name(from) + "!" + Name(to);
+  }
+  void Expect(Severity severity, const SourcePos& pos, std::string message) {
+    expected_.push_back(Diagnostic{severity, pos, std::move(message)});
+  }
+
+  const Graph& graph_;
+  std::map<Node*, std::vector<ModelLink>> links_;
+  std::set<std::pair<std::string, int>> privates_;
+  std::vector<Diagnostic> expected_;
+};
+
+TEST(GraphModel, LinkDedupMatchesAListWalkingReference) {
+  constexpr char kOps[] = {'!', '@', '%', ':'};
+  constexpr Cost kCosts[] = {-5, 0, 10, 10, 50, 100, 300};
+  std::vector<std::string> names;
+  for (int i = 0; i < 14; ++i) {
+    names.push_back("h" + std::to_string(i));
+  }
+  names.push_back("NET");
+  names.push_back(".dom");
+  for (uint32_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Diagnostics diag;
+    Graph graph(&diag);
+    LinkModel model(graph);
+    std::mt19937 rng(seed);
+    auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+    auto node = [&] { return graph.Intern(names[pick(names.size())]); };
+    std::string file;
+    int line = 0;
+    for (int step = 0; step < 1500; ++step) {
+      SourcePos pos{file, ++line};
+      Cost cost = kCosts[pick(std::size(kCosts))];
+      char op = kOps[pick(std::size(kOps))];
+      bool right = pick(2) == 0;
+      switch (pick(16)) {
+        case 0: {  // move to the next file, or out of every file
+          if (graph.current_file() >= 0) {
+            graph.EndFile();
+          }
+          if (pick(4) != 0) {
+            file = "f" + std::to_string(graph.files().size()) + ".map";
+            graph.BeginFile(file);
+          } else {
+            file.clear();
+          }
+          line = 0;
+          break;
+        }
+        case 1: {
+          Node* a = node();
+          Node* b = node();
+          graph.AddAlias(a, b, pos);
+          model.AddAlias(a, b, pos);
+          break;
+        }
+        case 2:
+        case 3: {
+          Node* net = node();
+          std::vector<Node*> members;
+          for (size_t count = 1 + pick(5); count > 0; --count) {
+            members.push_back(node());
+          }
+          graph.DeclareNet(net, members, cost, op, right, pos);
+          model.DeclareNet(net, members, cost, op, right, pos);
+          break;
+        }
+        case 4: {
+          Node* from = node();
+          Node* to = node();
+          graph.MarkDeadLink(from, to, pos);
+          model.MarkDeadLink(from, to, pos);
+          break;
+        }
+        case 5: {
+          Node* net = node();
+          Node* gateway = node();
+          graph.MarkGatewayLink(net, gateway, pos);
+          model.MarkGatewayLink(net, gateway, pos);
+          break;
+        }
+        case 6: {
+          const std::string& name = names[pick(names.size())];
+          graph.DeclarePrivate(name, pos);
+          model.DeclarePrivate(name, pos);
+          break;
+        }
+        default: {  // a declared link, or (rarely) one the mapper invents
+          Node* from = node();
+          Node* to = node();
+          uint32_t extra = pick(8) == 0 ? kLinkInvented : 0u;
+          graph.AddLink(from, to, cost, op, right, pos, extra);
+          model.AddLink(from, to, cost, op, right, pos, extra);
+          break;
+        }
+      }
+    }
+
+    EXPECT_EQ(graph.link_count(), model.link_count());
+    for (Node* from : graph.nodes()) {
+      const std::vector<LinkModel::ModelLink>& expected = model.LinksOf(from);
+      size_t index = 0;
+      for (const Link* link = from->links; link != nullptr; link = link->next, ++index) {
+        ASSERT_LT(index, expected.size()) << graph.NameOf(from);
+        const LinkModel::ModelLink& want = expected[index];
+        EXPECT_EQ(link->to, want.to);
+        EXPECT_EQ(link->cost, want.cost);
+        EXPECT_EQ(link->op, want.op);
+        EXPECT_EQ(link->flags, want.flags);
+        EXPECT_EQ(link->decl_file, want.decl_file);
+        EXPECT_EQ(link->decl_line, want.decl_line);
+      }
+      EXPECT_EQ(index, expected.size()) << graph.NameOf(from);
+      for (Node* to : graph.nodes()) {
+        const Link* found = graph.FindLink(from, to);
+        const LinkModel::ModelLink* want = model.Walk(from, to);
+        ASSERT_EQ(found == nullptr, want == nullptr);
+        if (found != nullptr) {
+          EXPECT_EQ(found->cost, want->cost);
+          EXPECT_EQ(found->flags, want->flags);
+          EXPECT_EQ(found->decl_line, want->decl_line);
+        }
+      }
+    }
+    const std::vector<Diagnostic>& got = diag.diagnostics();
+    ASSERT_EQ(got.size(), model.expected().size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(ToString(got[i]), ToString(model.expected()[i])) << "diagnostic " << i;
+      EXPECT_EQ(got[i].severity, model.expected()[i].severity) << "diagnostic " << i;
+    }
+  }
 }
 
 }  // namespace

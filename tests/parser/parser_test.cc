@@ -246,6 +246,17 @@ TEST_F(ParserTest, AcceptedCountsDeclarations) {
   EXPECT_EQ(accepted, 4);
 }
 
+TEST_F(ParserTest, EachCallCountsOnlyItsOwnDeclarations) {
+  // ParseFile reports what it accepted from its own file, not a running total, and
+  // ParseFiles sums the files it was given.
+  EXPECT_EQ(Parse("a\tb(10)\n", "one.map"), 1);
+  EXPECT_EQ(Parse("c\td(10)\n", "two.map"), 1);
+  std::vector<InputFile> files{
+      {"three.map", "e\tf(10)\n"}, {"four.map", "g\th(10)\n"}, {"five.map", "i\tj(10)\n"}};
+  EXPECT_EQ(parser.ParseFiles(files), 3);
+  EXPECT_EQ(Parse("k\tl(10)\nm\tn(10)\n", "six.map"), 2);
+}
+
 TEST_F(ParserTest, MultipleFilesAccumulate) {
   std::vector<InputFile> files{{"one.map", "a\tb(10)\n"}, {"two.map", "b\tc(20)\n"}};
   parser.ParseFiles(files);

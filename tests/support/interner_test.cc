@@ -137,6 +137,36 @@ TEST(NameInterner, StealTableKeepsViewsAndDegradesLookups) {
   EXPECT_EQ(interner.Find("latecomer"), late);
 }
 
+TEST(NameInterner, ReserveSizesOnceAndKeepsIds) {
+  NameInterner interner;
+  NameId early = interner.Intern("caip.rutgers.edu");
+  interner.Reserve(20000);
+  EXPECT_EQ(interner.stats().rehashes, 2u) << "first growth, then the one reserve";
+  EXPECT_GE(interner.table_capacity() * NameInterner::kHighWater, 20000.0);
+  EXPECT_EQ(interner.Find("caip.rutgers.edu"), early);
+  EXPECT_EQ(interner.Suffix(early), interner.Find(".rutgers.edu"));
+  const uint64_t capacity = interner.table_capacity();
+  for (int i = static_cast<int>(interner.size()); i < 20000; ++i) {
+    interner.Intern("host" + std::to_string(i));
+  }
+  EXPECT_EQ(interner.table_capacity(), capacity) << "the reserved table never grows";
+  EXPECT_EQ(interner.stats().rehashes, 2u);
+  interner.Reserve(100);
+  EXPECT_EQ(interner.table_capacity(), capacity) << "a smaller reserve is a no-op";
+  for (int i = 0; i < 10; ++i) {  // the prime leaves a few names of slack
+    interner.Intern("more" + std::to_string(i));
+  }
+  EXPECT_GT(interner.table_capacity(), capacity) << "growth resumes past the reserve";
+  EXPECT_EQ(interner.Find("host12345"), interner.Intern("host12345"));
+
+  // A stolen table is the heap's now: Reserve leaves it alone.
+  interner.StealTable();
+  interner.Reserve(1000000);
+  EXPECT_TRUE(interner.stolen());
+  EXPECT_EQ(interner.table_capacity(), 0u);
+  EXPECT_EQ(interner.Find("more9"), interner.size() - 1);
+}
+
 TEST(NameInterner, SharedArenaReceivesTheStrings) {
   Arena arena;
   size_t before = arena.stats().bytes_requested;
