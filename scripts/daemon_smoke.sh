@@ -14,6 +14,11 @@
 #   6. routedb query                 assert the NEW route, under the SAME daemon pid
 #   7. SIGTERM                       clean exit (status 0) with stats on stderr
 #
+# The daemon's stderr goes to <workdir>/daemon.log.  Each of the four rollovers
+# (5a, 5b, 5c's watch and 5c's SIGHUP) must log an applied reload, and none may
+# log "rebuilt cold": every update numbers names as the image it replaces does,
+# so every swap keeps the warm engine.
+#
 # Usage: daemon_smoke.sh <routedb-bin> <routedbd-bin> [workdir]
 # Exits nonzero on the first broken step.
 
@@ -24,10 +29,15 @@ ROUTEDBD=${2:?usage: daemon_smoke.sh <routedb-bin> <routedbd-bin> [workdir]}
 DIR=${3:-$(mktemp -d)}
 IMAGE="$DIR/routes.pari"
 SOCK="$DIR/routedbd.sock"
+LOG="$DIR/daemon.log"
 DAEMON_PID=""
 
 say() { printf 'daemon_smoke: %s\n' "$*"; }
-fail() { say "FAIL: $*"; exit 1; }
+fail() {
+  say "FAIL: $*"
+  [[ -f "$LOG" ]] && sed 's/^/daemon_smoke: log: /' "$LOG"
+  exit 1
+}
 
 cleanup() {
   if [[ -n "$DAEMON_PID" ]] && kill -0 "$DAEMON_PID" 2>/dev/null; then
@@ -64,7 +74,7 @@ say "image built: $IMAGE"
 READY="$DIR/ready"
 "$ROUTEDBD" --image "$IMAGE" --unix "$SOCK" \
     --map "$DIR/core.map" --map "$DIR/mid.map" --map "$DIR/far.map" --map "$DIR/edu.map" \
-    --watch-interval 50 --ready-fd 3 3>"$READY" &
+    --watch-interval 50 --ready-fd 3 3>"$READY" 2>"$LOG" &
 DAEMON_PID=$!
 for _ in $(seq 1 100); do
   [[ -s "$READY" ]] && break
@@ -101,9 +111,9 @@ expect_route leafc 'far!leafc!%s'
 say "file-watch rollover applied"
 
 # --- 5c. an external update adds newa, which it appends to the id space; then a
-# map edit and SIGHUP, whose builder reloads from the state dir and numbers names
-# in emission order.  Every name, answered from a warm cache, must match the
-# image on disk. ---
+# map edit and SIGHUP, which loads the state dir and numbers names as the image
+# on disk does.  Every name, answered from a warm cache, must match the image on
+# disk. ---
 printf 'hub\tmid(100), far(400), newa(1)\n' > "$DIR/core.map"
 "$ROUTEDB" update "$IMAGE" "$DIR/core.map"
 for _ in $(seq 1 100); do
@@ -131,6 +141,15 @@ say "SIGHUP after an external update answers like the image on disk"
 
 # Queries kept flowing the whole time against one daemon process.
 kill -0 "$DAEMON_PID" || fail "daemon restarted somewhere along the way"
+
+# Every rollover was applied into the warm engine.
+APPLIED=$(grep -c 'reload (.*) applied' "$LOG" || true)
+[[ "$APPLIED" == 4 ]] || fail "expected 4 applied rollovers in $LOG, saw $APPLIED"
+if grep -q 'rebuilt cold' "$LOG"; then
+  fail "a rollover swapped in a cold engine"
+fi
+sed 's/^/daemon_smoke: log: /' "$LOG"
+say "all four rollovers kept the warm engine"
 
 # --- 7. clean shutdown ---
 kill -TERM "$DAEMON_PID"

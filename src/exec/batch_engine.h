@@ -92,8 +92,8 @@ class FrozenBatchEngine {
   // engine holds NO references to the old source, and since no batch is in flight
   // between calls the caller may unmap it at once (src/net's RolloverController
   // frees it at its next RetireDrained).  Requirement: fresh must keep the old
-  // source's NameId assignment, which DiffRoutes verifies (within one MapBuilder's
-  // life ids are append-only, so its dirty_route_ids() after a Refreeze also fit).
+  // source's NameId assignment, which DiffRoutes verifies (every image the update
+  // step, net::UpdateImage, publishes keeps the ids of the image it replaced).
   void AdoptRoutes(const FrozenRouteSet* fresh, std::span<const NameId> dirty);
 
   int shards() const { return shards_; }

@@ -3,66 +3,81 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "src/core/mapper.h"
 #include "src/core/route_printer.h"
+#include "src/graph/graph.h"
 
 namespace pathalias {
 namespace incr {
+namespace {
+
+// The ids whose route differs between `before` and `after`, where `after`'s id
+// space extends `before`'s: a route's bytes or cost changed, or it appeared or
+// went away.  Two absent routes are equal.
+std::vector<NameId> ChangedIds(const RouteSet& before, const RouteSet& after) {
+  std::vector<NameId> changed;
+  const NameId count = static_cast<NameId>(after.names().size());
+  for (NameId id = 0; id < count; ++id) {
+    const Route* old_route = before.Find(id);
+    const Route* new_route = after.Find(id);
+    if (old_route == nullptr || new_route == nullptr
+            ? old_route != new_route
+            : old_route->route != new_route->route || old_route->cost != new_route->cost) {
+      changed.push_back(id);
+    }
+  }
+  return changed;
+}
+
+}  // namespace
 
 MapBuilder::MapBuilder(MapBuilderOptions options) : options_(std::move(options)) {}
 
 bool MapBuilder::Build(std::vector<InputFile> files) {
   artifacts_ = std::move(files);
-  valid_ = Rebuild();
+  routes_ = RouteSet();
+  valid_ = Rebuild(routes_.names());
   return valid_;
 }
 
-bool MapBuilder::Rebuild() {
-  diag_.Clear();  // each build reports only its own diagnostics
-  graph_ = std::make_unique<Graph>(&diag_, Graph::Options{.ignore_case = options_.ignore_case});
-  Parser parser(graph_.get());
-  parser.ParseFiles(artifacts_);
-  // The same default the batch pipeline applies: the first host declared.
-  local_name_ = options_.local.empty() ? std::string(parser.first_host()) : options_.local;
-  if (local_name_.empty()) {
-    diag_.Error(SourcePos{}, "no hosts declared and no local host named");
-    map_ = Mapper::Result{};
-    CommitEmission({});
-    return false;
-  }
-  graph_->SetLocal(local_name_);
-
-  Mapper mapper(graph_.get(), MapOptions{});
-  map_ = mapper.Run();
-  for (const Node* unreachable : map_.unreachable) {
-    diag_.Warn(SourcePos{}, std::string(graph_->NameOf(unreachable)) + " is unreachable");
-  }
-
-  RoutePrinter printer(map_, PrintOptions{});
-  CommitEmission(printer.Build());
-  return true;
+void MapBuilder::Resume(std::vector<InputFile> files, const NameInterner& ids) {
+  artifacts_ = std::move(files);
+  routes_ = RouteSet();
+  dirty_route_ids_.clear();
+  resumed_ids_ = &ids;
+  valid_ = false;
 }
 
-void MapBuilder::CommitEmission(const std::vector<RouteEntry>& entries) {
-  // Reduce the emission to its effective content ("later adds replace earlier
-  // ones", matching RouteSet::FromEntries) before diffing against the held set.
-  std::unordered_map<std::string_view, size_t> last;  // name → index of winning entry
-  for (size_t i = 0; i < entries.size(); ++i) {
-    last[entries[i].name] = i;
-  }
-  std::vector<std::string> erases;
-  for (const Route& route : routes_.routes()) {
-    std::string_view name = routes_.NameOf(route);
-    if (!last.contains(name)) {
-      erases.emplace_back(name);
+bool MapBuilder::Rebuild(const NameInterner& ids) {
+  diag_.Clear();  // each compile reports only its own diagnostics
+  RouteSet fresh(ids);
+  bool built = false;
+  {  // The graph and the mapper result end with this scope.
+    Graph graph(&diag_, Graph::Options{.ignore_case = options_.ignore_case});
+    Parser parser(&graph);
+    parser.ParseFiles(artifacts_);
+    // The same default the batch pipeline applies: the first host declared.
+    local_name_ = options_.local.empty() ? std::string(parser.first_host()) : options_.local;
+    if (local_name_.empty()) {
+      diag_.Error(SourcePos{}, "no hosts declared and no local host named");
+    } else {
+      graph.SetLocal(local_name_);
+      Mapper mapper(&graph, MapOptions{});
+      Mapper::Result map = mapper.Run();
+      for (const Node* unreachable : map.unreachable) {
+        diag_.Warn(SourcePos{}, std::string(graph.NameOf(unreachable)) + " is unreachable");
+      }
+      RoutePrinter printer(map, PrintOptions{});
+      for (const RouteEntry& entry : printer.Build()) {
+        fresh.Add(entry.name, entry.route, entry.cost);
+      }
+      built = true;
     }
   }
-  std::vector<RouteUpsert> upserts;  // in emission order, one per winning entry
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (last[entries[i].name] == i) {
-      upserts.push_back(RouteUpsert{entries[i].name, entries[i].route, entries[i].cost});
-    }
-  }
-  dirty_route_ids_ = routes_.ApplyDelta(upserts, erases);
+  dirty_route_ids_ = ChangedIds(routes_, fresh);
+  routes_ = std::move(fresh);
+  resumed_ids_ = nullptr;
+  return built;
 }
 
 UpdateStats MapBuilder::Update(const std::vector<InputFile>& changed,
@@ -91,19 +106,19 @@ UpdateStats MapBuilder::Update(const std::vector<InputFile>& changed,
       artifacts_.push_back(file);
     }
   }
-  // Names that match no retained file are ignored.
+  // Names that match no kept file are ignored.
   if (std::erase_if(artifacts_, [&removed](const InputFile& file) {
         return std::ranges::find(removed, file.name) != removed.end();
       }) > 0) {
     edited = true;
   }
 
-  if (!edited) {
-    stats.patched = true;  // nothing to rebuild
+  if (!edited && resumed_ids_ == nullptr) {
+    stats.patched = true;  // nothing to compile
     dirty_route_ids_.clear();
     return stats;
   }
-  valid_ = Rebuild();
+  valid_ = Rebuild(resumed_ids_ != nullptr ? *resumed_ids_ : routes_.names());
   stats.routes_changed = dirty_route_ids_.size();
   return stats;
 }

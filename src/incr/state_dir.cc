@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <unordered_set>
 #include <vector>
 
 #include "src/support/durable_file.h"
-#include "src/support/failpoint.h"
+#include "src/support/io_retry.h"
 
 namespace pathalias {
 namespace incr {
@@ -47,19 +46,7 @@ bool WriteFileAtomically(const fs::path& path, std::string_view bytes) {
 }
 
 std::optional<std::string> ReadWholeFile(const fs::path& path) {
-  if (support::failpoint::Inject("state.read")) {
-    return std::nullopt;
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return std::nullopt;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return std::nullopt;
-  }
-  return std::move(buffer).str();
+  return support::ReadFileFully(path.string(), "state.read", nullptr);
 }
 
 }  // namespace

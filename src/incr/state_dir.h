@@ -1,4 +1,4 @@
-// StateDir: the on-disk form of a MapBuilder's retained sources.
+// StateDir: the on-disk form of a MapBuilder's kept sources.
 //
 // Layout (all files under one directory):
 //   manifest            text: format version, local host, ignore_case, generation,
@@ -17,9 +17,9 @@
 // future version: with a clean rebuild-the-state-dir error, never parsed on
 // faith.
 //
-// Every state dir accompanies a .pari image, at <image>.state.  Consumers:
-// `routedb update <image> <changed-files...>` and routedbd's SIGHUP reload
-// (src/net/rollover.h), which both load it into a MapBuilder.
+// Every state dir accompanies a .pari image, at <image>.state.  The update step
+// (net::UpdateImage in src/net/rollover.h, run by `routedb update` and routedbd's
+// SIGHUP) loads it on every update and saves it after publishing the image.
 
 #ifndef SRC_INCR_STATE_DIR_H_
 #define SRC_INCR_STATE_DIR_H_
@@ -39,10 +39,10 @@ struct StateDirContents {
   std::string local;        // the effective local host the state was built with
   bool ignore_case = false;
   // Publish generation of the .pari image this state was saved alongside
-  // (ImageHeader::generation).  0 = unstamped, never checked.  Both consumers
-  // compare the two stamps and treat a mismatch as a torn update, never
-  // mix-and-match: RolloverController refuses it, and routedb update heals it
-  // by re-reading every source the manifest names.
+  // (ImageHeader::generation).  0 = unstamped, never checked.  The update step
+  // compares the two stamps and treats a mismatch as a torn update, never
+  // mix-and-match: it heals the pair by re-reading every source the manifest
+  // names.
   uint64_t image_generation = 0;
   // The map sources the state was built from (MapBuilder::artifacts()), in
   // input order.

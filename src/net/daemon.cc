@@ -301,7 +301,7 @@ void Daemon::Housekeeping() {
       case ReloadOutcome::kApplied:
         ++stats_.reloads_applied;
         if (options_.log_reloads) {
-          std::fprintf(stderr, "routedbd: reload (%s) applied\n", trigger);
+          std::fprintf(stderr, "routedbd: reload (%s) applied: %s\n", trigger, detail.c_str());
         }
         break;
       case ReloadOutcome::kNoop:

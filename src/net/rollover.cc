@@ -1,16 +1,161 @@
 #include "src/net/rollover.h"
 
-#include <fstream>
-#include <sstream>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "src/image/image_writer.h"
 #include "src/incr/state_dir.h"
-#include "src/parser/parser.h"
 #include "src/support/failpoint.h"
+#include "src/support/io_retry.h"
 
 namespace pathalias {
 namespace net {
+#if defined(__GLIBC__)
+namespace {
+
+// A reload from sources allocates a whole compile's working set and frees it
+// again.  Left to itself, glibc hands most of it back to the kernel at once
+// (heap-top trim, and large blocks mapped afresh each time), so every reload
+// would fault it all in again: on the 1986 map, about 850 minor faults a reload
+// instead of about 30.  A serving process keeps up to this much freed heap for
+// the next reload, and trims past it (32 MiB is M_MMAP_THRESHOLD's ceiling).
+constexpr size_t kKeptHeapBytes = size_t{32} << 20;
+
+}  // namespace
+#endif
+
+UpdateReport UpdateImage(UpdateRequest request) {
+  UpdateReport report;
+  const std::string& image_path = request.image_path;
+  const std::string state_dir = image_path + ".state";
+  auto fail = [&report](std::string error) {
+    report.outcome = UpdateOutcome::kError;
+    report.error = std::move(error);
+    return std::move(report);
+  };
+
+  std::string error;
+  std::optional<incr::StateDirContents> state = incr::LoadStateDir(state_dir, &error);
+  if (!state.has_value()) {
+    return fail("cannot load " + state_dir + " (" + error +
+                "); run `routedb update --init` first");
+  }
+  if (!request.local.empty() && request.local != state->local) {
+    return fail("state was built with local '" + state->local +
+                "'; re-run --init to change it");
+  }
+  for (const std::string& name : request.removed) {
+    if (std::ranges::none_of(state->artifacts,
+                             [&name](const InputFile& kept) { return kept.name == name; })) {
+      return fail("--remove " + name + " names no file in " + state_dir +
+                  "; nothing published");
+    }
+  }
+
+  // Pair the state with the image on disk.  Stamps of 0 are pre-generation files
+  // and cannot be checked.
+  std::vector<InputFile>& changed = request.changed;
+  std::optional<FrozenImage> replaced = FrozenImage::Open(
+      image_path, image::ImageView::Verify::kStructure, &error, /*readahead=*/true);
+  const uint64_t image_generation =
+      replaced.has_value() ? replaced->view().header().generation : 0;
+  if (!replaced.has_value() || (image_generation != 0 && state->image_generation != 0 &&
+                                image_generation != state->image_generation)) {
+    report.note = (replaced.has_value()
+                       ? image_path + " is generation " + std::to_string(image_generation) +
+                             " but " + state_dir + " is generation " +
+                             std::to_string(state->image_generation) + " (torn update?)"
+                       : "cannot pair " + state_dir + " with the image (" + error + ")") +
+                  "; re-reading every source and republishing both in step";
+    // The image may carry edits the state lacks: offer every kept source as it
+    // is on disk, and the byte check picks up the ones those edits touched.
+    for (const InputFile& source : state->artifacts) {
+      if (std::ranges::find(request.removed, source.name) != request.removed.end() ||
+          std::ranges::any_of(changed, [&source](const InputFile& file) {
+            return file.name == source.name;
+          })) {
+        continue;
+      }
+      std::optional<std::string> bytes =
+          support::ReadFileFully(source.name, "source.read", &error);
+      if (!bytes.has_value()) {
+        return fail(error + ", which " + state_dir + " names; nothing published");
+      }
+      changed.push_back({source.name, std::move(*bytes)});
+    }
+  } else if (request.removed.empty() &&
+             std::ranges::all_of(changed, [&state](const InputFile& file) {
+               return std::ranges::any_of(state->artifacts, [&file](const InputFile& kept) {
+                 return kept.name == file.name && kept.content == file.content;
+               });
+             })) {
+    // The byte check: leave the image and the state directory byte-for-byte (and
+    // mtime-for-mtime) alone.
+    report.outcome = UpdateOutcome::kNothingToDo;
+    report.stats.files_unchanged = changed.size();
+    return report;
+  }
+
+  // Number names as the replaced image does, unless too many of them are dead.
+  const NameInterner no_ids;
+  const NameInterner* ids = &no_ids;
+  if (replaced.has_value()) {
+    const size_t count = replaced->routes().names().size();
+    const size_t routeless = count - replaced->routes().size();
+    if (routeless * 4 <= count) {
+      ids = &replaced->routes().names();
+    } else {
+      report.note += (report.note.empty() ? "" : "; ") + std::to_string(routeless) + " of " +
+                     std::to_string(count) + " names in " + image_path +
+                     " carry no route, so names are numbered afresh";
+    }
+  }
+  incr::MapBuilder builder(
+      incr::MapBuilderOptions{.local = state->local, .ignore_case = state->ignore_case});
+  builder.Resume(std::move(state->artifacts), *ids);
+  report.stats = builder.Update(changed, request.removed);
+  report.diag = std::move(builder.diag());
+  if (!builder.valid()) {
+    return fail("update left no buildable map");
+  }
+
+  // Image first, then state, both stamped with the same generation: a crash
+  // between the two leaves the image ahead of the state, which the next update
+  // pairs as torn instead of serving a mixed pair.
+  state->image_generation = std::max(image_generation, state->image_generation) + 1;
+  if (!image::ImageWriter::Refreeze(builder.routes(), image_path, state->image_generation,
+                                    &error)) {
+    return fail("cannot rewrite " + image_path + ": " + error);
+  }
+  report.outcome = UpdateOutcome::kPublished;
+  report.routes_total = builder.routes().size();
+  state->artifacts = builder.artifacts();
+  report.state_saved = incr::SaveStateDir(state_dir, *state);
+
+  // The resumed builder saw no previous routes (it counts every route, as a
+  // fresh id space should), so diff the two images instead.
+  if (request.count_changed_routes && ids != &no_ids) {
+    if (std::optional<FrozenImage> published = FrozenImage::Open(image_path)) {
+      if (auto dirty = exec::DiffRoutes(replaced->routes(), published->routes())) {
+        report.stats.routes_changed = dirty->size();
+      }
+    }
+  }
+  return report;
+}
+
+RolloverController::RolloverController(RolloverOptions options)
+    : options_(std::move(options)) {
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, kKeptHeapBytes);
+  mallopt(M_TRIM_THRESHOLD, kKeptHeapBytes);
+#endif
+}
 
 bool RolloverController::StatImage(ImageIdentity* out) const {
   struct stat st;
@@ -32,44 +177,8 @@ bool RolloverController::Start(std::string* error) {
     return false;
   }
   current_ = std::make_unique<FrozenImage>(std::move(*image));
-  image_generation_ = current_->view().header().generation;
   engine_ = std::make_unique<exec::FrozenBatchEngine>(&current_->routes(), options_.engine);
   StatImage(&identity_);  // best-effort: a failed stat just means CheckImage re-opens
-  return true;
-}
-
-bool RolloverController::EnsureBuilder(std::string* detail) {
-  if (builder_ != nullptr) {
-    return true;
-  }
-  std::string state_dir = options_.image_path + ".state";
-  std::string error;
-  auto state = incr::LoadStateDir(state_dir, &error);
-  if (!state.has_value()) {
-    *detail = "cannot load " + state_dir + " (" + error +
-              "); run `routedb update --init` before HUP-reloading";
-    return false;
-  }
-  // Generation agreement: the state dir must be the one published with the
-  // image being served (see the header for why).  Stamps of 0 are
-  // pre-generation files and can't be checked.
-  if (state->image_generation != 0 && image_generation_ != 0 &&
-      state->image_generation != image_generation_) {
-    *detail = "generation mismatch: " + state_dir + " is generation " +
-              std::to_string(state->image_generation) + " but the served image is " +
-              std::to_string(image_generation_) +
-              " (torn update?); run `routedb update` to republish both";
-    return false;
-  }
-  incr::MapBuilderOptions builder_options;
-  builder_options.local = state->local;
-  builder_options.ignore_case = state->ignore_case;
-  auto builder = std::make_unique<incr::MapBuilder>(builder_options);
-  if (!builder->Build(std::move(state->artifacts))) {
-    *detail = "retained state in " + state_dir + " no longer builds";
-    return false;
-  }
-  builder_ = std::move(builder);
   return true;
 }
 
@@ -78,64 +187,41 @@ ReloadOutcome RolloverController::ReloadFromSources(std::string* detail) {
     *detail = "no map files configured; reload-from-sources disabled";
     return ReloadOutcome::kError;
   }
-  if (!EnsureBuilder(detail)) {
-    return ReloadOutcome::kError;
-  }
-  // Offer every configured file; the builder's byte check turns an all-unchanged
+  // Offer every configured file; the step's byte check turns an all-unchanged
   // set into a no-op.
-  std::vector<InputFile> files;
-  files.reserve(options_.map_files.size());
+  UpdateRequest request;
+  request.image_path = options_.image_path;
+  request.count_changed_routes = false;
   for (const std::string& path : options_.map_files) {
-    std::ifstream in(path);
-    if (!in) {
-      *detail = "cannot open map file " + path;
+    std::optional<std::string> bytes = support::ReadFileFully(path, "source.read", detail);
+    if (!bytes.has_value()) {
       return ReloadOutcome::kError;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    files.push_back({path, std::move(buffer).str()});
+    request.changed.push_back({path, std::move(*bytes)});
   }
-  incr::UpdateStats stats = builder_->Update(files);
-  if (!builder_->valid()) {
-    // The builder's retained state may be damaged too: drop it so the next HUP
-    // reloads from the state dir instead of updating on top of a broken graph.
-    builder_.reset();
-    *detail = "update left no buildable map; previous image still serving";
+  UpdateReport report = UpdateImage(std::move(request));
+#if defined(__GLIBC__) && __GLIBC_PREREQ(2, 33)
+  // Freed heap past the top stays resident until trimmed: a million-host map
+  // leaves about a gigabyte.
+  if (mallinfo2().fordblks > kKeptHeapBytes) {
+    malloc_trim(0);
+  }
+#endif
+  if (report.outcome == UpdateOutcome::kError) {
+    *detail = report.error;
     return ReloadOutcome::kError;
   }
-  std::string note;
-  if (!builder_->dirty_route_ids().empty()) {
-    // Publish image first, then state, both stamped with the same generation: a
-    // crash between the two leaves the image ahead of the state, which the next
-    // EnsureBuilder detects as a mismatch instead of serving a mixed pair.
-    const uint64_t next_generation = image_generation_ + 1;
-    std::string error;
-    if (!image::ImageWriter::Refreeze(builder_->routes(), options_.image_path,
-                                      next_generation, &error)) {
-      // The builder already absorbed the file changes, so a retry would see
-      // unchanged sources and no-op with the publish still missing.  Drop it:
-      // the next reload rebuilds from the state dir (still paired with the served
-      // image) and re-applies the edits as a fresh update.
-      builder_.reset();
-      *detail = "cannot rewrite " + options_.image_path + ": " + error;
-      return ReloadOutcome::kError;
-    }
-    incr::StateDirContents contents;
-    contents.local = builder_->options().local;
-    contents.ignore_case = builder_->options().ignore_case;
-    contents.image_generation = next_generation;
-    contents.artifacts = builder_->artifacts();
-    if (!incr::SaveStateDir(options_.image_path + ".state", contents)) {
-      // The image is already rewritten and sound; a stale state dir only costs the
-      // next update a rebuild.  Adopt anyway, but say so.
-      note = "warning: cannot save " + options_.image_path + ".state; ";
-    }
+  std::string note = report.note.empty() ? "" : report.note + "; ";
+  if (report.outcome == UpdateOutcome::kPublished && !report.state_saved) {
+    // The image is published and sound; the next update pairs the stale state as
+    // torn and re-reads every source.  Adopt anyway, but say so.
+    note += "warning: cannot save " + options_.image_path + ".state; ";
   }
   // Also when nothing was published: an image an earlier reload published but
   // could not open is still ahead of the served one.
-  ReloadOutcome outcome = AdoptImage(detail);
+  ReloadOutcome outcome = CheckImage(detail);
   if (outcome == ReloadOutcome::kNoop) {
-    *detail = "no route changed (" + std::to_string(stats.files_unchanged) +
+    *detail = "no route changed (" + std::to_string(report.stats.files_unchanged) +
               " file(s) unchanged)";
   }
   *detail = note + *detail;
@@ -143,16 +229,6 @@ ReloadOutcome RolloverController::ReloadFromSources(std::string* detail) {
 }
 
 ReloadOutcome RolloverController::CheckImage(std::string* detail) {
-  ReloadOutcome outcome = AdoptImage(detail);
-  if (outcome == ReloadOutcome::kApplied) {
-    // The external updater doesn't tell us what changed, and the resident builder
-    // no longer describes the file on disk.
-    builder_.reset();
-  }
-  return outcome;
-}
-
-ReloadOutcome RolloverController::AdoptImage(std::string* detail) {
   ImageIdentity now;
   if (!StatImage(&now)) {
     *detail = "cannot stat " + options_.image_path + "; previous image still serving";
@@ -182,7 +258,6 @@ ReloadOutcome RolloverController::AdoptImage(std::string* detail) {
       exec::DiffRoutes(current_->routes(), fresh->routes());
   retired_.push_back(std::move(current_));
   current_ = std::move(fresh);
-  image_generation_ = current_->view().header().generation;
   identity_ = now;  // stat'ed before the open: a later replacement is seen next time
   ++generation_;
   if (!dirty.has_value()) {

@@ -1,33 +1,33 @@
-// RolloverController: route updates for a serving process, swapped in between
-// batches so no reply is torn or mixed.
+// The update step and RolloverController: route updates for a published image
+// and for a serving process, swapped in between batches so no reply is torn or
+// mixed.
 //
-// Owns the pieces a long-lived server needs to swap its mapping under live
-// traffic: the current FrozenImage, the FrozenBatchEngine resolving against it,
-// an optionally-resident incr::MapBuilder for in-process updates, and the old
-// mappings that a swap took out of service.  An update runs to completion on the
-// serving thread, so queries that arrive meanwhile wait until it ends.
+// UpdateImage() is the one update step; `routedb update` and routedbd's SIGHUP
+// both call it.  It loads <image>.state, pairs it with the image on disk, runs
+// the byte check, compiles once in the name ids of the image it replaces
+// (incr::MapBuilder::Resume), and publishes the image, then the state.  Served
+// names keep their ids and new names append, so a serving engine adopts the
+// result with its cache warm.  Nothing survives the step.
 //
-// One way into service, reached from routedbd's two triggers:
+//   * Pairing.  A torn pair (a crash between the image rename and the manifest
+//     rename: the image carries edits the state lacks, and the generation
+//     stamps differ), a missing image or an unreadable one re-reads every kept
+//     source from disk first; if one cannot be read, nothing is published.
+//   * Id space.  A name whose route went away keeps its id.  When more than a
+//     quarter of the replaced image's names carry no route, the step numbers
+//     names afresh, and a serving engine swaps in cold once.
 //
-//   ReloadFromSources() — SIGHUP.  Re-reads the configured map files and runs the
-//   routedb-update flow in process: MapBuilder::Update (a byte check against the
-//   retained sources, then a rebuild that parses every file), and when a route
-//   changed, ImageWriter::Refreeze (temp + rename, so concurrent opens never see
-//   a torn image) and SaveStateDir.  Then the adopt step.  The builder stays
-//   resident, so repeated HUPs skip the state-dir load and the build of the
-//   previous state that a one-shot `routedb update` pays.
-//
-//   CheckImage() — the file watch.  The adopt step alone, for an image some OTHER
-//   process replaced (routedb update's rename).  The resident builder no longer
-//   describes that image, so an adopted replacement drops it.
-//
-// The adopt step stats the image and, when the file is not the one being served,
-// opens it and asks exec::DiffRoutes for the ids whose routes changed.  The diff
-// first verifies that the fresh interner keeps every served NameId, because
-// nothing else guarantees it: a builder loaded from the state dir numbers names
-// in emission order, while a one-shot update appends its new names at the end.
-// Compatible images hot-swap via AdoptRoutes and keep the warm cache; an
-// incompatible one replaces the whole engine — correct, just colder.
+// RolloverController owns what a long-lived server needs to swap its mapping
+// under live traffic: the current FrozenImage, the FrozenBatchEngine resolving
+// against it, and the old mappings a swap took out of service.  An update runs
+// to completion on the serving thread, so queries that arrive meanwhile wait.
+// SIGHUP runs ReloadFromSources (UpdateImage over the configured map files,
+// then the adopt step); the file watch runs the adopt step alone (CheckImage).
+// The adopt step diffs the served and the new image (exec::DiffRoutes), which
+// first verifies that the new interner keeps every served NameId: compatible
+// images hot-swap via AdoptRoutes and keep the warm cache; any other (from
+// `routedb update --init`, `routedb freeze` or a fresh id space) replaces the
+// whole engine — correct, just colder.
 //
 // The OLD image is not unmapped inside the swap: it goes on the retired list,
 // and the next RetireDrained() — which routedbd calls at the end of every loop
@@ -56,6 +56,41 @@
 namespace pathalias {
 namespace net {
 
+struct UpdateRequest {
+  std::string image_path;               // <image_path>.state holds the kept sources
+  std::vector<InputFile> changed;       // offered files: new bytes, or new files
+  std::vector<std::string> removed;     // kept files to drop; each must name one
+  // pathalint: allow(R1): options boundary — the operator's spelling, compared
+  // with the state's before any interner exists.
+  std::string local;                    // empty: the state's; otherwise must match it
+  // Diff the published image against the one it replaced for stats.routes_changed.
+  // A serving caller turns this off: its adopt step diffs the served image anyway.
+  bool count_changed_routes = true;
+};
+
+enum class UpdateOutcome {
+  kPublished,    // the image is published (the state too, unless state_saved says not)
+  kNothingToDo,  // every offered file matches its kept bytes; nothing was written
+  kError,        // nothing was published; `error` says why
+};
+
+struct UpdateReport {
+  UpdateOutcome outcome = UpdateOutcome::kError;
+  std::string error;
+  // How the step paired or numbered the build (a torn pair healed, a fresh id
+  // space); empty when there is nothing to say.
+  std::string note;
+  bool state_saved = false;
+  // Files changed and unchanged.  With count_changed_routes, routes_changed is
+  // DiffRoutes' count (every route, in a fresh id space).
+  incr::UpdateStats stats;
+  size_t routes_total = 0;
+  Diagnostics diag;  // the published build's diagnostics
+};
+
+// The one update step (see the header comment).
+UpdateReport UpdateImage(UpdateRequest request);
+
 struct RolloverOptions {
   std::string image_path;              // the .pari image to serve and watch
   std::vector<std::string> map_files;  // sources for the SIGHUP reload path; empty
@@ -71,7 +106,9 @@ enum class ReloadOutcome {
 
 class RolloverController {
  public:
-  explicit RolloverController(RolloverOptions options) : options_(std::move(options)) {}
+  // On glibc this also sets the process's malloc to keep up to 32 MiB of freed
+  // heap, which each reload from sources re-uses (see rollover.cc).
+  explicit RolloverController(RolloverOptions options);
 
   // Opens the image and builds the serving engine.  False (with *error set) if the
   // image is missing or invalid.
@@ -83,15 +120,17 @@ class RolloverController {
   exec::FrozenBatchEngine* engine() { return engine_.get(); }
   const FrozenRouteSet* routes() const { return &current_->routes(); }
 
-  // SIGHUP: re-read options_.map_files, run the in-process update pipeline, then
-  // the adopt step.  kNoop when no route changed and the image on disk is the one
-  // being served (no refreeze, no swap — image mtime untouched).  *detail gets a
-  // one-line human summary either way (the reason, on kError).
+  // SIGHUP: re-read options_.map_files, run UpdateImage, then the adopt step.
+  // kNoop when no file changed and the image on disk is the one being served (no
+  // refreeze, no swap — image mtime untouched).  *detail gets a one-line human
+  // summary either way (the reason, on kError).
   ReloadOutcome ReloadFromSources(std::string* detail);
 
-  // File-watch: the adopt step for an image replaced on disk (rename by an
-  // external `routedb update`).  kNoop when the file is unchanged.  Cheap when
-  // nothing changed (one stat), so poll freely.
+  // The adopt step, and the file watch: stat the image; if it is not the one
+  // being served (a rename by an external `routedb update`, or a SIGHUP's
+  // publish), open it and either AdoptRoutes with DiffRoutes' ids or, for
+  // another id universe, build the engine cold.  The old image goes on the
+  // retired list.  kNoop when the file is unchanged: one stat, so poll freely.
   ReloadOutcome CheckImage(std::string* detail);
 
   // Unmaps every image a swap has taken out of service.  Returns how many were
@@ -102,10 +141,6 @@ class RolloverController {
   // Monotonic count of successful swaps — lets a test or stats line observe that a
   // rollover actually happened.
   uint64_t generation() const { return generation_; }
-  // The publish generation stamped in the image being served
-  // (ImageHeader::generation; 0 for pre-stamp images).  The HUP path refuses a
-  // <image>.state whose stamp disagrees — see EnsureBuilder.
-  uint64_t image_generation() const { return image_generation_; }
 
  private:
   struct ImageIdentity {
@@ -119,28 +154,13 @@ class RolloverController {
 
   // stat() the served path into *out; false if it cannot be stat'd.
   bool StatImage(ImageIdentity* out) const;
-  // Loads <image>.state into the resident builder (first HUP only); false + detail
-  // on failure.  Refuses a state dir whose generation stamp disagrees with the
-  // served image's.  That pairing comes from a torn update (a crash between the
-  // image rename and the manifest rename): the state lacks edits the image
-  // already carries, and an update built on it would drop them from any file the
-  // daemon does not re-read.  The old map keeps serving until `routedb update`,
-  // which re-reads every source the manifest names, re-pairs the two.  (Wrong
-  // ids are not the risk: the adopt step checks them against the served image.)
-  bool EnsureBuilder(std::string* detail);
-  // The adopt step: stat the image; if it is not the one being served, open it
-  // and either AdoptRoutes with DiffRoutes' ids or, for another id universe,
-  // build the engine cold.  The old image goes on the retired list.
-  ReloadOutcome AdoptImage(std::string* detail);
 
   RolloverOptions options_;
   std::unique_ptr<FrozenImage> current_;
   std::unique_ptr<exec::FrozenBatchEngine> engine_;
-  std::unique_ptr<incr::MapBuilder> builder_;  // lazy: loaded on first HUP
-  ImageIdentity identity_;                     // what is being served
+  ImageIdentity identity_;  // what is being served
   std::vector<std::unique_ptr<FrozenImage>> retired_;
   uint64_t generation_ = 0;
-  uint64_t image_generation_ = 0;  // ImageHeader::generation of current_
 };
 
 }  // namespace net

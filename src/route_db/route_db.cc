@@ -39,6 +39,14 @@ size_t SplitTabs(std::string_view line, std::string_view (&fields)[3]) {
 
 }  // namespace
 
+RouteSet::RouteSet(const NameInterner& ids) {
+  // An eighth of headroom, as FromText allows, for the names the update adds.
+  names_.Reserve(ids.size() + ids.size() / 8);
+  for (NameId id = 0; id < ids.size(); ++id) {
+    names_.Intern(ids.View(id));
+  }
+}
+
 void RouteSet::Add(std::string_view name, std::string_view route, Cost cost) {
   NameId id = names_.Intern(name);
   if (by_name_.size() < names_.size()) {
@@ -52,46 +60,6 @@ void RouteSet::Add(std::string_view name, std::string_view route, Cost cost) {
   }
   routes_.push_back(Route{id, std::string(route), cost});
   slot = static_cast<uint32_t>(routes_.size());
-}
-
-std::vector<NameId> RouteSet::ApplyDelta(std::span<const RouteUpsert> upserts,
-                                         std::span<const std::string> erases) {
-  std::vector<NameId> dirty;
-  bool erased_any = false;
-  for (const std::string& name : erases) {
-    NameId id = names_.Find(name);
-    if (id == kNoName || id >= by_name_.size() || by_name_[id] == 0) {
-      continue;
-    }
-    routes_[by_name_[id] - 1].name = kNoName;  // tombstone; compacted below
-    by_name_[id] = 0;
-    dirty.push_back(id);
-    erased_any = true;
-  }
-  if (erased_any) {
-    routes_.erase(std::remove_if(routes_.begin(), routes_.end(),
-                                 [](const Route& route) { return route.name == kNoName; }),
-                  routes_.end());
-    std::fill(by_name_.begin(), by_name_.end(), 0u);
-    for (size_t i = 0; i < routes_.size(); ++i) {
-      by_name_[routes_[i].name] = static_cast<uint32_t>(i) + 1;
-    }
-  }
-  for (const RouteUpsert& upsert : upserts) {
-    NameId id = names_.Find(upsert.name);
-    if (id != kNoName) {
-      const Route* existing = Find(id);
-      if (existing != nullptr && existing->route == upsert.route &&
-          existing->cost == upsert.cost) {
-        continue;  // byte-identical: not dirty, keep caches warm
-      }
-    }
-    Add(upsert.name, upsert.route, upsert.cost);
-    dirty.push_back(names_.Find(upsert.name));
-  }
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-  return dirty;
 }
 
 RouteSet RouteSet::FromEntries(const std::vector<RouteEntry>& entries) {

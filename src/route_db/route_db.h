@@ -3,14 +3,13 @@
 //
 // pathalias emits "a simple linear file, in the UNIX tradition"; this module parses
 // that file back into an indexed set and serializes it.  The RouteSet is the builder
-// and delta structure between the route *generator* (src/core) and the .pari image
-// (src/image) that every query runs against — the paper's "format appropriate for
-// rapid database retrieval".
+// structure between the route *generator* (src/core) and the .pari image (src/image)
+// that every query runs against — the paper's "format appropriate for rapid database
+// retrieval".
 
 #ifndef SRC_ROUTE_DB_ROUTE_DB_H_
 #define SRC_ROUTE_DB_ROUTE_DB_H_
 
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,30 +38,17 @@ struct RouteView {
   explicit operator bool() const { return ok(); }
 };
 
-// One incremental route change: insert `name`'s route or replace it wholesale.
-struct RouteUpsert {
-  // pathalint: allow(R1): wire-format delta record — carries the bytes exactly
-  // as they arrived (file/stream) until ApplyDelta interns them.
-  std::string name;
-  std::string route;
-  Cost cost = -1;
-};
-
 class RouteSet {
  public:
   RouteSet() = default;
 
+  // A set with no routes that numbers `ids`' names as `ids` does (interning them
+  // in id order reproduces every id).  Routes added next keep those ids and new
+  // names append: how an update keeps the name ids of the image it replaces.
+  explicit RouteSet(const NameInterner& ids);
+
   // Later adds of the same name replace earlier ones.
   void Add(std::string_view name, std::string_view route, Cost cost = -1);
-
-  // Applies an incremental delta — erase `erases`' routes, insert-or-replace
-  // `upserts` — and returns the NameIds (this set's interner space; stable across
-  // every delta, which is what keys cache invalidation) of the routes that actually
-  // changed.  A no-op upsert (identical route and cost) is not reported; an erase of
-  // an absent name is ignored.  Erased names keep their NameId: the interner never
-  // forgets, so a later re-add changes the same id it changed before.
-  std::vector<NameId> ApplyDelta(std::span<const RouteUpsert> upserts,
-                                 std::span<const std::string> erases);
 
   static RouteSet FromEntries(const std::vector<RouteEntry>& entries);
 
@@ -73,8 +59,7 @@ class RouteSet {
   std::string ToText(bool include_costs) const;
 
   // ToText in name order regardless of insertion history: the canonical form the
-  // incremental pipeline's golden-equivalence checks compare byte-for-byte (a set
-  // grown by deltas and one built fresh order their routes_ differently).
+  // incremental pipeline's golden-equivalence checks compare byte-for-byte.
   std::string ToSortedText(bool include_costs) const;
 
   // Exact-name lookup; nullptr if absent.  The string_view form hashes once against

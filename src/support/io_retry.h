@@ -7,7 +7,9 @@
 // place: retry on EINTR always, loop on short transfers until the full count is
 // moved or a real error/EOF ends it.  Datagram sockets are different — a datagram
 // sends or receives whole or not at all — so src/net/socket.h wraps sendto/recvfrom
-// with RetryEintr directly rather than a transfer loop.
+// with RetryEintr directly rather than a transfer loop.  ReadFileFully is the one
+// whole-file reader: every map source, routes file and state-dir file is read
+// through it, so an unreadable file is an error, never an empty one.
 //
 // Long-running tools must also ignore SIGPIPE: a peer closing its socket between
 // our poll and our send must surface as EPIPE from the syscall (handled, counted),
@@ -19,10 +21,19 @@
 
 #include <cerrno>
 #include <cstddef>
+#include <cstring>
+#include <optional>
+#include <string>
+#include <string_view>
+
+#include "src/support/failpoint.h"
 
 #if defined(__unix__) || defined(__APPLE__)
-#include <csignal>
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
+
+#include <csignal>
 #endif
 
 namespace pathalias {
@@ -74,6 +85,46 @@ inline ssize_t WriteFull(int fd, const void* buffer, size_t count) {
     done += static_cast<size_t>(n);
   }
   return static_cast<ssize_t>(done);
+}
+
+// The bytes of `path`, read to end of file, or nullopt with *error (when non-null)
+// set to "cannot open|read PATH: strerror".  An std::ifstream drained through
+// rdbuf() swallows read errors (a directory reads as zero bytes); here a failed
+// open or read (EISDIR, EACCES, EIO) is an error.  `failpoint_name` names the
+// failpoint checked first, so chaos schedules can fail this read.
+inline std::optional<std::string> ReadFileFully(const std::string& path,
+                                                std::string_view failpoint_name,
+                                                std::string* error) {
+  auto fail = [&](const char* step) -> std::optional<std::string> {
+    if (error != nullptr) {
+      *error = std::string(step) + " " + path + ": " + std::strerror(errno);
+    }
+    return std::nullopt;
+  };
+  if (failpoint::Inject(failpoint_name)) {
+    return fail("cannot read");
+  }
+  int fd = RetryEintr([&] { return ::open(path.c_str(), O_RDONLY | O_CLOEXEC); });
+  if (fd < 0) {
+    return fail("cannot open");
+  }
+  std::string bytes;
+  struct stat st {};
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    bytes.reserve(static_cast<size_t>(st.st_size));
+  }
+  char chunk[1 << 16];
+  ssize_t got = 0;
+  while ((got = RetryEintr([&] { return ::read(fd, chunk, sizeof(chunk)); })) > 0) {
+    bytes.append(chunk, static_cast<size_t>(got));
+  }
+  const int read_errno = errno;
+  ::close(fd);
+  if (got < 0) {
+    errno = read_errno;
+    return fail("cannot read");
+  }
+  return bytes;
 }
 
 // For daemons: a peer disappearing mid-send must be an errno, not a process death.

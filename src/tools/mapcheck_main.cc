@@ -7,14 +7,15 @@
 // reported by the parser itself; this tool adds the semantic lints (name collisions,
 // one-way links, unenterable networks, ...) described in src/graph/audit.h.
 
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/graph/audit.h"
 #include "src/parser/parser.h"
+#include "src/support/io_retry.h"
 
 int main(int argc, char** argv) {
   bool quiet = false;
@@ -44,19 +45,20 @@ int main(int argc, char** argv) {
   pathalias::Graph graph(&diag);
   pathalias::Parser parser(&graph);
   for (const std::string& name : names) {
-    std::ostringstream buffer;
     if (name == "-") {
+      std::ostringstream buffer;
       buffer << std::cin.rdbuf();
       parser.ParseFile(pathalias::InputFile{"<stdin>", buffer.str()});
       continue;
     }
-    std::ifstream in(name);
-    if (!in) {
-      std::cerr << "mapcheck: cannot open " << name << "\n";
+    std::string error;
+    std::optional<std::string> bytes =
+        pathalias::support::ReadFileFully(name, "source.read", &error);
+    if (!bytes.has_value()) {
+      std::cerr << "mapcheck: " << error << "\n";
       return 2;
     }
-    buffer << in.rdbuf();
-    parser.ParseFile(pathalias::InputFile{name, buffer.str()});
+    parser.ParseFile(pathalias::InputFile{name, std::move(*bytes)});
   }
 
   pathalias::AuditReport report = pathalias::AuditGraph(graph);

@@ -23,12 +23,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/core/pathalias.h"
 #include "src/support/failpoint.h"
+#include "src/support/io_retry.h"
 
 namespace {
 
@@ -117,12 +119,14 @@ int main(int argc, char** argv) {
       files.push_back({"<stdin>", ReadStream(std::cin)});
       continue;
     }
-    std::ifstream in(name);
-    if (!in) {
-      std::cerr << "pathalias: cannot open " << name << "\n";
+    std::string error;
+    std::optional<std::string> bytes =
+        pathalias::support::ReadFileFully(name, "source.read", &error);
+    if (!bytes.has_value()) {
+      std::cerr << "pathalias: " << error << "\n";
       return 1;
     }
-    files.push_back({name, ReadStream(in)});
+    files.push_back({name, std::move(*bytes)});
   }
 
   // Command-line dead declarations become a synthetic trailing input file, which is

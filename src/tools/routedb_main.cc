@@ -17,12 +17,16 @@
 //   routedb update [--remove FILE]... <routes.pari> [changed-map-files...]
 //                                               swap the named files' new bytes into
 //                                               the kept sources (a --remove must
-//                                               name a kept file), rebuild, rewrite
-//                                               the image atomically, and report
-//                                               files changed/unchanged and routes
+//                                               name a kept file), compile once in
+//                                               the name ids of the image being
+//                                               replaced, rewrite the image
+//                                               atomically, and report files
+//                                               changed/unchanged and routes
 //                                               changed; when no file changed,
 //                                               report "nothing to do" and leave
-//                                               image and state untouched
+//                                               image and state untouched.  A torn,
+//                                               missing or unreadable image re-reads
+//                                               every kept source first.
 //   routedb batch [--threads N] [--cache-entries M] [--chunk-lines L]
 //                 [--stats] <routes.pari> [hosts.txt]
 //                                               bulk host lookup, one per line (stdin
@@ -60,21 +64,21 @@
 #include <iostream>
 #include <optional>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/exec/batch_engine.h"
 #include "src/image/frozen_route_set.h"
-#include "src/image/image_format.h"
 #include "src/image/image_writer.h"
 #include "src/incr/map_builder.h"
 #include "src/incr/state_dir.h"
+#include "src/net/rollover.h"
 #include "src/net/socket.h"
 #include "src/net/wire.h"
 #include "src/route_db/resolver.h"
 #include "src/route_db/route_db.h"
 #include "src/support/failpoint.h"
+#include "src/support/io_retry.h"
 
 namespace {
 
@@ -90,35 +94,6 @@ int Usage() {
                "       routedb query (--socket PATH | --port UDPPORT) [--timeout MS] "
                "[--retries N] [--id ID] <host>...\n";
   return 2;
-}
-
-// The publish generation stamped in an existing image's header, or nullopt when
-// the file is missing/short/not a .pari image.  Pre-generation images read 0.
-std::optional<uint64_t> ReadImageGeneration(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return std::nullopt;
-  }
-  pathalias::image::ImageHeader header;
-  if (!in.read(reinterpret_cast<char*>(&header), sizeof(header))) {
-    return std::nullopt;
-  }
-  if (header.magic != pathalias::image::kMagic) {
-    return std::nullopt;
-  }
-  return header.generation;
-}
-
-// Appends `path` and its bytes to *files; false if it cannot be read.
-bool ReadSource(const std::string& path, std::vector<pathalias::InputFile>* files) {
-  std::ifstream in(path);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  files->push_back({path, std::move(buffer).str()});
-  return true;
 }
 
 // The batch execution knobs.
@@ -311,16 +286,16 @@ void PrintDiagnostics(const pathalias::Diagnostics& diag) {
   }
 }
 
-// The incremental image pipeline: map files → MapBuilder → refrozen .pari, with the
-// map sources kept in <image>.state between invocations.
+// The incremental image pipeline: map files → one compile → refrozen .pari, with
+// the map sources kept in <image>.state between invocations.
 //
-// An update loads the kept sources, swaps in the new bytes of the files it is
-// given, parses every source into a fresh graph, maps, emits, and republishes
-// image and state.  The route-set delta yields the per-edit report (routes
-// changed) an operator reads for blast radius.  A one-shot process builds the
-// previous state once before applying the edit; process-resident builders
-// (routedbd's SIGHUP path) skip that.  Only the published build's diagnostics
-// are printed and counted.
+// --init builds a fresh id space and publishes generation 1.  An update runs the
+// one update step (net::UpdateImage, shared with routedbd's SIGHUP): it loads the
+// kept sources, pairs them with the image on disk, swaps in the new bytes of the
+// files it is given, compiles once in the name ids of the image it replaces, and
+// republishes image and state.  The report (files changed, routes changed) is
+// what an operator reads for blast radius.  Only the published build's
+// diagnostics are printed and counted.
 int RunUpdate(int argc, char** argv) {
   bool init = false;
   std::string local;
@@ -355,156 +330,74 @@ int RunUpdate(int argc, char** argv) {
 
   std::vector<pathalias::InputFile> files;
   for (size_t i = 1; i < positional.size(); ++i) {
-    if (!ReadSource(positional[i], &files)) {
-      std::cerr << "routedb: cannot open " << positional[i] << "\n";
+    std::string error;
+    std::optional<std::string> bytes =
+        pathalias::support::ReadFileFully(positional[i], "source.read", &error);
+    if (!bytes.has_value()) {
+      std::cerr << "routedb: " << error << "\n";
       return 1;
     }
+    files.push_back({positional[i], std::move(*bytes)});
   }
 
-  pathalias::incr::MapBuilderOptions builder_options;
-  builder_options.local = local;
-
+  int errors = 0;
   if (!init) {
-    std::string error;
-    auto state = pathalias::incr::LoadStateDir(state_dir, &error);
-    if (!state.has_value()) {
-      std::cerr << "routedb: cannot load " << state_dir << " (" << error
-                << "); run routedb update --init first\n";
-      return 1;
+    pathalias::net::UpdateReport report = pathalias::net::UpdateImage(
+        {.image_path = image_path, .changed = std::move(files), .removed = std::move(removed),
+         .local = local});
+    PrintDiagnostics(report.diag);
+    if (!report.note.empty()) {
+      std::cerr << "routedb: " << report.note << "\n";
     }
-    if (!local.empty() && local != state->local) {
-      std::cerr << "routedb: state was built with local '" << state->local
-                << "'; re-run --init to change it\n";
-      return 1;
-    }
-    for (const std::string& name : removed) {
-      if (std::ranges::none_of(state->artifacts, [&name](const pathalias::InputFile& kept) {
-            return kept.name == name;
-          })) {
-        std::cerr << "routedb: --remove " << name << " names no file in " << state_dir
-                  << "; nothing published\n";
+    switch (report.outcome) {
+      case pathalias::net::UpdateOutcome::kError:
+        std::cerr << "routedb: " << report.error << "\n";
         return 1;
-      }
+      case pathalias::net::UpdateOutcome::kNothingToDo:
+        std::cerr << "routedb: nothing to do (no changed files); " << image_path
+                  << " left untouched\n";
+        return 0;
+      case pathalias::net::UpdateOutcome::kPublished:
+        break;
     }
-    // Generation pairing.  A state stamp that disagrees with the image's means
-    // the previous publish tore between the two renames, so the image carries
-    // edits the state lacks.  Offer every source the manifest names, read from
-    // disk: the byte check picks up the ones those edits touched, and both
-    // files leave this run paired.
-    std::optional<uint64_t> image_generation = ReadImageGeneration(image_path);
-    const bool torn = image_generation.has_value() && *image_generation != 0 &&
-                      state->image_generation != 0 &&
-                      *image_generation != state->image_generation;
-    if (torn) {
-      std::cerr << "routedb: warning: " << image_path << " is generation "
-                << *image_generation << " but " << state_dir << " is generation "
-                << state->image_generation
-                << " (torn update?); re-reading every source and republishing both in step\n";
-      for (const pathalias::InputFile& source : state->artifacts) {
-        const std::string& name = source.name;
-        if (std::ranges::find(removed, name) != removed.end() ||
-            std::ranges::any_of(files, [&name](const pathalias::InputFile& file) {
-              return file.name == name;
-            })) {
-          continue;
-        }
-        if (!ReadSource(name, &files)) {
-          std::cerr << "routedb: cannot read " << name << ", which " << state_dir
-                    << " names; nothing published\n";
-          return 1;
-        }
-      }
-    }
-    // Nothing to apply when every offered file matches its kept bytes (the test
-    // MapBuilder::Update makes) and nothing is removed: leave the image and the
-    // state directory byte-for-byte (and mtime-for-mtime) alone instead of
-    // rebuilding, refreezing, and rewriting the manifest for a no-op.  A torn
-    // pair is republished regardless.  (Flag validation above still runs — a
-    // conflicting --local must not be swallowed by the fast path.)
-    auto unchanged = [&state](const pathalias::InputFile& file) {
-      return std::ranges::any_of(state->artifacts, [&file](const pathalias::InputFile& kept) {
-        return kept.name == file.name && kept.content == file.content;
-      });
-    };
-    if (!torn && removed.empty() && std::ranges::all_of(files, unchanged)) {
-      std::cerr << "routedb: nothing to do (no changed files); " << image_path
-                << " left untouched\n";
-      return 0;
-    }
-    builder_options.local = state->local;
-    builder_options.ignore_case = state->ignore_case;
-    pathalias::incr::MapBuilder builder(builder_options);
-    if (!builder.Build(std::move(state->artifacts))) {
-      PrintDiagnostics(builder.diag());
-      std::cerr << "routedb: retained state no longer builds; re-run --init\n";
-      return 1;
-    }
-    pathalias::incr::UpdateStats stats = builder.Update(files, removed);
-    PrintDiagnostics(builder.diag());
-    if (!builder.valid()) {
-      std::cerr << "routedb: update left no buildable map\n";
-      return 1;
-    }
-    uint64_t next_generation =
-        std::max(image_generation.value_or(0), state->image_generation) + 1;
-    std::string publish_error;
-    if (!pathalias::image::ImageWriter::Refreeze(builder.routes(), image_path,
-                                                 next_generation, &publish_error)) {
-      std::cerr << "routedb: cannot rewrite " << image_path << ": " << publish_error
-                << "\n";
-      return 1;
-    }
-    pathalias::incr::StateDirContents contents;
-    contents.local = builder.options().local;
-    contents.ignore_case = builder.options().ignore_case;
-    contents.image_generation = next_generation;
-    contents.artifacts = builder.artifacts();
-    if (!pathalias::incr::SaveStateDir(state_dir, contents)) {
+    if (!report.state_saved) {
       std::cerr << "routedb: cannot save " << state_dir << "\n";
       return 1;
     }
-    std::cerr << "routedb: rebuilt (" << stats.files_changed << " file(s) changed, "
-              << stats.files_unchanged << " unchanged); " << stats.routes_changed
-              << " route(s) changed, " << builder.routes().size() << " total\n";
-    // The image and state were written (a bad line skips one declaration, pathalias
-    // style), but an automated updater must see that the inputs were not clean.
-    if (builder.diag().error_count() > 0) {
-      std::cerr << "routedb: update completed with " << builder.diag().error_count()
-                << " parse error(s); the rewritten image omits the malformed "
-                   "declarations\n";
+    std::cerr << "routedb: rebuilt (" << report.stats.files_changed << " file(s) changed, "
+              << report.stats.files_unchanged << " unchanged); "
+              << report.stats.routes_changed << " route(s) changed, "
+              << report.routes_total << " total\n";
+    errors = report.diag.error_count();
+  } else {
+    pathalias::incr::MapBuilder builder(pathalias::incr::MapBuilderOptions{.local = local});
+    bool built = builder.Build(std::move(files));
+    PrintDiagnostics(builder.diag());
+    if (!built) {
+      std::cerr << "routedb: no routes could be built\n";
       return 1;
     }
-    return 0;
+    std::string publish_error;
+    if (!pathalias::image::ImageWriter::Refreeze(builder.routes(), image_path,
+                                                 /*generation=*/1, &publish_error)) {
+      std::cerr << "routedb: cannot write " << image_path << ": " << publish_error << "\n";
+      return 1;
+    }
+    if (!pathalias::incr::SaveStateDir(
+            state_dir, {.local = local, .image_generation = 1, .artifacts = builder.artifacts()})) {
+      std::cerr << "routedb: cannot save " << state_dir << "\n";
+      return 1;
+    }
+    std::cerr << "routedb: initialized " << state_dir << " (" << builder.artifacts().size()
+              << " file(s)); froze " << builder.routes().size() << " routes (local "
+              << builder.local_name() << ")\n";
+    errors = builder.diag().error_count();
   }
-
-  pathalias::incr::MapBuilder builder(builder_options);
-  bool built = builder.Build(std::move(files));
-  PrintDiagnostics(builder.diag());
-  if (!built) {
-    std::cerr << "routedb: no routes could be built\n";
-    return 1;
-  }
-  std::string publish_error;
-  if (!pathalias::image::ImageWriter::Refreeze(builder.routes(), image_path,
-                                               /*generation=*/1, &publish_error)) {
-    std::cerr << "routedb: cannot write " << image_path << ": " << publish_error << "\n";
-    return 1;
-  }
-  pathalias::incr::StateDirContents contents;
-  contents.local = builder_options.local;
-  contents.ignore_case = builder_options.ignore_case;
-  contents.image_generation = 1;
-  contents.artifacts = builder.artifacts();
-  if (!pathalias::incr::SaveStateDir(state_dir, contents)) {
-    std::cerr << "routedb: cannot save " << state_dir << "\n";
-    return 1;
-  }
-  std::cerr << "routedb: initialized " << state_dir << " (" << builder.artifacts().size()
-            << " file(s)); froze " << builder.routes().size() << " routes (local "
-            << builder.local_name() << ")\n";
-  if (builder.diag().error_count() > 0) {
-    std::cerr << "routedb: init completed with " << builder.diag().error_count()
-              << " parse error(s); the frozen image omits the malformed declarations\n";
+  // The image and state were written (a bad line skips one declaration, pathalias
+  // style), but an automated updater must see that the inputs were not clean.
+  if (errors > 0) {
+    std::cerr << "routedb: " << (init ? "init" : "update") << " completed with " << errors
+              << " parse error(s); the published image omits the malformed declarations\n";
     return 1;
   }
   return 0;
@@ -714,22 +607,21 @@ int main(int argc, char** argv) {
     if (argc != 4) {
       return Usage();
     }
-    std::ifstream in(argv[2]);
-    if (!in) {
-      std::cerr << "routedb: cannot open " << argv[2] << "\n";
+    std::string error;
+    std::optional<std::string> text =
+        pathalias::support::ReadFileFully(argv[2], "routes.read", &error);
+    if (!text.has_value()) {
+      std::cerr << "routedb: " << error << "\n";
       return 1;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
     pathalias::Diagnostics diag;
-    pathalias::RouteSet routes = pathalias::RouteSet::FromText(buffer.str(), &diag);
+    pathalias::RouteSet routes = pathalias::RouteSet::FromText(*text, &diag);
     if (!pathalias::image::ImageWriter::WriteFile(routes, argv[3])) {
       std::cerr << "routedb: cannot write " << argv[3] << "\n";
       return 1;
     }
     // Re-open with the checksum pass: a freeze that cannot be read back is a failure
     // now, not at delivery time.
-    std::string error;
     auto reopened = pathalias::FrozenImage::Open(
         argv[3], pathalias::image::ImageView::Verify::kChecksum, &error);
     if (!reopened) {

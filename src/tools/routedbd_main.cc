@@ -5,10 +5,11 @@
 // into single batch resolves, deduplicating retransmitted requests, and
 // hot-swapping the mapping under live traffic when the map changes:
 //
-//   SIGHUP                 re-read the --map files and run the routedb-update
-//                          pipeline in process (requires <image>.state from
-//                          `routedb update --init`); with no --map files, HUP
-//                          checks the image file for external replacement
+//   SIGHUP                 re-read the --map files and run `routedb update`'s
+//                          update step in process (one compile, nothing kept, a
+//                          torn pair heals; needs <image>.state from `routedb
+//                          update --init`); with no --map files, HUP checks the
+//                          image file for external replacement
 //   image watch            every --watch-interval ms the image file is stat'd;
 //                          a rename by an external `routedb update` is picked
 //                          up and hot-swapped automatically

@@ -105,7 +105,7 @@ void InitImage(const std::vector<InputFile>& files, const std::string& image_pat
 
 // Reads the generation stamp straight from the header bytes — no mmap, no
 // failpoints, usable both mid-run and in the invariant checks.
-std::optional<uint64_t> ReadImageGeneration(const std::string& path) {
+std::optional<uint64_t> HeaderGeneration(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   image::ImageHeader header{};
   if (!in.read(reinterpret_cast<char*>(&header), sizeof(header))) {
@@ -178,7 +178,7 @@ bool TryUpdateCycle(const fs::path& /*dir*/, const std::string& image_path,
   if (!builder.valid()) {
     return false;
   }
-  const uint64_t image_generation = ReadImageGeneration(image_path).value_or(0);
+  const uint64_t image_generation = HeaderGeneration(image_path).value_or(0);
   const uint64_t state_generation = state.has_value() ? state->image_generation : 0;
   const uint64_t next_generation = std::max(image_generation, state_generation) + 1;
   if (!image::ImageWriter::Refreeze(builder.routes(), image_path, next_generation,
@@ -373,10 +373,10 @@ TEST(RolloverChaos, ReloadFaultsDegradeButNeverKillOrCorrupt) {
     }
 
     // Faults cleared.  A faulted round may have torn image and state apart
-    // (state a generation behind), which HUP rightly REFUSES to build on — the
-    // documented heal is an external fault-free `routedb update` republishing a
-    // consistent pair, which the watch then picks up.  Run the heal and require
-    // convergence.
+    // (state a generation behind), which the next update heals by re-reading
+    // every kept source — a HUP or, as here, an external fault-free `routedb
+    // update` republishing a consistent pair, which the watch then picks up.
+    // Run the heal and require convergence.
     failpoint::Reset();
     ASSERT_TRUE(TryUpdateCycle(dir, image_path, MapVersion(dir, b_side, 999)))
         << "seed " << seed << ": fault-free update failed";

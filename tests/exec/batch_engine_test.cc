@@ -125,18 +125,14 @@ TEST(BatchEngine, AdoptRoutesServesFreshDirtyRoutesWithoutFlushingCleanOnes) {
   engine.ResolveBatch(queries, results);  // warm every shard cache
   ASSERT_GT(engine.stats().cache_lookups, 0u);
 
-  // The maintained RouteSet absorbs an edit (stable ids) and refreezes.
-  std::vector<RouteUpsert> upserts;
-  upserts.push_back({"host7", "rerouted!host7!%s", 9999});
-  std::vector<NameId> dirty_live = routes.ApplyDelta(upserts, {});
-  ASSERT_EQ(dirty_live.size(), 1u);
+  // The RouteSet absorbs an edit (a replacing Add keeps every id) and refreezes;
+  // the two images alone name the dirty ids.
+  routes.Add("host7", "rerouted!host7!%s", 9999);
   FrozenImage image_b(routes);
-
-  // The image id space tracks the live set's: translate by name (here they agree).
-  NameId dirty_id = image_b.routes().names().Find("host7");
-  ASSERT_NE(dirty_id, kNoName);
-  std::vector<NameId> dirty = {dirty_id};
-  engine.AdoptRoutes(&image_b.routes(), dirty);  // image A stays alive above — required
+  std::optional<std::vector<NameId>> dirty = DiffRoutes(image_a.routes(), image_b.routes());
+  ASSERT_TRUE(dirty.has_value());
+  ASSERT_EQ(*dirty, std::vector<NameId>{image_b.routes().names().Find("host7")});
+  engine.AdoptRoutes(&image_b.routes(), *dirty);  // image A stays alive above — required
 
   std::vector<BatchLookup> after(queries.size());
   engine.ResolveBatch(queries, after);

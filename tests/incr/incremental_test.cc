@@ -1,5 +1,5 @@
-// Unit tests for the incremental pipeline's pieces: RouteSet deltas, the
-// MapBuilder's update path and diagnostics, and state-dir persistence.  The
+// Unit tests for the incremental pipeline's pieces: the MapBuilder's update path,
+// id-by-id comparison, resume and diagnostics, and state-dir persistence.  The
 // randomized-edit equivalence property lives in incremental_fuzz_test.cc.
 
 #include <gtest/gtest.h>
@@ -48,37 +48,64 @@ TEST(MapBuilder, BuildMatchesBatchRunOnGeneratedMap) {
   EXPECT_FALSE(reference.empty());
 }
 
-TEST(RouteSet, ApplyDeltaUpsertsErasesAndReportsDirtyIds) {
-  RouteSet set;
-  set.Add("a", "a!%s", 10);
-  set.Add("b", "b!%s", 20);
-  set.Add("c", "c!%s", 30);
+// An update renumbers its emission in the previous routes' id space and compares
+// the two sets id by id: an identical route is not dirty, an erased name keeps
+// its id, and a re-add dirties that id again.
+TEST(MapBuilder, UpdateDirtiesChangedIdsAndKeepsErasedIds) {
+  MapBuilder builder(MapBuilderOptions{.local = "hub"});
+  ASSERT_TRUE(builder.Build({{"core.map", "hub\ta(10), b(20), c(30)\n"}}));
+  const NameInterner& names = builder.routes().names();
+  const NameId a = names.Find("a");
+  const NameId b = names.Find("b");
+  const NameId c = names.Find("c");
+  ASSERT_NE(c, kNoName);
 
-  std::vector<RouteUpsert> upserts;
-  upserts.push_back({"b", "x!b!%s", 25});  // changed
-  upserts.push_back({"a", "a!%s", 10});    // identical: must not be dirty
-  upserts.push_back({"d", "d!%s", 40});    // new
-  std::vector<std::string> erases = {"c", "ghost"};
-  std::vector<NameId> dirty = set.ApplyDelta(upserts, erases);
-
-  EXPECT_EQ(set.size(), 3u);
-  EXPECT_EQ(set.Find("b")->route, "x!b!%s");
-  EXPECT_EQ(set.Find("b")->cost, 25);
-  EXPECT_EQ(set.Find("a")->route, "a!%s");
-  EXPECT_EQ(set.Find("d")->cost, 40);
-  EXPECT_EQ(set.Find("c"), nullptr);
-
-  std::vector<NameId> expected = {set.names().Find("b"), set.names().Find("c"),
-                                  set.names().Find("d")};
+  UpdateStats stats = builder.Update({{"core.map", "hub\ta(10), b(25), d(40)\n"}});
+  const NameId d = builder.routes().names().Find("d");
+  ASSERT_NE(d, kNoName);
+  EXPECT_EQ(builder.routes().names().Find("a"), a);
+  EXPECT_EQ(builder.routes().names().Find("c"), c) << "an erased name keeps its id";
+  EXPECT_GT(d, c) << "a new name appends";
+  EXPECT_EQ(builder.routes().Find(c), nullptr);
+  EXPECT_EQ(builder.routes().Find(b)->cost, 25);
+  std::vector<NameId> expected = {b, c, d};
   std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(dirty, expected);
+  EXPECT_EQ(builder.dirty_route_ids(), expected) << "a and hub are identical: not dirty";
+  EXPECT_EQ(stats.routes_changed, 3u);
 
-  // Erased names keep their ids: re-adding dirties the same id.
-  std::vector<RouteUpsert> readd;
-  readd.push_back({"c", "via!c!%s", 31});
-  std::vector<NameId> dirty2 = set.ApplyDelta(readd, {});
-  ASSERT_EQ(dirty2.size(), 1u);
-  EXPECT_EQ(dirty2[0], expected[1]);
+  builder.Update({{"core.map", "hub\ta(10), b(25), c(31), d(40)\n"}});
+  EXPECT_EQ(builder.dirty_route_ids(), std::vector<NameId>{c}) << "a re-add dirties the same id";
+  EXPECT_EQ(builder.routes().Find(c)->route, "c!%s");
+}
+
+// A builder resumed over an image's id space compiles on its first Update, even
+// with no edit, and numbers every name the id space holds as it does.
+TEST(MapBuilder, ResumeNumbersNamesAsTheGivenIdSpace) {
+  std::vector<InputFile> files = {{"core.map", "hub\tmid(100), gw(50)\n"},
+                                  {"gw.map", "gw\t.rutgers.edu(10)\n.rutgers.edu\tcaip(0)\n"}};
+  MapBuilder served(MapBuilderOptions{.local = "hub"});
+  ASSERT_TRUE(served.Build(files));
+  const NameInterner& ids = served.routes().names();
+
+  MapBuilder resumed(MapBuilderOptions{.local = "hub"});
+  resumed.Resume(served.artifacts(), ids);
+  UpdateStats stats = resumed.Update({});
+  EXPECT_FALSE(stats.patched) << "a resumed builder has compiled nothing yet";
+  ASSERT_TRUE(resumed.valid());
+  EXPECT_EQ(BuilderSortedRoutes(resumed), BuilderSortedRoutes(served));
+  EXPECT_EQ(resumed.routes().names().size(), ids.size());
+
+  MapBuilder edited(MapBuilderOptions{.local = "hub"});
+  edited.Resume(served.artifacts(), ids);
+  files[1].content += "gw\tnewhost(5)\n";
+  edited.Update({files[1]});
+  ASSERT_TRUE(edited.valid());
+  EXPECT_EQ(BuilderSortedRoutes(edited), ReferenceSortedRoutes(files, "hub"));
+  ASSERT_GT(edited.routes().names().size(), ids.size());
+  for (NameId id = 0; id < ids.size(); ++id) {
+    EXPECT_EQ(edited.routes().names().View(id), ids.View(id)) << id;
+  }
+  EXPECT_EQ(edited.routes().names().Find("newhost"), ids.size());
 }
 
 // Every case pins an update's routes to a from-scratch run over the edited inputs.
@@ -378,8 +405,8 @@ TEST_F(MapBuilderPatchTest, EqualCostTieReopensToExtractionOrderWinner) {
   ExpectGolden(builder, files);
 }
 
-// Each build's diagnostics replace the last: a long-lived builder (routedbd's
-// resident one) must not accumulate every update's warnings.
+// Each build's diagnostics replace the last: a long-lived builder must not
+// accumulate every update's warnings.
 TEST(MapBuilder, DiagnosticsDescribeOnlyTheLastBuild) {
   GeneratedMap map = GenerateUsenetMap(MapGenConfig::Small());
   MapBuilder builder(MapBuilderOptions{.local = map.local});

@@ -453,6 +453,50 @@ TEST_F(CliTest, RoutedbUpdatePatchesImageInPlace) {
   EXPECT_NE(uninitialized.output.find("--init"), std::string::npos);
 }
 
+// A map source that cannot be read is an error, never an empty map.  A
+// directory opens, and only the read fails (EISDIR), so a reader that ignores
+// read errors recorded `sub/` as an empty source and exited 0.
+TEST_F(CliTest, UnreadableMapSourceIsAnErrorNotAnEmptyMap) {
+  const std::string routedb = ROUTEDB_BIN;
+  fs::path core = dir_ / "core.map";
+  {
+    std::ofstream out(core);
+    out << "hub\tmid(100)\nmid\thub(100)\n";
+  }
+  fs::path sub = dir_ / "sub";
+  fs::create_directories(sub);
+  const std::string sources = core.string() + " " + sub.string() + "/";
+  fs::path image = dir_ / "routes.pari";
+
+  CommandResult init =
+      RunCommand(routedb + " update --init --local hub " + image.string() + " " + sources);
+  EXPECT_EQ(WEXITSTATUS(init.status), 1) << init.output;
+  EXPECT_NE(init.output.find(sub.string()), std::string::npos) << init.output;
+  EXPECT_NE(init.output.find("Is a directory"), std::string::npos) << init.output;
+  EXPECT_FALSE(fs::exists(image)) << "nothing may be published";
+  EXPECT_FALSE(fs::exists(dir_ / "routes.pari.state"));
+
+  CommandResult plain = RunCommand(std::string(PATHALIAS_BIN) + " " + sources);
+  EXPECT_EQ(WEXITSTATUS(plain.status), 1) << plain.output;
+  EXPECT_NE(plain.output.find("Is a directory"), std::string::npos) << plain.output;
+  CommandResult check = RunCommand(std::string(MAPCHECK_BIN) + " " + sources);
+  EXPECT_EQ(WEXITSTATUS(check.status), 2) << check.output;
+  CommandResult freeze = RunCommand(routedb + " freeze " + sub.string() + " " +
+                                    (dir_ / "frozen.pari").string());
+  EXPECT_EQ(WEXITSTATUS(freeze.status), 1) << freeze.output;
+  EXPECT_FALSE(fs::exists(dir_ / "frozen.pari"));
+
+  // An update offered an unreadable file publishes nothing either.
+  ASSERT_EQ(WEXITSTATUS(RunCommand(routedb + " update --init --local hub " +
+                                   image.string() + " " + core.string())
+                            .status),
+            0);
+  CommandResult update =
+      RunCommand(routedb + " update " + image.string() + " " + sub.string());
+  EXPECT_EQ(WEXITSTATUS(update.status), 1) << update.output;
+  EXPECT_NE(update.output.find("Is a directory"), std::string::npos) << update.output;
+}
+
 // Regression: healing a torn image/state pair must keep the edits the torn
 // publish already put in the image.  The healing update re-reads every source
 // the state names, and publishes nothing when one of them is gone.

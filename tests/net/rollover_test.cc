@@ -13,7 +13,6 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,13 +42,6 @@ void WriteFileAt(const fs::path& path, const std::string& content) {
   std::ofstream out(path);
   out << content;
   ASSERT_TRUE(out.good()) << path;
-}
-
-std::string ReadFileAt(const fs::path& path) {
-  std::ifstream in(path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 // Version A: leafc hangs off "far" → route "far!leafc!%s".
@@ -90,6 +82,17 @@ void InitImage(const std::vector<InputFile>& files, const std::string& image_pat
   contents.image_generation = generation;
   contents.artifacts = builder.artifacts();
   ASSERT_TRUE(incr::SaveStateDir(image_path + ".state", contents));
+}
+
+// `routedb update <image> <files...>`, in process: writes the files and runs the
+// one update step on them.
+UpdateReport OneShotUpdate(const std::string& image_path,
+                           const std::vector<InputFile>& changed) {
+  WriteMapFiles(changed);
+  UpdateRequest request;
+  request.image_path = image_path;
+  request.changed = changed;
+  return UpdateImage(request);
 }
 
 class RolloverDaemonTest : public ::testing::Test {
@@ -238,22 +241,8 @@ TEST_F(RolloverDaemonTest, WatchPicksUpExternalImageReplacement) {
   EXPECT_EQ(RouteOf(1, "leafc"), "far!leafc!%s");
   EXPECT_EQ(RouteOf(2, "leafc"), "far!leafc!%s");  // warm the cache
 
-  {  // What `routedb update` does, in process: load state, update, refreeze.
-    std::string error;
-    auto state = incr::LoadStateDir(image_path_ + ".state", &error);
-    ASSERT_TRUE(state.has_value()) << error;
-    incr::MapBuilder builder(
-        incr::MapBuilderOptions{.local = state->local, .ignore_case = state->ignore_case});
-    ASSERT_TRUE(builder.Build(std::move(state->artifacts)));
-    WriteMapFiles(FilesB(dir_));
-    std::vector<InputFile> changed;
-    for (const InputFile& file : FilesB(dir_)) {
-      changed.push_back({file.name, ReadFileAt(file.name)});
-    }
-    builder.Update(changed);
-    ASSERT_TRUE(builder.valid());
-    ASSERT_TRUE(image::ImageWriter::Refreeze(builder.routes(), image_path_));
-  }
+  UpdateReport update = OneShotUpdate(image_path_, FilesB(dir_));
+  ASSERT_EQ(update.outcome, UpdateOutcome::kPublished) << update.error;
 
   SpinUntilGeneration(&*daemon_, 1);
   EXPECT_GE(daemon_->stats().reloads_applied, 1u);
@@ -314,22 +303,9 @@ TEST_F(RolloverDaemonTest, WatchRetriesAfterTransientReopenFailure) {
   StartDaemon(/*with_map_files=*/false, /*watch_interval_ms=*/1);
   EXPECT_EQ(RouteOf(1, "leafc"), "far!leafc!%s");
 
-  {  // External update, as in WatchPicksUpExternalImageReplacement.
-    std::string error;
-    auto state = incr::LoadStateDir(image_path_ + ".state", &error);
-    ASSERT_TRUE(state.has_value()) << error;
-    incr::MapBuilder builder(
-        incr::MapBuilderOptions{.local = state->local, .ignore_case = state->ignore_case});
-    ASSERT_TRUE(builder.Build(std::move(state->artifacts)));
-    WriteMapFiles(FilesB(dir_));
-    std::vector<InputFile> changed;
-    for (const InputFile& file : FilesB(dir_)) {
-      changed.push_back({file.name, ReadFileAt(file.name)});
-    }
-    builder.Update(changed);
-    ASSERT_TRUE(builder.valid());
-    ASSERT_TRUE(image::ImageWriter::Refreeze(builder.routes(), image_path_));
-  }
+  // External update, as in WatchPicksUpExternalImageReplacement.
+  UpdateReport update = OneShotUpdate(image_path_, FilesB(dir_));
+  ASSERT_EQ(update.outcome, UpdateOutcome::kPublished) << update.error;
 
   ASSERT_TRUE(support::failpoint::Arm("rollover.reopen", "nth:1"));
   SpinUntilGeneration(&*daemon_, 1);  // tick 1 fails, tick 2 lands it
@@ -337,41 +313,6 @@ TEST_F(RolloverDaemonTest, WatchRetriesAfterTransientReopenFailure) {
   EXPECT_GE(daemon_->stats().reload_errors, 1u);
   EXPECT_GE(daemon_->stats().reloads_applied, 1u);
   EXPECT_EQ(RouteOf(2, "leafc"), "mid!leafc!%s");
-}
-
-// The torn-update refusal: a state dir stamped for a DIFFERENT image generation
-// must not be adopted for incremental rebuilds (its sources describe some other
-// image) — the controller reports the mismatch and serves the old map.
-TEST(RolloverController, RefusesStateStampedForADifferentImageGeneration) {
-  fs::path dir = MakeScratchDir();
-  std::string image_path = (dir / "routes.pari").string();
-  std::vector<InputFile> files = FilesA(dir);
-  WriteMapFiles(files);
-  incr::MapBuilder builder(incr::MapBuilderOptions{.local = "hub"});
-  ASSERT_TRUE(builder.Build(files));
-  ASSERT_TRUE(image::ImageWriter::Refreeze(builder.routes(), image_path, /*generation=*/5));
-  incr::StateDirContents contents;
-  contents.local = "hub";
-  contents.ignore_case = false;
-  contents.image_generation = 3;  // a state publish that never paired with this image
-  contents.artifacts = builder.artifacts();
-  ASSERT_TRUE(incr::SaveStateDir(image_path + ".state", contents));
-
-  RolloverOptions options;
-  options.image_path = image_path;
-  for (const InputFile& file : files) {
-    options.map_files.push_back(file.name);
-  }
-  RolloverController controller(options);
-  std::string error;
-  ASSERT_TRUE(controller.Start(&error)) << error;
-  EXPECT_EQ(controller.image_generation(), 5u);
-
-  WriteMapFiles(FilesB(dir));
-  std::string detail;
-  EXPECT_EQ(controller.ReloadFromSources(&detail), ReloadOutcome::kError);
-  EXPECT_NE(detail.find("generation mismatch"), std::string::npos) << detail;
-  EXPECT_EQ(controller.generation(), 0u) << "no swap happened";
 }
 
 // RolloverController in isolation: stat-identity makes the watch free when the
@@ -464,77 +405,273 @@ std::string AnswerText(const FrozenRouteSet& routes, const BatchLookup& lookup) 
          std::string(lookup.route.route) + "\t" + std::to_string(lookup.route.cost);
 }
 
-// Regression: the first SIGHUP after a one-shot `routedb update` must answer
-// every name as the image on disk does.  The one-shot update appends its new
-// names at the end of the id space, but the daemon's builder, loaded from the
-// state dir, numbers names in emission order, so the image it refreezes has
-// another id assignment; adopting the builder's dirty ids re-homed cached
-// results onto other names (".rutgers.edu" came back as a miss).
-TEST(RolloverController, HupAfterAOneShotUpdateAnswersLikeTheImageOnDisk) {
-  fs::path dir = MakeScratchDir();
-  std::string image_path = (dir / "routes.pari").string();
-  std::vector<InputFile> files = {
+// Resolves every name of `names` through the controller's served engine: its
+// warm cache answers whatever it already holds.
+void Warm(RolloverController* controller, const std::vector<std::string>& names) {
+  std::vector<std::string_view> queries(names.begin(), names.end());
+  std::vector<BatchLookup> results(queries.size());
+  controller->engine()->ResolveBatch(queries, results);
+}
+
+// The served engine must answer every name the image on disk interns, and every
+// name of `also`, exactly as a cold engine over that image does.
+void ExpectAnswersLikeTheImageOnDisk(RolloverController* controller,
+                                     const std::string& image_path,
+                                     const std::vector<std::string>& also) {
+  std::string error;
+  auto disk = FrozenImage::Open(image_path, image::ImageView::Verify::kStructure, &error);
+  ASSERT_TRUE(disk.has_value()) << error;
+  exec::FrozenBatchEngine reference(&disk->routes(), exec::BatchEngineOptions{});
+  std::vector<std::string> names = InternedNames(disk->routes());
+  names.insert(names.end(), also.begin(), also.end());
+  std::vector<std::string_view> queries(names.begin(), names.end());
+  std::vector<BatchLookup> served(queries.size());
+  std::vector<BatchLookup> expected(queries.size());
+  controller->engine()->ResolveBatch(queries, served);
+  reference.ResolveBatch(queries, expected);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(AnswerText(*controller->routes(), served[i]),
+              AnswerText(disk->routes(), expected[i]))
+        << queries[i];
+  }
+}
+
+// A three-file map with a domain behind a gateway: ".rutgers.edu" is a name a
+// renumbering moves.
+std::vector<InputFile> GatewayFiles(const fs::path& dir) {
+  return {
       {(dir / "core.map").string(), "hub\tmid(100), gw(50)\n"},
       {(dir / "mid.map").string(), "mid\thub(100), leafa(50)\n"},
       {(dir / "gw.map").string(),
        "gw\thub(50), .rutgers.edu(10)\n.rutgers.edu\tcaip(0), topaz(0)\n"},
   };
-  InitImage(files, image_path, /*generation=*/1);
+}
 
-  {  // `routedb update routes.pari core.map`, in process: publishes generation 2.
-    files[0].content = "hub\tmid(100), gw(50), newa(1)\n";
-    WriteMapFiles(files);
-    std::string error;
-    auto state = incr::LoadStateDir(image_path + ".state", &error);
-    ASSERT_TRUE(state.has_value()) << error;
-    incr::MapBuilder builder(incr::MapBuilderOptions{.local = state->local});
-    ASSERT_TRUE(builder.Build(std::move(state->artifacts)));
-    builder.Update({files[0]});
-    ASSERT_TRUE(builder.valid());
-    ASSERT_TRUE(image::ImageWriter::Refreeze(builder.routes(), image_path, 2, &error))
-        << error;
-    incr::StateDirContents contents;
-    contents.local = "hub";
-    contents.image_generation = 2;
-    contents.artifacts = builder.artifacts();
-    ASSERT_TRUE(incr::SaveStateDir(image_path + ".state", contents));
-  }
-
+RolloverOptions ServingOptions(const std::string& image_path,
+                               const std::vector<InputFile>& map_files) {
   RolloverOptions options;
   options.image_path = image_path;
-  for (const InputFile& file : files) {
+  for (const InputFile& file : map_files) {
     options.map_files.push_back(file.name);
   }
   options.engine.cache_entries = 4096;  // routedbd's default
-  RolloverController controller(options);
+  return options;
+}
+
+// Regression: the first SIGHUP after a one-shot `routedb update` must answer
+// every name as the image on disk does.  The one-shot update appended its new
+// names at the end of the id space, but the daemon's builder, loaded from the
+// state dir, numbered names in emission order, so the image it refroze had
+// another id assignment; adopting the builder's dirty ids re-homed cached
+// results onto other names (".rutgers.edu" came back as a miss).
+TEST(RolloverController, HupAfterAOneShotUpdateAnswersLikeTheImageOnDisk) {
+  fs::path dir = MakeScratchDir();
+  std::string image_path = (dir / "routes.pari").string();
+  std::vector<InputFile> files = GatewayFiles(dir);
+  InitImage(files, image_path, /*generation=*/1);
+
+  // `routedb update routes.pari core.map`: publishes generation 2.
+  files[0].content = "hub\tmid(100), gw(50), newa(1)\n";
+  UpdateReport update = OneShotUpdate(image_path, {files[0]});
+  ASSERT_EQ(update.outcome, UpdateOutcome::kPublished) << update.error;
+
+  RolloverController controller(ServingOptions(image_path, files));
   std::string error;
   ASSERT_TRUE(controller.Start(&error)) << error;
   std::vector<std::string> warm = InternedNames(*controller.routes());
-  std::vector<std::string_view> warm_views(warm.begin(), warm.end());
-  std::vector<BatchLookup> warm_results(warm_views.size());
-  controller.engine()->ResolveBatch(warm_views, warm_results);
+  Warm(&controller, warm);
 
   files[1].content += "mid\tleafz(5)\n";
   WriteMapFiles(files);
   std::string detail;
   ASSERT_EQ(controller.ReloadFromSources(&detail), ReloadOutcome::kApplied) << detail;
+  ExpectAnswersLikeTheImageOnDisk(&controller, image_path, warm);
+  ASSERT_NE(std::find(warm.begin(), warm.end(), ".rutgers.edu"), warm.end());
+}
 
+// A SIGHUP after a watch adoption numbers names as the adopted image does, so
+// it hot-swaps into the same engine and answers every name as the image on disk
+// does.  (A builder loaded from the state dir numbered names in emission order:
+// newa moved, and the engine was rebuilt cold.)
+TEST(RolloverController, HupAfterAWatchAdoptionKeepsTheEngine) {
+  fs::path dir = MakeScratchDir();
+  std::string image_path = (dir / "routes.pari").string();
+  std::vector<InputFile> files = GatewayFiles(dir);
+  InitImage(files, image_path, /*generation=*/1);
+  RolloverController controller(ServingOptions(image_path, files));
+  std::string error;
+  ASSERT_TRUE(controller.Start(&error)) << error;
+  exec::FrozenBatchEngine* engine = controller.engine();
+
+  files[0].content = "hub\tmid(100), gw(50), newa(1)\n";
+  UpdateReport update = OneShotUpdate(image_path, {files[0]});
+  ASSERT_EQ(update.outcome, UpdateOutcome::kPublished) << update.error;
+  std::string detail;
+  ASSERT_EQ(controller.CheckImage(&detail), ReloadOutcome::kApplied) << detail;
+  ASSERT_EQ(controller.engine(), engine) << detail;
+  std::vector<std::string> warm = InternedNames(*controller.routes());
+  Warm(&controller, warm);
+
+  files[1].content += "mid\tleafz(5)\n";
+  WriteMapFiles(files);
+  ASSERT_EQ(controller.ReloadFromSources(&detail), ReloadOutcome::kApplied) << detail;
+  EXPECT_EQ(controller.engine(), engine) << detail;
+  EXPECT_NE(detail.find("route(s) changed"), std::string::npos) << detail;
+  ExpectAnswersLikeTheImageOnDisk(&controller, image_path, warm);
+}
+
+// The watch adopts a one-shot update made after a SIGHUP into the same engine:
+// the one-shot update numbers names as the image the SIGHUP published does.
+TEST(RolloverController, WatchAdoptsAOneShotUpdateAfterAHupWarm) {
+  fs::path dir = MakeScratchDir();
+  std::string image_path = (dir / "routes.pari").string();
+  std::vector<InputFile> files = GatewayFiles(dir);
+  InitImage(files, image_path, /*generation=*/1);
+  RolloverController controller(ServingOptions(image_path, files));
+  std::string error;
+  ASSERT_TRUE(controller.Start(&error)) << error;
+  exec::FrozenBatchEngine* engine = controller.engine();
+
+  files[0].content = "hub\tmid(100), gw(50), newa(1)\n";
+  WriteMapFiles(files);
+  std::string detail;
+  ASSERT_EQ(controller.ReloadFromSources(&detail), ReloadOutcome::kApplied) << detail;
+  ASSERT_EQ(controller.engine(), engine) << detail;
+  std::vector<std::string> warm = InternedNames(*controller.routes());
+  Warm(&controller, warm);
+
+  files[1].content += "mid\tleafz(5)\n";
+  UpdateReport update = OneShotUpdate(image_path, {files[1]});
+  ASSERT_EQ(update.outcome, UpdateOutcome::kPublished) << update.error;
+  ASSERT_EQ(controller.CheckImage(&detail), ReloadOutcome::kApplied) << detail;
+  EXPECT_EQ(controller.engine(), engine) << detail;
+  EXPECT_EQ(detail, "image replaced; 1 route(s) changed");
+  EXPECT_EQ(update.stats.routes_changed, 1u);
+  ExpectAnswersLikeTheImageOnDisk(&controller, image_path, warm);
+}
+
+// Nothing survives a failed publish: the retry loads the state again, sees the
+// edit again and republishes, in the served image's name ids.
+TEST(RolloverController, FailedPublishThenRetryRepublishesWarm) {
+  fs::path dir = MakeScratchDir();
+  std::string image_path = (dir / "routes.pari").string();
+  std::vector<InputFile> files = GatewayFiles(dir);
+  InitImage(files, image_path, /*generation=*/1);
+  RolloverController controller(ServingOptions(image_path, files));
+  std::string error;
+  ASSERT_TRUE(controller.Start(&error)) << error;
+  exec::FrozenBatchEngine* engine = controller.engine();
+
+  files[0].content = "hub\tmid(100), gw(50), newa(1)\n";
+  WriteMapFiles(files);
+  std::string detail;
+  ASSERT_EQ(controller.ReloadFromSources(&detail), ReloadOutcome::kApplied) << detail;
+
+  files[1].content += "mid\tleafz(5)\n";
+  WriteMapFiles(files);
+  ASSERT_TRUE(support::failpoint::Arm("image.publish.rename", "once,errno:ENOSPC"));
+  EXPECT_EQ(controller.ReloadFromSources(&detail), ReloadOutcome::kError);
+  EXPECT_NE(detail.find("cannot rewrite"), std::string::npos) << detail;
+  support::failpoint::Reset();
+  EXPECT_EQ(controller.generation(), 1u);
+
+  ASSERT_EQ(controller.ReloadFromSources(&detail), ReloadOutcome::kApplied) << detail;
+  EXPECT_EQ(controller.engine(), engine) << detail;
+  EXPECT_EQ(controller.generation(), 2u);
+  ExpectAnswersLikeTheImageOnDisk(&controller, image_path, {"leafz"});
+  EXPECT_TRUE(controller.routes()->FindRouteView("leafz").ok());
+}
+
+// A torn pair (the image published, the state not) is healed by the next SIGHUP
+// when every kept source reads: it re-reads the kept file the daemon does not
+// list, so the edit the torn publish carried survives.  When a kept source does
+// not read, nothing is published and the detail names it.
+TEST(RolloverController, HupHealsATornPairOrNamesTheUnreadableSource) {
+  fs::path dir = MakeScratchDir();
+  std::string image_path = (dir / "routes.pari").string();
+  std::vector<InputFile> files = FilesA(dir);
+  InitImage(files, image_path, /*generation=*/1);
+  // The daemon lists core.map and mid.map; far.map is kept by the state only.
+  RolloverController controller(
+      ServingOptions(image_path, std::vector<InputFile>(files.begin(), files.begin() + 2)));
+  std::string error;
+  ASSERT_TRUE(controller.Start(&error)) << error;
+  auto tear = [&](const std::string& far_content) {
+    files[2].content = far_content;
+    ASSERT_TRUE(support::failpoint::Arm("state.publish.rename", "always"));
+    UpdateReport torn = OneShotUpdate(image_path, {files[2]});
+    support::failpoint::Reset();
+    ASSERT_EQ(torn.outcome, UpdateOutcome::kPublished) << torn.error;
+    ASSERT_FALSE(torn.state_saved);
+  };
+  tear("far\thub(400), leafc(10), leafy(5)\nleafc\tfar(10)\n");
+
+  files[1].content += "mid\tleafz(5)\n";
+  WriteMapFiles(files);
+  std::string detail;
+  ASSERT_EQ(controller.ReloadFromSources(&detail), ReloadOutcome::kApplied) << detail;
+  EXPECT_NE(detail.find("torn update?"), std::string::npos) << detail;
+  EXPECT_EQ(controller.routes()->FindRouteView("leafy").route, "far!leafy!%s");
+  EXPECT_EQ(controller.routes()->FindRouteView("leafz").route, "mid!leafz!%s");
+  auto state = incr::LoadStateDir(image_path + ".state", &error);
+  ASSERT_TRUE(state.has_value()) << error;
   auto disk = FrozenImage::Open(image_path, image::ImageView::Verify::kStructure, &error);
   ASSERT_TRUE(disk.has_value()) << error;
-  exec::FrozenBatchEngine reference(&disk->routes(), exec::BatchEngineOptions{});
-  std::vector<std::string> names = InternedNames(disk->routes());
-  names.insert(names.end(), warm.begin(), warm.end());
-  std::vector<std::string_view> queries(names.begin(), names.end());
-  std::vector<BatchLookup> served(queries.size());
-  std::vector<BatchLookup> expected(queries.size());
-  controller.engine()->ResolveBatch(queries, served);
-  reference.ResolveBatch(queries, expected);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(AnswerText(*controller.routes(), served[i]),
-              AnswerText(disk->routes(), expected[i]))
-        << queries[i];
-  }
-  ASSERT_NE(std::find(names.begin(), names.end(), ".rutgers.edu"), names.end());
+  EXPECT_EQ(state->image_generation, disk->view().header().generation) << "paired again";
+
+  tear("far\thub(400), leafc(10), leafy(5), leafx(5)\nleafc\tfar(10)\n");
+  ASSERT_EQ(controller.CheckImage(&detail), ReloadOutcome::kApplied) << detail;
+  const uint64_t served = controller.generation();
+  fs::remove(files[2].name);
+  fs::create_directory(files[2].name);  // reads fail with EISDIR
+  files[1].content += "mid\tleafw(5)\n";
+  WriteMapFiles({files[1]});
+  EXPECT_EQ(controller.ReloadFromSources(&detail), ReloadOutcome::kError);
+  EXPECT_NE(detail.find(files[2].name), std::string::npos) << detail;
+  EXPECT_NE(detail.find("nothing published"), std::string::npos) << detail;
+  EXPECT_EQ(controller.generation(), served);
+  EXPECT_FALSE(controller.routes()->FindRouteView("leafw").ok());
+}
+
+// A name whose route went away keeps its id, so the id space fills with dead
+// names.  Once more than a quarter of it carries no route, the next update
+// numbers names afresh — one cold swap, named in the detail — and the update
+// after that is warm again.
+TEST(RolloverController, MostlyDeadIdSpaceIsRebuiltFreshOnce) {
+  fs::path dir = MakeScratchDir();
+  std::string image_path = (dir / "routes.pari").string();
+  std::vector<InputFile> files = {
+      {(dir / "core.map").string(),
+       "hub\tl1(10), l2(10), l3(10), l4(10), l5(10), l6(10), l7(10), l8(10)\n"}};
+  InitImage(files, image_path, /*generation=*/1);
+  RolloverController controller(ServingOptions(image_path, files));
+  std::string error;
+  ASSERT_TRUE(controller.Start(&error)) << error;
+  exec::FrozenBatchEngine* engine = controller.engine();
+  auto reload = [&](const std::string& content) {
+    files[0].content = content;
+    WriteMapFiles(files);
+    std::string detail;
+    EXPECT_EQ(controller.ReloadFromSources(&detail), ReloadOutcome::kApplied) << detail;
+    return detail;
+  };
+
+  // Six of nine names lose their route; the ids stay, so the swap is warm.
+  std::string detail = reload("hub\tl7(10), l8(10)\n");
+  EXPECT_EQ(controller.engine(), engine) << detail;
+  EXPECT_EQ(controller.routes()->names().size(), 9u);
+
+  detail = reload("hub\tl7(10), l8(10), l9(10)\n");
+  EXPECT_NE(controller.engine(), engine) << detail;
+  EXPECT_NE(detail.find("6 of 9 names"), std::string::npos) << detail;
+  EXPECT_NE(detail.find("rebuilt cold"), std::string::npos) << detail;
+  EXPECT_EQ(controller.routes()->names().size(), 4u) << "the dead names are gone";
+  engine = controller.engine();
+
+  detail = reload("hub\tl7(10), l8(10), l9(10), l10(10)\n");
+  EXPECT_EQ(controller.engine(), engine) << detail;
+  EXPECT_EQ(detail, "image replaced; 1 route(s) changed");
+  ExpectAnswersLikeTheImageOnDisk(&controller, image_path, {"l1", "l10"});
 }
 
 TEST(RolloverController, ReloadWithoutMapFilesIsAnError) {
