@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/support/durable_file.h"
+#include "src/support/failpoint.h"
 #include "src/support/io_retry.h"
 
 namespace pathalias {
@@ -46,7 +47,10 @@ bool WriteFileAtomically(const fs::path& path, std::string_view bytes) {
 }
 
 std::optional<std::string> ReadWholeFile(const fs::path& path) {
-  return support::ReadFileFully(path.string(), "state.read", nullptr);
+  if (support::failpoint::Inject("state.read")) {
+    return std::nullopt;
+  }
+  return support::ReadFileFully(path.string(), nullptr);
 }
 
 }  // namespace

@@ -15,9 +15,9 @@
 
 namespace pathalias {
 namespace net {
-#if defined(__GLIBC__)
 namespace {
 
+#if defined(__GLIBC__)
 // A reload from sources allocates a whole compile's working set and frees it
 // again.  Left to itself, glibc hands most of it back to the kernel at once
 // (heap-top trim, and large blocks mapped afresh each time), so every reload
@@ -25,9 +25,26 @@ namespace {
 // instead of about 30.  A serving process keeps up to this much freed heap for
 // the next reload, and trims past it (32 MiB is M_MMAP_THRESHOLD's ceiling).
 constexpr size_t kKeptHeapBytes = size_t{32} << 20;
+#endif
+
+// How many of `routes`' names a fresh id space would not hold: a fresh build
+// interns each routed name and its domain suffixes (".x.com" and ".com" for
+// a.x.com), so a dead name is one with no route that ends no routed name.
+size_t DeadNames(const FrozenRouteSet& routes) {
+  const NameInterner& names = routes.names();
+  std::vector<bool> held(names.size());
+  size_t live = 0;
+  for (uint32_t i = 0; i < routes.size(); ++i) {
+    for (NameId id = routes.RouteAt(i).name; id != kNoName && !held[id];
+         id = names.Suffix(id)) {
+      held[id] = true;
+      ++live;
+    }
+  }
+  return names.size() - live;
+}
 
 }  // namespace
-#endif
 
 UpdateReport UpdateImage(UpdateRequest request) {
   UpdateReport report;
@@ -81,8 +98,7 @@ UpdateReport UpdateImage(UpdateRequest request) {
           })) {
         continue;
       }
-      std::optional<std::string> bytes =
-          support::ReadFileFully(source.name, "source.read", &error);
+      std::optional<std::string> bytes = support::ReadFileFully(source.name, &error);
       if (!bytes.has_value()) {
         return fail(error + ", which " + state_dir + " names; nothing published");
       }
@@ -106,13 +122,13 @@ UpdateReport UpdateImage(UpdateRequest request) {
   const NameInterner* ids = &no_ids;
   if (replaced.has_value()) {
     const size_t count = replaced->routes().names().size();
-    const size_t routeless = count - replaced->routes().size();
-    if (routeless * 4 <= count) {
+    const size_t dead = DeadNames(replaced->routes());
+    if (dead * 4 <= count) {
       ids = &replaced->routes().names();
     } else {
-      report.note += (report.note.empty() ? "" : "; ") + std::to_string(routeless) + " of " +
+      report.note += (report.note.empty() ? "" : "; ") + std::to_string(dead) + " of " +
                      std::to_string(count) + " names in " + image_path +
-                     " carry no route, so names are numbered afresh";
+                     " carry no route and end no routed name; names are numbered afresh";
     }
   }
   incr::MapBuilder builder(
@@ -136,16 +152,6 @@ UpdateReport UpdateImage(UpdateRequest request) {
   report.routes_total = builder.routes().size();
   state->artifacts = builder.artifacts();
   report.state_saved = incr::SaveStateDir(state_dir, *state);
-
-  // The resumed builder saw no previous routes (it counts every route, as a
-  // fresh id space should), so diff the two images instead.
-  if (request.count_changed_routes && ids != &no_ids) {
-    if (std::optional<FrozenImage> published = FrozenImage::Open(image_path)) {
-      if (auto dirty = exec::DiffRoutes(replaced->routes(), published->routes())) {
-        report.stats.routes_changed = dirty->size();
-      }
-    }
-  }
   return report;
 }
 
@@ -191,21 +197,22 @@ ReloadOutcome RolloverController::ReloadFromSources(std::string* detail) {
   // set into a no-op.
   UpdateRequest request;
   request.image_path = options_.image_path;
-  request.count_changed_routes = false;
   for (const std::string& path : options_.map_files) {
-    std::optional<std::string> bytes = support::ReadFileFully(path, "source.read", detail);
+    std::optional<std::string> bytes = support::ReadFileFully(path, detail);
     if (!bytes.has_value()) {
       return ReloadOutcome::kError;
     }
     request.changed.push_back({path, std::move(*bytes)});
   }
   UpdateReport report = UpdateImage(std::move(request));
-#if defined(__GLIBC__) && __GLIBC_PREREQ(2, 33)
+#if defined(__GLIBC__)
+#if __GLIBC_PREREQ(2, 33)
   // Freed heap past the top stays resident until trimmed: a million-host map
   // leaves about a gigabyte.
   if (mallinfo2().fordblks > kKeptHeapBytes) {
     malloc_trim(0);
   }
+#endif
 #endif
   if (report.outcome == UpdateOutcome::kError) {
     *detail = report.error;

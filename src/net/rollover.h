@@ -14,8 +14,8 @@
 //     stamps differ), a missing image or an unreadable one re-reads every kept
 //     source from disk first; if one cannot be read, nothing is published.
 //   * Id space.  A name whose route went away keeps its id.  When more than a
-//     quarter of the replaced image's names carry no route, the step numbers
-//     names afresh, and a serving engine swaps in cold once.
+//     quarter of the replaced image's names are dead (no route, and no routed
+//     name ends in them), the step numbers names afresh: one cold swap.
 //
 // RolloverController owns what a long-lived server needs to swap its mapping
 // under live traffic: the current FrozenImage, the FrozenBatchEngine resolving
@@ -63,9 +63,6 @@ struct UpdateRequest {
   // pathalint: allow(R1): options boundary — the operator's spelling, compared
   // with the state's before any interner exists.
   std::string local;                    // empty: the state's; otherwise must match it
-  // Diff the published image against the one it replaced for stats.routes_changed.
-  // A serving caller turns this off: its adopt step diffs the served image anyway.
-  bool count_changed_routes = true;
 };
 
 enum class UpdateOutcome {
@@ -81,8 +78,8 @@ struct UpdateReport {
   // space); empty when there is nothing to say.
   std::string note;
   bool state_saved = false;
-  // Files changed and unchanged.  With count_changed_routes, routes_changed is
-  // DiffRoutes' count (every route, in a fresh id space).
+  // Files changed and unchanged.  The step compares no routes, so routes_changed
+  // counts every route; exec::DiffRoutes on the two images counts the changed ones.
   incr::UpdateStats stats;
   size_t routes_total = 0;
   Diagnostics diag;  // the published build's diagnostics

@@ -24,9 +24,6 @@
 #include <cstring>
 #include <optional>
 #include <string>
-#include <string_view>
-
-#include "src/support/failpoint.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -90,20 +87,17 @@ inline ssize_t WriteFull(int fd, const void* buffer, size_t count) {
 // The bytes of `path`, read to end of file, or nullopt with *error (when non-null)
 // set to "cannot open|read PATH: strerror".  An std::ifstream drained through
 // rdbuf() swallows read errors (a directory reads as zero bytes); here a failed
-// open or read (EISDIR, EACCES, EIO) is an error.  `failpoint_name` names the
-// failpoint checked first, so chaos schedules can fail this read.
-inline std::optional<std::string> ReadFileFully(const std::string& path,
-                                                std::string_view failpoint_name,
-                                                std::string* error) {
+// open or read (EISDIR, EACCES, EIO) is an error.
+inline std::optional<std::string> ReadFileFully(const std::string& path, std::string* error) {
   auto fail = [&](const char* step) -> std::optional<std::string> {
     if (error != nullptr) {
       *error = std::string(step) + " " + path + ": " + std::strerror(errno);
     }
     return std::nullopt;
   };
-  if (failpoint::Inject(failpoint_name)) {
-    return fail("cannot read");
-  }
+  // pathalint: allow(R4): a directory (EISDIR) reaches this error path with no
+  // injection, and tests read one through the tools and the update step; a
+  // caller whose schedules fail it injects first, as the state dir's state.read.
   int fd = RetryEintr([&] { return ::open(path.c_str(), O_RDONLY | O_CLOEXEC); });
   if (fd < 0) {
     return fail("cannot open");

@@ -52,8 +52,7 @@ int main(int argc, char** argv) {
       continue;
     }
     std::string error;
-    std::optional<std::string> bytes =
-        pathalias::support::ReadFileFully(name, "source.read", &error);
+    std::optional<std::string> bytes = pathalias::support::ReadFileFully(name, &error);
     if (!bytes.has_value()) {
       std::cerr << "mapcheck: " << error << "\n";
       return 2;

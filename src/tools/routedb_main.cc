@@ -331,8 +331,7 @@ int RunUpdate(int argc, char** argv) {
   std::vector<pathalias::InputFile> files;
   for (size_t i = 1; i < positional.size(); ++i) {
     std::string error;
-    std::optional<std::string> bytes =
-        pathalias::support::ReadFileFully(positional[i], "source.read", &error);
+    std::optional<std::string> bytes = pathalias::support::ReadFileFully(positional[i], &error);
     if (!bytes.has_value()) {
       std::cerr << "routedb: " << error << "\n";
       return 1;
@@ -342,6 +341,8 @@ int RunUpdate(int argc, char** argv) {
 
   int errors = 0;
   if (!init) {
+    // The image this update replaces, to count the routes the update changes.
+    std::optional<pathalias::FrozenImage> replaced = pathalias::FrozenImage::Open(image_path);
     pathalias::net::UpdateReport report = pathalias::net::UpdateImage(
         {.image_path = image_path, .changed = std::move(files), .removed = std::move(removed),
          .local = local});
@@ -364,10 +365,17 @@ int RunUpdate(int argc, char** argv) {
       std::cerr << "routedb: cannot save " << state_dir << "\n";
       return 1;
     }
+    // Every route changed, unless the published image keeps the replaced one's ids.
+    size_t routes_changed = report.routes_total;
+    if (std::optional<pathalias::FrozenImage> published = pathalias::FrozenImage::Open(image_path);
+        replaced.has_value() && published.has_value()) {
+      if (auto dirty = pathalias::exec::DiffRoutes(replaced->routes(), published->routes())) {
+        routes_changed = dirty->size();
+      }
+    }
     std::cerr << "routedb: rebuilt (" << report.stats.files_changed << " file(s) changed, "
-              << report.stats.files_unchanged << " unchanged); "
-              << report.stats.routes_changed << " route(s) changed, "
-              << report.routes_total << " total\n";
+              << report.stats.files_unchanged << " unchanged); " << routes_changed
+              << " route(s) changed, " << report.routes_total << " total\n";
     errors = report.diag.error_count();
   } else {
     pathalias::incr::MapBuilder builder(pathalias::incr::MapBuilderOptions{.local = local});
@@ -608,8 +616,7 @@ int main(int argc, char** argv) {
       return Usage();
     }
     std::string error;
-    std::optional<std::string> text =
-        pathalias::support::ReadFileFully(argv[2], "routes.read", &error);
+    std::optional<std::string> text = pathalias::support::ReadFileFully(argv[2], &error);
     if (!text.has_value()) {
       std::cerr << "routedb: " << error << "\n";
       return 1;

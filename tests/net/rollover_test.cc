@@ -546,7 +546,6 @@ TEST(RolloverController, WatchAdoptsAOneShotUpdateAfterAHupWarm) {
   ASSERT_EQ(controller.CheckImage(&detail), ReloadOutcome::kApplied) << detail;
   EXPECT_EQ(controller.engine(), engine) << detail;
   EXPECT_EQ(detail, "image replaced; 1 route(s) changed");
-  EXPECT_EQ(update.stats.routes_changed, 1u);
   ExpectAnswersLikeTheImageOnDisk(&controller, image_path, warm);
 }
 
@@ -634,7 +633,7 @@ TEST(RolloverController, HupHealsATornPairOrNamesTheUnreadableSource) {
 }
 
 // A name whose route went away keeps its id, so the id space fills with dead
-// names.  Once more than a quarter of it carries no route, the next update
+// names.  Once more than a quarter of it is dead, the next update
 // numbers names afresh — one cold swap, named in the detail — and the update
 // after that is warm again.
 TEST(RolloverController, MostlyDeadIdSpaceIsRebuiltFreshOnce) {
@@ -672,6 +671,37 @@ TEST(RolloverController, MostlyDeadIdSpaceIsRebuiltFreshOnce) {
   EXPECT_EQ(controller.engine(), engine) << detail;
   EXPECT_EQ(detail, "image replaced; 1 route(s) changed");
   ExpectAnswersLikeTheImageOnDisk(&controller, image_path, {"l1", "l10"});
+}
+
+// A dotted name brings its domain suffixes into the id space (a.x.com brings
+// .x.com and .com), and a fresh id space holds them too, so they are not dead
+// names: on a map of fully qualified hosts, where most names carry no route,
+// every SIGHUP keeps the engine.
+TEST(RolloverController, SuffixNamesOfFullyQualifiedHostsAreNotDead) {
+  fs::path dir = MakeScratchDir();
+  std::string image_path = (dir / "routes.pari").string();
+  std::vector<InputFile> files = {{(dir / "core.map").string(), "hub\ta.x.com(10), b.y.org(10)\n"}};
+  InitImage(files, image_path, /*generation=*/1);
+  RolloverController controller(ServingOptions(image_path, files));
+  std::string error;
+  ASSERT_TRUE(controller.Start(&error)) << error;
+  ASSERT_EQ(controller.routes()->names().size(), 7u);
+  ASSERT_EQ(controller.routes()->size(), 3u);
+  exec::FrozenBatchEngine* engine = controller.engine();
+  std::vector<std::string> warm = InternedNames(*controller.routes());
+  Warm(&controller, warm);
+
+  // The added hosts emit before b.y.org, so numbering names afresh would move it.
+  for (const char* added : {", aa.z.net(10)", ", ab.w.edu(10)"}) {
+    files[0].content.insert(files[0].content.size() - 1, added);
+    WriteMapFiles(files);
+    std::string detail;
+    ASSERT_EQ(controller.ReloadFromSources(&detail), ReloadOutcome::kApplied) << detail;
+    EXPECT_EQ(controller.engine(), engine) << detail;
+    EXPECT_EQ(detail, "image replaced; 1 route(s) changed");
+  }
+  EXPECT_EQ(controller.routes()->names().size(), 13u);
+  ExpectAnswersLikeTheImageOnDisk(&controller, image_path, warm);
 }
 
 TEST(RolloverController, ReloadWithoutMapFilesIsAnError) {
