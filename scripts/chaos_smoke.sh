@@ -139,8 +139,8 @@ done
 expect_route leafc 'far!leafc!%s'
 say "external update picked up by the watch"
 
-# --- 6. a damaged state dir.  Step 5's watch adoption dropped the resident
-# builder, so the next SIGHUP loads <image>.state.  Swap leafb for leafz
+# --- 6. a damaged state dir.  Every SIGHUP loads <image>.state; no builder is
+# kept between updates.  Swap leafb for leafz
 # inside the payload that mid.map's manifest line names (same length, so only
 # the payload's own digest can tell), and give far.map a new host. ---
 STATE="$IMAGE.state"

@@ -11,7 +11,7 @@ bool LabelBefore(const PathLabel& a, const PathLabel& b, const NameInterner& nam
   if (a.hops != b.hops) {
     return a.hops < b.hops;
   }
-  return names.View(a.node->name) < names.View(b.node->name);
+  return NameLess(*a.node, *b.node, names);
 }
 
 }  // namespace

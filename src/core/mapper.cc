@@ -8,8 +8,8 @@ namespace pathalias {
 namespace {
 
 // Deterministic extraction order: cost, then hop count ("keep paths short"), then name.
-// Equal names are equal ids; the string compare only breaks ties between distinct
-// names, resolved lazily through the interner.
+// The name tie-break is NameLess: an integer compare of the nodes' name keys, with the
+// interner's bytes read only when two distinct names share their first 8 bytes.
 struct LabelLess {
   const NameInterner* names = nullptr;
   bool prefer_fewer_hops = true;
@@ -22,7 +22,7 @@ struct LabelLess {
       return a->hops < b->hops;
     }
     if (a->node->name != b->node->name) {
-      return names->View(a->node->name) < names->View(b->node->name);
+      return NameLess(*a->node, *b->node, *names);
     }
     return a->taint < b->taint;
   }
@@ -370,8 +370,10 @@ Mapper::Result Mapper::Run() {
       }
       ++result.back_link_passes;
       // Re-relax the invented links from their (already final) mapped endpoints, then
-      // resume the normal extraction loop.
-      for (Node* node : graph_->nodes()) {
+      // resume the normal extraction loop.  Only nodes holding an invented link have
+      // any to relax; walking them in creation order visits the (label, link) pairs
+      // a walk of every node would, in the same order.
+      for (Node* node : graph_->InventedLinkHolders()) {
         for (uint8_t slot = 0; slot < 2; ++slot) {
           PathLabel* label = node->label[slot];
           if (label == nullptr || !label->mapped) {

@@ -158,6 +158,10 @@ class Mapper {
   // Recomputes the label-derived aggregates (mapped/unreachable/penalty counts) by
   // scanning the graph — shared by Run's and ShardedMapper::Run's final accounting.
   void CollectFinalStats(Result& result) const;
+  // Mirrors each link from an unreachable host to a mapped neighbor as an invented
+  // neighbor→host link; returns how many it invented.  The graph records every
+  // neighbor it gives (or flags with) an invented link, so the pass that follows
+  // re-relaxes from Graph::InventedLinkHolders() instead of scanning every node.
   size_t InventBackLinks(Result& result);
 
   Graph* graph_;

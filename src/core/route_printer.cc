@@ -8,7 +8,7 @@ namespace pathalias {
 namespace {
 
 // Same ordering the mapper's heap uses; children are visited cheapest-first.  Names
-// resolve lazily through the interner carried in the mapping result.
+// order by NameLess, through the interner carried in the mapping result.
 bool LabelBefore(const PathLabel* a, const PathLabel* b, const NameInterner& names) {
   if (a->cost != b->cost) {
     return a->cost < b->cost;
@@ -17,7 +17,7 @@ bool LabelBefore(const PathLabel* a, const PathLabel* b, const NameInterner& nam
     return a->hops < b->hops;
   }
   if (a->node->name != b->node->name) {
-    return names.View(a->node->name) < names.View(b->node->name);
+    return NameLess(*a->node, *b->node, names);
   }
   if (a->taint != b->taint) {
     return a->taint < b->taint;

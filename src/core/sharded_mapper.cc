@@ -26,7 +26,7 @@ struct ShardLabelLess {
       return a->hops < b->hops;
     }
     if (a->node->name != b->node->name) {
-      return names->View(a->node->name) < names->View(b->node->name);
+      return NameLess(*a->node, *b->node, *names);
     }
     return a->taint < b->taint;
   }
@@ -344,12 +344,10 @@ void ShardedMapper::RelaxInto(State& state, PathLabel& from, Link& link) {
     }
     // Equal-key parents pop in LabelLess order: cost and hops already tie, so the
     // comparison falls to name, then taint.
-    NameId from_name = from.node->name;
-    NameId incumbent_name = label->parent->node->name;
-    bool candidate_wins =
-        from_name != incumbent_name
-            ? graph_->names().View(from_name) < graph_->names().View(incumbent_name)
-            : from.taint < support.taint;
+    const Node& incumbent = *label->parent->node;
+    bool candidate_wins = from.node->name != incumbent.name
+                              ? NameLess(*from.node, incumbent, graph_->names())
+                              : from.taint < support.taint;
     if (candidate_wins) {
       apply(label);
       enqueue(label);
@@ -537,8 +535,9 @@ Mapper::Result ShardedMapper::Run() {
       // Seed the pass from frozen labels only — the labels that existed at the
       // boundary — exactly the serial run's `label->mapped` seeding filter; labels
       // created mid-loop by these very relaxations are not sources until they
-      // drain in the rounds below.
-      for (Node* node : graph_->nodes()) {
+      // drain in the rounds below.  Only nodes holding an invented link have any
+      // to relax, and the graph lists them in creation order.
+      for (Node* node : graph_->InventedLinkHolders()) {
         PathLabel* label = node->label[0];
         if (label == nullptr || !label->mapped) {
           continue;

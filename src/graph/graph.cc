@@ -1,5 +1,7 @@
 #include "src/graph/graph.h"
 
+#include <algorithm>
+
 namespace pathalias {
 
 Graph::Graph(Diagnostics* diag) : Graph(diag, Options()) {}
@@ -26,7 +28,9 @@ Node* Graph::CreateNode(NameId id, bool is_private) {
   Node* node = arena_.New<Node>();
   node->name = id;
   node->order = static_cast<int32_t>(nodes_.size());
-  if (IsDomainName(names_.View(id))) {
+  std::string_view name = names_.View(id);
+  node->name_key = NameKey(name);
+  if (IsDomainName(name)) {
     // Domains are placeholders and always require gateways (paper §Gatewayed networks:
     // "domains and subdomains are assumed to require gateways").
     node->flags |= kNodeDomain | kNodeGatewayed;
@@ -90,6 +94,9 @@ Link* Graph::AddLink(Node* from, Node* to, Cost cost, char op, bool right_syntax
     diag_->Warn(pos, "negative cost on link " + Describe(from, to) + " clamped to 0");
     cost = 0;
   }
+  if ((extra_flags & kLinkInvented) != 0) {
+    invented_link_holders_.push_back(from);
+  }
   // Duplicate resolution: the same physical link reported twice (usually by the two
   // endpoint sites) keeps the cheaper estimate.
   if (Link* link = link_index_.Find(from, to)) {
@@ -133,6 +140,15 @@ Link* Graph::AddLink(Node* from, Node* to, Cost cost, char op, bool right_syntax
   link_index_.Insert(from, to, link);
   ++link_count_;
   return link;
+}
+
+std::span<Node* const> Graph::InventedLinkHolders() {
+  std::sort(invented_link_holders_.begin(), invented_link_holders_.end(),
+            [](const Node* a, const Node* b) { return a->order < b->order; });
+  invented_link_holders_.erase(
+      std::unique(invented_link_holders_.begin(), invented_link_holders_.end()),
+      invented_link_holders_.end());
+  return invented_link_holders_;
 }
 
 void Graph::AddAlias(Node* a, Node* b, SourcePos pos) {

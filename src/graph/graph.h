@@ -97,6 +97,11 @@ class Graph {
   // Finds the non-alias from→to link; nullptr if absent.
   Link* FindLink(Node* from, Node* to) const { return link_index_.Find(from, to); }
 
+  // Every node AddLink gave (or flagged with) a kLinkInvented link, in creation order
+  // without repeats: the only nodes a back-link pass re-relaxes from.  Invented links
+  // outlive a mapping run, so the list spans every run over this graph.
+  std::span<Node* const> InventedLinkHolders();
+
   // NAME = op{members}(cost): placeholder node, member→net at `cost`, net→member at 0.
   Node* DeclareNet(Node* net, const std::vector<Node*>& members, Cost cost, char op,
                    bool right_syntax, SourcePos pos);
@@ -151,6 +156,7 @@ class Graph {
   // Every non-alias link by (from, to).  It lives as long as the graph: the mapper's
   // back-link pass adds links after parsing ends.
   LinkIndex link_index_;
+  std::vector<Node*> invented_link_holders_;  // unsorted, with repeats, until asked for
   std::vector<std::string> files_;
   size_t link_count_ = 0;
   int current_file_ = -1;

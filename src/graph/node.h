@@ -8,6 +8,8 @@
 #ifndef SRC_GRAPH_NODE_H_
 #define SRC_GRAPH_NODE_H_
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -36,6 +38,12 @@ enum NodeFlag : uint32_t {
 
 struct Node {
   NameId name = kNoName;  // handle into the graph's interner, which owns the string
+  int32_t order = 0;      // creation order; deterministic iteration & tie-breaks
+  // The name's first 8 bytes, big-endian and zero-padded (NameKey), set once at
+  // creation: name order as an integer compare wherever two names differ in their
+  // first 8 bytes.  NameLess reads the bytes only when the keys tie.  It sits beside
+  // `name` so a tie-break touches one cache line of the node.
+  uint64_t name_key = 0;
   Link* links = nullptr;  // adjacency list head (declaration order)
   Link* links_tail = nullptr;
   Node* shadow = nullptr;  // next node with the same name (private-name chain)
@@ -50,7 +58,6 @@ struct Node {
   Cost adjust = 0;  // adjust {host(cost)}: bias on every path through this host
   uint32_t flags = 0;
   int32_t private_file = -1;  // file that declared it private (-1 = global)
-  int32_t order = 0;          // creation order; deterministic iteration & tie-breaks
 
   bool net() const { return (flags & kNodeNet) != 0; }
   bool domain() const { return (flags & kNodeDomain) != 0; }
@@ -68,6 +75,32 @@ struct Node {
 
 // Whether a declared name denotes a domain.
 inline bool IsDomainName(std::string_view name) { return !name.empty() && name[0] == '.'; }
+
+// The first 8 bytes of `name`, packed big-endian and zero-padded.  Where two keys
+// differ they order as the names do under std::string_view's compare (bytes as
+// unsigned char, a proper prefix first); equal keys leave the order to the bytes.
+inline uint64_t NameKey(std::string_view name) {
+  uint64_t key = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    key <<= 8;
+    if (i < name.size()) {
+      key |= static_cast<unsigned char>(name[i]);
+    }
+  }
+  return key;
+}
+
+// View(a.name) < View(b.name), the name tie-break every mapper and the route
+// printer share: an integer compare of the keys, and the interned bytes only when
+// the keys tie.
+inline bool NameLess(const Node& a, const Node& b, const NameInterner& names) {
+  assert(a.name_key == NameKey(names.View(a.name)));
+  assert(b.name_key == NameKey(names.View(b.name)));
+  if (a.name_key != b.name_key) {
+    return a.name_key < b.name_key;
+  }
+  return names.View(a.name) < names.View(b.name);
+}
 
 }  // namespace pathalias
 

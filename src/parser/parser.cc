@@ -1,5 +1,6 @@
 #include "src/parser/parser.h"
 
+#include <algorithm>
 #include <array>
 
 #include "src/graph/cost.h"
@@ -180,15 +181,29 @@ Cost Parser::ParseOptionalCost(Cost fallback, bool* had_cost) {
   int open_line = token_.line;
   std::string_view body = scanner_->CaptureParenBody();
   Advance();
-  CostParse parsed = EvalCostExpression(body);
-  if (!parsed.value) {
-    graph_->diag().Error(SourcePos{file_name_, open_line}, parsed.error);
-    return fallback;
+  auto hit = std::find_if(cost_memo_.begin(), cost_memo_.end(),
+                          [body](const MemoCost& memo) { return memo.body == body; });
+  Cost cost = 0;
+  if (hit != cost_memo_.end()) {
+    cost = hit->cost;
+  } else {
+    CostParse parsed = EvalCostExpression(body);
+    if (!parsed.value) {
+      graph_->diag().Error(SourcePos{file_name_, open_line}, parsed.error);
+      return fallback;
+    }
+    cost = *parsed.value;
+    if (cost_memo_.size() < kCostMemoSize) {
+      cost_memo_.push_back(MemoCost{std::string(body), cost});
+    } else {
+      cost_memo_[cost_memo_next_] = MemoCost{std::string(body), cost};
+      cost_memo_next_ = (cost_memo_next_ + 1) % kCostMemoSize;
+    }
   }
   if (had_cost != nullptr) {
     *had_cost = true;
   }
-  return *parsed.value;
+  return cost;
 }
 
 void Parser::ParseEqualsDeclaration(Token name) {

@@ -91,8 +91,21 @@ class Parser {
   static constexpr size_t kBytesPerName = 40;
   static constexpr size_t kBytesPerLink = 32;
 
+  // A paren body EvalCostExpression accepted, with its value.  A map repeats a
+  // handful of bodies (the 1M-host map has 1.65M of them, 10 distinct), and the
+  // evaluation is a pure function of the text, so the last few are kept and
+  // replaced round-robin.  A body that fails never enters, so every bad expression
+  // is evaluated, and reported, at its own line.
+  struct MemoCost {
+    std::string body;
+    Cost cost = 0;
+  };
+  static constexpr size_t kCostMemoSize = 8;
+
   Graph* graph_;
   Scanner* scanner_ = nullptr;
+  std::vector<MemoCost> cost_memo_;
+  size_t cost_memo_next_ = 0;  // the entry a miss replaces once the memo is full
   // pathalint: allow(R1): diagnostics only — error messages cite the input file
   // path; it is never a routing name and never interned.
   std::string file_name_;

@@ -54,6 +54,10 @@ class RouteSet {
 
   // Parses pathalias output.  Accepts both layouts: "name<TAB>route" and
   // "cost<TAB>name<TAB>route" (a leading integer column switches to the latter).
+  // Loads 16 lines at a time: it splits them, hashes their keys and prefetches each
+  // key's first probe slot, then adds them in line order.  So ids, the replacement of
+  // a repeated name and the warnings (one per malformed line, in line order) are
+  // what adding one line at a time gives.
   static RouteSet FromText(std::string_view text, Diagnostics* diag = nullptr);
 
   std::string ToText(bool include_costs) const;
@@ -78,6 +82,9 @@ class RouteSet {
   bool empty() const { return routes_.empty(); }
 
  private:
+  // Add with the key's hash precomputed by names_.HashOf(name).
+  void AddPrehashed(std::string_view name, uint64_t hash, std::string_view route, Cost cost);
+
   NameInterner names_;
   std::vector<Route> routes_;
   std::vector<uint32_t> by_name_;  // NameId -> route index + 1 (0 = no route)

@@ -177,15 +177,15 @@ NameId NameInterner::FindPrehashed(std::string_view name, uint64_t hash) const {
   return slots_[ProbeFor(name, hash, nullptr)].id;
 }
 
-NameId NameInterner::Intern(std::string_view name) {
+NameId NameInterner::Intern(std::string_view name, uint64_t k) {
   assert(!frozen() && "Intern on a frozen (read-only) interner");
+  assert(k == HashName(name));
   if (frozen()) {
-    return Find(name);  // release-mode degradation: read-only lookup
+    return FindPrehashed(name, k);  // release-mode degradation: read-only lookup
   }
   ++stats_.accesses;
   // One hash per intern: HashName folds exactly like the stored copy, so `k` is also
   // the normalized entry's probe hash below.
-  uint64_t k = HashName(name);
   if (stolen_) {
     // Degraded mode after the heap stole the table: ids and views still work, new
     // names append without a probe table.  Rare (post-mapping) by construction.

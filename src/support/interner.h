@@ -122,7 +122,11 @@ class NameInterner {
 
   // Returns the id for `name`, interning (and case-normalizing) it if new.
   // Forbidden on a frozen interner (asserts; degrades to Find in release builds).
-  NameId Intern(std::string_view name);
+  NameId Intern(std::string_view name) { return Intern(name, HashName(name)); }
+  // Intern with the hash precomputed by HashOf(name), as FindPrehashed is to Find:
+  // the same id and stats, one hash pass saved.  A batch caller hashes a window of
+  // names and prefetches their first probe slots before interning them in order.
+  NameId Intern(std::string_view name, uint64_t hash);
 
   // Presizes the probe table for `names` names in one rehash, so a caller that can
   // estimate its input skips the growth rehashes on the way there.  The new capacity

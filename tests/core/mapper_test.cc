@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/core/pathalias.h"
 
 namespace pathalias {
@@ -188,7 +191,12 @@ TEST(Mapper, BackLinkChainsResolveInMultiplePasses) {
   Routes r = Map("hub\tx(10)\na\thub(100)\nb\ta(100)\nc\tb(100)\n", "hub");
   EXPECT_EQ(r.Find("c")->route, "a!b!c!%s");
   EXPECT_EQ(r.Find("c")->cost, 300);
-  EXPECT_GE(r.result.map.back_link_passes, 2u);
+  // The counters as the build before the back-link passes were scoped to the nodes
+  // holding invented links recorded them: each pass re-relaxes the same links.
+  EXPECT_EQ(r.result.map.back_link_passes, 3u);
+  EXPECT_EQ(r.result.map.invented_links, 3u);
+  EXPECT_EQ(r.result.map.heap_pushes, 5u);
+  EXPECT_EQ(r.result.map.relaxations, 10u);
 }
 
 TEST(Mapper, BackLinksCanBeDisabled) {
@@ -217,6 +225,23 @@ TEST(Mapper, EqualCostPrefersFewerHops) {
 TEST(Mapper, EqualCostEqualHopsBreaksTiesByName) {
   Routes r = Map("a\tzeta(100), beta(100)\nzeta\td(100)\nbeta\td(100)\n", "a");
   EXPECT_EQ(r.Find("d")->route, "beta!d!%s");
+}
+
+TEST(Mapper, NameTiesPastTheFirstEightBytesStillFollowByteOrder) {
+  // The parents share their first 8 bytes, so their name keys tie and the heap falls
+  // back to the bytes: "relaypost1" < "relaypost2" < "relaypostz".  The siblings print
+  // in the same order (preorder: d follows its parent).
+  Routes r = Map(
+      "a\trelaypostz(100), relaypost2(100), relaypost1(100)\n"
+      "relaypostz\td(100)\nrelaypost2\td(100)\nrelaypost1\td(100)\n",
+      "a");
+  EXPECT_EQ(r.Find("d")->route, "relaypost1!d!%s");
+  std::vector<std::string> order;
+  for (const RouteEntry& entry : r.result.routes) {
+    order.push_back(entry.name);
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "relaypost1", "d", "relaypost2",
+                                             "relaypostz"}));
 }
 
 TEST(Mapper, UpDomainTraversalPenalized) {

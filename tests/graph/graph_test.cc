@@ -5,6 +5,7 @@
 #include <map>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -628,6 +629,116 @@ TEST(GraphModel, LinkDedupMatchesAListWalkingReference) {
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(ToString(got[i]), ToString(model.expected()[i])) << "diagnostic " << i;
       EXPECT_EQ(got[i].severity, model.expected()[i].severity) << "diagnostic " << i;
+    }
+    // The back-link passes re-relax from exactly the nodes holding an invented link,
+    // in creation order.
+    std::vector<Node*> holders;
+    for (Node* from : graph.nodes()) {
+      for (const Link* link = from->links; link != nullptr; link = link->next) {
+        if (link->invented()) {
+          holders.push_back(from);
+          break;
+        }
+      }
+    }
+    std::span<Node* const> got_holders = graph.InventedLinkHolders();
+    EXPECT_EQ(std::vector<Node*>(got_holders.begin(), got_holders.end()), holders);
+  }
+}
+
+// --- name keys: NameLess must order exactly as the interned bytes do ---
+
+class NameKeyTest : public ::testing::Test {
+ protected:
+  // NameLess, checked both ways against std::string_view's byte order.
+  void ExpectOrderMatchesBytes(const Graph& graph, const Node* a, const Node* b) {
+    std::string_view x = graph.NameOf(a);
+    std::string_view y = graph.NameOf(b);
+    std::string pair = ::testing::PrintToString(std::string(x)) + " vs " +
+                       ::testing::PrintToString(std::string(y));
+    EXPECT_EQ(NameLess(*a, *b, graph.names()), x < y) << pair;
+    EXPECT_EQ(NameLess(*b, *a, graph.names()), y < x) << pair;
+  }
+
+  Diagnostics diag;
+};
+
+TEST_F(NameKeyTest, KeyIsTheFirstEightBytesBigEndianZeroPadded) {
+  EXPECT_EQ(NameKey(""), 0u);
+  EXPECT_EQ(NameKey("a"), 0x6100000000000000u);
+  EXPECT_EQ(NameKey("abcdefgh"), 0x6162636465666768u);
+  EXPECT_EQ(NameKey("abcdefghij"), NameKey("abcdefgh"));
+  EXPECT_EQ(NameKey("\xff"), 0xff00000000000000u) << "bytes are unsigned";
+  Graph graph(&diag);
+  Node* node = graph.Intern("seismo.css.gov");
+  EXPECT_EQ(node->name_key, NameKey("seismo.c"));
+}
+
+TEST_F(NameKeyTest, EdgeCasesOrderAsBytes) {
+  Graph graph(&diag);
+  const std::vector<std::string> names = {
+      "abcdefgh1", "abcdefgh2",    // share their first 8 bytes: the bytes decide
+      "abcdefgh",  "abcdefgh10",   // a full-key name and its extensions
+      "ab",        "abc",          // shorter than 8 bytes, one a prefix of the other
+      "abc\xe9",   "abcz",         // a byte >= 0x80 sorts after every ASCII byte
+      "\x80",      "~",
+      std::string("a\0", 2), "a",  // equal zero-padded keys: the length decides
+      "Zeta",      "alpha",        // unfolded: upper case sorts first
+      ".edu",      "-x",
+  };
+  std::vector<Node*> nodes;
+  for (const std::string& name : names) {
+    nodes.push_back(graph.Intern(std::string_view(name)));
+  }
+  for (const Node* a : nodes) {
+    for (const Node* b : nodes) {
+      ExpectOrderMatchesBytes(graph, a, b);
+    }
+  }
+  EXPECT_FALSE(NameLess(*nodes[0], *nodes[0], graph.names())) << "irreflexive";
+}
+
+TEST_F(NameKeyTest, FoldedNamesKeyTheFoldedBytes) {
+  // Under -i the interner stores the folded bytes, and the key comes from them:
+  // "Zeta" sorts after "alpha", which it would not unfolded.
+  Graph graph(&diag, Graph::Options{.ignore_case = true});
+  Node* zeta = graph.Intern("Zeta");
+  Node* alpha = graph.Intern("ALPHA");
+  Node* long_name = graph.Intern("ABCDEFGHZ");
+  EXPECT_EQ(zeta->name_key, NameKey("zeta"));
+  EXPECT_EQ(long_name->name_key, NameKey("abcdefgh"));
+  EXPECT_TRUE(NameLess(*alpha, *zeta, graph.names()));
+  EXPECT_FALSE(NameLess(*zeta, *alpha, graph.names()));
+  Node* other = graph.Intern("abcdefghA");  // folds to "abcdefgha": same key, bytes decide
+  EXPECT_TRUE(NameLess(*other, *long_name, graph.names()));
+  ExpectOrderMatchesBytes(graph, other, long_name);
+}
+
+TEST_F(NameKeyTest, RandomNamesOrderAsBytes) {
+  // Short names from a small alphabet, so prefixes, equal keys and high bytes are all
+  // common; every pair must order exactly as std::string_view orders the bytes.
+  constexpr char kAlphabet[] = {'a', 'b', '.', '-', '0', 'Z', '\x7f', '\x80', '\xfe'};
+  for (uint32_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Graph graph(&diag);
+    std::mt19937 rng(seed);
+    std::vector<Node*> nodes;
+    std::string base;
+    for (int i = 0; i < 120; ++i) {
+      // Half the names extend an 8-byte-or-longer stem, so keys often tie.
+      std::string name = rng() % 2 == 0 ? base : std::string();
+      for (size_t length = rng() % 11; length > 0; --length) {
+        name += kAlphabet[rng() % std::size(kAlphabet)];
+      }
+      if (name.size() >= 8 && rng() % 4 == 0) {
+        base = name.substr(0, 8);
+      }
+      nodes.push_back(graph.Intern(std::string_view(name)));
+    }
+    for (const Node* a : nodes) {
+      for (const Node* b : nodes) {
+        ExpectOrderMatchesBytes(graph, a, b);
+      }
     }
   }
 }

@@ -83,6 +83,71 @@ TEST_F(ParserTest, BadCostReportsErrorAndFallsBack) {
   EXPECT_EQ(FindLink("a", "b")->cost, kDefaultCost);
 }
 
+// The parser keeps the last few cost bodies that evaluated; these pin that a kept
+// body never changes what a line costs or what it reports.  The expected
+// diagnostics are those the parser gave before it kept any body.
+TEST_F(ParserTest, BadCostsReportAtTheirOwnLinesAroundKeptBodies) {
+  Parse(
+      "a\tb(DAILY), c(DAILY+)\n"  // a bad body right after a kept good one
+      "d\te(DAILY)\n"
+      "f\tg(BOGUS)\n"
+      "h\ti(BOGUS), j(DAILY)\n"  // the same bad body again, then a kept one
+      "k\tl(DAILY/0)\n",
+      "memo.map");
+  EXPECT_EQ(diag.ToString(),
+            "memo.map:1: error: unexpected end of cost expression\n"
+            "memo.map:3: error: unknown cost symbol 'BOGUS'\n"
+            "memo.map:4: error: unknown cost symbol 'BOGUS'\n"
+            "memo.map:5: error: division by zero in cost expression\n");
+  EXPECT_EQ(FindLink("a", "b")->cost, 5000);
+  EXPECT_EQ(FindLink("a", "c")->cost, kDefaultCost);
+  EXPECT_EQ(FindLink("d", "e")->cost, 5000);
+  EXPECT_EQ(FindLink("f", "g")->cost, kDefaultCost);
+  EXPECT_EQ(FindLink("h", "i")->cost, kDefaultCost);
+  EXPECT_EQ(FindLink("h", "j")->cost, 5000);
+  EXPECT_EQ(FindLink("k", "l")->cost, kDefaultCost);
+}
+
+TEST_F(ParserTest, AdjustBodiesGoThroughTheKeptCosts) {
+  Parse(
+      "a\tb(HOURLY), c(-50)\n"
+      "adjust {b(HOURLY), c(-50), d(HOURLY*2)}\n"
+      "adjust {e(HOURLY*2), f(NONSUCH)}\n",
+      "adjust.map");
+  EXPECT_EQ(graph.Find("b")->adjust, 500);
+  EXPECT_EQ(graph.Find("c")->adjust, -50);
+  EXPECT_EQ(graph.Find("d")->adjust, 1000);
+  EXPECT_EQ(graph.Find("e")->adjust, 1000);
+  EXPECT_EQ(graph.Find("f")->adjust, 0);
+  EXPECT_EQ(diag.ToString(),
+            "adjust.map:1: warning: negative cost on link a!c clamped to 0\n"
+            "adjust.map:3: error: unknown cost symbol 'NONSUCH'\n"
+            "adjust.map:3: error: adjust requires a parenthesized cost, e.g. adjust "
+            "{host(+100)}\n");
+}
+
+TEST_F(ParserTest, MoreDistinctCostBodiesThanTheParserKeeps) {
+  // 20 distinct bodies, three rounds in alternating order: most lookups miss and
+  // replace a kept body, and every link still gets its own body's value.
+  std::string text;
+  for (int round = 0; round < 3; ++round) {
+    for (int step = 0; step < 20; ++step) {
+      int i = round % 2 == 0 ? step : 19 - step;
+      text += "r" + std::to_string(round) + "\th" + std::to_string(i) + "((" +
+              std::to_string(i) + "+1)*10)\n";
+    }
+  }
+  Parse(text);
+  EXPECT_EQ(diag.ToString(), "");
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 20; ++i) {
+      Link* link = FindLink("r" + std::to_string(round), "h" + std::to_string(i));
+      ASSERT_NE(link, nullptr);
+      EXPECT_EQ(link->cost, (i + 1) * 10) << "round " << round << " host " << i;
+    }
+  }
+}
+
 TEST_F(ParserTest, OperatorsOnBothSidesRejected) {
   Parse("a\t@b!(10)\n");
   EXPECT_EQ(diag.error_count(), 1);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace pathalias {
 namespace {
 
@@ -37,6 +39,63 @@ TEST(RouteSet, BadCostColumnWarns) {
   RouteSet set = RouteSet::FromText("notanumber\thost\troute!%s\n", &diag);
   EXPECT_EQ(set.size(), 0u);
   EXPECT_EQ(diag.warning_count(), 1);
+}
+
+// FromText loads 16 lines at a time; these place repeats and bad lines across and
+// inside those windows.
+TEST(RouteSet, FromTextRepeatAcrossAWindowBoundaryReplaces) {
+  std::string text;
+  for (int line = 1; line <= 40; ++line) {
+    if (line == 3 || line == 17 || line == 33) {
+      text += std::to_string(line) + "\trepeat\tvia" + std::to_string(line) + "!%s\n";
+    } else {
+      text += std::to_string(line) + "\th" + std::to_string(line) + "\th!%s\n";
+    }
+  }
+  RouteSet set = RouteSet::FromText(text);
+  EXPECT_EQ(set.size(), 38u);
+  ASSERT_NE(set.Find("repeat"), nullptr);
+  EXPECT_EQ(set.Find("repeat")->route, "via33!%s");
+  EXPECT_EQ(set.Find("repeat")->cost, 33);
+  // The replaced route keeps its first line's place (and id).
+  EXPECT_EQ(set.NameOf(set.routes()[2]), "repeat");
+  EXPECT_EQ(set.NameOf(set.routes()[3]), "h4");
+}
+
+TEST(RouteSet, FromTextWarnsInLineOrderWithLineNumbers) {
+  std::string text;
+  for (int line = 1; line <= 36; ++line) {
+    switch (line) {
+      case 2:
+        text += "no tabs here\n";
+        break;
+      case 5:
+        text += "# a comment\n";
+        break;
+      case 6:
+        text += "\n";
+        break;
+      case 9:
+      case 16:
+      case 17:
+        text += "cost?\th" + std::to_string(line) + "\th!%s\n";
+        break;
+      case 30:
+        text += "1\t2\t3\t4\n";
+        break;
+      default:
+        text += "h" + std::to_string(line) + "\th!%s\n";
+    }
+  }
+  Diagnostics diag;
+  RouteSet set = RouteSet::FromText(text, &diag);
+  EXPECT_EQ(set.size(), 29u);
+  EXPECT_EQ(diag.ToString(),
+            "<routes>:2: warning: malformed route line skipped\n"
+            "<routes>:9: warning: malformed cost column; line skipped\n"
+            "<routes>:16: warning: malformed cost column; line skipped\n"
+            "<routes>:17: warning: malformed cost column; line skipped\n"
+            "<routes>:30: warning: malformed route line skipped\n");
 }
 
 TEST(RouteSet, LaterAddReplaces) {

@@ -72,6 +72,34 @@ TEST(NameInterner, IdsAreDenseAndStableAcrossRehash) {
   }
 }
 
+TEST(NameInterner, PrehashedInternMatchesIntern) {
+  // Two interners fed the same names, one hashing inside Intern and one given
+  // HashOf(name): same ids (suffix chains included), same views, same stats, across
+  // growth rehashes and under case folding.
+  for (bool fold : {false, true}) {
+    SCOPED_TRACE(fold ? "fold_case" : "exact case");
+    NameInterner plain(NameInterner::Options{.fold_case = fold});
+    NameInterner prehashed(NameInterner::Options{.fold_case = fold});
+    for (int i = 0; i < 3000; ++i) {
+      std::string name = "Host" + std::to_string(i % 1700);
+      if (i % 3 == 0) {
+        name += ".Dept" + std::to_string(i % 7) + ".EDU";
+      }
+      NameId id = plain.Intern(name);
+      EXPECT_EQ(prehashed.Intern(name, prehashed.HashOf(name)), id) << name;
+    }
+    ASSERT_EQ(prehashed.size(), plain.size());
+    for (NameId id = 0; id < plain.size(); ++id) {
+      EXPECT_EQ(prehashed.View(id), plain.View(id));
+      EXPECT_EQ(prehashed.Suffix(id), plain.Suffix(id));
+      EXPECT_EQ(prehashed.HashOf(id), plain.HashOf(id));
+    }
+    EXPECT_EQ(prehashed.stats().accesses, plain.stats().accesses);
+    EXPECT_EQ(prehashed.stats().probes, plain.stats().probes);
+    EXPECT_EQ(prehashed.stats().rehashes, plain.stats().rehashes);
+  }
+}
+
 TEST(NameInterner, SuffixChainForDottedHost) {
   NameInterner interner;
   NameId caip = interner.Intern("caip.rutgers.edu");
