@@ -1020,7 +1020,8 @@ void WriteBenchJson() {
         f.pari_path, f.batch_queries, /*clients=*/4, rate, /*requests=*/rate / 2));
   }
   // The PR-7 residual: shard-parallel ResolveBatch inside a daemon turn.  Same
-  // 32-query closed-loop shape, the daemon's engine at routedbd --threads N.
+  // 32-query closed-loop shape, the daemon's engine at N threads (routedbd
+  // serves with one).
   std::vector<bench_daemon::LatencyStats> daemon_threads_grid;
   for (int threads : {1, 2, 4}) {
     daemon_threads_grid.push_back(bench_daemon::MeasureDaemonLatency(
@@ -1308,7 +1309,7 @@ void WriteBenchJson() {
   std::fprintf(out, "    \"batch_32_by_engine_threads\": {\n");
   std::fprintf(out, "      \"note\": \"the PR-7 residual measured: the same 32-query "
                     "closed-loop requests with the daemon's serving engine sharded "
-                    "across N threads (routedbd --threads N); on a "
+                    "across N threads (routedbd serves with one); on a "
                     "%u-hardware-thread container extra engine threads are pure "
                     "coordination overhead, which is exactly what this records\",\n",
                std::thread::hardware_concurrency());

@@ -37,7 +37,7 @@ struct LatencyStats {
   std::string error;
   size_t requests = 0;
   size_t queries_per_request = 0;
-  int threads = 1;       // the daemon engine's shard/thread count (routedbd --threads)
+  int threads = 1;       // the daemon engine's shard/thread count (routedbd serves with 1)
   size_t resolved = 0;   // total hit results across all timed requests
   double p50_ms = 0.0;
   double p99_ms = 0.0;
@@ -56,8 +56,8 @@ inline double Percentile(const std::vector<double>& sorted, double fraction) {
 // Serves `image_path` from a background-thread daemon and runs `requests` timed
 // closed-loop round trips of `queries_per_request` destinations drawn round-robin
 // from `pool` (plus a 10% warmup that is not recorded).  `threads` is forwarded to
-// the daemon's serving engine exactly as routedbd --threads would be: requests
-// with enough queries fan out across engine shards inside the daemon turn.
+// the daemon's serving engine (DaemonOptions; routedbd itself serves with one):
+// requests with enough queries fan out across engine shards inside the daemon turn.
 inline LatencyStats MeasureDaemonLatency(const std::string& image_path,
                                          const std::vector<std::string_view>& pool,
                                          size_t queries_per_request, size_t requests,

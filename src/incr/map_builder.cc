@@ -36,21 +36,21 @@ MapBuilder::MapBuilder(MapBuilderOptions options) : options_(std::move(options))
 bool MapBuilder::Build(std::vector<InputFile> files) {
   artifacts_ = std::move(files);
   routes_ = RouteSet();
-  valid_ = Rebuild(routes_.names());
+  valid_ = Rebuild();
   return valid_;
 }
 
-void MapBuilder::Resume(std::vector<InputFile> files, const NameInterner& ids) {
+void MapBuilder::Resume(std::vector<InputFile> files) {
   artifacts_ = std::move(files);
   routes_ = RouteSet();
   dirty_route_ids_.clear();
-  resumed_ids_ = &ids;
+  resumed_ = true;
   valid_ = false;
 }
 
-bool MapBuilder::Rebuild(const NameInterner& ids) {
+bool MapBuilder::Rebuild() {
   diag_.Clear();  // each compile reports only its own diagnostics
-  RouteSet fresh(ids);
+  RouteSet fresh(routes_.names());
   bool built = false;
   {  // The graph and the mapper result end with this scope.
     Graph graph(&diag_, Graph::Options{.ignore_case = options_.ignore_case});
@@ -76,7 +76,7 @@ bool MapBuilder::Rebuild(const NameInterner& ids) {
   }
   dirty_route_ids_ = ChangedIds(routes_, fresh);
   routes_ = std::move(fresh);
-  resumed_ids_ = nullptr;
+  resumed_ = false;
   return built;
 }
 
@@ -113,12 +113,12 @@ UpdateStats MapBuilder::Update(const std::vector<InputFile>& changed,
     edited = true;
   }
 
-  if (!edited && resumed_ids_ == nullptr) {
+  if (!edited && !resumed_) {
     stats.patched = true;  // nothing to compile
     dirty_route_ids_.clear();
     return stats;
   }
-  valid_ = Rebuild(resumed_ids_ != nullptr ? *resumed_ids_ : routes_.names());
+  valid_ = Rebuild();
   stats.routes_changed = dirty_route_ids_.size();
   return stats;
 }

@@ -3,8 +3,8 @@
 // A MapBuilder keeps the map sources (each file's name and bytes) and the last
 // emitted RouteSet; the graph and the mapper result live only while a compile
 // runs.  Build() compiles once in a fresh id space.  Resume() takes kept sources
-// and a published image's name ids without compiling.  Update() brings the
-// routes to what a from-scratch run over the edited inputs would produce:
+// without compiling.  Update() brings the routes to what a from-scratch run over
+// the edited inputs would produce:
 //
 //   1. byte check — a file whose bytes equal the kept copy is unchanged, and an
 //      update that changes nothing returns without compiling (a resumed builder
@@ -12,10 +12,10 @@
 //   2. compile — every kept source is parsed into a fresh graph by the production
 //      Parser, and the map and emit phases run in full (back links, paper §Back
 //      links, are a fixpoint over the whole graph);
-//   3. renumber — the previous id space (the last routes(), or the resumed
-//      image's interner) is interned in id order into a fresh RouteSet and the
-//      emission is added: served names keep their ids and new names append, so a
-//      serving engine adopts the result with its cache warm.
+//   3. renumber — the last routes()' id space is interned in id order into a
+//      fresh RouteSet and the emission is added: names keep their ids across a
+//      builder's updates and new names append.  After Resume there are no last
+//      routes, so the first Update numbers names afresh.
 //
 // Golden equivalence: after any Build/Resume/Update sequence, routes() is
 // ToSortedText byte-identical to a from-scratch pipeline over the current inputs
@@ -28,7 +28,8 @@
 // or cost differ from the previous routes(): an identical route is not dirty, an
 // erased name keeps its id, and a re-add dirties that id again.  A resumed
 // builder holds no previous routes, so its first Update lists every routed id;
-// its caller diffs the two images instead (exec::DiffRoutes).
+// its caller counts the changes against the replaced image by name instead
+// (exec::CountChangedRoutes).
 
 #ifndef SRC_INCR_MAP_BUILDER_H_
 #define SRC_INCR_MAP_BUILDER_H_
@@ -73,9 +74,9 @@ class MapBuilder {
   // determined; diagnostics explain.
   bool Build(std::vector<InputFile> files);
 
-  // Takes `files` as the kept sources without compiling; the next Update numbers
-  // names as `ids` does.  `ids` must stay alive until that Update returns.
-  void Resume(std::vector<InputFile> files, const NameInterner& ids);
+  // Takes `files` as the kept sources without compiling; the next Update compiles
+  // even when nothing changed.
+  void Resume(std::vector<InputFile> files);
 
   // Applies edits: `changed` holds new/updated file contents (unknown names are
   // appended as new files, in order), `removed` names files to drop; names that
@@ -94,16 +95,16 @@ class MapBuilder {
   Diagnostics& diag() { return diag_; }
 
  private:
-  // Compiles artifacts_ and renumbers the emission in `ids`' id space into
-  // routes_, recording the dirty ids against the previous routes_.
-  bool Rebuild(const NameInterner& ids);
+  // Compiles artifacts_ and renumbers the emission in routes_' id space into a
+  // fresh routes_, recording the dirty ids against the previous routes_.
+  bool Rebuild();
 
   MapBuilderOptions options_;
   Diagnostics diag_;
   bool valid_ = false;
 
   std::vector<InputFile> artifacts_;
-  const NameInterner* resumed_ids_ = nullptr;  // set by Resume until the next compile
+  bool resumed_ = false;  // set by Resume until the next compile
   // pathalint: allow(R1): survives interner replacement — every compile discards
   // the graph and its interner, so a NameId would dangle; the builder re-derives
   // the id from these bytes on each compile.

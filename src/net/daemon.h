@@ -98,7 +98,7 @@ class Daemon {
 
   const DaemonStats& stats() const { return stats_; }
   RolloverController& rollover() { return rollover_; }
-  // The live engine (test hook; changes identity after an incompatible swap).
+  // The live engine (test hook; the same object across every swap).
   exec::FrozenBatchEngine* engine() { return rollover_.engine(); }
   // After Start with udp_port == 0: the kernel-assigned port.
   uint16_t udp_port() const;

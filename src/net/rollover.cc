@@ -27,23 +27,6 @@ namespace {
 constexpr size_t kKeptHeapBytes = size_t{32} << 20;
 #endif
 
-// How many of `routes`' names a fresh id space would not hold: a fresh build
-// interns each routed name and its domain suffixes (".x.com" and ".com" for
-// a.x.com), so a dead name is one with no route that ends no routed name.
-size_t DeadNames(const FrozenRouteSet& routes) {
-  const NameInterner& names = routes.names();
-  std::vector<bool> held(names.size());
-  size_t live = 0;
-  for (uint32_t i = 0; i < routes.size(); ++i) {
-    for (NameId id = routes.RouteAt(i).name; id != kNoName && !held[id];
-         id = names.Suffix(id)) {
-      held[id] = true;
-      ++live;
-    }
-  }
-  return names.size() - live;
-}
-
 }  // namespace
 
 UpdateReport UpdateImage(UpdateRequest request) {
@@ -117,27 +100,16 @@ UpdateReport UpdateImage(UpdateRequest request) {
     return report;
   }
 
-  // Number names as the replaced image does, unless too many of them are dead.
-  const NameInterner no_ids;
-  const NameInterner* ids = &no_ids;
-  if (replaced.has_value()) {
-    const size_t count = replaced->routes().names().size();
-    const size_t dead = DeadNames(replaced->routes());
-    if (dead * 4 <= count) {
-      ids = &replaced->routes().names();
-    } else {
-      report.note += (report.note.empty() ? "" : "; ") + std::to_string(dead) + " of " +
-                     std::to_string(count) + " names in " + image_path +
-                     " carry no route and end no routed name; names are numbered afresh";
-    }
-  }
   incr::MapBuilder builder(
       incr::MapBuilderOptions{.local = state->local, .ignore_case = state->ignore_case});
-  builder.Resume(std::move(state->artifacts), *ids);
+  builder.Resume(std::move(state->artifacts));
   report.stats = builder.Update(changed, request.removed);
   report.diag = std::move(builder.diag());
   if (!builder.valid()) {
     return fail("update left no buildable map");
+  }
+  if (replaced.has_value()) {
+    report.stats.routes_changed = exec::CountChangedRoutes(replaced->routes(), builder.routes());
   }
 
   // Image first, then state, both stamped with the same generation: a crash
@@ -230,6 +202,9 @@ ReloadOutcome RolloverController::ReloadFromSources(std::string* detail) {
   if (outcome == ReloadOutcome::kNoop) {
     *detail = "no route changed (" + std::to_string(report.stats.files_unchanged) +
               " file(s) unchanged)";
+  } else if (outcome == ReloadOutcome::kApplied &&
+             report.outcome == UpdateOutcome::kPublished) {
+    *detail += "; " + std::to_string(report.stats.routes_changed) + " route(s) changed";
   }
   *detail = note + *detail;
   return outcome;
@@ -260,23 +235,12 @@ ReloadOutcome RolloverController::CheckImage(std::string* detail) {
     *detail = "changed image fails to open: " + error;
     return ReloadOutcome::kError;
   }
-  auto fresh = std::make_unique<FrozenImage>(std::move(*opened));
-  std::optional<std::vector<NameId>> dirty =
-      exec::DiffRoutes(current_->routes(), fresh->routes());
   retired_.push_back(std::move(current_));
-  current_ = std::move(fresh);
+  current_ = std::make_unique<FrozenImage>(std::move(*opened));
   identity_ = now;  // stat'ed before the open: a later replacement is seen next time
   ++generation_;
-  if (!dirty.has_value()) {
-    // Different id universe: targeted revocation is meaningless.  Replace the whole
-    // engine — cold caches, correct results.  The old engine dies here on the
-    // serving thread (between batches), so nothing references the old image.
-    engine_ = std::make_unique<exec::FrozenBatchEngine>(&current_->routes(), options_.engine);
-    *detail = "image has another id assignment; engine rebuilt cold";
-  } else {
-    engine_->AdoptRoutes(&current_->routes(), *dirty);
-    *detail = "image replaced; " + std::to_string(dirty->size()) + " route(s) changed";
-  }
+  engine_->AdoptRoutes(&current_->routes());
+  *detail = "image replaced";
   return ReloadOutcome::kApplied;
 }
 

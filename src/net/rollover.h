@@ -4,18 +4,14 @@
 //
 // UpdateImage() is the one update step; `routedb update` and routedbd's SIGHUP
 // both call it.  It loads <image>.state, pairs it with the image on disk, runs
-// the byte check, compiles once in the name ids of the image it replaces
-// (incr::MapBuilder::Resume), and publishes the image, then the state.  Served
-// names keep their ids and new names append, so a serving engine adopts the
-// result with its cache warm.  Nothing survives the step.
+// the byte check, compiles once (incr::MapBuilder::Resume), counts the routes
+// the build changed against the replaced image by name, and publishes the
+// image, then the state.  Nothing survives the step.
 //
 //   * Pairing.  A torn pair (a crash between the image rename and the manifest
 //     rename: the image carries edits the state lacks, and the generation
 //     stamps differ), a missing image or an unreadable one re-reads every kept
 //     source from disk first; if one cannot be read, nothing is published.
-//   * Id space.  A name whose route went away keeps its id.  When more than a
-//     quarter of the replaced image's names are dead (no route, and no routed
-//     name ends in them), the step numbers names afresh: one cold swap.
 //
 // RolloverController owns what a long-lived server needs to swap its mapping
 // under live traffic: the current FrozenImage, the FrozenBatchEngine resolving
@@ -23,17 +19,14 @@
 // to completion on the serving thread, so queries that arrive meanwhile wait.
 // SIGHUP runs ReloadFromSources (UpdateImage over the configured map files,
 // then the adopt step); the file watch runs the adopt step alone (CheckImage).
-// The adopt step diffs the served and the new image (exec::DiffRoutes), which
-// first verifies that the new interner keeps every served NameId: compatible
-// images hot-swap via AdoptRoutes and keep the warm cache; any other (from
-// `routedb update --init`, `routedb freeze` or a fresh id space) replaces the
-// whole engine — correct, just colder.
+// The adopt step hands any image, whatever its name ids (an update's, one from
+// `routedb update --init` or `routedb freeze`), to the one engine's
+// AdoptRoutes, which re-resolves the warm cache's names in it.
 //
 // The OLD image is not unmapped inside the swap: it goes on the retired list,
 // and the next RetireDrained() — which routedbd calls at the end of every loop
-// turn — frees it.  AdoptRoutes re-homes the caches onto the fresh image (an
-// incompatible swap discards the old engine), so by then nothing references the
-// old mapping at all.
+// turn — frees it.  AdoptRoutes leaves the engine no view into the old
+// mapping, so by then nothing references it at all.
 //
 // Threading: one owner.  All methods run on the serving thread, between batches
 // (the AdoptRoutes contract); the engine's batches are fork-join, so no pool
@@ -74,12 +67,12 @@ enum class UpdateOutcome {
 struct UpdateReport {
   UpdateOutcome outcome = UpdateOutcome::kError;
   std::string error;
-  // How the step paired or numbered the build (a torn pair healed, a fresh id
-  // space); empty when there is nothing to say.
+  // How the step paired the state with the image (a torn pair healed); empty
+  // when there is nothing to say.
   std::string note;
   bool state_saved = false;
-  // Files changed and unchanged.  The step compares no routes, so routes_changed
-  // counts every route; exec::DiffRoutes on the two images counts the changed ones.
+  // Files changed and unchanged, and the routes changed, new or removed against
+  // the replaced image, matched by name (every route when no image paired).
   incr::UpdateStats stats;
   size_t routes_total = 0;
   Diagnostics diag;  // the published build's diagnostics
@@ -111,9 +104,7 @@ class RolloverController {
   // image is missing or invalid.
   bool Start(std::string* error);
 
-  // The serving engine.  The pointer is stable across rollovers (AdoptRoutes swaps
-  // its internals) except after an incompatible swap, which replaces the engine
-  // object — re-fetch after every reload, which costs nothing.
+  // The serving engine: one object from Start on (AdoptRoutes swaps its internals).
   exec::FrozenBatchEngine* engine() { return engine_.get(); }
   const FrozenRouteSet* routes() const { return &current_->routes(); }
 
@@ -125,9 +116,9 @@ class RolloverController {
 
   // The adopt step, and the file watch: stat the image; if it is not the one
   // being served (a rename by an external `routedb update`, or a SIGHUP's
-  // publish), open it and either AdoptRoutes with DiffRoutes' ids or, for
-  // another id universe, build the engine cold.  The old image goes on the
-  // retired list.  kNoop when the file is unchanged: one stat, so poll freely.
+  // publish), open it and hand it to the engine's AdoptRoutes.  The old image
+  // goes on the retired list.  kNoop when the file is unchanged: one stat, so
+  // poll freely.
   ReloadOutcome CheckImage(std::string* detail);
 
   // Unmaps every image a swap has taken out of service.  Returns how many were

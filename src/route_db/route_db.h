@@ -44,7 +44,8 @@ class RouteSet {
 
   // A set with no routes that numbers `ids`' names as `ids` does (interning them
   // in id order reproduces every id).  Routes added next keep those ids and new
-  // names append: how an update keeps the name ids of the image it replaces.
+  // names append: how a MapBuilder keeps its names' ids from one update to the
+  // next.
   explicit RouteSet(const NameInterner& ids);
 
   // Later adds of the same name replace earlier ones.

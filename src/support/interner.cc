@@ -5,10 +5,6 @@
 
 namespace pathalias {
 
-// Case folding lives in the header now (NameInterner::FoldChar) so the batch
-// engine's shard hash can normalize identically; member bodies below call it
-// unqualified.
-
 NameInterner::NameInterner() : NameInterner(Options{}) {}
 
 NameInterner::NameInterner(Options options)
@@ -142,26 +138,12 @@ NameId NameInterner::LinearFind(std::string_view name) const {
 }
 
 NameId NameInterner::Find(std::string_view name) const {
-  // No stats here: the const lookup path writes nothing, which is what lets any
-  // number of reader threads share one table (or one mmap'd image) lock-free.
-  if (frozen()) {
-    if (frozen_.entry_count == 0 || frozen_.table_capacity < 5) {
-      return kNoName;
-    }
-    return frozen_.slots[ProbeFor(name, HashName(name), nullptr)].id;
-  }
-  if (stolen_) {
-    return LinearFind(name);
-  }
-  if (capacity_ == 0) {
-    return kNoName;
-  }
-  return slots_[ProbeFor(name, HashName(name), nullptr)].id;  // kNoName: an empty slot
+  return FindPrehashed(name, HashName(name));
 }
 
 NameId NameInterner::FindPrehashed(std::string_view name, uint64_t hash) const {
-  // Find(name) with the hash already computed (callers batch HashOf up front).
-  // Same degraded modes, same const/no-stats discipline, same outcome.
+  // No stats here: the const lookup path writes nothing, which is what lets any
+  // number of reader threads share one table (or one mmap'd image) lock-free.
   if (frozen()) {
     if (frozen_.entry_count == 0 || frozen_.table_capacity < 5) {
       return kNoName;

@@ -17,12 +17,11 @@
 //   routedb update [--remove FILE]... <routes.pari> [changed-map-files...]
 //                                               swap the named files' new bytes into
 //                                               the kept sources (a --remove must
-//                                               name a kept file), compile once in
-//                                               the name ids of the image being
-//                                               replaced, rewrite the image
-//                                               atomically, and report files
-//                                               changed/unchanged and routes
-//                                               changed; when no file changed,
+//                                               name a kept file), compile once,
+//                                               rewrite the image atomically, and
+//                                               report files changed/unchanged and
+//                                               the routes changed against the
+//                                               replaced image; when no file changed,
 //                                               report "nothing to do" and leave
 //                                               image and state untouched.  A torn,
 //                                               missing or unreadable image re-reads
@@ -292,9 +291,9 @@ void PrintDiagnostics(const pathalias::Diagnostics& diag) {
 // --init builds a fresh id space and publishes generation 1.  An update runs the
 // one update step (net::UpdateImage, shared with routedbd's SIGHUP): it loads the
 // kept sources, pairs them with the image on disk, swaps in the new bytes of the
-// files it is given, compiles once in the name ids of the image it replaces, and
-// republishes image and state.  The report (files changed, routes changed) is
-// what an operator reads for blast radius.  Only the published build's
+// files it is given, compiles once, and republishes image and state.  The report
+// (files changed, routes changed against the replaced image by name) is what an
+// operator reads for blast radius.  Only the published build's
 // diagnostics are printed and counted.
 int RunUpdate(int argc, char** argv) {
   bool init = false;
@@ -341,8 +340,6 @@ int RunUpdate(int argc, char** argv) {
 
   int errors = 0;
   if (!init) {
-    // The image this update replaces, to count the routes the update changes.
-    std::optional<pathalias::FrozenImage> replaced = pathalias::FrozenImage::Open(image_path);
     pathalias::net::UpdateReport report = pathalias::net::UpdateImage(
         {.image_path = image_path, .changed = std::move(files), .removed = std::move(removed),
          .local = local});
@@ -365,16 +362,8 @@ int RunUpdate(int argc, char** argv) {
       std::cerr << "routedb: cannot save " << state_dir << "\n";
       return 1;
     }
-    // Every route changed, unless the published image keeps the replaced one's ids.
-    size_t routes_changed = report.routes_total;
-    if (std::optional<pathalias::FrozenImage> published = pathalias::FrozenImage::Open(image_path);
-        replaced.has_value() && published.has_value()) {
-      if (auto dirty = pathalias::exec::DiffRoutes(replaced->routes(), published->routes())) {
-        routes_changed = dirty->size();
-      }
-    }
     std::cerr << "routedb: rebuilt (" << report.stats.files_changed << " file(s) changed, "
-              << report.stats.files_unchanged << " unchanged); " << routes_changed
+              << report.stats.files_unchanged << " unchanged); " << report.stats.routes_changed
               << " route(s) changed, " << report.routes_total << " total\n";
     errors = report.diag.error_count();
   } else {

@@ -6,12 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/exec/result_cache.h"
 #include "src/image/frozen_route_set.h"
+#include "src/image/image_format.h"
 #include "src/image/image_writer.h"
 #include "src/route_db/resolver.h"
 #include "src/route_db/route_db.h"
@@ -107,9 +108,9 @@ TEST(BatchEngine, MatchesSerialResolverAtEveryThreadAndCacheSetting) {
 }
 
 // The flush-free serving update: a long-lived frozen engine adopts a refrozen image
-// and invalidates only the dirty ids.  Clean destinations may keep serving cached
-// views into the OLD mapping (kept alive, as the contract requires); dirty ones
-// must come back fresh.
+// and re-resolves every cached name in it.  The edited destination comes back
+// fresh, and the cache holds what it held: the next batch hits exactly as often
+// as on an engine that never adopted.
 TEST(BatchEngine, AdoptRoutesServesFreshDirtyRoutesWithoutFlushingCleanOnes) {
   RouteSet routes = BuildRoutes();
   FrozenImage image_a(routes);
@@ -124,25 +125,26 @@ TEST(BatchEngine, AdoptRoutesServesFreshDirtyRoutesWithoutFlushingCleanOnes) {
   std::vector<BatchLookup> results(queries.size());
   engine.ResolveBatch(queries, results);  // warm every shard cache
   ASSERT_GT(engine.stats().cache_lookups, 0u);
+  FrozenBatchEngine control(&image_a.routes(), options);
+  control.ResolveBatch(queries, results);
+  const uint64_t control_warm_hits = control.stats().cache_hits;
+  control.ResolveBatch(queries, results);
 
-  // The RouteSet absorbs an edit (a replacing Add keeps every id) and refreezes;
-  // the two images alone name the dirty ids.
   routes.Add("host7", "rerouted!host7!%s", 9999);
   FrozenImage image_b(routes);
-  std::optional<std::vector<NameId>> dirty = DiffRoutes(image_a.routes(), image_b.routes());
-  ASSERT_TRUE(dirty.has_value());
-  ASSERT_EQ(*dirty, std::vector<NameId>{image_b.routes().names().Find("host7")});
-  engine.AdoptRoutes(&image_b.routes(), *dirty);  // image A stays alive above — required
+  engine.AdoptRoutes(&image_b.routes());  // image A stays alive above — required
 
+  const BatchEngineStats before = engine.stats();
   std::vector<BatchLookup> after(queries.size());
   engine.ResolveBatch(queries, after);
   Resolver reference(&image_b.routes(), ResolveOptions{});
   std::vector<BatchLookup> expected(queries.size());
   reference.ResolveBatch(queries, expected);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(after[i].route.ok(), expected[i].route.ok()) << queries[i];
-    EXPECT_EQ(after[i].route.route, expected[i].route.route) << queries[i];
-  }
+  ExpectSameResults(expected, after, queries);
+  EXPECT_EQ(engine.stats().cache_hits - before.cache_hits,
+            control.stats().cache_hits - control_warm_hits)
+      << "every cached name, the edited one too, is still cached after the adopt";
+  EXPECT_GT(engine.stats().cache_hits, before.cache_hits);
 }
 
 TEST(BatchEngine, NinetyPercentRepeatedDestinationsIdenticalWithCacheOnAndOff) {
@@ -273,21 +275,24 @@ TEST(ResultCache, ClockEvictsUnreferencedWaysFirst) {
   BatchLookup value;
   value.via = 7;
   BatchLookup out;
+  // With one set, every hash places a key there.
+  auto put = [&cache, &value](NameId id) { cache.Put(cache.Begin(id), id, value); };
+  auto get = [&cache, &out](NameId id) { return cache.Get(cache.Begin(id), id, &out); };
 
-  // Ids 0..3 fill the only set (whatever order the scramble maps them in).
+  // Ids 0..3 fill the only set.
   for (NameId id = 0; id < 4; ++id) {
-    cache.Put(id, value);
+    put(id);
   }
   for (NameId id = 0; id < 4; ++id) {
-    EXPECT_TRUE(cache.Get(id, &out));
+    EXPECT_TRUE(get(id));
   }
   // All four are armed; inserting a fifth forces the hand all the way around: it
   // disarms everything, evicts exactly one resident, and the other three survive.
-  cache.Put(4, value);
-  EXPECT_TRUE(cache.Get(4, &out));
+  put(4);
+  EXPECT_TRUE(get(4));
   int survivors = 0;
   for (NameId id = 0; id < 4; ++id) {
-    if (cache.Get(id, &out)) {
+    if (get(id)) {
       ++survivors;
     }
   }
@@ -316,7 +321,7 @@ RouteSet BuildChainRoutes(const char* org_route) {
 
 // Regression: a cached suffix-match result depends on its VIA's route, not just
 // its own key.  Key-only invalidation left ".b.org"'s cached entry (via ".org")
-// stale when only ".org" changed; the chain-closure pass must condemn it.
+// stale when only ".org" changed; the adopt re-resolves the whole chain.
 TEST(BatchEngine, AdoptRoutesCondemnsSuffixMatchWhoseViaChanged) {
   FrozenImage v1(BuildChainRoutes("gate!%s"));
   BatchEngineOptions options;
@@ -332,12 +337,9 @@ TEST(BatchEngine, AdoptRoutesCondemnsSuffixMatchWhoseViaChanged) {
   ASSERT_EQ(engine.ResolveBatch(query, result), 1u);  // now served from cache
   ASSERT_GT(engine.stats().cache_hits, 0u);
 
-  // Same Add order → same id assignment; only ".org"'s route differs.
+  // Only ".org"'s route differs.
   FrozenImage v2(BuildChainRoutes("spool!%s"));
-  NameId org = v2.routes().names().Find(".org");
-  ASSERT_NE(org, kNoName);
-  std::vector<NameId> dirty = {org};
-  engine.AdoptRoutes(&v2.routes(), dirty);
+  engine.AdoptRoutes(&v2.routes());
 
   ASSERT_EQ(engine.ResolveBatch(query, result), 1u);
   EXPECT_EQ(result[0].route.route, "spool!%s")
@@ -347,8 +349,7 @@ TEST(BatchEngine, AdoptRoutesCondemnsSuffixMatchWhoseViaChanged) {
 // Regression: a cached MISS depends on every id of its suffix chain staying
 // routeless.  When ".net" gains a route, the cached miss for ".z.net" must go.
 TEST(BatchEngine, AdoptRoutesCondemnsCachedMissWhoseDomainGainedARoute) {
-  RouteSet v1 = BuildChainRoutes("gate!%s");
-  FrozenImage image_v1(v1);
+  FrozenImage image_v1(BuildChainRoutes("gate!%s"));
   BatchEngineOptions options;
   options.threads = 1;
   options.cache_entries = 64;
@@ -361,13 +362,9 @@ TEST(BatchEngine, AdoptRoutesCondemnsCachedMissWhoseDomainGainedARoute) {
   ASSERT_GT(engine.stats().cache_hits, 0u);
 
   RouteSet v2 = BuildChainRoutes("gate!%s");
-  v2.Add(".net", "gate!%s", 1);  // ".net" was already interned: same id, new route
-  NameId net = v2.names().Find(".net");
-  ASSERT_NE(net, kNoName);
-  ASSERT_EQ(net, v1.names().Find(".net")) << "id stability premise broken";
-  std::vector<NameId> dirty = {net};
+  v2.Add(".net", "gate!%s", 1);  // ".net" was interned already; now it has a route
   FrozenImage image_v2(v2);
-  engine.AdoptRoutes(&image_v2.routes(), dirty);
+  engine.AdoptRoutes(&image_v2.routes());
 
   ASSERT_EQ(engine.ResolveBatch(query, result), 1u)
       << "cached miss survived although its domain gained a route";
@@ -375,37 +372,126 @@ TEST(BatchEngine, AdoptRoutesCondemnsCachedMissWhoseDomainGainedARoute) {
   EXPECT_EQ(result[0].route.route, "gate!%s");
 }
 
-// DiffRoutes decides between AdoptRoutes and a cold engine: it names exactly the
-// changed ids of an image that keeps every served id, and refuses one that
-// numbers the same names differently.
-TEST(BatchEngine, DiffRoutesNamesChangedIdsAndRefusesShiftedOnes) {
+// The update step's count matches routes by name, so an image that numbers the
+// same names differently changes nothing.
+TEST(BatchEngine, CountChangedRoutesMatchesNamesNotIds) {
   RouteSet routes = BuildRoutes();
   FrozenImage served(routes);
-  FrozenImage same(routes);
-  std::optional<std::vector<NameId>> diff = DiffRoutes(served.routes(), same.routes());
-  ASSERT_TRUE(diff.has_value());
-  EXPECT_TRUE(diff->empty());
+  EXPECT_EQ(CountChangedRoutes(served.routes(), routes), 0u) << "identical";
 
-  routes.Add("newa", "newa!%s", 1);  // interned past the served range
-  FrozenImage appended(routes);
-  NameId newa = appended.routes().names().Find("newa");
-  ASSERT_GE(newa, served.routes().names().size());
-  diff = DiffRoutes(served.routes(), appended.routes());
-  ASSERT_TRUE(diff.has_value());
-  EXPECT_EQ(*diff, std::vector<NameId>{newa});
+  RouteSet recost = BuildRoutes();
+  recost.Add("phs", "duke!phs!%s", 801);
+  EXPECT_EQ(CountChangedRoutes(served.routes(), recost), 1u) << "recost";
 
-  // The same routes added in another order: every name is there, under other ids.
-  RouteSet rebuilt;
-  rebuilt.Add("newa", "newa!%s", 1);
+  RouteSet added = BuildRoutes();
+  added.Add("newa", "newa!%s", 1);
+  added.Add("b.new.example", "newa!b.new.example!%s", 2);
+  EXPECT_EQ(CountChangedRoutes(served.routes(), added), 2u) << "added";
+
+  RouteSet removed;
   for (const Route& route : routes.routes()) {
-    rebuilt.Add(routes.NameOf(route), route.route, route.cost);
+    std::string_view name = routes.NameOf(route);
+    if (name != "duke" && name != ".edu") {
+      removed.Add(name, route.route, route.cost);
+    }
   }
-  FrozenImage shifted(rebuilt);
-  EXPECT_FALSE(DiffRoutes(served.routes(), shifted.routes()).has_value());
+  EXPECT_EQ(CountChangedRoutes(served.routes(), removed), 2u) << "removed";
+
+  // The same routes added in reverse: every name is there, under other ids.
+  RouteSet reordered;
+  for (auto it = routes.routes().rbegin(); it != routes.routes().rend(); ++it) {
+    reordered.Add(routes.NameOf(*it), it->route, it->cost);
+  }
+  ASSERT_NE(reordered.names().Find("seismo"), routes.names().Find("seismo"));
+  EXPECT_EQ(CountChangedRoutes(served.routes(), reordered), 0u) << "reordered";
+  reordered.Add("host7", "rerouted!host7!%s", 9999);
+  reordered.Add("newa", "newa!%s", 1);
+  EXPECT_EQ(CountChangedRoutes(served.routes(), reordered), 2u) << "reordered and edited";
 }
 
-// After AdoptRoutes, NOTHING in the engine may reference the old source: clean
-// surviving cache entries are re-homed onto the fresh storage.  Clobbering the
+// Any image adopts warm, whatever its ids: a two-shard engine adopts the same
+// routes added in another order, with one route changed, one removed and one
+// added.  Every cached name the fresh image still interns is answered from the
+// cache, and every answer is the fresh image's.
+TEST(BatchEngine, AdoptRoutesAcrossIdSpacesKeepsTheCacheWarm) {
+  RouteSet routes = BuildRoutes();
+  FrozenImage image_a(routes);
+  BatchEngineOptions options;
+  options.threads = 2;
+  options.cache_entries = 4096;
+  FrozenBatchEngine engine(&image_a.routes(), options);
+  std::vector<std::string> pool = BuildQueryPool();
+  pool.push_back("newhost");
+  std::vector<std::string_view> queries = Views(pool);
+  std::vector<BatchLookup> results(queries.size());
+  engine.ResolveBatch(queries, results);
+
+  RouteSet reordered;
+  for (auto it = routes.routes().rbegin(); it != routes.routes().rend(); ++it) {
+    if (routes.NameOf(*it) != "host9") {
+      reordered.Add(routes.NameOf(*it), it->route, it->cost);
+    }
+  }
+  reordered.Add("host7", "rerouted!host7!%s", 9999);
+  reordered.Add("newhost", "newhost!%s", 1);
+  FrozenImage image_b(reordered);
+  ASSERT_NE(image_b.routes().names().Find("seismo"), image_a.routes().names().Find("seismo"));
+  ASSERT_EQ(image_b.routes().names().Find("host9"), kNoName);
+  engine.AdoptRoutes(&image_b.routes());
+
+  const BatchEngineStats before = engine.stats();
+  std::vector<BatchLookup> after(queries.size());
+  engine.ResolveBatch(queries, after);
+  Resolver reference(&image_b.routes(), ResolveOptions{});
+  std::vector<BatchLookup> expected(queries.size());
+  reference.ResolveBatch(queries, expected);
+  ExpectSameResults(expected, after, queries);
+  // host9 is a stranger now and asks no cache; newhost is the one cold lookup.
+  EXPECT_EQ(engine.stats().cache_hits - before.cache_hits,
+            engine.stats().cache_lookups - before.cache_lookups - 1);
+}
+
+// The cache places a name by its hash, which folds as the interner does, so an
+// image that folds case differently starts cold: every entry is dropped.
+TEST(BatchEngine, AdoptRoutesAcrossACaseFoldingMismatchDropsEveryEntry) {
+  RouteSet routes = BuildRoutes();
+  FrozenImage image_a(routes);
+  std::string folded = image::ImageWriter::Freeze(routes);
+  image::ImageHeader header;
+  std::memcpy(&header, folded.data(), sizeof(header));
+  header.flags |= image::kFlagFoldCase;
+  std::memcpy(folded.data(), &header, sizeof(header));
+  std::string error;
+  auto view = image::ImageView::Adopt(folded, image::ImageView::Verify::kStructure, &error);
+  ASSERT_TRUE(view.has_value()) << error;
+  FrozenRouteSet image_b(*view);
+  ASSERT_TRUE(image_b.names().fold_case());
+
+  BatchEngineOptions options;
+  options.threads = 2;
+  options.cache_entries = 64;
+  FrozenBatchEngine engine(&image_a.routes(), options);
+  std::vector<std::string_view> queries = {"phs", "duke", "m3.dept3.edu", ".rutgers.edu"};
+  std::vector<BatchLookup> results(queries.size());
+  engine.ResolveBatch(queries, results);
+  engine.ResolveBatch(queries, results);
+  ASSERT_EQ(engine.stats().cache_hits, queries.size());
+
+  engine.AdoptRoutes(&image_b);
+  std::vector<std::string_view> upper = {"PHS", "Duke", "M3.dept3.EDU", ".Rutgers.edu"};
+  std::vector<BatchLookup> after(upper.size());
+  engine.ResolveBatch(upper, after);
+  EXPECT_EQ(engine.stats().cache_hits, queries.size()) << "no entry survives";
+  EXPECT_EQ(engine.stats().cache_lookups, 3 * queries.size()) << "the counters keep counting";
+  Resolver reference(&image_b, ResolveOptions{});
+  std::vector<BatchLookup> expected(upper.size());
+  reference.ResolveBatch(upper, expected);
+  ExpectSameResults(expected, after, upper);
+  EXPECT_TRUE(after[0].route.ok()) << "the folding image finds PHS";
+}
+
+// After AdoptRoutes, NOTHING in the engine may reference the old source: every
+// kept cache entry is re-resolved onto the fresh storage.  Clobbering the
 // old image's bytes (the moral equivalent of munmap) must not change any result.
 TEST(BatchEngine, AdoptRoutesReleasesEveryReferenceToTheOldImage) {
   RouteSet v1 = BuildChainRoutes("gate!%s");
@@ -429,10 +515,7 @@ TEST(BatchEngine, AdoptRoutesReleasesEveryReferenceToTheOldImage) {
   auto view_b = image::ImageView::Adopt(image_b, image::ImageView::Verify::kChecksum, &error);
   ASSERT_TRUE(view_b.has_value()) << error;
   FrozenRouteSet frozen_b(*view_b);
-  NameId org = frozen_b.names().Find(".org");
-  ASSERT_NE(org, kNoName);
-  std::vector<NameId> dirty = {org};
-  engine.AdoptRoutes(&frozen_b, dirty);
+  engine.AdoptRoutes(&frozen_b);
 
   // "Unmap" image A.  Any surviving view into it now reads garbage, which the
   // byte-compare below (and ASan's container annotations) would catch.

@@ -1,4 +1,4 @@
-// Black-box tests of the three command-line tools, exercising the same binaries a
+// Black-box tests of the command-line tools, exercising the same binaries a
 // downstream user runs.  Binary locations are injected by CMake.
 
 #include <gtest/gtest.h>
@@ -390,6 +390,58 @@ TEST_F(CliTest, EveryToolRejectsUnknownOptions) {
           << label << " should name the offending flag";
     }
   }
+}
+
+// routedbd's engine is fixed (one thread, a 4096-entry cache): its old engine
+// flags are unknown options, refused before any image is opened.
+TEST_F(CliTest, RoutedbdEngineFlagsAreUnknownOptions) {
+  const std::pair<std::string, std::string> flags[] = {
+      {"--threads", "2"}, {"--cache-entries", "4096"}, {"--cache-entries", "0"}};
+  for (const auto& [flag, value] : flags) {
+    CommandResult result = RunCommand(std::string(ROUTEDBD_BIN) + " --image " +
+                                      (dir_ / "none.pari").string() + " --unix " +
+                                      (dir_ / "d.sock").string() + " " + flag + " " + value);
+    EXPECT_EQ(WEXITSTATUS(result.status), 2) << flag << " " << value << ": " << result.output;
+    EXPECT_NE(result.output.find("unknown option " + flag), std::string::npos) << result.output;
+  }
+}
+
+// `routedb update` counts the routes it changed against the image it replaces by
+// name, so an image republished from scratch (`routedb freeze` of sorted
+// pathalias output: other ids) still gets the true count, not every route.
+TEST_F(CliTest, RoutedbUpdateCountsChangedRoutesAfterAFromScratchRepublish) {
+  fs::path core = dir_ / "core.map";
+  fs::path mid = dir_ / "mid.map";
+  {
+    std::ofstream out(core);
+    out << "hub\tmid(100), far(400)\nfar\thub(400)\n";
+  }
+  {
+    std::ofstream out(mid);
+    out << "mid\thub(100), leafa(50), leafb(60)\n";
+  }
+  std::string image = (dir_ / "routes.pari").string();
+  std::string routes = (dir_ / "sorted.txt").string();
+  ASSERT_EQ(RunCommand(std::string(ROUTEDB_BIN) + " update --init --local hub " + image + " " +
+                       core.string() + " " + mid.string())
+                .status,
+            0);
+  ASSERT_EQ(RunCommand(std::string(PATHALIAS_BIN) + " -c -l hub " + core.string() + " " +
+                       mid.string() + " | sort > " + routes)
+                .status,
+            0);
+  CommandResult freeze = RunCommand(std::string(ROUTEDB_BIN) + " freeze " + routes + " " + image);
+  ASSERT_EQ(freeze.status, 0) << freeze.output;
+
+  {
+    std::ofstream out(mid, std::ios::trunc);
+    out << "mid\thub(100), leafa(50), leafb(60), leafc(70)\n";
+  }
+  CommandResult update =
+      RunCommand(std::string(ROUTEDB_BIN) + " update " + image + " " + mid.string());
+  EXPECT_EQ(WEXITSTATUS(update.status), 0) << update.output;
+  EXPECT_NE(update.output.find("1 route(s) changed, 6 total"), std::string::npos)
+      << update.output;
 }
 
 TEST_F(CliTest, RoutedbUpdatePatchesImageInPlace) {
