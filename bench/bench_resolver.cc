@@ -524,18 +524,23 @@ IncrementalResults MeasureIncrementalUpdate(const IncrementalBench& bench) {
   return results;
 }
 
-// A map scaled up from the 1986 profile, with the same mixed query workload the
-// committed batch uses.  The pipeline's win grows with map size — the 1986 table
-// is L2-resident, so there is little latency to hide; at 4x the probe path
-// reaches DRAM and the overlapped window pays — and the JSON records both.
-struct ScaledWorkload {
-  RouteSet routes;
-  std::vector<std::string> pool;
-  std::vector<std::string_view> queries;
-  size_t hosts = 0;
+// A map scaled up from the 1986 profile, with the query shapes the committed batch
+// uses.  The pipeline's win grows with map size — the 1986 table is L2-resident,
+// so there is little latency to hide; at 4x the probe path reaches DRAM and the
+// overlapped window pays — and the JSON records both.
+enum class QueryShape {
+  kMixed,      // a third each: known hosts, strangers under known domains, dotted misses
+  kHostsOnly,  // known hosts: every query retires inside the window
+  kStrangers,  // the mixed workload's strangers: every query leaves the window
 };
 
-ScaledWorkload BuildScaledWorkload(int scale, size_t query_count) {
+struct ScaledWorkload {
+  RouteSet routes;
+  std::vector<std::string> hosts;    // route keys that are hosts
+  std::vector<std::string> domains;  // route keys that are domains
+};
+
+ScaledWorkload BuildScaledWorkload(int scale) {
   MapGenConfig config = MapGenConfig::Usenet1986();
   config.seed = 1986 + static_cast<uint64_t>(scale);
   config.backbone_hosts *= 2;
@@ -551,33 +556,86 @@ ScaledWorkload BuildScaledWorkload(int scale, size_t query_count) {
   RunResult result = pathalias::Run(map.files, options, &diag);
   ScaledWorkload workload;
   workload.routes = RouteSet::FromEntries(result.routes);
-  workload.hosts = workload.routes.size();
-  std::vector<std::string> hosts;
-  std::vector<std::string> domains;
   for (const Route& route : workload.routes.routes()) {
     std::string name(workload.routes.NameOf(route));
-    (name[0] == '.' ? domains : hosts).push_back(std::move(name));
+    (name[0] == '.' ? workload.domains : workload.hosts).push_back(std::move(name));
   }
-  workload.pool.reserve(query_count);
-  for (size_t i = 0; i < query_count; ++i) {
-    switch (i % 3) {
+  return workload;
+}
+
+// `count` queries of one shape over `workload`'s names.
+std::vector<std::string> ShapedQueries(const ScaledWorkload& workload, QueryShape shape,
+                                       size_t count) {
+  std::vector<std::string> pool;
+  pool.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    size_t kind = shape == QueryShape::kMixed       ? i % 3
+                  : shape == QueryShape::kHostsOnly ? 0
+                                                    : 1 + i % 2;
+    switch (kind) {
       case 0:
-        workload.pool.push_back(hosts[(i * 2654435761u) % hosts.size()]);
+        pool.push_back(workload.hosts[(i * 2654435761u) % workload.hosts.size()]);
         break;
       case 1:
-        workload.pool.push_back("stranger" + std::to_string(i) +
-                                (domains.empty() ? ".nowhere" : domains[i % domains.size()]));
+        pool.push_back("stranger" + std::to_string(i) +
+                       (workload.domains.empty() ? ".nowhere"
+                                                 : workload.domains[i % workload.domains.size()]));
         break;
       default:
-        workload.pool.push_back("miss" + std::to_string(i) + ".unrouted.example");
+        pool.push_back("miss" + std::to_string(i) + ".unrouted.example");
         break;
     }
   }
-  workload.queries.reserve(query_count);
-  for (const std::string& query : workload.pool) {
-    workload.queries.push_back(query);
+  return pool;
+}
+
+// Every result slot equal — route view identity, via and suffix_match — and the
+// resolved counts too.
+bool SameResults(const std::vector<BatchLookup>& a, size_t a_resolved,
+                 const std::vector<BatchLookup>& b, size_t b_resolved) {
+  bool same = a_resolved == b_resolved && a.size() == b.size();
+  for (size_t i = 0; same && i < a.size(); ++i) {
+    same = a[i].route.name == b[i].route.name &&
+           a[i].route.route.data() == b[i].route.route.data() &&
+           a[i].route.route.size() == b[i].route.route.size() &&
+           a[i].route.cost == b[i].route.cost && a[i].via == b[i].via &&
+           a[i].suffix_match == b[i].suffix_match;
   }
-  return workload;
+  return same;
+}
+
+// Scalar against the default window on one batch, timed back to back in each
+// pass (best of `passes`), with every slot compared.
+struct ScalarVsWindow {
+  double scalar_ms = 0.0;
+  double pipelined_ms = 0.0;
+  bool matches = false;
+};
+
+ScalarVsWindow TimeScalarVsWindow(const Resolver& resolver,
+                                  std::span<const std::string_view> queries, int passes) {
+  ScalarVsWindow point;
+  std::vector<BatchLookup> scalar(queries.size());
+  std::vector<BatchLookup> pipelined(queries.size());
+  size_t scalar_resolved = 0;
+  size_t pipelined_resolved = 0;
+  for (int pass = 0; pass < passes; ++pass) {
+    bench::WallTimer scalar_timer;
+    scalar_resolved = resolver.ResolveBatchScalar(queries, scalar);
+    double ms = scalar_timer.Ms();
+    if (pass == 0 || ms < point.scalar_ms) {
+      point.scalar_ms = ms;
+    }
+    bench::WallTimer pipe_timer;
+    pipelined_resolved =
+        resolver.ResolveBatchPipelined(queries, pipelined, Resolver::kDefaultPipelineWindow);
+    ms = pipe_timer.Ms();
+    if (pass == 0 || ms < point.pipelined_ms) {
+      point.pipelined_ms = ms;
+    }
+  }
+  point.matches = SameResults(scalar, scalar_resolved, pipelined, pipelined_resolved);
+  return point;
 }
 
 // --- the domain-sharded mapper at usenet scale ------------------------------
@@ -768,17 +826,9 @@ void WriteBenchJson() {
   bool pipe_matches_all = true;
   for (size_t w = 0; w < kPipeWindowCount; ++w) {
     resolver.ResolveBatchPipelined(f.batch_queries, pipe_results, kPipeWindows[w]);
-    bool match = pipe_resolved[w] == pipe_scalar_resolved;
-    for (size_t i = 0; match && i < scalar_results.size(); ++i) {
-      match = scalar_results[i].route.name == pipe_results[i].route.name &&
-              scalar_results[i].route.route.data() == pipe_results[i].route.route.data() &&
-              scalar_results[i].route.route.size() == pipe_results[i].route.route.size() &&
-              scalar_results[i].route.cost == pipe_results[i].route.cost &&
-              scalar_results[i].via == pipe_results[i].via &&
-              scalar_results[i].suffix_match == pipe_results[i].suffix_match;
-    }
-    pipe_matches[w] = match;
-    pipe_matches_all = pipe_matches_all && match;
+    pipe_matches[w] =
+        SameResults(scalar_results, pipe_scalar_resolved, pipe_results, pipe_resolved[w]);
+    pipe_matches_all = pipe_matches_all && pipe_matches[w];
   }
   size_t pipe_best_window = kPipeWindows[0];
   double pipe_best_window_ms = pipe_best_ms[0];
@@ -812,29 +862,35 @@ void WriteBenchJson() {
                                  Resolver::kDefaultPipelineWindow, &pipe_stats);
 
   // The 4x-scale point: same workload shape over a ~4x map, where the probe
-  // path outgrows L2 and the window has real latency to hide.
-  ScaledWorkload scaled = BuildScaledWorkload(4, f.batch_queries.size());
-  FrozenImage scaled_image(scaled.routes);
-  Resolver scaled_resolver(&scaled_image.routes(), ResolveOptions{});
-  std::vector<BatchLookup> scaled_results(scaled.queries.size());
-  double scaled_scalar_ms = 0.0;
-  double scaled_pipe_ms = 0.0;
-  size_t scaled_scalar_resolved = 0;
-  size_t scaled_pipe_resolved = 0;
-  for (int pass = 0; pass < 3; ++pass) {
-    bench::WallTimer scalar_timer;
-    scaled_scalar_resolved = scaled_resolver.ResolveBatchScalar(scaled.queries, scaled_results);
-    double ms = scalar_timer.Ms();
-    if (pass == 0 || ms < scaled_scalar_ms) {
-      scaled_scalar_ms = ms;
+  // path outgrows L2 and the window has real latency to hide.  Then the two
+  // shapes the window splits on — known hosts, which retire inside it, and
+  // strangers, which all leave it — at 4x and at 16x, past the last-level cache.
+  struct ShapePoint {
+    const char* shape;
+    int scale;
+    size_t routes;
+    ScalarVsWindow timing;
+  };
+  std::vector<ShapePoint> shapes;
+  ScalarVsWindow scaled_4x;
+  size_t scaled_4x_routes = 0;
+  for (int scale : {4, 16}) {
+    ScaledWorkload scaled = BuildScaledWorkload(scale);
+    FrozenImage scaled_image(scaled.routes);
+    Resolver scaled_resolver(&scaled_image.routes(), ResolveOptions{});
+    auto time_shape = [&](QueryShape shape) {
+      std::vector<std::string> pool = ShapedQueries(scaled, shape, f.batch_queries.size());
+      std::vector<std::string_view> queries(pool.begin(), pool.end());
+      return TimeScalarVsWindow(scaled_resolver, queries, 5);
+    };
+    if (scale == 4) {
+      scaled_4x = time_shape(QueryShape::kMixed);
+      scaled_4x_routes = scaled.routes.size();
     }
-    bench::WallTimer pipe_timer;
-    scaled_pipe_resolved = scaled_resolver.ResolveBatchPipelined(
-        scaled.queries, scaled_results, Resolver::kDefaultPipelineWindow);
-    ms = pipe_timer.Ms();
-    if (pass == 0 || ms < scaled_pipe_ms) {
-      scaled_pipe_ms = ms;
-    }
+    shapes.push_back(
+        ShapePoint{"hosts_only", scale, scaled.routes.size(), time_shape(QueryShape::kHostsOnly)});
+    shapes.push_back(ShapePoint{"strangers_only", scale, scaled.routes.size(),
+                                time_shape(QueryShape::kStrangers)});
   }
   long rss_pipeline_kb = bench::PeakRssKb();
 
@@ -1124,38 +1180,55 @@ void WriteBenchJson() {
   if (ResolvePipelineStats::compiled_in()) {
     std::fprintf(out, "      \"lookups\": %llu,\n",
                  static_cast<unsigned long long>(pipe_stats.lookups));
-    std::fprintf(out, "      \"name_probes\": %llu,\n",
-                 static_cast<unsigned long long>(pipe_stats.name_probes));
     std::fprintf(out, "      \"slot_collisions\": %llu,\n",
                  static_cast<unsigned long long>(pipe_stats.slot_collisions));
     std::fprintf(out, "      \"candidate_rejects\": %llu,\n",
                  static_cast<unsigned long long>(pipe_stats.candidate_rejects));
-    std::fprintf(out, "      \"stranger_continuations\": %llu,\n",
-                 static_cast<unsigned long long>(pipe_stats.stranger_continuations));
-    std::fprintf(out, "      \"suffix_memo_hits\": %llu,\n",
+    std::fprintf(out, "      \"window_retirements\": %llu,\n",
+                 static_cast<unsigned long long>(pipe_stats.window_retirements));
+    std::fprintf(out, "      \"deferred_queries\": %llu,\n",
+                 static_cast<unsigned long long>(pipe_stats.deferred_queries));
+    std::fprintf(out, "      \"suffix_memo_hits\": %llu\n",
                  static_cast<unsigned long long>(pipe_stats.suffix_memo_hits));
-    std::fprintf(out, "      \"chain_steps\": %llu,\n",
-                 static_cast<unsigned long long>(pipe_stats.chain_steps));
-    std::fprintf(out, "      \"route_checks\": %llu,\n",
-                 static_cast<unsigned long long>(pipe_stats.route_checks));
-    std::fprintf(out, "      \"retired_hits\": %llu,\n",
-                 static_cast<unsigned long long>(pipe_stats.retired_hits));
-    std::fprintf(out, "      \"retired_misses\": %llu\n",
-                 static_cast<unsigned long long>(pipe_stats.retired_misses));
   }
   std::fprintf(out, "    },\n");
   std::fprintf(out, "    \"scaled_4x\": {\n");
   std::fprintf(out, "      \"note\": \"same mixed workload over a ~4x map "
                     "(probe table outgrows L2): the window's overlapped misses "
-                    "pay where there is latency to hide\",\n");
-  std::fprintf(out, "      \"routes\": %zu,\n", scaled.hosts);
-  std::fprintf(out, "      \"queries\": %zu,\n", scaled.queries.size());
-  std::fprintf(out, "      \"scalar_best_wall_ms\": %.3f,\n", scaled_scalar_ms);
-  std::fprintf(out, "      \"pipelined_best_wall_ms\": %.3f,\n", scaled_pipe_ms);
+                    "pay where there is latency to hide; best of 5 interleaved "
+                    "passes, every result slot compared\",\n");
+  std::fprintf(out, "      \"routes\": %zu,\n", scaled_4x_routes);
+  std::fprintf(out, "      \"queries\": %zu,\n", f.batch_queries.size());
+  std::fprintf(out, "      \"scalar_best_wall_ms\": %.3f,\n", scaled_4x.scalar_ms);
+  std::fprintf(out, "      \"pipelined_best_wall_ms\": %.3f,\n", scaled_4x.pipelined_ms);
   std::fprintf(out, "      \"speedup\": %.3f,\n",
-               scaled_pipe_ms > 0.0 ? scaled_scalar_ms / scaled_pipe_ms : 0.0);
+               scaled_4x.pipelined_ms > 0.0 ? scaled_4x.scalar_ms / scaled_4x.pipelined_ms
+                                            : 0.0);
   std::fprintf(out, "      \"matches_scalar_resolved\": %s\n",
-               scaled_scalar_resolved == scaled_pipe_resolved ? "true" : "false");
+               scaled_4x.matches ? "true" : "false");
+  std::fprintf(out, "    },\n");
+  std::fprintf(out, "    \"shapes\": {\n");
+  std::fprintf(out, "      \"note\": \"the two shapes the window splits on: known "
+                    "hosts retire inside it, strangers (under known domains, and "
+                    "dotted misses) all leave it for the deferred pass; scalar vs "
+                    "the default window, best of 5 interleaved passes, every result "
+                    "slot compared\",\n");
+  std::fprintf(out, "      \"queries\": %zu,\n", f.batch_queries.size());
+  std::fprintf(out, "      \"points\": [\n");
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    const ShapePoint& point = shapes[i];
+    std::fprintf(out,
+                 "        {\"shape\": \"%s\", \"scale\": %d, \"routes\": %zu, "
+                 "\"scalar_best_wall_ms\": %.3f, \"pipelined_best_wall_ms\": %.3f, "
+                 "\"speedup\": %.3f, \"matches_scalar_resolved\": %s}%s\n",
+                 point.shape, point.scale, point.routes, point.timing.scalar_ms,
+                 point.timing.pipelined_ms,
+                 point.timing.pipelined_ms > 0.0
+                     ? point.timing.scalar_ms / point.timing.pipelined_ms
+                     : 0.0,
+                 point.timing.matches ? "true" : "false", i + 1 < shapes.size() ? "," : "");
+  }
+  std::fprintf(out, "      ]\n");
   std::fprintf(out, "    }\n");
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"has_repeated_host\": {\n");
@@ -1450,8 +1523,18 @@ void WriteBenchJson() {
               pipe_scalar_best_ms, pipe_best_window, pipe_best_window_ms,
               pipe_best_window_ms > 0.0 ? pipe_scalar_best_ms / pipe_best_window_ms : 0.0,
               pipe_matches_all ? "byte-identical" : "MISMATCH",
-              scaled_scalar_ms, scaled_pipe_ms,
-              scaled_pipe_ms > 0.0 ? scaled_scalar_ms / scaled_pipe_ms : 0.0);
+              scaled_4x.scalar_ms, scaled_4x.pipelined_ms,
+              scaled_4x.pipelined_ms > 0.0 ? scaled_4x.scalar_ms / scaled_4x.pipelined_ms
+                                           : 0.0);
+  for (const ShapePoint& point : shapes) {
+    std::printf("pipeline %s at %dx: scalar %.1f ms, window %zu %.1f ms (%.2fx), results %s\n",
+                point.shape, point.scale, point.timing.scalar_ms, Resolver::kDefaultPipelineWindow,
+                point.timing.pipelined_ms,
+                point.timing.pipelined_ms > 0.0
+                    ? point.timing.scalar_ms / point.timing.pipelined_ms
+                    : 0.0,
+                point.timing.matches ? "byte-identical" : "MISMATCH");
+  }
   std::printf("cold start %.3f ms image open vs %.3f ms parse+intern (%.1fx)\n", image_ms,
               parse_ms, image_ms > 0.0 ? parse_ms / image_ms : 0.0);
   std::printf("parallel engine (%u hardware threads): ", std::thread::hardware_concurrency());

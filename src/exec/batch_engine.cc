@@ -11,7 +11,7 @@ namespace exec {
 FrozenBatchEngine::FrozenBatchEngine(const FrozenRouteSet* routes, BatchEngineOptions options)
     : routes_(routes),
       options_(options),
-      resolver_(routes, options.resolve),
+      resolver_(routes, ResolveOptions{}),
       shards_(options.threads == 0 ? ThreadPool::HardwareWidth()
                                    : std::max(1, options.threads)),
       fold_case_(routes->names().fold_case()) {
@@ -167,7 +167,7 @@ void FrozenBatchEngine::AdoptRoutes(const FrozenRouteSet* fresh) {
   const NameInterner& names = fresh->names();
   const bool same_fold = served.fold_case() == names.fold_case();
   routes_ = fresh;
-  resolver_ = Resolver(fresh, options_.resolve);
+  resolver_ = Resolver(fresh, ResolveOptions{});
   fold_case_ = names.fold_case();
   for (ResultCache& cache : caches_) {
     cache.RekeyEntries([&](NameId key, BatchLookup* value) {

@@ -48,7 +48,6 @@ namespace exec {
 struct BatchEngineOptions {
   int threads = 1;           // shard/thread count; 0 means "all hardware threads"
   size_t cache_entries = 0;  // per-shard result cache capacity; 0 disables caching
-  ResolveOptions resolve;    // forwarded to the underlying resolver
 };
 
 // Cumulative counters across every batch the engine has served.

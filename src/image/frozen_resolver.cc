@@ -4,7 +4,8 @@
 // pipeline's hot loop.
 
 #include <algorithm>
-#include <cstring>
+#include <functional>
+#include <string_view>
 #include <vector>
 
 #include "src/image/frozen_route_set.h"
@@ -144,323 +145,124 @@ size_t Resolver::ResolveBatchPipelined(std::span<const std::string_view> hosts,
   }
   window = std::clamp<size_t>(window, 1, kMaxPipelineWindow);
 
-  // Batch-local suffix memo.  From the first dotted suffix a stranger tries,
-  // its outcome is a pure function of the suffix bytes (probe it; if interned,
-  // chase that chain; else try the next dot — no other query state enters), so
-  // one batch resolving "a.cs.foo.edu", "b.cs.foo.edu", ... pays the suffix
-  // probe and chain walk once and copies the retired result thereafter.  Real
-  // mailer batches are exactly this shape: many strangers under few domains.
-  // The memo is local to one call (the table cannot change mid-batch, and views
-  // into `hosts` stay alive), keyed on raw query bytes (equal bytes imply equal
-  // outcome whether or not the interner folds case), and consulted only where
-  // the scalar path would begin a suffix probe — so results stay byte-identical
-  // to ResolveBatchScalar, only cheaper.  Skipped for small batches, where
-  // zeroing the table would cost more than the repeats it could catch.
-  struct SuffixMemoEntry {
-    const char* ptr = nullptr;  // null: empty slot
-    uint32_t len = 0;
-    uint64_t hash = 0;
-    BatchLookup out;
+  // The window: up to `window` exact probes in flight.  Each round runs three
+  // passes, and each pass does one stage of every lookup in it before any lookup
+  // does its next: retire the lookups whose route record was prefetched last
+  // round, inspect the probe slot of each lookup launched last round, then launch
+  // fresh queries into the room left (hash, prefetch the first probe slot).  One
+  // lookup's misses (probe slot → entry → route record) are serial, but across
+  // lookups they are independent, so the slot a probe starts on and the record a
+  // retirement reads were prefetched a round earlier, and the launch pass's hash
+  // chains overlap in the core.  Only an interned name with a route of its own
+  // stays for the retire round.  Every other query leaves at once, parking its id
+  // (kNoName for a stranger) in its result's `via`, and is finished after the
+  // window drains.
+  struct Probing {
+    NameInterner::ProbeCursor cursor;
+    uint32_t index;  // into hosts and results
   };
-  constexpr size_t kSuffixMemoBits = 9;
-  constexpr size_t kSuffixMemoMinBatch = 64;
-  std::vector<SuffixMemoEntry> memo;
-  if (count >= kSuffixMemoMinBatch) {
-    memo.resize(size_t{1} << kSuffixMemoBits);
-  }
-  // The memo's own hash, deliberately NOT the interner's: the paper's shift/XOR
-  // hash folds one byte per step (a serial dependency chain), while the memo —
-  // hit almost always in steady state — only needs any well-mixed function of
-  // the raw bytes.  Word-wide chunks cost ~2 multiplies per suffix, and the
-  // interner hash is then computed only on a memo miss, right where the probe
-  // needs it.  Raw (unfolded) bytes keep hash, key compare and outcome
-  // consistent with each other whether or not the interner folds case.
-  auto memo_hash_of = [](std::string_view s) {
-    uint64_t h = 0x9E3779B97F4A7C15ull ^ (s.size() * 0xA24BAED4963EE407ull);
-    const char* p = s.data();
-    size_t n = s.size();
-    for (; n >= 8; p += 8, n -= 8) {
-      uint64_t w;
-      std::memcpy(&w, p, 8);
-      h = (h ^ w) * 0x9FB21C651E98DF25ull;
-      h ^= h >> 29;
-    }
-    if (n > 0) {
-      uint64_t w = 0;
-      std::memcpy(&w, p, n);
-      h = (h ^ w) * 0x9FB21C651E98DF25ull;
-      h ^= h >> 29;
-    }
-    return h;
+  struct Retiring {
+    NameId id;
+    uint32_t index;
   };
-  auto memo_index = [](uint64_t hash) {
-    return static_cast<size_t>(hash >> (64 - kSuffixMemoBits));
-  };
-
-  // A rolling window of lookups in flight as parallel lane arrays: each round,
-  // every pass below is one tight homogeneous loop over a list of lane indices,
-  // doing one stage of every in-flight lookup before any lookup does its next.
-  // That shape is the whole trick.  A lookup's own miss chain (probe slot →
-  // entry → name bytes → by-name index → route record) is inherently serial,
-  // but across lanes the fetches are independent — so every line a pass reads
-  // was prefetched one full round (a window of other lookups' stage steps)
-  // earlier, and hashing runs in batched passes whose independent per-byte
-  // chains overlap in the core where the one-at-a-time loop's serial chain
-  // cannot.  Lookups that retire free their lane; the launch pass refills freed
-  // lanes at the top of every round, so occupancy — the memory-level
-  // parallelism — stays at `window` until the batch drains.  A lookup needing
-  // more probes (stranger suffix, hash/byte reject) spills its continuation
-  // into the next round's probe list instead of stalling the others.
-  std::string_view host[kMaxPipelineWindow];  // the full query
-  std::string_view text[kMaxPipelineWindow];  // current probe text (host or suffix)
-  NameInterner::ProbeCursor cur[kMaxPipelineWindow];
-  NameId walk[kMaxPipelineWindow];      // current position on the suffix chain
-  NameId host_id[kMaxPipelineWindow];   // exact query's id (kNoName on stranger path)
-  uint32_t out_slot[kMaxPipelineWindow];  // results index
-  size_t dotpos[kMaxPipelineWindow];    // stranger: offset of the suffix being probed
-  bool stranger[kMaxPipelineWindow];
-  // First suffix this stranger tried (empty until then) + its hash: the memo key
-  // its retired outcome is recorded under.
-  std::string_view memo_key[kMaxPipelineWindow];
-  uint64_t memo_hash[kMaxPipelineWindow];
-
-  // Records a retiring stranger's outcome under its first-suffix key.  Shorter
-  // suffixes it went on to try share the same outcome by construction (a suffix
-  // only advances after the longer one failed), so the first key subsumes them.
-  auto memo_insert = [&](uint32_t j, const BatchLookup& out) {
-    if (memo.empty() || memo_key[j].empty()) {
-      return;
-    }
-    SuffixMemoEntry& entry = memo[memo_index(memo_hash[j])];
-    entry.ptr = memo_key[j].data();
-    entry.len = static_cast<uint32_t>(memo_key[j].size());
-    entry.hash = memo_hash[j];
-    entry.out = out;
-  };
-  // Per-stage lane lists; `probe`, `walk` and `ready` are double-buffered
-  // across rounds, the others live within one round.
-  uint32_t probe_list[2][kMaxPipelineWindow], walk_list[2][kMaxPipelineWindow];
-  uint32_t ready_list[2][kMaxPipelineWindow];
-  uint32_t rehash_list[kMaxPipelineWindow];
-  uint32_t free_stack[kMaxPipelineWindow];
-
+  Probing probing[kMaxPipelineWindow];
+  Retiring retiring[kMaxPipelineWindow];
+  size_t n_probing = 0;
+  size_t n_retiring = 0;
+  size_t next = 0;  // next query to launch
   size_t resolved = 0;
-  size_t next = 0;    // next query to launch
-  size_t active = 0;  // lookups in flight
-  size_t n_free = 0;
-  for (uint32_t j = 0; j < window; ++j) {
-    free_stack[n_free++] = static_cast<uint32_t>(window - 1 - j);
-  }
-  int flip = 0;
-  size_t n_probe = 0, n_walk = 0, n_ready = 0;
-
-  while (active > 0 || next < count) {
-    uint32_t* probe_in = probe_list[flip];
-    uint32_t* walk_in = walk_list[flip];
-    uint32_t* ready_in = ready_list[flip];
-    flip ^= 1;
-    uint32_t* probe_out = probe_list[flip];
-    uint32_t* walk_out = walk_list[flip];
-    uint32_t* ready_out = ready_list[flip];
-    size_t n_probe_out = 0, n_walk_out = 0, n_ready_out = 0;
-
-    // Retire pass: these lanes' route records were prefetched a full round ago,
-    // by the walk pass that proved HasRoute.
-    for (size_t p = 0; p < n_ready; ++p) {
-      const uint32_t j = ready_in[p];
-      BatchLookup& out = results[out_slot[j]];
-      out.route = routes_->FindRouteView(walk[j]);
-      out.via = walk[j];
-      out.suffix_match = stranger[j] || walk[j] != host_id[j];
-      ++resolved;
-      memo_insert(j, out);
-      free_stack[n_free++] = j;
-      --active;
-      PATHALIAS_PROBE_COUNT(stats, retired_hits);
+  std::vector<uint32_t> deferred;  // result indexes, in batch order
+  while (next < count || n_probing + n_retiring > 0) {
+    for (size_t p = 0; p < n_retiring; ++p) {
+      const Retiring& lookup = retiring[p];
+      results[lookup.index] = BatchLookup{routes_->FindRouteView(lookup.id), lookup.id, false};
+      PATHALIAS_PROBE_COUNT(stats, window_retirements);
     }
+    resolved += n_retiring;
+    n_retiring = 0;
 
-    // Launch pass: refill freed lanes — hash the query (adjacent launches'
-    // per-byte chains are independent, so they overlap) and prefetch its
-    // primary probe slot for next round's probe pass.
-    while (n_free > 0 && next < count) {
-      const uint32_t j = free_stack[--n_free];
-      host[j] = hosts[next];
-      text[j] = host[j];
-      stranger[j] = false;
-      memo_key[j] = {};
-      host_id[j] = kNoName;
-      out_slot[j] = static_cast<uint32_t>(next);
-      cur[j] = names.BeginProbe(names.HashOf(host[j]));
-      names.PrefetchSlot(cur[j]);
-      probe_out[n_probe_out++] = j;
-      ++next;
-      ++active;
-      PATHALIAS_PROBE_COUNT(stats, lookups);
-      PATHALIAS_PROBE_COUNT(stats, name_probes);
-    }
-
-    // Walk pass: one chain hop per round.  HasRoute reads the by-name line
-    // prefetched when the lane resolved its name (or hopped) last round; a hit
-    // prefetches the route record and parks the lane for next round's retire
-    // pass; a hop prefetches the next suffix's by-name line and entry (the
-    // entry holds the suffix link the NEXT hop chases).  A stranger whose first
-    // interned suffix's chain drains retires a miss — shorter dotted suffixes
-    // are covered by this chain, never re-probed (LookupStranger's rule).
-    for (size_t p = 0; p < n_walk; ++p) {
-      const uint32_t j = walk_in[p];
-      PATHALIAS_PROBE_COUNT(stats, route_checks);
-      if (routes_->HasRoute(walk[j])) {
-        routes_->PrefetchRoute(walk[j]);
-        ready_out[n_ready_out++] = j;
-      } else {
-        NameId suffix = names.Suffix(walk[j]);
-        if (suffix == kNoName) {
-          results[out_slot[j]] = BatchLookup{};
-          memo_insert(j, BatchLookup{});
-          free_stack[n_free++] = j;
-          --active;
-          PATHALIAS_PROBE_COUNT(stats, retired_misses);
-        } else {
-          walk[j] = suffix;
-          routes_->PrefetchFind(suffix);
-          names.PrefetchEntry(suffix);
-          walk_out[n_walk_out++] = j;
-          PATHALIAS_PROBE_COUNT(stats, chain_steps);
-        }
-      }
-    }
-
-    // Probe pass: each lane inspects exactly the one slot its prefetch covers
-    // (issued last round, or by this round's launch pass) and spills whatever
-    // comes next — another slot, a suffix re-probe, a chain hop — back into
-    // the window with a prefetch, so no lane ever reads a line it did not
-    // prefetch a round earlier.  The verify work that needs no further slot —
-    // the 64-bit hash filter, the byte compare, the first HasRoute check —
-    // runs inline: the candidate's entry line arrives with the slot's
-    // neighborhood on a resident table, and inlining folds the overwhelmingly
-    // common one-probe hit into a single pass.  Predicates and their order are
-    // exactly the scalar probe's (the hash filter is a pure narrowing of the
-    // byte compare), so a reject resumes the probe at the same slot ProbeFor
-    // would.
-    size_t n_rehash = 0;
-    for (size_t p = 0; p < n_probe; ++p) {
-      const uint32_t j = probe_in[p];
+    for (size_t p = 0; p < n_probing; ++p) {
+      Probing& lookup = probing[p];
+      // Collisions and rejected candidates re-probe inline, exactly as Find does:
+      // probe sequences are short (αH = 0.79 worst case), and the predicates and
+      // their order are Find's (the full-hash filter narrows the byte compare), so
+      // the outcome is Find's for every input.
       NameId candidate = kNoName;
       NameInterner::ProbeOutcome outcome;
-      // Collisions and rejected candidates re-probe inline, exactly as the
-      // scalar loop does: measured at every map scale, re-reading the next
-      // slot immediately beats spilling it to the next round — probe
-      // sequences are short (αH = 0.79 worst case) and the spill's extra
-      // list traffic costs more than the unprefetched read.
       for (;;) {
-        outcome = names.ProbeStep(&cur[j], &candidate);
+        outcome = names.ProbeStep(&lookup.cursor, &candidate);
         if (outcome == NameInterner::ProbeOutcome::kCollision) {
           PATHALIAS_PROBE_COUNT(stats, slot_collisions);
           continue;
         }
         if (outcome == NameInterner::ProbeOutcome::kCandidate &&
-            (!names.CandidateHashMatches(candidate, cur[j].hash) ||
-             !names.CandidateEquals(candidate, text[j]))) {
+            (!names.CandidateHashMatches(candidate, lookup.cursor.hash) ||
+             !names.CandidateEquals(candidate, hosts[lookup.index]))) {
           PATHALIAS_PROBE_COUNT(stats, candidate_rejects);
           continue;
         }
         break;
       }
-      if (outcome == NameInterner::ProbeOutcome::kCandidate) {
-        // The probe text is interned: start its walk.  The immediate route
-        // check folds the overwhelmingly common first hop into this pass;
-        // chain hops (suffix fallbacks) stay windowed in the walk pass.
-        if (!stranger[j]) {
-          host_id[j] = candidate;
-        }
-        walk[j] = candidate;
-        PATHALIAS_PROBE_COUNT(stats, route_checks);
-        if (routes_->HasRoute(candidate)) {
-          routes_->PrefetchRoute(candidate);
-          ready_out[n_ready_out++] = j;
-        } else {
-          NameId suffix = names.Suffix(candidate);
-          if (suffix == kNoName) {
-            results[out_slot[j]] = BatchLookup{};
-            memo_insert(j, BatchLookup{});
-            free_stack[n_free++] = j;
-            --active;
-            PATHALIAS_PROBE_COUNT(stats, retired_misses);
-          } else {
-            walk[j] = suffix;
-            routes_->PrefetchFind(suffix);
-            names.PrefetchEntry(suffix);
-            walk_out[n_walk_out++] = j;
-            PATHALIAS_PROBE_COUNT(stats, chain_steps);
-          }
-        }
+      const bool interned = outcome == NameInterner::ProbeOutcome::kCandidate;
+      if (interned && routes_->HasRoute(candidate)) {
+        routes_->PrefetchRoute(candidate);
+        retiring[n_retiring++] = Retiring{candidate, lookup.index};
       } else {
-        // Empty slot: the probe text is not interned.  Spill the stranger
-        // continuation — the next dotted suffix — or retire a miss when the
-        // dots run out.  A leading dot is never a suffix of itself:
-        // find('.', 1), matching LookupStranger.
-        size_t from = stranger[j] ? dotpos[j] + 1 : 1;
-        size_t dot = host[j].find('.', from);
-        if (dot == std::string_view::npos) {
-          results[out_slot[j]] = BatchLookup{};
-          memo_insert(j, BatchLookup{});
-          free_stack[n_free++] = j;
-          --active;
-          PATHALIAS_PROBE_COUNT(stats, retired_misses);
-        } else {
-          stranger[j] = true;
-          dotpos[j] = dot;
-          text[j] = host[j].substr(dot);  // includes the leading '.'
-          rehash_list[n_rehash++] = j;
-        }
+        results[lookup.index] = BatchLookup{RouteView{}, interned ? candidate : kNoName, false};
+        deferred.push_back(lookup.index);
+        PATHALIAS_PROBE_COUNT(stats, deferred_queries);
       }
     }
 
-    // Rehash pass: hash the spilled suffixes together, not one by one inside
-    // the probe pass — like the launch pass, back-to-back independent hash
-    // chains overlap where a hash wedged between two probes cannot.  The
-    // suffix bytes are the tail of a string this lane already hashed, so the
-    // only new fetch is each continuation's probe slot.
-    for (size_t p = 0; p < n_rehash; ++p) {
-      const uint32_t j = rehash_list[p];
-      if (!memo.empty()) {
-        const uint64_t hash = memo_hash_of(text[j]);
-        if (memo_key[j].empty()) {
-          memo_key[j] = text[j];
-          memo_hash[j] = hash;
-        }
-        const SuffixMemoEntry& entry = memo[memo_index(hash)];
-        if (entry.ptr != nullptr && entry.hash == hash &&
-            std::string_view(entry.ptr, entry.len) == text[j]) {
-          // A previous query in this batch already resolved this exact suffix:
-          // its retired outcome IS this lane's outcome.  Copy and retire.
-          results[out_slot[j]] = entry.out;
-          if (entry.out.route.ok()) {
-            ++resolved;
-            PATHALIAS_PROBE_COUNT(stats, retired_hits);
-          } else {
-            PATHALIAS_PROBE_COUNT(stats, retired_misses);
-          }
-          // If this lane's FIRST suffix was a different (longer) one that missed
-          // the memo, record it too: its outcome equals this one's by the same
-          // only-advances-after-failure argument.
-          memo_insert(j, entry.out);
-          free_stack[n_free++] = j;
-          --active;
-          PATHALIAS_PROBE_COUNT(stats, suffix_memo_hits);
-          continue;
-        }
-      }
-      cur[j] = names.BeginProbe(names.HashOf(text[j]));
-      names.PrefetchSlot(cur[j]);
-      probe_out[n_probe_out++] = j;
-      PATHALIAS_PROBE_COUNT(stats, name_probes);
-      PATHALIAS_PROBE_COUNT(stats, stranger_continuations);
+    n_probing = 0;
+    for (; next < count && n_probing + n_retiring < window; ++next) {
+      Probing& lookup = probing[n_probing++];
+      lookup.index = static_cast<uint32_t>(next);
+      lookup.cursor = names.BeginProbe(names.HashOf(hosts[next]));
+      names.PrefetchSlot(lookup.cursor);
+      PATHALIAS_PROBE_COUNT(stats, lookups);
     }
+  }
 
-    n_probe = n_probe_out;
-    n_walk = n_walk_out;
-    n_ready = n_ready_out;
+  // After the window, in batch order: an interned name walks its suffix chain
+  // (LookupInterned), a stranger its dotted suffixes (LookupStranger) behind a
+  // batch-local memo.  LookupStranger starts at the first dot at index >= 1, and
+  // from there its outcome depends on nothing but the bytes, so an entry maps those
+  // bytes to the result that already holds their outcome: a batch of
+  // "a.cs.foo.edu", "b.cs.foo.edu", ... walks ".cs.foo.edu" once, which is the
+  // repeated-domain shape of delivery traffic.  Raw bytes are the key, so equal
+  // keys mean equal outcomes whether or not the interner folds case.  A batch with
+  // few such queries skips the memo; zeroing it would cost more than it saves.
+  struct MemoEntry {
+    const char* key = nullptr;  // an empty entry's key matches none: keys start with '.'
+    uint32_t size = 0;
+    uint32_t index = 0;  // the result holding the outcome
+  };
+  constexpr size_t kMemoEntries = 512;
+  constexpr size_t kMemoMinDeferred = 64;
+  std::vector<MemoEntry> memo(deferred.size() >= kMemoMinDeferred ? kMemoEntries : 0);
+  for (uint32_t index : deferred) {
+    BatchLookup& out = results[index];
+    const std::string_view host = hosts[index];
+    const size_t dot = host.find('.', 1);
+    if (out.via != kNoName) {
+      out = LookupInterned(out.via);
+    } else if (memo.empty() || dot == std::string_view::npos) {
+      out = LookupStranger(host);
+    } else {
+      const std::string_view key = host.substr(dot);
+      MemoEntry& entry = memo[std::hash<std::string_view>{}(key) % kMemoEntries];
+      if (std::string_view(entry.key, entry.size) == key) {
+        out = results[entry.index];
+        PATHALIAS_PROBE_COUNT(stats, suffix_memo_hits);
+      } else {
+        out = LookupStranger(host);
+        entry = MemoEntry{key.data(), static_cast<uint32_t>(key.size()), index};
+      }
+    }
+    if (out.route.ok()) {
+      ++resolved;
+    }
   }
   return resolved;
 }

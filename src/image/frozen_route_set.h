@@ -49,16 +49,10 @@ class FrozenRouteSet {
     return id == kNoName ? RouteView{} : FindRouteView(id);
   }
 
-  // FindRouteView split for the pipelined resolver: PrefetchFind covers the by-name
-  // index slot a HasRoute will read, PrefetchRoute the frozen route record a
-  // FindRouteView will read once HasRoute said yes — each prefetched one pipeline
-  // round before it is read.
+  // FindRouteView split for the pipelined resolver's window: HasRoute reads only the
+  // by-name index, and PrefetchRoute covers the frozen route record that the
+  // FindRouteView one pipeline round later reads once HasRoute said yes.
   bool HasRoute(NameId id) const { return id < name_count_ && by_name_[id] != 0; }
-  void PrefetchFind(NameId id) const {
-    if (id < name_count_) {
-      __builtin_prefetch(by_name_ + id);
-    }
-  }
   void PrefetchRoute(NameId id) const {
     if (id < name_count_ && by_name_[id] != 0) {
       __builtin_prefetch(routes_ + (by_name_[id] - 1));

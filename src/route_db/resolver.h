@@ -70,17 +70,14 @@ struct BatchLookup {
 // the same name); without it ResolveBatchPipelined zeroes the struct and the hot
 // loop carries no counter writes at all.  Counters accrue into a caller-local
 // struct, so concurrent pipelines over one route set never share state.
+// Every lookup leaves exactly once: lookups == window_retirements + deferred_queries.
 struct ResolvePipelineStats {
-  uint64_t lookups = 0;                 // queries entering the pipeline
-  uint64_t name_probes = 0;             // probe sequences begun (host + suffix texts)
-  uint64_t slot_collisions = 0;         // occupied slots with a different hash32
-  uint64_t candidate_rejects = 0;       // hash32 matches whose bytes differed
-  uint64_t stranger_continuations = 0;  // dotted-suffix re-probes spilled into the window
-  uint64_t suffix_memo_hits = 0;        // suffix probes answered by the batch-local memo
-  uint64_t chain_steps = 0;             // domain-suffix chain hops walked
-  uint64_t route_checks = 0;            // HasRoute inspections
-  uint64_t retired_hits = 0;
-  uint64_t retired_misses = 0;
+  uint64_t lookups = 0;             // queries launched into the window
+  uint64_t slot_collisions = 0;     // occupied slots with a different hash32
+  uint64_t candidate_rejects = 0;   // hash32 matches whose bytes differed
+  uint64_t window_retirements = 0;  // routed exact names retired inside the window
+  uint64_t deferred_queries = 0;    // the rest, finished after the window drains
+  uint64_t suffix_memo_hits = 0;    // deferred strangers answered by the batch-local memo
 
   // True when the counters above are live (PATHALIAS_PROBE_STATS builds).
   static constexpr bool compiled_in() {
@@ -109,10 +106,11 @@ class Resolver {
   // and returns the number that matched.  Only the common prefix is processed: with
   // results.size() < hosts.size() the surplus hosts are ignored (an empty span of
   // either resolves nothing and returns 0).  A query with no routable shape — empty,
-  // all whitespace, undotted and unknown — is a plain miss, never an error.  The
-  // domain-suffix walk rides the interner's precomputed suffix chains — after the
-  // single hash that locates the query name, misses and domain fallbacks are
-  // id-chasing with zero per-query allocations.
+  // all whitespace, undotted and unknown — is a plain miss, never an error.  For a
+  // name the interner knows, the domain-suffix walk rides its precomputed suffix
+  // chain: after the single hash that locates the name, the fallbacks are
+  // id-chasing.  A stranger hashes its dotted suffixes until one is interned.  No
+  // query allocates.
   //
   // ResolveBatch runs the software-pipelined loop at kDefaultPipelineWindow (it is
   // ResolveBatchPipelined with the default window); results are byte-identical to
@@ -128,25 +126,26 @@ class Resolver {
   size_t ResolveBatchScalar(std::span<const std::string_view> hosts,
                             std::span<BatchLookup> results) const;
 
-  // The software pipeline: a ring of `window` lookups in flight.  Each lane
-  // advances one stage per sweep — hash+slot-prefetch on launch, one probe-slot
-  // inspection, entry-hash verify, name-byte verify, route-index check / suffix
-  // chain hop, route-record retire — and every stage touches only lines a
-  // prefetch was issued for one full sweep (window-1 other lane steps) earlier.
-  // Misses don't stall the pipe: a stranger's next dotted-suffix probe and a
-  // suffix walk's next chain hop are spilled back into the lane as continuations.
-  // `window` is clamped to [1, kMaxPipelineWindow]; an empty image's table cannot be
-  // probed slot-wise, so it falls back to the scalar loop.  `stats`, when
-  // non-null, is zeroed and — in PATHALIAS_PROBE_STATS builds — filled with
-  // probe/collision/retire counters for the call.
+  // The software pipeline: a window of up to `window` exact probes in flight.  A
+  // query is launched (hashed, its first probe slot prefetched), probed the next
+  // round (slot, stored hash, bytes), and — when it names an interned host with a
+  // route of its own — retired the round after that, its route record prefetched in
+  // between; the probe and the retire each start on a line prefetched one round
+  // (window-1 other lookups' steps) earlier.  Every other query leaves the window at
+  // once and is finished after it drains, in batch order: an interned name without a
+  // route by LookupInterned, a stranger by LookupStranger behind a batch-local memo
+  // keyed by its bytes from the first dot on.  `window` is clamped to
+  // [1, kMaxPipelineWindow]; an empty image's table cannot be probed slot-wise, so it
+  // falls back to the scalar loop.  `stats`, when non-null, is zeroed and — in
+  // PATHALIAS_PROBE_STATS builds — filled with the counters above for the call.
   size_t ResolveBatchPipelined(std::span<const std::string_view> hosts,
                                std::span<BatchLookup> results, size_t window,
                                ResolvePipelineStats* stats = nullptr) const;
 
   // Measured sweet spot across map scales: at 1986 scale (8-9k names, cache
-  // resident) any window from 8 to 48 is within noise of the best; at 4x-16x
-  // scale (L3/DRAM resident) wider windows win, flat from 24 up.  24 takes the
-  // plateau of both regimes without outsizing the lane state.
+  // resident) any window from 4 to 64 is within noise of the best; at 4x-16x
+  // scale (L3/DRAM resident) window 1 loses and 8 to 64 are within noise of one
+  // another.  24 sits on the plateau of both regimes.
   static constexpr size_t kDefaultPipelineWindow = 24;
   static constexpr size_t kMaxPipelineWindow = 64;
 

@@ -176,11 +176,11 @@ class NameInterner {
   //
   // Find() is one dependent-miss chain: slot -> entry -> name bytes.  The calls
   // below break it into resumable steps so a batch caller can keep K probes in
-  // flight, issuing a __builtin_prefetch for the line each step will touch one
-  // step (K lane-advances) before touching it.  The step sequence visits exactly
-  // the slots ProbeFor visits and applies the same filters (slot hash32, then
-  // byte equality — plus the stored full hash, a pure narrowing of the same
-  // filter), so the outcome is identical to Find(name) for every input.
+  // flight, prefetching each probe's first slot one round (K lookups' steps)
+  // before inspecting it.  The step sequence visits exactly the slots ProbeFor
+  // visits and applies the same filters (slot hash32, then byte equality — plus
+  // the stored full hash, a pure narrowing of the same filter), so the outcome is
+  // identical to Find(name) for every input.
 
   // A resumable double-hashing probe position.  `hash` is HashOf(name).
   struct ProbeCursor {
@@ -254,16 +254,10 @@ class NameInterner {
     return ProbeOutcome::kCollision;
   }
 
-  // The candidate-verification split: prefetch the entry record, filter on the
-  // stored full hash (a superset of the slot's 32-bit filter, so rejections here
-  // are exactly ProbeFor's byte-compare rejections), prefetch the name bytes,
-  // compare the bytes.  Each step touches one line the previous step prefetched.
-  void PrefetchEntry(NameId id) const {
-    __builtin_prefetch(frozen() ? static_cast<const void*>(frozen_.entries + id)
-                                : static_cast<const void*>(entries_.data() + id));
-  }
+  // Candidate verification: filter on the stored full hash (a superset of the
+  // slot's 32-bit filter, so rejections here are exactly ProbeFor's byte-compare
+  // rejections), then compare the bytes.
   bool CandidateHashMatches(NameId id, uint64_t hash) const { return HashOf(id) == hash; }
-  void PrefetchNameBytes(NameId id) const { __builtin_prefetch(CStr(id)); }
   bool CandidateEquals(NameId id, std::string_view name) const {
     if (options_.fold_case) {
       return EqualName(id, name);  // byte-by-byte, folding the query as it goes

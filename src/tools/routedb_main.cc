@@ -6,7 +6,10 @@
 // image: mmap'd and queried in place — no re-parsing, no re-interning; see src/image/.
 //
 // Usage:
-//   routedb freeze <routes.txt> <routes.pari>   freeze the mmap-able route image
+//   routedb freeze <routes.txt> <routes.pari>   freeze the mmap-able route image; a
+//                                               malformed line is skipped with a
+//                                               file:line warning, and the freeze
+//                                               then exits 1 after publishing
 //   routedb get <routes.pari> <host>            print the raw route for a host
 //   routedb resolve <routes.pari> <address>...  resolve full addresses (domain-suffix
 //                                               lookup, rightmost-known rewriting)
@@ -612,8 +615,12 @@ int main(int argc, char** argv) {
     }
     pathalias::Diagnostics diag;
     pathalias::RouteSet routes = pathalias::RouteSet::FromText(*text, &diag);
-    if (!pathalias::image::ImageWriter::WriteFile(routes, argv[3])) {
-      std::cerr << "routedb: cannot write " << argv[3] << "\n";
+    for (pathalias::Diagnostic diagnostic : diag.diagnostics()) {
+      diagnostic.pos.file = argv[2];  // FromText knows only the text, not its file
+      std::cerr << pathalias::ToString(diagnostic) << "\n";
+    }
+    if (!pathalias::image::ImageWriter::WriteFile(routes, argv[3], /*generation=*/0, &error)) {
+      std::cerr << "routedb: cannot write " << argv[3] << ": " << error << "\n";
       return 1;
     }
     // Re-open with the checksum pass: a freeze that cannot be read back is a failure
@@ -626,6 +633,13 @@ int main(int argc, char** argv) {
     }
     std::cerr << "routedb: " << routes.size() << " routes ("
               << reopened->routes().names().size() << " names) frozen\n";
+    // Published all the same (a bad line skips one route), but a script must see
+    // that the input was not clean, as `routedb update` shows parse errors.
+    if (diag.warning_count() > 0) {
+      std::cerr << "routedb: freeze skipped " << diag.warning_count()
+                << " malformed line(s); the image omits them\n";
+      return 1;
+    }
     return 0;
   }
   if (command == "update") {

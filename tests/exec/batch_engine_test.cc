@@ -89,7 +89,7 @@ TEST(BatchEngine, MatchesSerialResolverAtEveryThreadAndCacheSetting) {
 
   Resolver resolver(&routes, ResolveOptions{});
   std::vector<BatchLookup> serial(queries.size());
-  size_t serial_resolved = resolver.ResolveBatch(queries, serial);
+  size_t serial_resolved = resolver.ResolveBatchScalar(queries, serial);
   ASSERT_GT(serial_resolved, 0u);
 
   for (int threads : {1, 2, 4, 8}) {
@@ -139,7 +139,7 @@ TEST(BatchEngine, AdoptRoutesServesFreshDirtyRoutesWithoutFlushingCleanOnes) {
   engine.ResolveBatch(queries, after);
   Resolver reference(&image_b.routes(), ResolveOptions{});
   std::vector<BatchLookup> expected(queries.size());
-  reference.ResolveBatch(queries, expected);
+  reference.ResolveBatchScalar(queries, expected);
   ExpectSameResults(expected, after, queries);
   EXPECT_EQ(engine.stats().cache_hits - before.cache_hits,
             control.stats().cache_hits - control_warm_hits)
@@ -444,7 +444,7 @@ TEST(BatchEngine, AdoptRoutesAcrossIdSpacesKeepsTheCacheWarm) {
   engine.ResolveBatch(queries, after);
   Resolver reference(&image_b.routes(), ResolveOptions{});
   std::vector<BatchLookup> expected(queries.size());
-  reference.ResolveBatch(queries, expected);
+  reference.ResolveBatchScalar(queries, expected);
   ExpectSameResults(expected, after, queries);
   // host9 is a stranger now and asks no cache; newhost is the one cold lookup.
   EXPECT_EQ(engine.stats().cache_hits - before.cache_hits,
@@ -485,7 +485,7 @@ TEST(BatchEngine, AdoptRoutesAcrossACaseFoldingMismatchDropsEveryEntry) {
   EXPECT_EQ(engine.stats().cache_lookups, 3 * queries.size()) << "the counters keep counting";
   Resolver reference(&image_b, ResolveOptions{});
   std::vector<BatchLookup> expected(upper.size());
-  reference.ResolveBatch(upper, expected);
+  reference.ResolveBatchScalar(upper, expected);
   ExpectSameResults(expected, after, upper);
   EXPECT_TRUE(after[0].route.ok()) << "the folding image finds PHS";
 }
@@ -525,7 +525,7 @@ TEST(BatchEngine, AdoptRoutesReleasesEveryReferenceToTheOldImage) {
   engine.ResolveBatch(queries, after);
   Resolver reference(&frozen_b, ResolveOptions{});
   std::vector<BatchLookup> expected(queries.size());
-  reference.ResolveBatch(queries, expected);
+  reference.ResolveBatchScalar(queries, expected);
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(after[i].route.ok(), expected[i].route.ok()) << queries[i];
     EXPECT_EQ(after[i].route.route, expected[i].route.route) << queries[i];

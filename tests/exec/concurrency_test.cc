@@ -61,7 +61,7 @@ TEST(Concurrency, ParallelResolveBatchOverOneFrozenMapping) {
 
   Resolver reference(&frozen, ResolveOptions{});
   std::vector<BatchLookup> expected(queries.size());
-  size_t expected_resolved = reference.ResolveBatch(queries, expected);
+  size_t expected_resolved = reference.ResolveBatchScalar(queries, expected);
   ASSERT_GT(expected_resolved, 0u);
 
   std::vector<size_t> resolved(kThreads, 0);
@@ -102,7 +102,7 @@ TEST(Concurrency, ParallelEnginesOverOneFrozenMapping) {
 
   Resolver reference(&frozen, ResolveOptions{});
   std::vector<BatchLookup> expected(queries.size());
-  size_t expected_resolved = reference.ResolveBatch(queries, expected);
+  size_t expected_resolved = reference.ResolveBatchScalar(queries, expected);
 
   constexpr int kEngines = 4;
   std::vector<std::thread> threads;

@@ -151,6 +151,37 @@ TEST_F(CliTest, RoutedbBuildGetResolveRoundTrip) {
   EXPECT_NE(batch.output.find("nowhere\t*miss*"), std::string::npos) << batch.output;
 }
 
+// A malformed route line is skipped, as pathalias skips a bad declaration, but
+// not silently: the warning names the input file and line, the image is still
+// published, and the exit status says the input was not clean.
+TEST_F(CliTest, RoutedbFreezeReportsSkippedLinesAndExitsOne) {
+  std::string routes = (dir_ / "routes.txt").string();
+  std::string pari = (dir_ / "routes.pari").string();
+  {
+    std::ofstream out(routes);
+    out << "unc\t%s\nno tab on this line\nduke\tduke!%s\n";
+  }
+  CommandResult freeze =
+      RunCommand(std::string(ROUTEDB_BIN) + " freeze " + routes + " " + pari);
+  EXPECT_EQ(WEXITSTATUS(freeze.status), 1) << freeze.output;
+  EXPECT_NE(freeze.output.find(routes + ":2: warning: malformed route line skipped"),
+            std::string::npos)
+      << freeze.output;
+  EXPECT_NE(freeze.output.find("2 routes (2 names) frozen"), std::string::npos)
+      << freeze.output;
+  CommandResult get = RunCommand(std::string(ROUTEDB_BIN) + " get " + pari + " duke");
+  EXPECT_EQ(get.status, 0);
+  EXPECT_EQ(get.output, "duke!%s\n");
+
+  // A write that fails says why.
+  std::string unwritable = (dir_ / "no-such-dir" / "routes.pari").string();
+  CommandResult failed =
+      RunCommand(std::string(ROUTEDB_BIN) + " freeze " + routes + " " + unwritable);
+  EXPECT_EQ(WEXITSTATUS(failed.status), 1) << failed.output;
+  EXPECT_NE(failed.output.find("cannot write " + unwritable + ": "), std::string::npos)
+      << failed.output;
+}
+
 TEST_F(CliTest, RoutedbFreezeAndImageBackedQueries) {
   std::string routes = (dir_ / "routes.txt").string();
   std::string pari = (dir_ / "routes.pari").string();

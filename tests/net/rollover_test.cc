@@ -19,6 +19,7 @@
 #include "src/image/image_writer.h"
 #include "src/incr/map_builder.h"
 #include "src/incr/state_dir.h"
+#include "src/route_db/resolver.h"
 #include "src/route_db/route_db.h"
 #include "src/net/daemon.h"
 #include "src/net/wire.h"
@@ -412,21 +413,21 @@ void Warm(RolloverController* controller, const std::vector<std::string>& names)
 }
 
 // The served engine must answer every name the image on disk interns, and every
-// name of `also`, exactly as a cold engine over that image does.
+// name of `also`, exactly as the scalar resolver over that image does.
 void ExpectAnswersLikeTheImageOnDisk(RolloverController* controller,
                                      const std::string& image_path,
                                      const std::vector<std::string>& also) {
   std::string error;
   auto disk = FrozenImage::Open(image_path, image::ImageView::Verify::kStructure, &error);
   ASSERT_TRUE(disk.has_value()) << error;
-  exec::FrozenBatchEngine reference(&disk->routes(), exec::BatchEngineOptions{});
+  Resolver reference(&disk->routes(), ResolveOptions{});
   std::vector<std::string> names = InternedNames(disk->routes());
   names.insert(names.end(), also.begin(), also.end());
   std::vector<std::string_view> queries(names.begin(), names.end());
   std::vector<BatchLookup> served(queries.size());
   std::vector<BatchLookup> expected(queries.size());
   controller->engine()->ResolveBatch(queries, served);
-  reference.ResolveBatch(queries, expected);
+  reference.ResolveBatchScalar(queries, expected);
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(AnswerText(*controller->routes(), served[i]),
               AnswerText(disk->routes(), expected[i]))

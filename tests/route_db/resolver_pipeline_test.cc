@@ -1,21 +1,27 @@
 // The pipelined batch path's contract: ResolveBatchPipelined is byte-identical to
-// ResolveBatchScalar at EVERY window size, for every query shape the stranger walk can meet — leading dots, trailing dots, consecutive
-// dots, single labels, and strangers whose first interned suffix is routeless.
-// The scalar loop is the golden reference (it is the pre-pipeline ResolveBatch,
-// kept verbatim); these tests are what lets the pipeline restructure the probe
-// order, spill continuations, and memoize suffixes without a semantics review.
+// ResolveBatchScalar at EVERY window size, for every query shape the stranger walk
+// can meet — leading dots, trailing dots, consecutive dots, single labels, and
+// strangers whose first interned suffix is routeless — and for every way a query
+// leaves the window: retired there, or finished after it by the interned walk or
+// the memoized stranger walk.  The scalar loop is the golden reference (it is the
+// pre-pipeline ResolveBatch, kept verbatim); these tests are what lets the pipeline
+// restructure the probe order, defer the walks, and memoize suffixes without a
+// semantics review.
 
 #include "src/route_db/resolver.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "src/image/frozen_route_set.h"
+#include "src/image/image_format.h"
 #include "src/image/image_writer.h"
 #include "src/route_db/route_db.h"
 
@@ -268,6 +274,153 @@ TEST(ResolverPipeline, RandomizedQueriesMatchScalarAtEveryWindow) {
   ExpectPipelineMatchesScalar(image.routes(), queries);
 }
 
+// --- the queries that leave the window, and the memo that finishes strangers ---
+
+// Hosts in two domains with routes of their own, a routed and a routeless domain
+// key, and interned names (each host's suffix chain) that have no route.
+RouteSet DeferredWalkRoutes() {
+  RouteSet set;
+  set.Add(".rutgers.edu", "caip!%s", 50);
+  set.Add(".edu", "seismo!%s", 100);
+  for (int i = 0; i < 16; ++i) {
+    std::string host = "h" + std::to_string(i);
+    set.Add(host + ".cs.rutgers.edu", "caip!" + host + "!%s", 60 + i);
+    set.Add(host + ".lab.y.zz", "zzgate!" + host + "!%s", 70 + i);
+  }
+  return set;
+}
+
+// The key a result matched, or "*miss*".
+std::string_view MatchedKey(const FrozenRouteSet& routes, const BatchLookup& lookup) {
+  return lookup.route.ok() ? routes.names().View(lookup.via) : "*miss*";
+}
+
+TEST(ResolverPipeline, RoutelessInternedNamesInterleavedWithExactHitsMatchScalar) {
+  // ".cs.rutgers.edu" is interned without a route and its chain reaches the routed
+  // ".rutgers.edu"; ".lab.y.zz", ".y.zz" and ".zz" are interned, routeless, and
+  // reach nothing.  Each leaves the window at once and is finished by the interned
+  // walk, between exact hits that retire inside the window.
+  FrozenImage image(DeferredWalkRoutes());
+  std::vector<std::string> pool;
+  for (int i = 0; i < 96; ++i) {
+    std::string host = "h" + std::to_string(i % 16);
+    pool.push_back(host + ".cs.rutgers.edu");
+    pool.push_back(i % 2 == 0 ? ".cs.rutgers.edu" : ".lab.y.zz");
+    pool.push_back(host + ".lab.y.zz");
+    pool.push_back(i % 3 == 0 ? ".zz" : ".y.zz");
+  }
+  std::vector<std::string_view> queries(pool.begin(), pool.end());
+  ExpectPipelineMatchesScalar(image.routes(), queries);
+
+  Resolver resolver(&image.routes(), ResolveOptions{});
+  std::vector<BatchLookup> results(queries.size());
+  resolver.ResolveBatchPipelined(queries, results, Resolver::kDefaultPipelineWindow);
+  EXPECT_EQ(MatchedKey(image.routes(), results[1]), ".rutgers.edu") << "a chain reaching a route";
+  EXPECT_TRUE(results[1].suffix_match);
+  EXPECT_FALSE(results[3].route.ok()) << "a chain reaching none";
+  EXPECT_FALSE(results[5].route.ok()) << "a chain reaching none";
+}
+
+TEST(ResolverPipeline, StrangerBatchesAroundTheMemoThresholdMatchScalar) {
+  // The memo is armed once 64 queries have left the window.  Strangers under a few
+  // domains, interleaved with exact hits that never leave it, so the batch is
+  // larger than the count that arms the memo.
+  FrozenImage image(DeferredWalkRoutes());
+  const char* const kDomains[] = {".cs.rutgers.edu", ".rutgers.edu", ".lab.y.zz",
+                                  ".unrouted.example"};
+  for (size_t strangers : {size_t{63}, size_t{64}, size_t{65}}) {
+    std::vector<std::string> pool;
+    for (size_t i = 0; i < strangers; ++i) {
+      pool.push_back("s" + std::to_string(i) + kDomains[i % 4]);
+      pool.push_back("h" + std::to_string(i % 16) + ".cs.rutgers.edu");
+    }
+    std::vector<std::string_view> queries(pool.begin(), pool.end());
+    SCOPED_TRACE(std::to_string(strangers) + " strangers");
+    ExpectPipelineMatchesScalar(image.routes(), queries);
+
+    Resolver resolver(&image.routes(), ResolveOptions{});
+    std::vector<BatchLookup> results(queries.size());
+    ResolvePipelineStats stats;
+    resolver.ResolveBatchPipelined(queries, results, Resolver::kDefaultPipelineWindow, &stats);
+    if (ResolvePipelineStats::compiled_in()) {
+      EXPECT_EQ(stats.deferred_queries, strangers);
+      EXPECT_EQ(stats.window_retirements, strangers);
+      if (strangers < 64) {
+        EXPECT_EQ(stats.suffix_memo_hits, 0u) << "too few deferred queries to arm the memo";
+      } else {
+        EXPECT_GT(stats.suffix_memo_hits, 0u);
+      }
+    }
+  }
+}
+
+TEST(ResolverPipeline, StrangersDifferingOnlyAfterTheFirstDotMatchScalar) {
+  // One first label, many tails.  The memo key runs from the first dot, so each
+  // tail walks on its own: "host.rutgers.edu" matches .rutgers.edu while
+  // "host.wisc.edu", with the same last label, falls back to .edu.
+  FrozenImage image(DeferredWalkRoutes());
+  const char* const kTails[] = {".rutgers.edu", ".wisc.edu",   ".edu",      ".cs.rutgers.edu",
+                                ".rutgers.com", ".a.lab.y.zz", ".lab.y.zz.", ".y.zz"};
+  std::vector<std::string> pool;
+  for (int round = 0; round < 12; ++round) {
+    for (const char* tail : kTails) {
+      pool.push_back(std::string("host") + tail);
+    }
+  }
+  std::vector<std::string_view> queries(pool.begin(), pool.end());
+  ASSERT_GE(queries.size(), 64u) << "must be big enough to arm the suffix memo";
+  ExpectPipelineMatchesScalar(image.routes(), queries);
+
+  Resolver resolver(&image.routes(), ResolveOptions{});
+  std::vector<BatchLookup> results(queries.size());
+  resolver.ResolveBatchPipelined(queries, results, Resolver::kDefaultPipelineWindow);
+  const size_t last = queries.size() - std::size(kTails);
+  EXPECT_EQ(MatchedKey(image.routes(), results[last]), ".rutgers.edu");
+  EXPECT_EQ(MatchedKey(image.routes(), results[last + 1]), ".edu");
+  EXPECT_EQ(MatchedKey(image.routes(), results[last + 2]), ".edu");
+  EXPECT_EQ(MatchedKey(image.routes(), results[last + 3]), ".rutgers.edu");
+  EXPECT_FALSE(results[last + 4].route.ok());
+}
+
+TEST(ResolverPipeline, CaseFoldingStrangersDifferingOnlyInCaseMatchScalar) {
+  // Under -i the interner folds: "HOST.Rutgers.EDU" finds .rutgers.edu as
+  // "host.rutgers.edu" does.  The memo keys raw bytes, so each spelling walks once
+  // and none takes another's outcome by accident.  The image is the same routes
+  // with the fold flag set; every name is already lower case, so the stored hashes
+  // and bytes are what a folding writer stores.
+  std::string bytes = image::ImageWriter::Freeze(DeferredWalkRoutes());
+  image::ImageHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  header.flags |= image::kFlagFoldCase;
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  std::string error;
+  auto view = image::ImageView::Adopt(bytes, image::ImageView::Verify::kStructure, &error);
+  ASSERT_TRUE(view.has_value()) << error;
+  FrozenRouteSet routes(*view);
+  ASSERT_TRUE(routes.names().fold_case());
+
+  const char* const kSpellings[] = {"host.rutgers.edu",  "HOST.RUTGERS.EDU",  "Host.Rutgers.Edu",
+                                    "host.Wisc.EDU",     "HOST.wisc.edu",     "h3.CS.rutgers.edu",
+                                    "H3.cs.RUTGERS.edu", "X.Unrouted.Example"};
+  std::vector<std::string> pool;
+  for (int round = 0; round < 12; ++round) {
+    for (const char* spelling : kSpellings) {
+      pool.push_back(spelling);
+    }
+  }
+  std::vector<std::string_view> queries(pool.begin(), pool.end());
+  ExpectPipelineMatchesScalar(routes, queries);
+
+  Resolver resolver(&routes, ResolveOptions{});
+  std::vector<BatchLookup> results(queries.size());
+  resolver.ResolveBatchPipelined(queries, results, Resolver::kDefaultPipelineWindow);
+  EXPECT_EQ(MatchedKey(routes, results[1]), ".rutgers.edu");
+  EXPECT_EQ(MatchedKey(routes, results[4]), ".edu");
+  EXPECT_EQ(MatchedKey(routes, results[6]), "h3.cs.rutgers.edu") << "an exact hit";
+  EXPECT_FALSE(results[6].suffix_match);
+  EXPECT_FALSE(results[7].route.ok());
+}
+
 TEST(ResolverPipeline, TruncatedResultsSpanMatchesScalar) {
   // The common-prefix contract must hold identically through the pipeline.
   FrozenImage image(EdgeCaseRoutes());
@@ -284,14 +437,24 @@ TEST(ResolverPipeline, TruncatedResultsSpanMatchesScalar) {
 
 TEST(ResolverPipeline, StatsAreZeroedAndConsistent) {
   // The stats out-param is always zeroed; in PATHALIAS_PROBE_STATS builds the
-  // counters must balance — every query retires exactly once — and the memo
-  // must actually fire on the repeated-domain batch (otherwise the "suffix memo
-  // stays byte-identical" property above is vacuous).
+  // counters must balance — every query leaves the window exactly once, retired
+  // there or deferred — and the memo must actually fire on the repeated-domain
+  // strangers (otherwise the "suffix memo stays byte-identical" property above is
+  // vacuous).
   FrozenImage image(EdgeCaseRoutes());
   Resolver resolver(&image.routes(), ResolveOptions{});
   std::vector<std::string> pool;
-  for (int i = 0; i < 200; ++i) {
+  constexpr size_t kStrangers = 200;
+  constexpr size_t kHosts = 50;  // routed exact names: retired in the window
+  constexpr size_t kRouteless = 50;  // interned without a route: deferred
+  for (size_t i = 0; i < kStrangers; ++i) {
     pool.push_back("stranger" + std::to_string(i) + ".rutgers.edu");
+    if (i < kHosts) {
+      pool.push_back(i % 2 == 0 ? "phs" : "caip.rutgers.edu");
+    }
+    if (i < kRouteless) {
+      pool.push_back(i % 2 == 0 ? ".rutgers.edu" : ".y.zz");
+    }
   }
   std::vector<std::string_view> queries(pool.begin(), pool.end());
   std::vector<BatchLookup> results(queries.size());
@@ -300,18 +463,19 @@ TEST(ResolverPipeline, StatsAreZeroedAndConsistent) {
   stats.lookups = 0xdeadbeef;  // must be overwritten by the zeroing contract
   size_t resolved = resolver.ResolveBatchPipelined(queries, results,
                                                    Resolver::kDefaultPipelineWindow, &stats);
-  EXPECT_EQ(resolved, queries.size());
+  EXPECT_EQ(resolved, kStrangers + kHosts + kRouteless / 2);
   if (ResolvePipelineStats::compiled_in()) {
     EXPECT_EQ(stats.lookups, queries.size());
-    EXPECT_EQ(stats.retired_hits + stats.retired_misses, queries.size())
-        << "every lookup retires exactly once";
-    EXPECT_GT(stats.name_probes, 0u);
-    EXPECT_GT(stats.stranger_continuations, 0u);
-    EXPECT_GT(stats.suffix_memo_hits, 0u)
-        << "a 200-query single-domain batch must hit the suffix memo";
+    EXPECT_EQ(stats.window_retirements + stats.deferred_queries, stats.lookups)
+        << "every lookup leaves the window exactly once";
+    EXPECT_EQ(stats.window_retirements, kHosts);
+    EXPECT_EQ(stats.deferred_queries, kStrangers + kRouteless);
+    EXPECT_EQ(stats.suffix_memo_hits, kStrangers - 1)
+        << "strangers under one domain walk it once";
   } else {
     EXPECT_EQ(stats.lookups, 0u);
-    EXPECT_EQ(stats.retired_hits, 0u);
+    EXPECT_EQ(stats.window_retirements, 0u);
+    EXPECT_EQ(stats.deferred_queries, 0u);
     EXPECT_EQ(stats.suffix_memo_hits, 0u);
   }
 }
