@@ -320,8 +320,8 @@ class CacheMissCounter {
   int fd_ = -1;
 };
 
-// The sharded engine over the same mixed batch: partition by destination hash, one
-// shard per thread, deterministic merge-back.  Arg(0) is the thread count.
+// The batch engine over the same mixed batch, cache off: one contiguous range per
+// thread, each through the resolver's window.  Arg(0) is the thread count.
 void BM_ParallelBatchResolve(benchmark::State& state) {
   const Fixture& f = GetFixture();
   exec::BatchEngineOptions options;
@@ -532,6 +532,9 @@ enum class QueryShape {
   kMixed,      // a third each: known hosts, strangers under known domains, dotted misses
   kHostsOnly,  // known hosts: every query retires inside the window
   kStrangers,  // the mixed workload's strangers: every query leaves the window
+  // Strangers s.x<i> under a known domain or .example: they leave the window too,
+  // and no two share their bytes from the first dot on, so none shares a memo entry.
+  kDistinctStrangers,
 };
 
 struct ScaledWorkload {
@@ -571,7 +574,8 @@ std::vector<std::string> ShapedQueries(const ScaledWorkload& workload, QueryShap
   for (size_t i = 0; i < count; ++i) {
     size_t kind = shape == QueryShape::kMixed       ? i % 3
                   : shape == QueryShape::kHostsOnly ? 0
-                                                    : 1 + i % 2;
+                  : shape == QueryShape::kStrangers ? 1 + i % 2
+                                                    : 3;
     switch (kind) {
       case 0:
         pool.push_back(workload.hosts[(i * 2654435761u) % workload.hosts.size()]);
@@ -581,8 +585,14 @@ std::vector<std::string> ShapedQueries(const ScaledWorkload& workload, QueryShap
                        (workload.domains.empty() ? ".nowhere"
                                                  : workload.domains[i % workload.domains.size()]));
         break;
-      default:
+      case 2:
         pool.push_back("miss" + std::to_string(i) + ".unrouted.example");
+        break;
+      default:
+        pool.push_back("s.x" + std::to_string(i) +
+                       (i % 2 == 0 && !workload.domains.empty()
+                            ? workload.domains[i / 2 % workload.domains.size()]
+                            : std::string(".example")));
         break;
     }
   }
@@ -862,9 +872,10 @@ void WriteBenchJson() {
                                  Resolver::kDefaultPipelineWindow, &pipe_stats);
 
   // The 4x-scale point: same workload shape over a ~4x map, where the probe
-  // path outgrows L2 and the window has real latency to hide.  Then the two
-  // shapes the window splits on — known hosts, which retire inside it, and
-  // strangers, which all leave it — at 4x and at 16x, past the last-level cache.
+  // path outgrows L2 and the window has real latency to hide.  Then the shapes
+  // the window splits on — known hosts, which retire inside it, and strangers,
+  // which all leave it, sharing suffixes or not — at 4x and at 16x, past the
+  // last-level cache.
   struct ShapePoint {
     const char* shape;
     int scale;
@@ -891,6 +902,8 @@ void WriteBenchJson() {
         ShapePoint{"hosts_only", scale, scaled.routes.size(), time_shape(QueryShape::kHostsOnly)});
     shapes.push_back(ShapePoint{"strangers_only", scale, scaled.routes.size(),
                                 time_shape(QueryShape::kStrangers)});
+    shapes.push_back(ShapePoint{"distinct_strangers", scale, scaled.routes.size(),
+                                time_shape(QueryShape::kDistinctStrangers)});
   }
   long rss_pipeline_kb = bench::PeakRssKb();
 
@@ -1075,15 +1088,6 @@ void WriteBenchJson() {
     daemon_curve.push_back(bench_daemon::MeasureDaemonOfferedLoad(
         f.pari_path, f.batch_queries, /*clients=*/4, rate, /*requests=*/rate / 2));
   }
-  // The PR-7 residual: shard-parallel ResolveBatch inside a daemon turn.  Same
-  // 32-query closed-loop shape, the daemon's engine at N threads (routedbd
-  // serves with one).
-  std::vector<bench_daemon::LatencyStats> daemon_threads_grid;
-  for (int threads : {1, 2, 4}) {
-    daemon_threads_grid.push_back(bench_daemon::MeasureDaemonLatency(
-        f.pari_path, f.batch_queries, /*queries_per_request=*/32, /*requests=*/500,
-        threads));
-  }
   long rss_daemon_kb = bench::PeakRssKb();
 
   // --- the domain-sharded mapper: hosts x shards grid + the million-host point ---
@@ -1208,11 +1212,12 @@ void WriteBenchJson() {
                scaled_4x.matches ? "true" : "false");
   std::fprintf(out, "    },\n");
   std::fprintf(out, "    \"shapes\": {\n");
-  std::fprintf(out, "      \"note\": \"the two shapes the window splits on: known "
+  std::fprintf(out, "      \"note\": \"the shapes the window splits on: known "
                     "hosts retire inside it, strangers (under known domains, and "
-                    "dotted misses) all leave it for the deferred pass; scalar vs "
-                    "the default window, best of 5 interleaved passes, every result "
-                    "slot compared\",\n");
+                    "dotted misses) all leave it for the deferred pass, and distinct "
+                    "strangers (s.x<i> under a known domain or .example) leave it "
+                    "sharing no suffix memo entry; scalar vs the default window, best "
+                    "of 5 interleaved passes, every result slot compared\",\n");
   std::fprintf(out, "      \"queries\": %zu,\n", f.batch_queries.size());
   std::fprintf(out, "      \"points\": [\n");
   for (size_t i = 0; i < shapes.size(); ++i) {
@@ -1249,10 +1254,10 @@ void WriteBenchJson() {
   std::fprintf(out, "    ]\n");
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"parallel_batch\": {\n");
-  std::fprintf(out, "    \"note\": \"sharded batch engine (src/exec), cache off: "
-                    "partition by destination hash, one shard per thread, output "
-                    "byte-identical to the serial path; hardware_threads is what this "
-                    "container exposes — scaling flattens at that line\",\n");
+  std::fprintf(out, "    \"note\": \"batch engine (src/exec), cache off: one "
+                    "contiguous range per thread, each through the resolver's window, "
+                    "output byte-identical to the serial path; hardware_threads is what "
+                    "this container exposes — scaling flattens at that line\",\n");
   std::fprintf(out, "    \"hardware_threads\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(out, "    \"peak_rss_kb\": %ld,\n", rss_parallel_kb);
   std::fprintf(out, "    \"serial_reference_resolved\": %zu,\n", resolved);
@@ -1378,26 +1383,6 @@ void WriteBenchJson() {
   std::fprintf(out, "      \"p99_ms\": %.4f,\n", daemon_batch32.p99_ms);
   std::fprintf(out, "      \"max_ms\": %.4f,\n", daemon_batch32.max_ms);
   std::fprintf(out, "      \"mean_ms\": %.4f\n", daemon_batch32.mean_ms);
-  std::fprintf(out, "    },\n");
-  std::fprintf(out, "    \"batch_32_by_engine_threads\": {\n");
-  std::fprintf(out, "      \"note\": \"the PR-7 residual measured: the same 32-query "
-                    "closed-loop requests with the daemon's serving engine sharded "
-                    "across N threads (routedbd serves with one); on a "
-                    "%u-hardware-thread container extra engine threads are pure "
-                    "coordination overhead, which is exactly what this records\",\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(out, "      \"points\": [\n");
-  for (size_t i = 0; i < daemon_threads_grid.size(); ++i) {
-    const bench_daemon::LatencyStats& point = daemon_threads_grid[i];
-    std::fprintf(out,
-                 "        {\"threads\": %d, \"ok\": %s, \"requests\": %zu, "
-                 "\"resolved\": %zu, \"p50_ms\": %.4f, \"p99_ms\": %.4f, "
-                 "\"mean_ms\": %.4f}%s\n",
-                 point.threads, point.ok ? "true" : "false", point.requests,
-                 point.resolved, point.p50_ms, point.p99_ms, point.mean_ms,
-                 i + 1 < daemon_threads_grid.size() ? "," : "");
-  }
-  std::fprintf(out, "      ]\n");
   std::fprintf(out, "    },\n");
   std::fprintf(out, "    \"open_loop_20k_per_second\": {\n");
   std::fprintf(out, "      \"ok\": %s,\n", daemon_open.ok ? "true" : "false");
@@ -1578,11 +1563,6 @@ void WriteBenchJson() {
                 daemon_open.requests, daemon_open.dropped);
   } else {
     std::printf("daemon open-loop latency: FAILED (%s)\n", daemon_open.error.c_str());
-  }
-  std::printf("daemon engine threads (32-query requests): ");
-  for (const bench_daemon::LatencyStats& point : daemon_threads_grid) {
-    std::printf("%dT p50 %.0f us%s", point.threads, point.p50_ms * 1000.0,
-                &point == &daemon_threads_grid.back() ? "\n" : ", ");
   }
   for (const ShardedMapRow& row : sharded_rows) {
     std::printf("sharded mapping %zu hosts (%zu nodes, %zu links): serial %.0f ms",

@@ -37,8 +37,7 @@ struct LatencyStats {
   std::string error;
   size_t requests = 0;
   size_t queries_per_request = 0;
-  int threads = 1;       // the daemon engine's shard/thread count (routedbd serves with 1)
-  size_t resolved = 0;   // total hit results across all timed requests
+  size_t resolved = 0;  // total hit results across all timed requests
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   double max_ms = 0.0;
@@ -55,18 +54,15 @@ inline double Percentile(const std::vector<double>& sorted, double fraction) {
 
 // Serves `image_path` from a background-thread daemon and runs `requests` timed
 // closed-loop round trips of `queries_per_request` destinations drawn round-robin
-// from `pool` (plus a 10% warmup that is not recorded).  `threads` is forwarded to
-// the daemon's serving engine (DaemonOptions; routedbd itself serves with one):
-// requests with enough queries fan out across engine shards inside the daemon turn.
+// from `pool` (plus a 10% warmup that is not recorded).  The daemon serves as
+// routedbd does: one engine thread and a 4096-entry result cache.
 inline LatencyStats MeasureDaemonLatency(const std::string& image_path,
                                          const std::vector<std::string_view>& pool,
-                                         size_t queries_per_request, size_t requests,
-                                         int threads = 1) {
+                                         size_t queries_per_request, size_t requests) {
   namespace fs = std::filesystem;
   LatencyStats stats;
   stats.requests = requests;
   stats.queries_per_request = queries_per_request;
-  stats.threads = threads;
   if (pool.empty() || queries_per_request == 0 ||
       queries_per_request > net::kMaxQueriesPerRequest) {
     stats.error = "bad workload shape";
@@ -83,7 +79,6 @@ inline LatencyStats MeasureDaemonLatency(const std::string& image_path,
   net::DaemonOptions options;
   options.rollover.image_path = image_path;
   options.rollover.engine.cache_entries = 4096;  // the serving configuration
-  options.rollover.engine.threads = threads;
   options.unix_path = (dir / "d.sock").string();
   options.watch_interval_ms = 0;
   net::Daemon daemon(std::move(options));

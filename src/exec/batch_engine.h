@@ -1,32 +1,31 @@
-// Sharded parallel batch resolution over a frozen route image.
+// Parallel batch resolution over a frozen route image.
 //
-// FrozenBatchEngine is the serving-path front end to Resolver::ResolveBatch: it
-// partitions a batch of destination queries into per-thread shards, resolves every
-// shard in parallel on a small fixed ThreadPool, memoizes interned-destination
-// results in a per-shard ResultCache, and writes each result back to its original
-// position — so the output is byte-identical to the serial resolver, at any thread
-// count, with the cache on or off.
+// FrozenBatchEngine is the front end to Resolver::ResolveBatch that `routedb batch`
+// and routedbd resolve through.  It splits a batch into one balanced contiguous
+// range per thread — range r of N holds slots [count*r/N, count*(r+1)/N) — and
+// resolves each range into its own result slots: inline on the calling thread when
+// there is one range, on a small fixed ThreadPool otherwise.  With the result cache
+// off, a range runs the resolver's window (Resolver::ResolveBatch); with it on, the
+// range walks its queries one at a time through its own ResultCache.  Either way the
+// output is byte-identical to the serial resolver, at any thread count, with the
+// cache on or off.
 //
-// Sharding policy: with caching on, shard = mix(hash of the case-normalized query
-// bytes) % shards.  Hashing the bytes rather than the NameId keeps the partition
-// pass allocation-free and probe-free (no interner lookup until the owning shard
-// runs), while still sending every occurrence of a destination to the same shard —
-// which is what makes the per-shard caches both coherent without locks (single
-// owner) and effective (a hot destination's result is always in the cache that is
-// asked).  With caching off, affinity buys nothing, so shards are balanced
-// contiguous index ranges: no partition pass, sequential writeback, same bytes.
+// Per-range caches: range r always resolves through cache r, which persists across
+// batches.  The ranges follow the batch's slots, not its names, so a name that
+// repeats across ranges is cached once per range and pays a first miss in each: at
+// N threads every range's cache must hold the whole hot set.
 //
-// Determinism: results[i] depends only on hosts[i] and the route set.  Shards
-// write disjoint result slots, misses included, so the merge-back is the partition
-// itself and the resolved/suffix-match counts equal the serial path's exactly.
+// Determinism: results[i] depends only on hosts[i] and the route set.  Ranges write
+// disjoint result slots, misses included, and the resolved count is the sum of the
+// ranges' counts, so it equals the serial path's exactly.
 //
 // Concurrency contract: the route set is the shared object — any number of engines
 // (or raw resolvers) may read one FrozenRouteSet mapping concurrently.  One engine
 // instance has one owner: every method runs on the calling thread, one at a time.
-// Each shard's cache is touched only by that shard's job, which a pool thread
-// picks up and hands back through ThreadPool::Run's lock handoff, so no cache,
-// counter or partition buffer needs an atomic.  ResolveBatch is fork-join: when it
-// returns, no pool thread is still reading the route source.
+// Each range's cache is touched only by that range's job, which a pool thread
+// picks up and hands back through ThreadPool::Run's lock handoff, so no cache or
+// counter needs an atomic.  ResolveBatch is fork-join: when it returns, no pool
+// thread is still reading the route source.
 
 #ifndef SRC_EXEC_BATCH_ENGINE_H_
 #define SRC_EXEC_BATCH_ENGINE_H_
@@ -46,15 +45,13 @@ namespace pathalias {
 namespace exec {
 
 struct BatchEngineOptions {
-  int threads = 1;           // shard/thread count; 0 means "all hardware threads"
-  size_t cache_entries = 0;  // per-shard result cache capacity; 0 disables caching
+  int threads = 1;           // range/thread count; 0 means "all hardware threads"
+  size_t cache_entries = 0;  // per-range result cache capacity; 0 disables caching
 };
 
-// Cumulative counters across every batch the engine has served.
+// The result caches' counters, cumulative across every batch the engine has served.
 struct BatchEngineStats {
-  uint64_t queries = 0;
-  uint64_t resolved = 0;
-  uint64_t cache_lookups = 0;  // interned queries that consulted a shard cache
+  uint64_t cache_lookups = 0;  // interned queries that consulted a range's cache
   uint64_t cache_hits = 0;     // ... and were answered from it
 
   double hit_rate() const {
@@ -96,38 +93,28 @@ class FrozenBatchEngine {
     AdoptRoutes(fresh);
   }
 
+  // The range (and thread) count.
   int shards() const { return shards_; }
   size_t cache_entries_per_shard() const {
     return caches_.empty() ? 0 : caches_.front().capacity();
   }
-  const BatchEngineStats& stats() const { return stats_; }
+  BatchEngineStats stats() const;
 
  private:
-  // The partition hash: FNV-1a over the query bytes, case-folded iff the route
-  // set's interner folds, then Fibonacci-mixed so low-entropy tails still spread.
-  uint32_t ShardOf(std::string_view host) const;
-
-  // The cached shard loop, run as a depth-2 software pipeline: while query j's
-  // walk (or cache copy) completes, query j+1's interner lookup has already run and
-  // ResultCache::Begin has prefetched its set's line — so a hit's set read lands
-  // in cache and its tag is never recomputed.  `index_of(pos)` maps loop position
-  // to result slot (identity for the single-shard path, the shard's index vector
-  // when partitioned).  Returns the number resolved.
-  template <typename IndexFn>
+  // One range through its cache, run as a depth-2 software pipeline: while query
+  // j's walk (or cache copy) completes, query j+1's interner lookup has already run
+  // and ResultCache::Begin has prefetched its set's line — so a hit's set read
+  // lands in cache and its tag is never recomputed.  hosts[pos] resolves into
+  // results[pos]; the spans are the same length.  Returns the number resolved.
   size_t ResolveCachedRun(std::span<const std::string_view> hosts,
-                          std::span<BatchLookup> results, ResultCache* cache,
-                          size_t n, IndexFn index_of) const;
+                          std::span<BatchLookup> results, ResultCache* cache) const;
 
   const FrozenRouteSet* routes_;
-  BatchEngineOptions options_;
   Resolver resolver_;
   int shards_;
-  bool fold_case_;
-  std::unique_ptr<ThreadPool> pool_;        // null when shards_ == 1
-  std::vector<ResultCache> caches_;         // one per shard; empty when disabled
-  std::vector<std::vector<uint32_t>> shard_indices_;  // reused partition buffers
-  std::vector<size_t> shard_resolved_;      // per-shard hit counts, one write each
-  BatchEngineStats stats_;
+  std::unique_ptr<ThreadPool> pool_;    // null when shards_ == 1
+  std::vector<ResultCache> caches_;     // one per range; empty when disabled
+  std::vector<size_t> range_resolved_;  // per-range hit counts, one write each
 };
 
 // How many routes differ between a replaced image and the build that replaces it,

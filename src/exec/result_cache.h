@@ -18,14 +18,13 @@
 // evicts the first unarmed way and disarms the armed ones it passes.  No linked
 // lists, no tombstones, no allocation after construction.
 //
-// Concurrency: one owner.  A ResultCache belongs to exactly one shard of one batch
-// engine, and nothing but that shard's job touches it — sharding by destination is
-// what makes the single owner possible AND maximizes hits (a destination always
-// lands in the same shard, so its cached result is always in the cache that is
-// asked).  The job may run on a different pool thread from one batch to the next;
-// ThreadPool::Run's lock handoff orders each batch's accesses after the previous
-// batch's, so keys and values are plain memory.  Every other entry point
-// (RekeyEntries, the stats) runs on the engine's calling thread between batches.
+// Concurrency: one owner.  A ResultCache belongs to exactly one range of one batch
+// engine — range r of every batch resolves through cache r — and nothing but that
+// range's job touches it.  The job may run on a different pool thread from one
+// batch to the next; ThreadPool::Run's lock handoff orders each batch's accesses
+// after the previous batch's, so keys and values are plain memory.  Every other
+// entry point (RekeyEntries, the stats) runs on the engine's calling thread
+// between batches.
 //
 // Lifetime: cached BatchLookups hold views into the route source's storage (interner
 // bytes, route bytes — possibly an mmap'd .pari image).  The cache must not outlive
@@ -173,8 +172,7 @@ class ResultCache {
 
  private:
   size_t SetOf(uint64_t hash) const {
-    // Fibonacci scramble, as the engine's shard hash does: spreads names whose
-    // hashes differ only in a few bits.
+    // Fibonacci scramble: spreads names whose hashes differ only in a few bits.
     return (hash * 0x9E3779B97F4A7C15ull >> 32) & set_mask_;
   }
 

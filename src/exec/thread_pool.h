@@ -1,11 +1,11 @@
 // A small fixed thread pool with fork-join dispatch, sized once at construction.
 //
-// This is the execution substrate for the sharded batch engine (batch_engine.h): a
-// batch is split into one job per shard, Run() hands the jobs to the pool, and the
+// This is the execution substrate for the batch engine (batch_engine.h): a batch is
+// split into one job per contiguous range, Run() hands the jobs to the pool, and the
 // calling thread works alongside the workers instead of blocking — with W workers the
 // pool runs W+1 jobs at once and a width-1 pool is simply the caller, serial.  Workers
 // are started once and parked on a condition variable between batches, so steady-state
-// dispatch costs two lock handoffs per batch, not a thread spawn per shard.
+// dispatch costs two lock handoffs per batch, not a thread spawn per range.
 //
 // Concurrency contract: Run() may not be called concurrently with itself (the engine
 // serializes batches; one engine per serving thread).  Jobs must not call Run() on

@@ -11,10 +11,12 @@
 //      decoded and its queries appended to one RequestCoalescer batch.  Duplicate
 //      requests (same peer, same id) short-circuit to the ReplayBuffer and never
 //      reach the resolver.
-//   2. One ResolveBatch over the whole coalesced batch (shards, result cache,
-//      pipelined walk — the serving engine is exec::FrozenBatchEngine), then one
-//      reply datagram per request, sliced back out of the flat result span,
-//      bounded by max_reply_bytes with explicit truncation flags.
+//   2. One ResolveBatch over the whole coalesced batch, then one reply datagram
+//      per request, sliced back out of the flat result span, bounded by
+//      max_reply_bytes with explicit truncation flags.  routedbd's serving engine
+//      (exec::FrozenBatchEngine) has one range and its result cache on, so the
+//      batch resolves one query at a time through the cache, never through the
+//      resolver's window.
 //   3. Housekeeping: a pending SIGHUP runs the in-process reload; the image file
 //      is polled for external replacement on watch_interval_ms cadence; any image
 //      a swap took out of service is unmapped (RolloverController::RetireDrained).

@@ -107,13 +107,6 @@ class NameInterner {
   NameInterner(const NameInterner&) = delete;
   NameInterner& operator=(const NameInterner&) = delete;
 
-  // The one definition of the interner's case normalization (-i folds ASCII upper
-  // case away).  Public so layers that must agree with interned bytes — e.g. the
-  // batch engine's shard hash — fold identically instead of re-implementing it.
-  static char FoldChar(char c) {
-    return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-  }
-
   // A read-only interner running directly over frozen-layout arrays (see FrozenView).
   // The backing memory must outlive the result.  Intern/StealTable are forbidden on
   // the result; Find/View/Suffix/HasSuffix work without copying or allocating.
@@ -324,6 +317,12 @@ class NameInterner {
   static constexpr double kHighWater = 0.79;
 
  private:
+  // The one definition of the interner's case normalization (-i folds ASCII upper
+  // case away).
+  static char FoldChar(char c) {
+    return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+  }
+
   struct Entry {
     const char* chars;  // NUL-terminated, arena-owned, already case-normalized
     uint32_t length;

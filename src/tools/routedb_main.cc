@@ -39,12 +39,13 @@
 //                                               Input streams through the engine in
 //                                               chunks of L lines (default 65536), so
 //                                               memory stays bounded on arbitrarily
-//                                               large inputs.  --threads N shards
-//                                               each chunk across N threads (0 = all
-//                                               cores); --cache-entries M gives each
-//                                               shard an M-entry result cache (warm
-//                                               across chunks); output is
-//                                               byte-identical at any setting.
+//                                               large inputs.  --threads N splits
+//                                               each chunk into N contiguous ranges,
+//                                               one per thread (0 = all cores);
+//                                               --cache-entries M (at most 1048576)
+//                                               gives each range an M-entry result
+//                                               cache (warm across chunks); output
+//                                               is byte-identical at any setting.
 //                                               --stats adds an execution summary
 //                                               line on stderr.
 //   routedb query --socket PATH | --port UDPPORT [--timeout MS] [--retries N]
@@ -135,14 +136,14 @@ std::string SanitizeForTsv(const std::string& line) {
   return out;
 }
 
-// Bulk delivery scan: the well-formed queries go through the sharded batch engine;
+// Bulk delivery scan: the well-formed queries go through the batch engine;
 // malformed lines are reported with their line number and skipped.  Output is one
 // line per input line (misses and malformed queries included), so the stream stays
 // aligned with the input for downstream joins — and is byte-identical at every
 // --threads/--cache-entries/--chunk-lines setting (the engine guarantees the first
 // two; chunking only changes how many lines are in memory at once, never the
 // per-line result).  Input is consumed in chunks of flags.chunk_lines lines, the
-// ONE engine persisting across chunks (shard caches stay warm), so a
+// ONE engine persisting across chunks (range caches stay warm), so a
 // pipe-a-billion-lines-through-it run holds one chunk, not the whole input.
 int RunBatch(const pathalias::FrozenRouteSet& routes, std::istream& in,
              const char* input_name, const BatchFlags& flags) {
@@ -680,7 +681,9 @@ int main(int argc, char** argv) {
           }
           flags.chunk_lines = std::max<size_t>(1, static_cast<size_t>(value));
         } else {
-          if (!ParseCount("--cache-entries", argv[++i], uint64_t{1} << 30, &value)) {
+          // Each entry costs 46 bytes (a 4-way set is 184), all allocated up front
+          // for every range: 2^20 entries is about 46 MiB a range.
+          if (!ParseCount("--cache-entries", argv[++i], uint64_t{1} << 20, &value)) {
             return 2;
           }
           flags.cache_entries = static_cast<size_t>(value);

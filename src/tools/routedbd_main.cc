@@ -23,9 +23,9 @@
 //            [--ready-fd FD]
 //
 // The serving engine is fixed: one engine thread and a 4096-entry result cache.
-// In bench_resolver's 32-query closed loop (daemon_latency, 4-thread host), more
-// engine threads only added coordination: p50 0.031, 0.039 and 0.044 ms at 1, 2
-// and 4 threads.
+// More engine threads only added coordination in a 32-query closed loop: p50
+// 0.031, 0.039 and 0.044 ms at 1, 2 and 4 threads on a 4-thread host (the
+// CHANGES.md entry that made routedbd's engine fixed records the run).
 //
 // --ready-fd: a pipe fd the daemon writes one line to once it is serving
 // ("ready <udp-port>\n") — how the smoke test and scripts avoid sleep-loops.

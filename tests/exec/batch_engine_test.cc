@@ -1,4 +1,4 @@
-// The sharded batch engine's contract: byte-identical to the serial resolver at any
+// The batch engine's contract: byte-identical to the serial resolver at any
 // thread count, with the result cache on or off.
 
 #include "src/exec/batch_engine.h"
@@ -221,6 +221,35 @@ TEST(BatchEngine, CachePersistsAcrossBatches) {
   EXPECT_EQ(engine.ResolveBatch(queries, results), 3u);
   EXPECT_EQ(engine.stats().cache_hits, hits_after_first + 3)
       << "a server loop's second batch runs entirely from the warm cache";
+}
+
+// The ranges follow the batch's slots, not its names: at two threads the batch
+// a, b, a, b | a, b, a, b splits into two ranges of four, and each range's cache
+// pays its own first miss for both names.
+TEST(BatchEngine, EachRangeWarmsItsOwnCache) {
+  FrozenImage image(BuildRoutes());
+  const FrozenRouteSet& routes = image.routes();
+  BatchEngineOptions options;
+  options.threads = 2;
+  options.cache_entries = 64;
+  FrozenBatchEngine engine(&routes, options);
+
+  std::vector<std::string_view> queries = {"phs", "duke", "phs", "duke",
+                                           "phs", "duke", "phs", "duke"};
+  Resolver resolver(&routes, ResolveOptions{});
+  std::vector<BatchLookup> expected(queries.size());
+  ASSERT_EQ(resolver.ResolveBatchScalar(queries, expected), queries.size());
+
+  std::vector<BatchLookup> results(queries.size());
+  EXPECT_EQ(engine.ResolveBatch(queries, results), queries.size());
+  ExpectSameResults(expected, results, queries);
+  EXPECT_EQ(engine.stats().cache_lookups, 8u);
+  EXPECT_EQ(engine.stats().cache_hits, 4u) << "each range misses each name once";
+
+  EXPECT_EQ(engine.ResolveBatch(queries, results), queries.size());
+  ExpectSameResults(expected, results, queries);
+  EXPECT_EQ(engine.stats().cache_lookups, 16u);
+  EXPECT_EQ(engine.stats().cache_hits, 12u) << "both ranges are warm for both names";
 }
 
 TEST(BatchEngine, StrangersAreNeverCached) {

@@ -1,7 +1,7 @@
 // Concurrent readers over one frozen route image — the guarantee the serving path
 // stands on.  Run under ThreadSanitizer (cmake -DPATHALIAS_TSAN=ON; the CI tsan job does)
 // these tests are the race detector for the whole read path: interner probe,
-// suffix-chain chase, route-record view, engine sharding, pool handoff.
+// suffix-chain chase, route-record view, engine ranges and caches, pool handoff.
 
 #include <gtest/gtest.h>
 
@@ -116,6 +116,49 @@ TEST(Concurrency, ParallelEnginesOverOneFrozenMapping) {
       std::vector<BatchLookup> results(queries.size());
       for (int round = 0; round < kRounds; ++round) {
         ASSERT_EQ(engine.ResolveBatch(queries, results), expected_resolved);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+}
+
+// Every range of a cached engine consults its cache here: the batch repeats the
+// interned names from its first slot to its last.  Range r's cache is touched only
+// by range r's job, so under TSan two ranges sharing one cache race in this test.
+TEST(Concurrency, EachRangeCacheHasOneOwner) {
+  FrozenImage image(BuildRoutes());
+  const FrozenRouteSet& frozen = image.routes();
+
+  std::vector<std::string> pool;
+  for (int i = 0; i < 1800; ++i) {
+    int site = i % 300;
+    pool.push_back("site" + std::to_string(site) + ".dept" + std::to_string(site % 11) +
+                   ".edu");
+  }
+  std::vector<std::string_view> queries = Views(pool);
+
+  Resolver reference(&frozen, ResolveOptions{});
+  std::vector<BatchLookup> expected(queries.size());
+  const size_t expected_resolved = reference.ResolveBatchScalar(queries, expected);
+  ASSERT_EQ(expected_resolved, queries.size()) << "every query is an interned route";
+
+  constexpr int kEngines = 4;
+  std::vector<std::thread> threads;
+  threads.reserve(kEngines);
+  for (int t = 0; t < kEngines; ++t) {
+    threads.emplace_back([&] {
+      BatchEngineOptions options;
+      options.threads = 2;
+      options.cache_entries = 128;
+      FrozenBatchEngine engine(&frozen, options);
+      std::vector<BatchLookup> results(queries.size());
+      for (int round = 0; round < kRounds; ++round) {
+        ASSERT_EQ(engine.ResolveBatch(queries, results), expected_resolved);
+      }
+      for (size_t i = 0; i < queries.size(); ++i) {
+        ASSERT_EQ(results[i].via, expected[i].via) << queries[i];
       }
     });
   }

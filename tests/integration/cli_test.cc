@@ -897,6 +897,9 @@ TEST_F(CliTest, NumericFlagOperandsAreValidatedEverywhere) {
       {"batch cache negative",
        std::string(ROUTEDB_BIN) + " batch --cache-entries -1 db < /dev/null",
        "--cache-entries"},
+      {"batch cache out of bounds",
+       std::string(ROUTEDB_BIN) + " batch --cache-entries 1048577 db < /dev/null",
+       "--cache-entries"},
   };
   for (const Case& test_case : cases) {
     CommandResult result = RunCommand(test_case.command);
