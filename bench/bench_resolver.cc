@@ -57,29 +57,9 @@ struct Fixture {
   // (suffix-chain fallbacks), and outright misses — as views over one string pool.
   std::vector<std::string> batch_pool;
   std::vector<std::string_view> batch_queries;
-  // Hot-set sweep workloads (the POI-alias traffic shape): views only — hot queries
-  // repeat a small set of known hosts, cold queries reuse the mixed pool's strings.
-  std::vector<std::string> hot_hosts;
 
   // The route set every query below runs against.
   const FrozenRouteSet& frozen() const { return image->routes(); }
-
-  // Builds a kBatchQueries-view workload where `hot_permille`/1000 of the queries
-  // cycle through the hot set and the rest walk the mixed pool.
-  std::vector<std::string_view> HotSetQueries(int hot_permille) const {
-    std::vector<std::string_view> queries;
-    queries.reserve(batch_queries.size());
-    size_t hot = 0;
-    size_t cold = 0;
-    for (size_t i = 0; i < batch_queries.size(); ++i) {
-      if (static_cast<int>(i % 1000) < hot_permille) {
-        queries.push_back(hot_hosts[hot++ % hot_hosts.size()]);
-      } else {
-        queries.push_back(batch_queries[cold++ % batch_queries.size()]);
-      }
-    }
-    return queries;
-  }
 };
 
 constexpr size_t kBatchQueries = 1000000;
@@ -133,10 +113,6 @@ const Fixture& GetFixture() {
     f->batch_queries.reserve(kBatchQueries);
     for (const std::string& query : f->batch_pool) {
       f->batch_queries.push_back(query);
-    }
-    // A 512-host hot set for the cache sweeps, spread across the route list.
-    for (size_t i = 0; i < hosts.size() && f->hot_hosts.size() < 512; i += 11) {
-      f->hot_hosts.push_back(hosts[i]);
     }
     return f;
   }();
@@ -320,8 +296,8 @@ class CacheMissCounter {
   int fd_ = -1;
 };
 
-// The batch engine over the same mixed batch, cache off: one contiguous range per
-// thread, each through the resolver's window.  Arg(0) is the thread count.
+// The batch engine over the same mixed batch: one contiguous range per thread,
+// each through the resolver's window.  Arg(0) is the thread count.
 void BM_ParallelBatchResolve(benchmark::State& state) {
   const Fixture& f = GetFixture();
   exec::BatchEngineOptions options;
@@ -336,25 +312,6 @@ void BM_ParallelBatchResolve(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * f.batch_queries.size()));
   state.counters["resolved"] = static_cast<double>(resolved);
   state.counters["threads"] = static_cast<double>(options.threads);
-}
-
-// The per-shard result cache on the hot-set traffic shape: Arg(0) is the hot
-// fraction in permille, Arg(1) the per-shard cache capacity (0 = off).
-void BM_HotSetBatchResolve(benchmark::State& state) {
-  const Fixture& f = GetFixture();
-  std::vector<std::string_view> queries = f.HotSetQueries(static_cast<int>(state.range(0)));
-  exec::BatchEngineOptions options;
-  options.cache_entries = static_cast<size_t>(state.range(1));
-  exec::FrozenBatchEngine engine(&f.frozen(), options);
-  std::vector<BatchLookup> results(queries.size());
-  size_t resolved = 0;
-  for (auto _ : state) {
-    resolved = engine.ResolveBatch(queries, results);
-    benchmark::DoNotOptimize(results.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * queries.size()));
-  state.counters["resolved"] = static_cast<double>(resolved);
-  state.counters["hit_rate"] = engine.stats().hit_rate();
 }
 
 // Cold start, the consumer-scale pain the image exists to remove: what a mailer pays
@@ -944,8 +901,8 @@ void WriteBenchJson() {
   }
   long rss_repeat_scan_kb = bench::PeakRssKb();
 
-  // The sharded engine's scaling curve, cache off: same workload, same expected
-  // counts, threads 1/2/4/8.
+  // The batch engine's scaling curve: same workload, same expected counts,
+  // threads 1/2/4/8.
   struct ScalingPoint {
     int threads;
     double ms;
@@ -968,48 +925,6 @@ void WriteBenchJson() {
     scaling.push_back(point);
   }
   long rss_parallel_kb = bench::PeakRssKb();
-
-  // The hot-set cache sweep: the POI-alias traffic shape at three hot fractions,
-  // cache off vs a 64Ki-entry per-shard cache, single shard so the cache effect is
-  // isolated from parallelism.
-  struct SweepPoint {
-    int hot_permille;
-    double off_ms;
-    double on_ms;
-    double hit_rate;
-    size_t off_resolved;
-    size_t on_resolved;
-  };
-  // Sized to hold the whole hot set with slack while the sets stay L2-resident —
-  // a cache bigger than L2 loses more to probe misses than the skipped walk saves.
-  constexpr size_t kSweepCacheEntries = 4096;
-  std::vector<SweepPoint> sweep;
-  for (int hot_permille : {500, 900, 990}) {
-    SweepPoint point{hot_permille, 0.0, 0.0, 0.0, 0, 0};
-    std::vector<std::string_view> queries = f.HotSetQueries(hot_permille);
-    exec::BatchEngineOptions off_options;
-    exec::FrozenBatchEngine off_engine(&f.frozen(), off_options);
-    exec::BatchEngineOptions on_options;
-    on_options.cache_entries = kSweepCacheEntries;
-    exec::FrozenBatchEngine on_engine(&f.frozen(), on_options);
-    for (int pass = 0; pass < kPasses; ++pass) {
-      bench::WallTimer off_timer;
-      point.off_resolved = off_engine.ResolveBatch(queries, results);
-      double ms = off_timer.Ms();
-      if (pass == 0 || ms < point.off_ms) {
-        point.off_ms = ms;
-      }
-      bench::WallTimer on_timer;
-      point.on_resolved = on_engine.ResolveBatch(queries, results);
-      ms = on_timer.Ms();
-      if (pass == 0 || ms < point.on_ms) {
-        point.on_ms = ms;
-      }
-    }
-    point.hit_rate = on_engine.stats().hit_rate();
-    sweep.push_back(point);
-  }
-  long rss_sweep_kb = bench::PeakRssKb();
 
   // Cold start: parse+intern the route text through its first indexed lookup vs
   // open+mmap the image through its first resolve, best of kPasses.
@@ -1254,7 +1169,7 @@ void WriteBenchJson() {
   std::fprintf(out, "    ]\n");
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"parallel_batch\": {\n");
-  std::fprintf(out, "    \"note\": \"batch engine (src/exec), cache off: one "
+  std::fprintf(out, "    \"note\": \"batch engine (src/exec): one "
                     "contiguous range per thread, each through the resolver's window, "
                     "output byte-identical to the serial path; hardware_threads is what "
                     "this container exposes — scaling flattens at that line\",\n");
@@ -1276,31 +1191,6 @@ void WriteBenchJson() {
   std::fprintf(out, "    ],\n");
   std::fprintf(out, "    \"speedup_8_threads_vs_1\": %.2f\n",
                scaling.back().ms > 0.0 ? scaling.front().ms / scaling.back().ms : 0.0);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"cache_sweep\": {\n");
-  std::fprintf(out, "    \"note\": \"hot-set workloads (hot_permille/1000 of queries "
-                    "cycle a %zu-host hot set), one shard, per-shard CLOCK cache of "
-                    "%zu entries vs cache off; identical resolved counts by "
-                    "construction\",\n",
-               f.hot_hosts.size(), kSweepCacheEntries);
-  std::fprintf(out, "    \"peak_rss_kb\": %ld,\n", rss_sweep_kb);
-  std::fprintf(out, "    \"points\": [\n");
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const auto& point = sweep[i];
-    std::fprintf(out,
-                 "      {\"hot_permille\": %d, \"cache_off_best_wall_ms\": %.3f, "
-                 "\"cache_off_queries_per_second\": %.0f, \"cache_on_best_wall_ms\": %.3f, "
-                 "\"cache_on_queries_per_second\": %.0f, \"hit_rate\": %.4f, "
-                 "\"speedup\": %.2f, \"matches_resolved\": %s}%s\n",
-                 point.hot_permille, point.off_ms,
-                 static_cast<double>(f.batch_queries.size()) / (point.off_ms / 1000.0),
-                 point.on_ms,
-                 static_cast<double>(f.batch_queries.size()) / (point.on_ms / 1000.0),
-                 point.hit_rate, point.on_ms > 0.0 ? point.off_ms / point.on_ms : 0.0,
-                 point.off_resolved == point.on_resolved ? "true" : "false",
-                 i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(out, "    ]\n");
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"cold_start\": {\n");
   std::fprintf(out, "    \"note\": \"startup through first lookup: parse+intern the "
@@ -1350,7 +1240,7 @@ void WriteBenchJson() {
   std::fprintf(out, "  \"daemon_latency\": {\n");
   std::fprintf(out, "    \"note\": \"closed-loop round trips through an in-process "
                     "routedbd over a unix-domain datagram socket, serving the same "
-                    "frozen image (result cache on): encode + sendto + poll + drain + "
+                    "frozen image: encode + sendto + poll + drain + "
                     "coalesce + resolve + reply + decode; lower is better, ms per "
                     "request, %zu/%zu timed requests after 10%% warmup; open_loop_* "
                     "sends on a fixed schedule regardless of reply arrival and measures "
@@ -1528,13 +1418,6 @@ void WriteBenchJson() {
                 static_cast<double>(f.batch_queries.size()) / point.ms / 1000.0,
                 point.threads == 8 ? "\n" : ", ");
   }
-  for (const auto& point : sweep) {
-    std::printf("cache sweep %d%% hot: %.1fM -> %.1fM q/s (%.2fx, hit rate %.3f)\n",
-                point.hot_permille / 10,
-                static_cast<double>(f.batch_queries.size()) / point.off_ms / 1000.0,
-                static_cast<double>(f.batch_queries.size()) / point.on_ms / 1000.0,
-                point.on_ms > 0.0 ? point.off_ms / point.on_ms : 0.0, point.hit_rate);
-  }
   std::printf("incremental update (%zu hosts, %zu files): 1-file edit in %.3f ms vs "
               "%.3f ms batch pipeline / %.3f ms full rebuild (%.1fx); refreeze %.3f ms\n",
               incremental_bench.hosts, incremental_bench.files.size(),
@@ -1603,10 +1486,6 @@ BENCHMARK(BM_HasRepeatedHostSet)
 BENCHMARK(BM_ParallelBatchResolve)
     ->Name("resolve_batch/sharded")
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_HotSetBatchResolve)
-    ->Name("resolve_batch/hot_set")
-    ->Args({900, 0})->Args({900, 4096})->Args({990, 0})->Args({990, 4096})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ColdStartParseIntern)
     ->Name("cold_start/parse_intern")

@@ -54,8 +54,8 @@ inline double Percentile(const std::vector<double>& sorted, double fraction) {
 
 // Serves `image_path` from a background-thread daemon and runs `requests` timed
 // closed-loop round trips of `queries_per_request` destinations drawn round-robin
-// from `pool` (plus a 10% warmup that is not recorded).  The daemon serves as
-// routedbd does: one engine thread and a 4096-entry result cache.
+// from `pool` (plus a 10% warmup that is not recorded).  The daemon is configured
+// as routedbd is: its defaults, one engine thread.
 inline LatencyStats MeasureDaemonLatency(const std::string& image_path,
                                          const std::vector<std::string_view>& pool,
                                          size_t queries_per_request, size_t requests) {
@@ -78,7 +78,6 @@ inline LatencyStats MeasureDaemonLatency(const std::string& image_path,
 
   net::DaemonOptions options;
   options.rollover.image_path = image_path;
-  options.rollover.engine.cache_entries = 4096;  // the serving configuration
   options.unix_path = (dir / "d.sock").string();
   options.watch_interval_ms = 0;
   net::Daemon daemon(std::move(options));
@@ -237,7 +236,6 @@ inline OpenLoopStats MeasureDaemonOfferedLoad(const std::string& image_path,
 
   net::DaemonOptions options;
   options.rollover.image_path = image_path;
-  options.rollover.engine.cache_entries = 4096;
   options.unix_path = (dir / "d.sock").string();
   options.watch_interval_ms = 0;
   net::Daemon daemon(std::move(options));

@@ -116,8 +116,8 @@ expect_route leafc 'far!leafc!%s'
 say "file-watch rollover applied"
 
 # --- 5c. an external update adds newa; then a map edit and SIGHUP, which loads
-# the state dir and compiles once.  Every name, answered from a warm cache, must
-# match the image on disk. ---
+# the state dir and compiles once.  Every name, asked once before the reload,
+# must match the image on disk after it. ---
 printf 'hub\tmid(100), far(400), newa(1)\n' > "$DIR/core.map"
 "$ROUTEDB" update "$IMAGE" "$DIR/core.map"
 for _ in $(seq 1 100); do
@@ -149,8 +149,8 @@ say "SIGHUP after an external update answers like the image on disk"
 
 # --- 5d. republish the served routes, interned in another order: sorted
 # pathalias output through `routedb freeze`, which renames it over the image.
-# The watch adopts it into the serving engine, whose warm cache answers every
-# name as the new image does. ---
+# The watch adopts it into the serving engine, which answers every name as the
+# new image does. ---
 "$PATHALIAS" -c -l hub "$DIR/core.map" "$DIR/mid.map" "$DIR/far.map" "$DIR/edu.map" \
     | LC_ALL=C sort > "$DIR/sorted.txt"
 "$ROUTEDB" freeze "$DIR/sorted.txt" "$IMAGE"
@@ -161,7 +161,7 @@ done
 tail -n 1 "$LOG" | grep -q 'reload (watch) applied: image replaced$' \
     || fail "the watch did not adopt the foreign-id image into the serving engine"
 expect_answers_like_image "a foreign-id image"
-say "a foreign-id image adopts warm and answers like the image on disk"
+say "a foreign-id image adopts into the serving engine and answers like the image on disk"
 
 # Queries kept flowing the whole time against one daemon process.
 kill -0 "$DAEMON_PID" || fail "daemon restarted somewhere along the way"

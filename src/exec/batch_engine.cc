@@ -3,72 +3,21 @@
 #include <algorithm>
 
 #include "src/image/frozen_route_set.h"
-#include "src/route_db/resolver.h"
 
 namespace pathalias {
 namespace exec {
 
 FrozenBatchEngine::FrozenBatchEngine(const FrozenRouteSet* routes, BatchEngineOptions options)
-    : routes_(routes),
-      resolver_(routes, ResolveOptions{}),
+    : resolver_(routes, ResolveOptions{}),
       shards_(options.threads == 0 ? ThreadPool::HardwareWidth()
                                    : std::max(1, options.threads)),
       range_resolved_(static_cast<size_t>(shards_)) {
   if (shards_ > 1) {
     pool_ = std::make_unique<ThreadPool>(shards_);
   }
-  if (options.cache_entries > 0) {
-    caches_.reserve(static_cast<size_t>(shards_));
-    for (int range = 0; range < shards_; ++range) {
-      caches_.emplace_back(options.cache_entries);
-    }
-  }
 }
 
 FrozenBatchEngine::~FrozenBatchEngine() = default;
-
-size_t FrozenBatchEngine::ResolveCachedRun(std::span<const std::string_view> hosts,
-                                           std::span<BatchLookup> results,
-                                           ResultCache* cache) const {
-  const size_t n = hosts.size();
-  size_t resolved = 0;
-  // Depth-2 pipeline: `stage` runs one query ahead of retirement, so a hit's
-  // cache-set line has the whole previous query's walk to arrive.  The lookup is
-  // const and effect-free, so running it early changes nothing observable.  An
-  // interned query's hash is its name's stored hash, which places the entry.
-  const NameInterner& names = routes_->names();
-  NameId ahead_id = kNoName;
-  ResultCache::Handle ahead_handle;
-  auto stage = [&](size_t pos) {
-    std::string_view host = hosts[pos];
-    const uint64_t hash = names.HashOf(host);
-    ahead_id = names.FindPrehashed(host, hash);
-    if (ahead_id != kNoName) {
-      ahead_handle = cache->Begin(hash);
-    }
-  };
-  if (n > 0) {
-    stage(0);
-  }
-  for (size_t pos = 0; pos < n; ++pos) {
-    NameId id = ahead_id;
-    ResultCache::Handle handle = ahead_handle;
-    if (pos + 1 < n) {
-      stage(pos + 1);
-    }
-    BatchLookup* out = &results[pos];
-    if (id == kNoName) {
-      *out = resolver_.LookupStranger(hosts[pos]);
-    } else if (!cache->Get(handle, id, out)) {
-      *out = resolver_.LookupInterned(id);
-      cache->Put(handle, id, *out);
-    }
-    if (out->route.ok()) {
-      ++resolved;
-    }
-  }
-  return resolved;
-}
 
 size_t FrozenBatchEngine::ResolveBatch(std::span<const std::string_view> hosts,
                                        std::span<BatchLookup> results) {
@@ -78,11 +27,8 @@ size_t FrozenBatchEngine::ResolveBatch(std::span<const std::string_view> hosts,
     const size_t r = static_cast<size_t>(range);
     const size_t lo = count * r / ranges;
     const size_t hi = count * (r + 1) / ranges;
-    std::span<const std::string_view> range_hosts = hosts.subspan(lo, hi - lo);
-    std::span<BatchLookup> range_results = results.subspan(lo, hi - lo);
-    range_resolved_[r] = caches_.empty()
-                             ? resolver_.ResolveBatch(range_hosts, range_results)
-                             : ResolveCachedRun(range_hosts, range_results, &caches_[r]);
+    range_resolved_[r] =
+        resolver_.ResolveBatch(hosts.subspan(lo, hi - lo), results.subspan(lo, hi - lo));
   };
   if (pool_ == nullptr) {
     run_range(0);
@@ -94,35 +40,6 @@ size_t FrozenBatchEngine::ResolveBatch(std::span<const std::string_view> hosts,
     resolved += range_count;
   }
   return resolved;
-}
-
-BatchEngineStats FrozenBatchEngine::stats() const {
-  BatchEngineStats stats;  // ResultCache stats are already cumulative
-  for (const ResultCache& cache : caches_) {
-    stats.cache_lookups += cache.stats().lookups;
-    stats.cache_hits += cache.stats().hits;
-  }
-  return stats;
-}
-
-void FrozenBatchEngine::AdoptRoutes(const FrozenRouteSet* fresh) {
-  const NameInterner& served = routes_->names();
-  const NameInterner& names = fresh->names();
-  const bool same_fold = served.fold_case() == names.fold_case();
-  routes_ = fresh;
-  resolver_ = Resolver(fresh, ResolveOptions{});
-  for (ResultCache& cache : caches_) {
-    cache.RekeyEntries([&](NameId key, BatchLookup* value) {
-      // Entries sit in the set of their name's hash, which folds as the interner
-      // does: under another folding the sets no longer match.
-      NameId id = same_fold ? names.FindPrehashed(served.View(key), served.HashOf(key))
-                            : kNoName;
-      if (id != kNoName) {
-        *value = resolver_.LookupInterned(id);
-      }
-      return id;
-    });
-  }
 }
 
 size_t CountChangedRoutes(const FrozenRouteSet& replaced, const RouteSet& built) {

@@ -80,21 +80,12 @@ BatchLookup Resolver::LookupOne(std::string_view host) const {
   return id != kNoName ? LookupInterned(id) : LookupStranger(host);
 }
 
-RouteView Resolver::LookupId(std::string_view host, NameId* via) const {
+RouteView Resolver::Lookup(std::string_view host, std::string_view* matched_key) const {
   BatchLookup result = LookupOne(host);
   if (result.route.ok()) {
-    *via = result.via;
+    *matched_key = routes_->names().View(result.via);
   }
   return result.route;
-}
-
-RouteView Resolver::Lookup(std::string_view host, std::string_view* matched_key) const {
-  NameId via = kNoName;
-  RouteView route = LookupId(host, &via);
-  if (route.ok()) {
-    *matched_key = routes_->names().View(via);
-  }
-  return route;
 }
 
 size_t Resolver::ResolveBatchScalar(std::span<const std::string_view> hosts,

@@ -43,18 +43,6 @@ int64_t SteadyNowMs() {
       .count();
 }
 
-// The same routable-query rule `routedb batch` applies: printable, non-blank
-// ASCII.  Anything else is answered kResultMalformed instead of being treated as
-// a (never-matching) database key.
-bool RoutableQuery(std::string_view query) {
-  for (unsigned char c : query) {
-    if (c < 0x21 || c > 0x7e) {
-      return false;
-    }
-  }
-  return !query.empty();
-}
-
 // OR a flag into an encoded reply's header in place (flags live at byte 6).
 void OrReplyFlag(std::string* datagram, uint16_t flag) {
   if (datagram->size() < sizeof(WireHeader)) {
@@ -249,7 +237,7 @@ void Daemon::ResolveAndReply() {
     for (size_t i = 0; i < pending.query_count; ++i) {
       size_t slot = pending.first_query + i;
       ReplyResult result;
-      if (!RoutableQuery(queries[slot])) {
+      if (QueryDefect(queries[slot]) != nullptr) {
         result.status = kResultMalformed;
         ++stats_.malformed_queries;
       } else if (!results_[slot].route.ok()) {

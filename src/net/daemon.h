@@ -14,9 +14,8 @@
 //   2. One ResolveBatch over the whole coalesced batch, then one reply datagram
 //      per request, sliced back out of the flat result span, bounded by
 //      max_reply_bytes with explicit truncation flags.  routedbd's serving engine
-//      (exec::FrozenBatchEngine) has one range and its result cache on, so the
-//      batch resolves one query at a time through the cache, never through the
-//      resolver's window.
+//      (exec::FrozenBatchEngine) has one range, so the whole batch resolves
+//      through the resolver's window; nothing is kept from one turn to the next.
 //   3. Housekeeping: a pending SIGHUP runs the in-process reload; the image file
 //      is polled for external replacement on watch_interval_ms cadence; any image
 //      a swap took out of service is unmapped (RolloverController::RetireDrained).

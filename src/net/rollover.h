@@ -21,7 +21,8 @@
 // then the adopt step); the file watch runs the adopt step alone (CheckImage).
 // The adopt step hands any image, whatever its name ids (an update's, one from
 // `routedb update --init` or `routedb freeze`), to the one engine's
-// AdoptRoutes, which re-resolves the warm cache's names in it.
+// AdoptRoutes, which points its resolver at it.  The engine keeps no answer
+// between batches, so every batch after the adopt is answered from the new image.
 //
 // The OLD image is not unmapped inside the swap: it goes on the retired list,
 // and the next RetireDrained() — which routedbd calls at the end of every loop

@@ -38,6 +38,21 @@ size_t ResultWireSize(const ReplyResult& result) {
 
 }  // namespace
 
+const char* QueryDefect(std::string_view query) {
+  if (query.empty()) {
+    return "is empty";
+  }
+  for (unsigned char c : query) {
+    if (c == ' ' || c == '\t') {
+      return "contains whitespace";
+    }
+    if (c < 0x21 || c > 0x7e) {
+      return "contains a control or non-ASCII byte";
+    }
+  }
+  return nullptr;
+}
+
 bool EncodeRequest(uint64_t request_id, std::span<const std::string_view> queries,
                    std::string* out) {
   if (queries.empty() || queries.size() > kMaxQueriesPerRequest) {

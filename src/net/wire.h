@@ -64,9 +64,16 @@ enum ResultStatus : uint8_t {
   kResultMiss = 0,         // no route known
   kResultExact = 1,        // exact host/domain key hit: route is the full route
   kResultSuffix = 2,       // domain-suffix hit: prepend the host to the argument
-  kResultMalformed = 3,    // query bytes are not a routable name (whitespace/control)
+  kResultMalformed = 3,    // not a routable name (QueryDefect, below)
   kResultTruncated = 4,    // this one result alone exceeded the reply budget
 };
+
+// The routable-query rule routedbd and `routedb batch` share: a query is a
+// non-empty run of printable, non-blank ASCII (0x21-0x7e), as host names and
+// domain keys are.  Returns what is wrong with `query`, or null when nothing is.
+// routedbd answers a defective query kResultMalformed; `routedb batch` reports its
+// line and skips it.
+const char* QueryDefect(std::string_view query);
 
 // The fixed 24-byte header shared by requests and replies.
 struct WireHeader {

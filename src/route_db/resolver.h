@@ -149,25 +149,23 @@ class Resolver {
   static constexpr size_t kDefaultPipelineWindow = 24;
   static constexpr size_t kMaxPipelineWindow = 64;
 
-  // The per-query pieces ResolveBatch is made of, exposed for the sharded batch
-  // engine (src/exec), which hashes each query once and wants to memoize the walk
-  // that follows.  All three are const, allocation-free and mutate nothing, so any
-  // number of threads may call them against one route set concurrently.
+  // One query at a time.  Both are const, allocation-free and mutate nothing, so
+  // any number of threads may call them against one route set concurrently.
   //
-  // LookupInterned: the walk for a query the interner already knows, starting from
-  // its id (exact route, then the precomputed suffix chain).  The result is a pure
-  // function of `id` — what makes it cacheable under a NameId key.
-  BatchLookup LookupInterned(NameId id) const;
-  // LookupStranger: the walk for a query the interner does not know — probe its
-  // dotted suffixes until one is interned, then chase that chain.  There is no id to
-  // key a cache on; any hit is by definition a domain-suffix match.
-  BatchLookup LookupStranger(std::string_view host) const;
-  // LookupOne: Find + dispatch to the two above; exactly one ResolveBatch slot.
+  // LookupOne: exactly one ResolveBatch slot; Lookup and ResolveBatchScalar resolve
+  // each query through it.  A name the interner knows walks from its id
+  // (LookupInterned, below); any other goes to LookupStranger.
   BatchLookup LookupOne(std::string_view host) const;
+  // LookupStranger: the walk for a query the interner does not know — probe its
+  // dotted suffixes until one is interned, then chase that chain.  Any hit is by
+  // definition a domain-suffix match.  The window finishes its strangers here.
+  BatchLookup LookupStranger(std::string_view host) const;
 
  private:
-  // Core walk shared by Lookup and Resolve; fills `via` on a hit.
-  RouteView LookupId(std::string_view host, NameId* via) const;
+  // The walk for a name the interner knows, from its id: the exact route, then the
+  // precomputed suffix chain.  LookupOne and the window's routeless interned names
+  // call it.
+  BatchLookup LookupInterned(NameId id) const;
 
   const FrozenRouteSet* routes_;
   ResolveOptions options_;

@@ -29,8 +29,7 @@
 //                                               image and state untouched.  A torn,
 //                                               missing or unreadable image re-reads
 //                                               every kept source first.
-//   routedb batch [--threads N] [--cache-entries M] [--chunk-lines L]
-//                 [--stats] <routes.pari> [hosts.txt]
+//   routedb batch [--threads N] [--chunk-lines L] <routes.pari> [hosts.txt]
 //                                               bulk host lookup, one per line (stdin
 //                                               if no file): "host<TAB>route-key" per
 //                                               hit, "host<TAB>*miss*" per miss;
@@ -41,13 +40,9 @@
 //                                               memory stays bounded on arbitrarily
 //                                               large inputs.  --threads N splits
 //                                               each chunk into N contiguous ranges,
-//                                               one per thread (0 = all cores);
-//                                               --cache-entries M (at most 1048576)
-//                                               gives each range an M-entry result
-//                                               cache (warm across chunks); output
+//                                               one per thread (0 = all cores), each
+//                                               through the resolver's window; output
 //                                               is byte-identical at any setting.
-//                                               --stats adds an execution summary
-//                                               line on stderr.
 //   routedb query --socket PATH | --port UDPPORT [--timeout MS] [--retries N]
 //                 [--id ID] <host>...           ask a running routedbd (see
 //                                               src/net/wire.h): sends one datagram
@@ -92,8 +87,8 @@ int Usage() {
                "[changed-map-files...]\n"
                "       routedb get <routes.pari> <host>\n"
                "       routedb resolve <routes.pari> <address>...\n"
-               "       routedb batch [--threads N] [--cache-entries M] "
-               "[--chunk-lines L] [--stats] <routes.pari> [hosts.txt]\n"
+               "       routedb batch [--threads N] [--chunk-lines L] <routes.pari> "
+               "[hosts.txt]\n"
                "       routedb query (--socket PATH | --port UDPPORT) [--timeout MS] "
                "[--retries N] [--id ID] <host>...\n";
   return 2;
@@ -102,25 +97,8 @@ int Usage() {
 // The batch execution knobs.
 struct BatchFlags {
   int threads = 1;
-  size_t cache_entries = 0;
   size_t chunk_lines = 65536;  // stdin/file streaming granularity (bounded memory)
-  bool stats = false;
 };
-
-// A valid batch query is a non-empty run of printable, non-blank ASCII (host names and
-// domain keys are).  Anything else gets a per-line diagnostic instead of poisoning the
-// rest of the batch.
-const char* QueryDefect(const std::string& line) {
-  for (unsigned char c : line) {
-    if (c == ' ' || c == '\t') {
-      return "contains whitespace";
-    }
-    if (c < 0x21 || c > 0x7e) {
-      return "contains a control or non-ASCII byte";
-    }
-  }
-  return nullptr;
-}
 
 // Echoing a malformed line verbatim would corrupt the 2-column TSV output (that is
 // what made it malformed); tabs and control/non-ASCII bytes become '?' so downstream
@@ -136,20 +114,19 @@ std::string SanitizeForTsv(const std::string& line) {
   return out;
 }
 
-// Bulk delivery scan: the well-formed queries go through the batch engine;
-// malformed lines are reported with their line number and skipped.  Output is one
-// line per input line (misses and malformed queries included), so the stream stays
-// aligned with the input for downstream joins — and is byte-identical at every
-// --threads/--cache-entries/--chunk-lines setting (the engine guarantees the first
-// two; chunking only changes how many lines are in memory at once, never the
-// per-line result).  Input is consumed in chunks of flags.chunk_lines lines, the
-// ONE engine persisting across chunks (range caches stay warm), so a
-// pipe-a-billion-lines-through-it run holds one chunk, not the whole input.
+// Bulk delivery scan: the routable queries (net::QueryDefect, routedbd's rule) go
+// through the batch engine; malformed lines are reported with their line number and
+// skipped instead of poisoning the rest of the batch.  Output is one line per input
+// line (misses and malformed queries included), so the stream stays aligned with the
+// input for downstream joins — and is byte-identical at every --threads/--chunk-lines
+// setting (the engine guarantees the first; chunking only changes how many lines are
+// in memory at once, never the per-line result).  Input is consumed in chunks of
+// flags.chunk_lines lines through ONE engine, so a pipe-a-billion-lines-through-it
+// run holds one chunk, not the whole input.
 int RunBatch(const pathalias::FrozenRouteSet& routes, std::istream& in,
              const char* input_name, const BatchFlags& flags) {
   pathalias::exec::BatchEngineOptions engine_options;
   engine_options.threads = flags.threads;
-  engine_options.cache_entries = flags.cache_entries;
   pathalias::exec::FrozenBatchEngine engine(&routes, engine_options);
 
   const size_t chunk_lines = flags.chunk_lines == 0 ? 1 : flags.chunk_lines;
@@ -179,7 +156,7 @@ int RunBatch(const pathalias::FrozenRouteSet& routes, std::istream& in,
         continue;
       }
       ++buffered;
-      if (const char* defect = QueryDefect(line)) {
+      if (const char* defect = pathalias::net::QueryDefect(line)) {
         std::cerr << "routedb: " << input_name << ":" << line_number
                   << ": malformed query (" << defect << "); skipped\n";
         malformed.emplace_back(line_number, SanitizeForTsv(line));
@@ -220,13 +197,6 @@ int RunBatch(const pathalias::FrozenRouteSet& routes, std::istream& in,
     std::cerr << ", " << malformed_count << " malformed";
   }
   std::cerr << "\n";
-  if (flags.stats) {
-    // Opt-in so default stderr stays byte-identical across execution settings.
-    const pathalias::exec::BatchEngineStats& stats = engine.stats();
-    std::cerr << "routedb: " << engine.shards() << " shard(s), "
-              << engine.cache_entries_per_shard() << " cache entries/shard, "
-              << stats.cache_hits << "/" << stats.cache_lookups << " cache hits\n";
-  }
   return 0;
 }
 
@@ -584,7 +554,7 @@ int RunQuery(int argc, char** argv) {
   return failures == 0 ? 0 : 1;
 }
 
-// Parses the integer operand of --threads / --cache-entries; false on junk.
+// Parses an integer flag operand of at most `max`; false (with a diagnostic) on junk.
 bool ParseCount(const char* flag, const char* text, uint64_t max, uint64_t* out) {
   std::string_view view(text);
   auto [end, errc] = std::from_chars(view.data(), view.data() + view.size(), *out);
@@ -654,15 +624,10 @@ int main(int argc, char** argv) {
     std::vector<const char*> positional;  // db path, then the command's operands
     for (int i = 2; i < argc; ++i) {
       std::string_view arg = argv[i];
-      if (arg == "--threads" || arg == "--cache-entries" || arg == "--chunk-lines" ||
-          arg == "--stats") {
+      if (arg == "--threads" || arg == "--chunk-lines") {
         if (command != "batch") {
           std::cerr << "routedb: " << arg << " only applies to batch\n";
           return 2;
-        }
-        if (arg == "--stats") {
-          flags.stats = true;
-          continue;
         }
         if (i + 1 >= argc) {
           return Usage();
@@ -674,19 +639,12 @@ int main(int argc, char** argv) {
             return 2;
           }
           flags.threads = static_cast<int>(value);
-        } else if (arg == "--chunk-lines") {
+        } else {
           // 0 would buffer nothing; treat it as the minimum useful chunk.
           if (!ParseCount("--chunk-lines", argv[++i], uint64_t{1} << 30, &value)) {
             return 2;
           }
           flags.chunk_lines = std::max<size_t>(1, static_cast<size_t>(value));
-        } else {
-          // Each entry costs 46 bytes (a 4-way set is 184), all allocated up front
-          // for every range: 2^20 entries is about 46 MiB a range.
-          if (!ParseCount("--cache-entries", argv[++i], uint64_t{1} << 20, &value)) {
-            return 2;
-          }
-          flags.cache_entries = static_cast<size_t>(value);
         }
         continue;
       }

@@ -22,10 +22,11 @@
 //            [--replay-bytes B] [--max-queries-per-turn Q] [--watch-interval MS]
 //            [--ready-fd FD]
 //
-// The serving engine is fixed: one engine thread and a 4096-entry result cache.
-// More engine threads only added coordination in a 32-query closed loop: p50
-// 0.031, 0.039 and 0.044 ms at 1, 2 and 4 threads on a 4-thread host (the
-// CHANGES.md entry that made routedbd's engine fixed records the run).
+// The serving engine is fixed: one engine thread, which resolves each turn's
+// batch through the resolver's window.  More engine threads only added
+// coordination in a 32-query closed loop: p50 0.031, 0.039 and 0.044 ms at 1, 2
+// and 4 threads on a 4-thread host (the CHANGES.md entry that made routedbd's
+// engine fixed records the run).
 //
 // --ready-fd: a pipe fd the daemon writes one line to once it is serving
 // ("ready <udp-port>\n") — how the smoke test and scripts avoid sleep-loops.
@@ -78,7 +79,6 @@ bool ParseUint(const char* flag, const char* text, uint64_t max, uint64_t* out) 
 int main(int argc, char** argv) {
   pathalias::support::failpoint::ArmFromEnv();
   pathalias::net::DaemonOptions options;
-  options.rollover.engine.cache_entries = 4096;
   options.udp_port = -1;
   options.log_reloads = true;  // a daemon's failed rollover belongs in its log
   int ready_fd = -1;

@@ -1,5 +1,5 @@
 // The batch engine's contract: byte-identical to the serial resolver at any
-// thread count, with the result cache on or off.
+// thread count, and after any adopt, to a resolver over the adopted image.
 
 #include "src/exec/batch_engine.h"
 
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "src/exec/result_cache.h"
 #include "src/image/frozen_route_set.h"
 #include "src/image/image_format.h"
 #include "src/image/image_writer.h"
@@ -64,8 +63,8 @@ std::vector<std::string_view> Views(const std::vector<std::string>& pool) {
   return std::vector<std::string_view>(pool.begin(), pool.end());
 }
 
-// Every observable field must match, including the view identity: cached results
-// must alias the route source's storage, never a copy.
+// Every observable field must match, including the view identity: results must
+// alias the route source's storage, never a copy.
 void ExpectSameResults(const std::vector<BatchLookup>& expected,
                        const std::vector<BatchLookup>& actual,
                        const std::vector<std::string_view>& queries) {
@@ -93,63 +92,46 @@ TEST(BatchEngine, MatchesSerialResolverAtEveryThreadAndCacheSetting) {
   ASSERT_GT(serial_resolved, 0u);
 
   for (int threads : {1, 2, 4, 8}) {
-    for (size_t cache_entries : {size_t{0}, size_t{8}, size_t{4096}}) {
-      BatchEngineOptions options;
-      options.threads = threads;
-      options.cache_entries = cache_entries;
-      FrozenBatchEngine engine(&routes, options);
-      std::vector<BatchLookup> parallel(queries.size());
-      size_t resolved = engine.ResolveBatch(queries, parallel);
-      EXPECT_EQ(resolved, serial_resolved)
-          << threads << " threads, " << cache_entries << " cache entries";
-      ExpectSameResults(serial, parallel, queries);
-    }
+    BatchEngineOptions options;
+    options.threads = threads;
+    FrozenBatchEngine engine(&routes, options);
+    std::vector<BatchLookup> parallel(queries.size());
+    size_t resolved = engine.ResolveBatch(queries, parallel);
+    EXPECT_EQ(resolved, serial_resolved) << threads << " threads";
+    ExpectSameResults(serial, parallel, queries);
   }
 }
 
-// The flush-free serving update: a long-lived frozen engine adopts a refrozen image
-// and re-resolves every cached name in it.  The edited destination comes back
-// fresh, and the cache holds what it held: the next batch hits exactly as often
-// as on an engine that never adopted.
+// The serving update: a long-lived frozen engine adopts a refrozen image, and the
+// next batch answers every name, the edited destination too, from it.
 TEST(BatchEngine, AdoptRoutesServesFreshDirtyRoutesWithoutFlushingCleanOnes) {
   RouteSet routes = BuildRoutes();
   FrozenImage image_a(routes);
 
   BatchEngineOptions options;
   options.threads = 1;
-  options.cache_entries = 1024;
   FrozenBatchEngine engine(&image_a.routes(), options);
 
   std::vector<std::string> pool = BuildQueryPool();
   std::vector<std::string_view> queries = Views(pool);
   std::vector<BatchLookup> results(queries.size());
-  engine.ResolveBatch(queries, results);  // warm every shard cache
-  ASSERT_GT(engine.stats().cache_lookups, 0u);
-  FrozenBatchEngine control(&image_a.routes(), options);
-  control.ResolveBatch(queries, results);
-  const uint64_t control_warm_hits = control.stats().cache_hits;
-  control.ResolveBatch(queries, results);
+  engine.ResolveBatch(queries, results);
 
   routes.Add("host7", "rerouted!host7!%s", 9999);
   FrozenImage image_b(routes);
   engine.AdoptRoutes(&image_b.routes());  // image A stays alive above — required
 
-  const BatchEngineStats before = engine.stats();
   std::vector<BatchLookup> after(queries.size());
   engine.ResolveBatch(queries, after);
   Resolver reference(&image_b.routes(), ResolveOptions{});
   std::vector<BatchLookup> expected(queries.size());
   reference.ResolveBatchScalar(queries, expected);
   ExpectSameResults(expected, after, queries);
-  EXPECT_EQ(engine.stats().cache_hits - before.cache_hits,
-            control.stats().cache_hits - control_warm_hits)
-      << "every cached name, the edited one too, is still cached after the adopt";
-  EXPECT_GT(engine.stats().cache_hits, before.cache_hits);
 }
 
 TEST(BatchEngine, NinetyPercentRepeatedDestinationsIdenticalWithCacheOnAndOff) {
-  // The satellite case: a delivery scan where 90% of the batch is a hot set of
-  // repeated destinations.  The cache must change the speed, never the bytes.
+  // A delivery scan where 90% of the batch is a hot set of repeated destinations:
+  // four ranges answer it as the serial resolver does.
   FrozenImage image(BuildRoutes());
   const FrozenRouteSet& routes = image.routes();
   std::vector<std::string> hot = {"phs",     "duke",    "ucbvax",
@@ -167,103 +149,16 @@ TEST(BatchEngine, NinetyPercentRepeatedDestinationsIdenticalWithCacheOnAndOff) {
   }
   std::vector<std::string_view> queries = Views(pool);
 
-  BatchEngineOptions cached_options;
-  cached_options.threads = 4;
-  cached_options.cache_entries = 64;
-  FrozenBatchEngine cached(&routes, cached_options);
-  BatchEngineOptions uncached_options;
-  uncached_options.threads = 4;
-  FrozenBatchEngine uncached(&routes, uncached_options);
-
-  std::vector<BatchLookup> with_cache(queries.size());
-  std::vector<BatchLookup> without_cache(queries.size());
-  size_t resolved_cached = cached.ResolveBatch(queries, with_cache);
-  size_t resolved_uncached = uncached.ResolveBatch(queries, without_cache);
-  EXPECT_EQ(resolved_cached, resolved_uncached);
-  ExpectSameResults(without_cache, with_cache, queries);
-
-  // The interned hot set (9 of the 10 hot names) dominates, so the hit rate must too.
-  // The tenth hot name is a stranger: never cached, resolved by suffix walk each time.
-  EXPECT_GT(cached.stats().hit_rate(), 0.95);
-  EXPECT_EQ(uncached.stats().cache_lookups, 0u);
-}
-
-TEST(BatchEngine, CachesNegativeResults) {
-  RouteSet set;
-  set.Add("x.y.zz", "x.y.zz!%s", 10);  // interns ".y.zz" and ".zz", both routeless
-  FrozenImage image(set);
-  BatchEngineOptions options;
-  options.cache_entries = 16;
-  FrozenBatchEngine engine(&image.routes(), options);
-
-  std::vector<std::string_view> queries = {".y.zz", ".y.zz", ".y.zz"};
-  std::vector<BatchLookup> results(queries.size());
-  EXPECT_EQ(engine.ResolveBatch(queries, results), 0u);
-  for (const BatchLookup& result : results) {
-    EXPECT_FALSE(result.route.ok());
-  }
-  EXPECT_EQ(engine.stats().cache_lookups, 3u);
-  EXPECT_EQ(engine.stats().cache_hits, 2u) << "a cached miss is as final as a cached route";
-}
-
-TEST(BatchEngine, CachePersistsAcrossBatches) {
-  FrozenImage image(BuildRoutes());
-  const FrozenRouteSet& routes = image.routes();
-  BatchEngineOptions options;
-  options.threads = 2;
-  options.cache_entries = 64;
-  FrozenBatchEngine engine(&routes, options);
-
-  std::vector<std::string_view> queries = {"phs", "duke", "ucbvax"};
-  std::vector<BatchLookup> results(queries.size());
-  EXPECT_EQ(engine.ResolveBatch(queries, results), 3u);
-  uint64_t hits_after_first = engine.stats().cache_hits;
-  EXPECT_EQ(engine.ResolveBatch(queries, results), 3u);
-  EXPECT_EQ(engine.stats().cache_hits, hits_after_first + 3)
-      << "a server loop's second batch runs entirely from the warm cache";
-}
-
-// The ranges follow the batch's slots, not its names: at two threads the batch
-// a, b, a, b | a, b, a, b splits into two ranges of four, and each range's cache
-// pays its own first miss for both names.
-TEST(BatchEngine, EachRangeWarmsItsOwnCache) {
-  FrozenImage image(BuildRoutes());
-  const FrozenRouteSet& routes = image.routes();
-  BatchEngineOptions options;
-  options.threads = 2;
-  options.cache_entries = 64;
-  FrozenBatchEngine engine(&routes, options);
-
-  std::vector<std::string_view> queries = {"phs", "duke", "phs", "duke",
-                                           "phs", "duke", "phs", "duke"};
   Resolver resolver(&routes, ResolveOptions{});
-  std::vector<BatchLookup> expected(queries.size());
-  ASSERT_EQ(resolver.ResolveBatchScalar(queries, expected), queries.size());
+  std::vector<BatchLookup> serial(queries.size());
+  size_t serial_resolved = resolver.ResolveBatchScalar(queries, serial);
 
-  std::vector<BatchLookup> results(queries.size());
-  EXPECT_EQ(engine.ResolveBatch(queries, results), queries.size());
-  ExpectSameResults(expected, results, queries);
-  EXPECT_EQ(engine.stats().cache_lookups, 8u);
-  EXPECT_EQ(engine.stats().cache_hits, 4u) << "each range misses each name once";
-
-  EXPECT_EQ(engine.ResolveBatch(queries, results), queries.size());
-  ExpectSameResults(expected, results, queries);
-  EXPECT_EQ(engine.stats().cache_lookups, 16u);
-  EXPECT_EQ(engine.stats().cache_hits, 12u) << "both ranges are warm for both names";
-}
-
-TEST(BatchEngine, StrangersAreNeverCached) {
-  FrozenImage image(BuildRoutes());
-  const FrozenRouteSet& routes = image.routes();
   BatchEngineOptions options;
-  options.cache_entries = 64;
+  options.threads = 4;
   FrozenBatchEngine engine(&routes, options);
-  std::vector<std::string_view> queries = {"s1.rutgers.edu", "s1.rutgers.edu",
-                                           "nope.example", "nope.example"};
-  std::vector<BatchLookup> results(queries.size());
-  EXPECT_EQ(engine.ResolveBatch(queries, results), 2u);
-  EXPECT_EQ(engine.stats().cache_lookups, 0u)
-      << "no NameId, no cache key: strangers bypass the cache entirely";
+  std::vector<BatchLookup> parallel(queries.size());
+  EXPECT_EQ(engine.ResolveBatch(queries, parallel), serial_resolved);
+  ExpectSameResults(serial, parallel, queries);
 }
 
 TEST(BatchEngine, EmptyBatchAndTruncatedResultsSpan) {
@@ -271,7 +166,6 @@ TEST(BatchEngine, EmptyBatchAndTruncatedResultsSpan) {
   const FrozenRouteSet& routes = image.routes();
   BatchEngineOptions options;
   options.threads = 4;
-  options.cache_entries = 16;
   FrozenBatchEngine engine(&routes, options);
 
   std::vector<BatchLookup> none;
@@ -298,47 +192,9 @@ TEST(BatchEngine, ZeroThreadsMeansHardwareWidth) {
   EXPECT_EQ(engine.ResolveBatch(queries, results), 1u);
 }
 
-TEST(ResultCache, ClockEvictsUnreferencedWaysFirst) {
-  ResultCache cache(4);  // one set of four ways
-  ASSERT_EQ(cache.capacity(), 4u);
-  BatchLookup value;
-  value.via = 7;
-  BatchLookup out;
-  // With one set, every hash places a key there.
-  auto put = [&cache, &value](NameId id) { cache.Put(cache.Begin(id), id, value); };
-  auto get = [&cache, &out](NameId id) { return cache.Get(cache.Begin(id), id, &out); };
-
-  // Ids 0..3 fill the only set.
-  for (NameId id = 0; id < 4; ++id) {
-    put(id);
-  }
-  for (NameId id = 0; id < 4; ++id) {
-    EXPECT_TRUE(get(id));
-  }
-  // All four are armed; inserting a fifth forces the hand all the way around: it
-  // disarms everything, evicts exactly one resident, and the other three survive.
-  put(4);
-  EXPECT_TRUE(get(4));
-  int survivors = 0;
-  for (NameId id = 0; id < 4; ++id) {
-    if (get(id)) {
-      ++survivors;
-    }
-  }
-  EXPECT_EQ(survivors, 3);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST(ResultCache, RoundsCapacityAndDisablesAtZero) {
-  EXPECT_FALSE(ResultCache(0).enabled());
-  EXPECT_EQ(ResultCache(1).capacity(), 4u);
-  EXPECT_EQ(ResultCache(5).capacity(), 8u);
-  EXPECT_EQ(ResultCache(4096).capacity(), 4096u);
-}
-
-// A small topology with cacheable non-route keys: interning "a.b.org" also
-// interns ".b.org" and ".org", so querying ".b.org" produces a cacheable
-// suffix-match entry (via ".org") and querying ".z.net" a cacheable miss.
+// A small topology with interned non-route keys: interning "a.b.org" also
+// interns ".b.org" and ".org", so querying ".b.org" is a suffix match through an
+// interned name (via ".org") and querying ".z.net" an interned miss.
 RouteSet BuildChainRoutes(const char* org_route) {
   RouteSet set;
   set.Add("gate", "gate!%s", 5);
@@ -348,14 +204,12 @@ RouteSet BuildChainRoutes(const char* org_route) {
   return set;
 }
 
-// Regression: a cached suffix-match result depends on its VIA's route, not just
-// its own key.  Key-only invalidation left ".b.org"'s cached entry (via ".org")
-// stale when only ".org" changed; the adopt re-resolves the whole chain.
+// Regression: a suffix-match result depends on its VIA's route, not just its own
+// key: ".b.org" (via ".org") must follow a change to ".org" alone.
 TEST(BatchEngine, AdoptRoutesCondemnsSuffixMatchWhoseViaChanged) {
   FrozenImage v1(BuildChainRoutes("gate!%s"));
   BatchEngineOptions options;
   options.threads = 1;
-  options.cache_entries = 64;
   FrozenBatchEngine engine(&v1.routes(), options);
 
   std::vector<std::string_view> query = {".b.org"};
@@ -363,8 +217,7 @@ TEST(BatchEngine, AdoptRoutesCondemnsSuffixMatchWhoseViaChanged) {
   ASSERT_EQ(engine.ResolveBatch(query, result), 1u);
   ASSERT_TRUE(result[0].suffix_match);
   ASSERT_EQ(result[0].route.route, "gate!%s");
-  ASSERT_EQ(engine.ResolveBatch(query, result), 1u);  // now served from cache
-  ASSERT_GT(engine.stats().cache_hits, 0u);
+  ASSERT_EQ(engine.ResolveBatch(query, result), 1u);
 
   // Only ".org"'s route differs.
   FrozenImage v2(BuildChainRoutes("spool!%s"));
@@ -372,23 +225,21 @@ TEST(BatchEngine, AdoptRoutesCondemnsSuffixMatchWhoseViaChanged) {
 
   ASSERT_EQ(engine.ResolveBatch(query, result), 1u);
   EXPECT_EQ(result[0].route.route, "spool!%s")
-      << "cached suffix match survived although its via's route changed";
+      << "the suffix match kept the old route although its via's route changed";
 }
 
-// Regression: a cached MISS depends on every id of its suffix chain staying
-// routeless.  When ".net" gains a route, the cached miss for ".z.net" must go.
+// Regression: a MISS depends on every id of its suffix chain staying routeless.
+// When ".net" gains a route, the miss for ".z.net" must become a suffix match.
 TEST(BatchEngine, AdoptRoutesCondemnsCachedMissWhoseDomainGainedARoute) {
   FrozenImage image_v1(BuildChainRoutes("gate!%s"));
   BatchEngineOptions options;
   options.threads = 1;
-  options.cache_entries = 64;
   FrozenBatchEngine engine(&image_v1.routes(), options);
 
   std::vector<std::string_view> query = {".z.net"};
   std::vector<BatchLookup> result(1);
-  ASSERT_EQ(engine.ResolveBatch(query, result), 0u);  // miss, and cached as one
   ASSERT_EQ(engine.ResolveBatch(query, result), 0u);
-  ASSERT_GT(engine.stats().cache_hits, 0u);
+  ASSERT_EQ(engine.ResolveBatch(query, result), 0u);
 
   RouteSet v2 = BuildChainRoutes("gate!%s");
   v2.Add(".net", "gate!%s", 1);  // ".net" was interned already; now it has a route
@@ -396,7 +247,7 @@ TEST(BatchEngine, AdoptRoutesCondemnsCachedMissWhoseDomainGainedARoute) {
   engine.AdoptRoutes(&image_v2.routes());
 
   ASSERT_EQ(engine.ResolveBatch(query, result), 1u)
-      << "cached miss survived although its domain gained a route";
+      << "the miss survived although its domain gained a route";
   EXPECT_TRUE(result[0].suffix_match);
   EXPECT_EQ(result[0].route.route, "gate!%s");
 }
@@ -438,16 +289,14 @@ TEST(BatchEngine, CountChangedRoutesMatchesNamesNotIds) {
   EXPECT_EQ(CountChangedRoutes(served.routes(), reordered), 2u) << "reordered and edited";
 }
 
-// Any image adopts warm, whatever its ids: a two-shard engine adopts the same
-// routes added in another order, with one route changed, one removed and one
-// added.  Every cached name the fresh image still interns is answered from the
-// cache, and every answer is the fresh image's.
+// Any image adopts into the same engine, whatever its ids: a two-range engine
+// adopts the same routes added in another order, with one route changed, one
+// removed and one added, and every answer is the fresh image's.
 TEST(BatchEngine, AdoptRoutesAcrossIdSpacesKeepsTheCacheWarm) {
   RouteSet routes = BuildRoutes();
   FrozenImage image_a(routes);
   BatchEngineOptions options;
   options.threads = 2;
-  options.cache_entries = 4096;
   FrozenBatchEngine engine(&image_a.routes(), options);
   std::vector<std::string> pool = BuildQueryPool();
   pool.push_back("newhost");
@@ -468,20 +317,16 @@ TEST(BatchEngine, AdoptRoutesAcrossIdSpacesKeepsTheCacheWarm) {
   ASSERT_EQ(image_b.routes().names().Find("host9"), kNoName);
   engine.AdoptRoutes(&image_b.routes());
 
-  const BatchEngineStats before = engine.stats();
   std::vector<BatchLookup> after(queries.size());
   engine.ResolveBatch(queries, after);
   Resolver reference(&image_b.routes(), ResolveOptions{});
   std::vector<BatchLookup> expected(queries.size());
   reference.ResolveBatchScalar(queries, expected);
   ExpectSameResults(expected, after, queries);
-  // host9 is a stranger now and asks no cache; newhost is the one cold lookup.
-  EXPECT_EQ(engine.stats().cache_hits - before.cache_hits,
-            engine.stats().cache_lookups - before.cache_lookups - 1);
 }
 
-// The cache places a name by its hash, which folds as the interner does, so an
-// image that folds case differently starts cold: every entry is dropped.
+// An image that folds case differently adopts like any other: the next batch
+// answers as the folding image does.
 TEST(BatchEngine, AdoptRoutesAcrossACaseFoldingMismatchDropsEveryEntry) {
   RouteSet routes = BuildRoutes();
   FrozenImage image_a(routes);
@@ -498,20 +343,15 @@ TEST(BatchEngine, AdoptRoutesAcrossACaseFoldingMismatchDropsEveryEntry) {
 
   BatchEngineOptions options;
   options.threads = 2;
-  options.cache_entries = 64;
   FrozenBatchEngine engine(&image_a.routes(), options);
   std::vector<std::string_view> queries = {"phs", "duke", "m3.dept3.edu", ".rutgers.edu"};
   std::vector<BatchLookup> results(queries.size());
   engine.ResolveBatch(queries, results);
-  engine.ResolveBatch(queries, results);
-  ASSERT_EQ(engine.stats().cache_hits, queries.size());
 
   engine.AdoptRoutes(&image_b);
   std::vector<std::string_view> upper = {"PHS", "Duke", "M3.dept3.EDU", ".Rutgers.edu"};
   std::vector<BatchLookup> after(upper.size());
   engine.ResolveBatch(upper, after);
-  EXPECT_EQ(engine.stats().cache_hits, queries.size()) << "no entry survives";
-  EXPECT_EQ(engine.stats().cache_lookups, 3 * queries.size()) << "the counters keep counting";
   Resolver reference(&image_b, ResolveOptions{});
   std::vector<BatchLookup> expected(upper.size());
   reference.ResolveBatchScalar(upper, expected);
@@ -519,9 +359,9 @@ TEST(BatchEngine, AdoptRoutesAcrossACaseFoldingMismatchDropsEveryEntry) {
   EXPECT_TRUE(after[0].route.ok()) << "the folding image finds PHS";
 }
 
-// After AdoptRoutes, NOTHING in the engine may reference the old source: every
-// kept cache entry is re-resolved onto the fresh storage.  Clobbering the
-// old image's bytes (the moral equivalent of munmap) must not change any result.
+// After AdoptRoutes, NOTHING in the engine may reference the old source.
+// Clobbering the old image's bytes (the moral equivalent of munmap) must not
+// change any result.
 TEST(BatchEngine, AdoptRoutesReleasesEveryReferenceToTheOldImage) {
   RouteSet v1 = BuildChainRoutes("gate!%s");
   std::string image_a = image::ImageWriter::Freeze(v1);
@@ -532,12 +372,11 @@ TEST(BatchEngine, AdoptRoutesReleasesEveryReferenceToTheOldImage) {
 
   BatchEngineOptions options;
   options.threads = 1;
-  options.cache_entries = 64;
   FrozenBatchEngine engine(&frozen_a, options);
 
   std::vector<std::string_view> queries = {"a.b.org", ".b.org", ".z.net", "gate"};
   std::vector<BatchLookup> results(queries.size());
-  engine.ResolveBatch(queries, results);  // warm the cache with all entry kinds
+  engine.ResolveBatch(queries, results);  // every result kind, over image A
 
   RouteSet v2 = BuildChainRoutes("spool!%s");
   std::string image_b = image::ImageWriter::Freeze(v2);

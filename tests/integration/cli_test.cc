@@ -259,9 +259,9 @@ TEST_F(CliTest, RoutedbBuildAndImageFlagAreUsageErrors) {
 }
 
 TEST_F(CliTest, RoutedbBatchThreadsAndCacheFlagsNeverChangeTheBytes) {
-  // The sharded engine's CLI guarantee: any --threads/--cache-entries combination
-  // emits byte-identical output, stderr summary included, on a stream where 90% of
-  // the queries repeat a hot set.
+  // The batch engine's CLI guarantee: any --threads setting emits byte-identical
+  // output, stderr summary included, on a stream where 90% of the queries repeat a
+  // hot set.
   std::string routes = (dir_ / "routes.txt").string();
   std::string pari = (dir_ / "routes.pari").string();
   ASSERT_EQ(RunCommand(std::string(PATHALIAS_BIN) + " -c -l unc -o " + routes + " " +
@@ -289,22 +289,12 @@ TEST_F(CliTest, RoutedbBatchThreadsAndCacheFlagsNeverChangeTheBytes) {
       RunCommand(std::string(ROUTEDB_BIN) + " batch " + pari + " " + hosts);
   ASSERT_EQ(baseline.status, 0);
   EXPECT_NE(baseline.output.find("phs\tphs"), std::string::npos) << baseline.output;
-  for (const char* flags : {"--threads 4", "--cache-entries 512",
-                            "--threads 8 --cache-entries 512", "--threads 0",
-                            "--threads 4 --cache-entries 512"}) {
+  for (const char* flags : {"--threads 2", "--threads 4", "--threads 8", "--threads 0"}) {
     CommandResult run = RunCommand(std::string(ROUTEDB_BIN) + " batch " + flags + " " +
                                    pari + " " + hosts);
     EXPECT_EQ(run.status, 0) << flags;
     EXPECT_EQ(run.output, baseline.output) << flags;
   }
-
-  // --stats is the opt-in exception: it adds the execution summary on stderr.
-  CommandResult stats_run = RunCommand(std::string(ROUTEDB_BIN) +
-                                       " batch --threads 2 --cache-entries 512 --stats " +
-                                       pari + " " + hosts);
-  EXPECT_EQ(stats_run.status, 0);
-  EXPECT_NE(stats_run.output.find("2 shard(s)"), std::string::npos) << stats_run.output;
-  EXPECT_NE(stats_run.output.find("cache hits"), std::string::npos) << stats_run.output;
 
   // The flags are batch-only.
   CommandResult misuse =
@@ -423,8 +413,8 @@ TEST_F(CliTest, EveryToolRejectsUnknownOptions) {
   }
 }
 
-// routedbd's engine is fixed (one thread, a 4096-entry cache): its old engine
-// flags are unknown options, refused before any image is opened.
+// routedbd's engine is fixed (one thread, no result cache): its old engine flags
+// are unknown options, refused before any image is opened.
 TEST_F(CliTest, RoutedbdEngineFlagsAreUnknownOptions) {
   const std::pair<std::string, std::string> flags[] = {
       {"--threads", "2"}, {"--cache-entries", "4096"}, {"--cache-entries", "0"}};
@@ -867,6 +857,27 @@ TEST_F(CliTest, RoutedbUpdateRemoveOfAnUnknownFileIsAnError) {
   EXPECT_NE(WEXITSTATUS(RunCommand(in_dir + " get routes.pari gw").status), 0);
 }
 
+// The batch engine has no result cache: `routedb batch` refuses the flag that
+// sized it and the --stats line that counted its hits as unknown options, before
+// any image is opened, whatever operand --cache-entries carries.
+TEST_F(CliTest, RoutedbBatchCacheAndStatsFlagsAreUnknownOptions) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"--cache-entries 512", "--cache-entries"},
+      {"--cache-entries 1x", "--cache-entries"},
+      {"--cache-entries -1", "--cache-entries"},
+      {"--cache-entries 1048577", "--cache-entries"},
+      {"--stats", "--stats"},
+      {"--threads 2 --stats", "--stats"}};
+  for (const auto& [flags, flag] : cases) {
+    CommandResult result =
+        RunCommand(std::string(ROUTEDB_BIN) + " batch " + flags + " db < /dev/null");
+    EXPECT_EQ(WEXITSTATUS(result.status), 2) << flags << ": " << result.output;
+    EXPECT_NE(result.output.find("unknown option " + flag), std::string::npos)
+        << flags << ": " << result.output;
+    EXPECT_NE(result.output.find("usage"), std::string::npos) << flags << ": " << result.output;
+  }
+}
+
 // Numeric-flag parsing parity: junk, negative, overflow, and out-of-bounds operands
 // must produce a named-flag diagnostic and exit 2 — never an uncaught exception
 // (mapgen --seed used to die on std::stoull) and never silent truncation.
@@ -891,15 +902,6 @@ TEST_F(CliTest, NumericFlagOperandsAreValidatedEverywhere) {
        "--threads"},
       {"batch threads out of bounds",
        std::string(ROUTEDB_BIN) + " batch --threads 1000000 db < /dev/null", "--threads"},
-      {"batch cache junk",
-       std::string(ROUTEDB_BIN) + " batch --cache-entries 1x db < /dev/null",
-       "--cache-entries"},
-      {"batch cache negative",
-       std::string(ROUTEDB_BIN) + " batch --cache-entries -1 db < /dev/null",
-       "--cache-entries"},
-      {"batch cache out of bounds",
-       std::string(ROUTEDB_BIN) + " batch --cache-entries 1048577 db < /dev/null",
-       "--cache-entries"},
   };
   for (const Case& test_case : cases) {
     CommandResult result = RunCommand(test_case.command);

@@ -8,16 +8,19 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "src/image/frozen_route_set.h"
 #include "src/image/image_writer.h"
 #include "src/incr/map_builder.h"
 #include "src/incr/state_dir.h"
 #include "src/net/wire.h"
+#include "src/route_db/resolver.h"
 
 namespace pathalias {
 namespace net {
@@ -48,6 +51,18 @@ std::vector<InputFile> MapFiles(const fs::path& dir) {
       {(dir / "core.map").string(), "hub\tmid(100), far(400)\n"},
       {(dir / "mid.map").string(), "mid\thub(100), leafa(50), leafb(60)\n"},
       {(dir / "far.map").string(), "far\thub(400), leafc(10)\nleafc\tfar(10)\n"},
+  };
+}
+
+// A routed domain behind "gw", and interned names without a route of their own
+// on both sides of it: ".cs.rutgers.edu" (interned by a.cs.rutgers.edu) under
+// it, ".edu" above it.
+std::vector<InputFile> DomainFiles(const fs::path& dir) {
+  return {
+      {(dir / "core.map").string(), "hub\tmid(100), gw(50), a.cs.rutgers.edu(20)\n"},
+      {(dir / "mid.map").string(), "mid\thub(100), leafa(50)\n"},
+      {(dir / "gw.map").string(),
+       "gw\thub(50), .rutgers.edu(10)\n.rutgers.edu\tcaip(0), topaz(0)\n"},
   };
 }
 
@@ -124,11 +139,17 @@ class Client {
 
 class DaemonTest : public ::testing::Test {
  protected:
-  void StartDaemon(DaemonOptions options) {
+  // Serves the image of `map`'s files, which are also its SIGHUP reload sources.
+  void StartDaemon(DaemonOptions options,
+                   std::vector<InputFile> (*map)(const fs::path&) = MapFiles) {
     dir_ = MakeScratchDir();
     image_path_ = (dir_ / "routes.pari").string();
-    InitImage(MapFiles(dir_), image_path_);
+    std::vector<InputFile> files = map(dir_);
+    InitImage(files, image_path_);
     options.rollover.image_path = image_path_;
+    for (const InputFile& file : files) {
+      options.rollover.map_files.push_back(file.name);
+    }
     if (options.unix_path.empty() && options.udp_port < 0) {
       options.unix_path = (dir_ / "d.sock").string();
     }
@@ -354,6 +375,96 @@ TEST_F(DaemonTest, ReplayBufferEnforcesItsByteBudget) {
   daemon_->PollOnce(100);
   ASSERT_TRUE(client.Receive().has_value());
   EXPECT_GE(daemon_->stats().duplicate_requests, 1u);
+}
+
+// The daemon resolves each turn through the resolver's window.  One turn
+// coalesces requests that reach every part of it: 70 strangers under one routed
+// domain (enough for the suffix memo that runs after the window), interned names
+// without a route of their own (finished after the window from their ids), exact
+// hits and malformed names.  Every reply slot must equal ResolveBatchScalar over
+// the image on disk, before and after a SIGHUP reload that reroutes the domain.
+TEST_F(DaemonTest, EveryReplySlotOfACoalescedTurnMatchesTheScalarResolver) {
+  StartDaemon(DaemonOptions{}, DomainFiles);
+  std::vector<std::string> strangers;
+  for (int i = 0; i < 70; ++i) {
+    strangers.push_back("s" + std::to_string(i) + ".rutgers.edu");
+  }
+  strangers.push_back("b.cs.rutgers.edu");
+  strangers.push_back("nobody.example");
+  const std::vector<std::vector<std::string>> requests = {
+      strangers,
+      {".cs.rutgers.edu", ".edu", "s1.rutgers.edu", ".rutgers.edu"},
+      {"leafa", "bad query", "caip.rutgers.edu", "ctl\x01", "a.cs.rutgers.edu", "gw"},
+  };
+  const std::vector<std::string> malformed = {"bad query", "ctl\x01"};
+  Client client(dir_, "c1.sock", daemon_->unix_path());
+
+  // Sends every request, runs one turn, and checks each reply slot.  Returns the
+  // route the served image gives s5.rutgers.edu.
+  auto check_turn = [&](uint64_t first_id) -> std::string {
+    const uint64_t batches = daemon_->stats().batches;
+    for (size_t r = 0; r < requests.size(); ++r) {
+      client.Send(first_id + r,
+                  std::vector<std::string_view>(requests[r].begin(), requests[r].end()));
+    }
+    daemon_->PollOnce(100);
+    EXPECT_EQ(daemon_->stats().batches, batches + 1) << "the requests must coalesce";
+
+    std::string error;
+    auto disk = FrozenImage::Open(image_path_, image::ImageView::Verify::kStructure, &error);
+    EXPECT_TRUE(disk.has_value()) << error;
+    if (!disk.has_value()) {
+      return "";
+    }
+    Resolver scalar(&disk->routes(), ResolveOptions{});
+    std::string stranger_route;
+    for (size_t r = 0; r < requests.size(); ++r) {
+      std::vector<std::string_view> queries(requests[r].begin(), requests[r].end());
+      std::vector<BatchLookup> expected(queries.size());
+      scalar.ResolveBatchScalar(queries, expected);
+      auto reply = client.Receive();
+      EXPECT_TRUE(reply.has_value());
+      if (!reply.has_value()) {
+        return "";
+      }
+      EXPECT_EQ(reply->request_id, first_id + r);
+      EXPECT_EQ(reply->flags, 0u);
+      EXPECT_EQ(reply->results.size(), queries.size());
+      for (size_t i = 0; i < queries.size() && i < reply->results.size(); ++i) {
+        const ReplyResult& got = reply->results[i];
+        if (std::find(malformed.begin(), malformed.end(), queries[i]) != malformed.end()) {
+          EXPECT_EQ(got.status, kResultMalformed) << queries[i];
+        } else if (!expected[i].route.ok()) {
+          EXPECT_EQ(got.status, kResultMiss) << queries[i];
+        } else {
+          EXPECT_EQ(got.status, expected[i].suffix_match ? kResultSuffix : kResultExact)
+              << queries[i];
+          EXPECT_EQ(got.via, disk->routes().names().View(expected[i].via)) << queries[i];
+          EXPECT_EQ(got.route, expected[i].route.route) << queries[i];
+        }
+        if (queries[i] == "s5.rutgers.edu") {
+          stranger_route = std::string(got.route);
+        }
+      }
+    }
+    return stranger_route;
+  };
+
+  EXPECT_EQ(check_turn(1), "gw!%s");
+
+  // Move the domain behind "mid" and reload.
+  std::vector<InputFile> rerouted = DomainFiles(dir_);
+  rerouted[1].content =
+      "mid\thub(100), leafa(50), .rutgers.edu(10)\n.rutgers.edu\tcaip(0), topaz(0)\n";
+  rerouted[2].content = "gw\thub(50)\n";
+  for (const InputFile& file : rerouted) {
+    WriteFileAt(file.name, file.content);
+  }
+  daemon_->RequestReload();
+  ASSERT_TRUE(daemon_->PollOnce(100));
+  ASSERT_EQ(daemon_->stats().reloads_applied, 1u);
+
+  EXPECT_EQ(check_turn(11), "mid!%s");
 }
 
 }  // namespace

@@ -113,7 +113,6 @@ class RolloverDaemonTest : public ::testing::Test {
         options.rollover.map_files.push_back(file.name);
       }
     }
-    options.rollover.engine.cache_entries = 1024;  // staleness must be possible
     options.unix_path = (dir_ / "d.sock").string();
     options.watch_interval_ms = watch_interval_ms;
     daemon_.emplace(std::move(options));
@@ -178,12 +177,12 @@ class RolloverDaemonTest : public ::testing::Test {
 
 // Satellite: the deterministic (non-TSan) linearizability check.  A reply the
 // client receives after the reload turn completes must carry the post-update
-// route — even for a query whose answer sat warm in the result cache — while a
-// retransmit of a pre-update request replays the pre-update bytes verbatim.
+// route — even for a query asked twice before it — while a retransmit of a
+// pre-update request replays the pre-update bytes verbatim.
 TEST_F(RolloverDaemonTest, HupReloadIsLinearizableForClients) {
   StartDaemon(/*with_map_files=*/true, /*watch_interval_ms=*/0);
 
-  // Warm the answer: second ask with a fresh id is served from the result cache.
+  // Ask twice under fresh ids: both are resolved, neither is a replay.
   EXPECT_EQ(RouteOf(1, "leafc"), "far!leafc!%s");
   EXPECT_EQ(RouteOf(2, "leafc"), "far!leafc!%s");
 
@@ -241,7 +240,7 @@ void SpinUntilGeneration(Daemon* daemon, uint64_t generation) {
 TEST_F(RolloverDaemonTest, WatchPicksUpExternalImageReplacement) {
   StartDaemon(/*with_map_files=*/false, /*watch_interval_ms=*/1);
   EXPECT_EQ(RouteOf(1, "leafc"), "far!leafc!%s");
-  EXPECT_EQ(RouteOf(2, "leafc"), "far!leafc!%s");  // warm the cache
+  EXPECT_EQ(RouteOf(2, "leafc"), "far!leafc!%s");
 
   UpdateReport update = OneShotUpdate(image_path_, FilesB(dir_));
   ASSERT_EQ(update.outcome, UpdateOutcome::kPublished) << update.error;
@@ -345,7 +344,6 @@ TEST(RolloverController, SwappedOutImagesAreFreedAtTheNextRetire) {
 
   RolloverOptions options;
   options.image_path = image_path;
-  options.engine.cache_entries = 64;
   RolloverController controller(options);
   std::string error;
   ASSERT_TRUE(controller.Start(&error)) << error;
@@ -404,8 +402,8 @@ std::string AnswerText(const FrozenRouteSet& routes, const BatchLookup& lookup) 
          std::string(lookup.route.route) + "\t" + std::to_string(lookup.route.cost);
 }
 
-// Resolves every name of `names` through the controller's served engine: its
-// warm cache answers whatever it already holds.
+// Resolves every name of `names` through the controller's served engine, as a
+// client's traffic would before an adopt.
 void Warm(RolloverController* controller, const std::vector<std::string>& names) {
   std::vector<std::string_view> queries(names.begin(), names.end());
   std::vector<BatchLookup> results(queries.size());
@@ -453,7 +451,6 @@ RolloverOptions ServingOptions(const std::string& image_path,
   for (const InputFile& file : map_files) {
     options.map_files.push_back(file.name);
   }
-  options.engine.cache_entries = 4096;  // routedbd's default
   return options;
 }
 
@@ -632,10 +629,10 @@ TEST(RolloverController, HupHealsATornPairOrNamesTheUnreadableSource) {
   EXPECT_FALSE(controller.routes()->FindRouteView("leafw").ok());
 }
 
-// Any image adopts warm: B holds A's routes, interned in another order, as
-// `routedb freeze` of sorted pathalias output would publish them.  CheckImage
-// applies B into the same engine, the next batch of A's names is all cache hits,
-// and it answers as a cold engine over B does.
+// Any image adopts into the serving engine: B holds A's routes, interned in
+// another order, as `routedb freeze` of sorted pathalias output would publish
+// them.  CheckImage applies B into the same engine, and the next batch of A's
+// names answers as a resolver over B does.
 TEST(RolloverController, AnImageInternedInAnotherOrderAdoptsWarm) {
   fs::path dir = MakeScratchDir();
   std::string image_path = (dir / "routes.pari").string();
@@ -661,11 +658,6 @@ TEST(RolloverController, AnImageInternedInAnotherOrderAdoptsWarm) {
   EXPECT_EQ(detail, "image replaced");
   EXPECT_EQ(controller.engine(), engine) << detail;
   EXPECT_EQ(controller.RetireDrained(), 1u);
-
-  const exec::BatchEngineStats before = engine->stats();
-  Warm(&controller, names);
-  EXPECT_EQ(engine->stats().cache_lookups - before.cache_lookups, names.size());
-  EXPECT_EQ(engine->stats().cache_hits - before.cache_hits, names.size());
   ExpectAnswersLikeTheImageOnDisk(&controller, image_path, names);
 }
 

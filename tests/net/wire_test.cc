@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace pathalias {
@@ -161,6 +162,31 @@ TEST(Wire, ReplyFlagBytePositionIsStable) {
   uint16_t flags;
   std::memcpy(&flags, datagram.data() + 6, sizeof(flags));
   EXPECT_EQ(flags, kReplyFlagBadRequest);
+}
+
+// The routable-query rule at its boundary bytes: 0x21 '!' and 0x7e '~' are the
+// first and last routable bytes; tab and space are whitespace; 0x7f and 0x80 are
+// a control byte and a non-ASCII one.  The messages are `routedb batch`'s.
+TEST(Wire, QueryDefectAcceptsExactlyPrintableNonBlankAscii) {
+  const std::pair<std::string, const char*> cases[] = {
+      {"", "is empty"},
+      {"a\x09" "b", "contains whitespace"},
+      {"a\x20" "b", "contains whitespace"},
+      {"\x21", nullptr},
+      {"\x7e", nullptr},
+      {"a\x7f", "contains a control or non-ASCII byte"},
+      {"a\x80", "contains a control or non-ASCII byte"},
+      {"caip.rutgers.edu", nullptr},
+  };
+  for (const auto& [query, defect] : cases) {
+    const char* got = QueryDefect(query);
+    if (defect == nullptr) {
+      EXPECT_EQ(got, nullptr) << "'" << query << "': " << (got ? got : "");
+    } else {
+      ASSERT_NE(got, nullptr) << "'" << query << "'";
+      EXPECT_STREQ(got, defect) << "'" << query << "'";
+    }
+  }
 }
 
 }  // namespace
