@@ -131,6 +131,13 @@ def main():
         print(f"\n{len(only_fresh)} new metric(s) not in the committed file: "
               + ", ".join(f"`{path}`" for path in only_fresh[:10])
               + ("…" if len(only_fresh) > 10 else ""))
+    # ... and metrics a shared section no longer produces.
+    only_committed = sorted(path for path in set(committed_leaves) - set(fresh_leaves)
+                            if path.split(".", 1)[0] not in retired_sections)
+    if only_committed:
+        print(f"\n{len(only_committed)} retired metric(s) only in the committed file: "
+              + ", ".join(f"`{path}`" for path in only_committed[:10])
+              + ("…" if len(only_committed) > 10 else ""))
     if warnings:
         print(f"\n⚠️ {warnings} metric(s) regressed by more than {THRESHOLD:.0%}.")
     else:

@@ -14,10 +14,11 @@
 #                                     failpoints live only in the daemon's env)
 #                                     replaces the image; the watch picks it up
 #   6. damaged state dir + SIGHUP     a same-length edit inside a kept source's
-#                                     payload: the reload must fail and the old
-#                                     map keep serving; `routedb update --init`
-#                                     re-pairs image and state, the watch adopts
-#                                     it, and the next SIGHUP applies again
+#                                     bytes in the manifest: the reload must
+#                                     fail and the old map keep serving;
+#                                     `routedb update --init` re-pairs image
+#                                     and state, the watch adopts it, and the
+#                                     next SIGHUP applies again
 #   7. SIGTERM                        clean exit (status 0)
 #
 # Usage: chaos_smoke.sh <routedb-bin> <routedbd-bin> [workdir]
@@ -141,13 +142,15 @@ say "external update picked up by the watch"
 
 # --- 6. a damaged state dir.  Every SIGHUP loads <image>.state; no builder is
 # kept between updates.  Swap leafb for leafz
-# inside the payload that mid.map's manifest line names (same length, so only
-# the payload's own digest can tell), and give far.map a new host. ---
+# inside mid.map's bytes, which the manifest carries inline after mid.map's
+# name line (same length, so only the manifest's digest can tell), and give
+# far.map a new host. ---
 STATE="$IMAGE.state"
-PAYLOAD=$(awk -F'\t' -v src="$DIR/mid.map" '$3 == src {print $2}' "$STATE/manifest")
-[[ -n "$PAYLOAD" && -f "$STATE/artifacts/$PAYLOAD" ]] \
-    || fail "no payload for mid.map in $STATE/manifest"
-sed -i 's/leafb/leafz/' "$STATE/artifacts/$PAYLOAD"
+grep -qxF "$DIR/mid.map" "$STATE/manifest" \
+    || fail "no inline bytes for mid.map in $STATE/manifest"
+# From mid.map's name line to the next source's header line.
+sed -i "\\|^$DIR/mid.map\$|,/^file [0-9]* [0-9]*\$/ s/leafb/leafz/" "$STATE/manifest"
+grep -q 'leafz' "$STATE/manifest" || fail "the swap missed mid.map's bytes"
 printf 'far\thub(400), leafc(10), leafd(5)\nleafc\tfar(10)\n' > "$DIR/far.map"
 FAILED_BEFORE=$(grep -c 'reload (SIGHUP) failed' "$DIR/daemon.log")
 kill -HUP "$DAEMON_PID"

@@ -2,8 +2,8 @@
 
 namespace pathalias {
 
-RunResult Run(const std::vector<InputFile>& files, const RunOptions& options,
-              Diagnostics* diag) {
+RunResult CompileMap(const std::vector<InputFile>& files, const RunOptions& options,
+                     Diagnostics* diag) {
   RunResult result;
   result.graph = std::make_unique<Graph>(diag, options.graph);
 
@@ -37,6 +37,12 @@ RunResult Run(const std::vector<InputFile>& files, const RunOptions& options,
 
   RoutePrinter printer(result.map, options.print);
   result.routes = printer.Build();
+  return result;
+}
+
+RunResult Run(const std::vector<InputFile>& files, const RunOptions& options,
+              Diagnostics* diag) {
+  RunResult result = CompileMap(files, options, diag);
   result.output = RoutePrinter::Render(result.routes, options.print);
   return result;
 }

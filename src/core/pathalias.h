@@ -3,7 +3,10 @@
 // This is the library equivalent of running the pathalias program: feed it map files,
 // get back the route list plus everything the phases learned (graph, mapping stats,
 // structured routes).  Each phase remains individually usable — see Parser, Mapper and
-// RoutePrinter — this header just wires the common pipeline.
+// RoutePrinter — this header just wires the common pipeline.  CompileMap is the
+// pipeline up to the structured routes; Run is CompileMap plus rendering the text.
+// incr::MapBuilder compiles every update through CompileMap, so an update and a
+// pathalias run cannot drift apart.
 
 #ifndef SRC_CORE_PATHALIAS_H_
 #define SRC_CORE_PATHALIAS_H_
@@ -45,8 +48,14 @@ struct RunResult {
   std::string output;  // rendered route list
 };
 
-// Runs the full pipeline.  Diagnostics accumulate in *diag; parse errors do not abort
-// (bad lines are skipped), but a missing local host yields an empty route list.
+// Parses, defaults the local host, maps, warns about unreachable hosts and emits
+// the structured routes; `output` stays empty.  Diagnostics accumulate in *diag;
+// parse errors do not abort (bad lines are skipped), but a missing local host
+// yields an empty route list and a null graph->local().
+RunResult CompileMap(const std::vector<InputFile>& files, const RunOptions& options,
+                     Diagnostics* diag);
+
+// Runs the full pipeline: CompileMap, then renders `output`.
 RunResult Run(const std::vector<InputFile>& files, const RunOptions& options,
               Diagnostics* diag);
 

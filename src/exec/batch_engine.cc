@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/image/frozen_route_set.h"
-
 namespace pathalias {
 namespace exec {
 
@@ -40,26 +38,6 @@ size_t FrozenBatchEngine::ResolveBatch(std::span<const std::string_view> hosts,
     resolved += range_count;
   }
   return resolved;
-}
-
-size_t CountChangedRoutes(const FrozenRouteSet& replaced, const RouteSet& built) {
-  const NameInterner& old_names = replaced.names();
-  const NameInterner& new_names = built.names();
-  size_t changed = 0;
-  size_t kept = 0;  // replaced routes whose name the build routes too
-  for (const Route& route : built.routes()) {
-    RouteView old_route = replaced.FindRouteView(
-        old_names.FindPrehashed(new_names.View(route.name), new_names.HashOf(route.name)));
-    if (!old_route.ok()) {
-      ++changed;  // new
-      continue;
-    }
-    ++kept;
-    if (old_route.route != route.route || old_route.cost != route.cost) {
-      ++changed;
-    }
-  }
-  return changed + (replaced.size() - kept);  // ... and the removed ones
 }
 
 }  // namespace exec

@@ -89,11 +89,6 @@ class FrozenBatchEngine {
   std::vector<size_t> range_resolved_;  // per-range hit counts, one write each
 };
 
-// How many routes differ between a replaced image and the build that replaces it,
-// matched by name: a route whose bytes or cost changed, a new route and a removed
-// one each count once.  Ids play no part, so the two may number names any way.
-size_t CountChangedRoutes(const FrozenRouteSet& replaced, const RouteSet& built);
-
 }  // namespace exec
 }  // namespace pathalias
 

@@ -3,39 +3,15 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "src/core/mapper.h"
-#include "src/core/route_printer.h"
-#include "src/graph/graph.h"
+#include "src/core/pathalias.h"
 
 namespace pathalias {
 namespace incr {
-namespace {
-
-// The ids whose route differs between `before` and `after`, where `after`'s id
-// space extends `before`'s: a route's bytes or cost changed, or it appeared or
-// went away.  Two absent routes are equal.
-std::vector<NameId> ChangedIds(const RouteSet& before, const RouteSet& after) {
-  std::vector<NameId> changed;
-  const NameId count = static_cast<NameId>(after.names().size());
-  for (NameId id = 0; id < count; ++id) {
-    const Route* old_route = before.Find(id);
-    const Route* new_route = after.Find(id);
-    if (old_route == nullptr || new_route == nullptr
-            ? old_route != new_route
-            : old_route->route != new_route->route || old_route->cost != new_route->cost) {
-      changed.push_back(id);
-    }
-  }
-  return changed;
-}
-
-}  // namespace
 
 MapBuilder::MapBuilder(MapBuilderOptions options) : options_(std::move(options)) {}
 
 bool MapBuilder::Build(std::vector<InputFile> files) {
   artifacts_ = std::move(files);
-  routes_ = RouteSet();
   valid_ = Rebuild();
   return valid_;
 }
@@ -43,41 +19,20 @@ bool MapBuilder::Build(std::vector<InputFile> files) {
 void MapBuilder::Resume(std::vector<InputFile> files) {
   artifacts_ = std::move(files);
   routes_ = RouteSet();
-  dirty_route_ids_.clear();
   resumed_ = true;
   valid_ = false;
 }
 
 bool MapBuilder::Rebuild() {
   diag_.Clear();  // each compile reports only its own diagnostics
-  RouteSet fresh(routes_.names());
-  bool built = false;
-  {  // The graph and the mapper result end with this scope.
-    Graph graph(&diag_, Graph::Options{.ignore_case = options_.ignore_case});
-    Parser parser(&graph);
-    parser.ParseFiles(artifacts_);
-    // The same default the batch pipeline applies: the first host declared.
-    local_name_ = options_.local.empty() ? std::string(parser.first_host()) : options_.local;
-    if (local_name_.empty()) {
-      diag_.Error(SourcePos{}, "no hosts declared and no local host named");
-    } else {
-      graph.SetLocal(local_name_);
-      Mapper mapper(&graph, MapOptions{});
-      Mapper::Result map = mapper.Run();
-      for (const Node* unreachable : map.unreachable) {
-        diag_.Warn(SourcePos{}, std::string(graph.NameOf(unreachable)) + " is unreachable");
-      }
-      RoutePrinter printer(map, PrintOptions{});
-      for (const RouteEntry& entry : printer.Build()) {
-        fresh.Add(entry.name, entry.route, entry.cost);
-      }
-      built = true;
-    }
-  }
-  dirty_route_ids_ = ChangedIds(routes_, fresh);
-  routes_ = std::move(fresh);
+  RunOptions options;
+  options.local = options_.local;
+  RunResult compiled = CompileMap(artifacts_, options, &diag_);
+  const Node* local = compiled.graph->local();
+  local_name_ = local == nullptr ? std::string() : std::string(compiled.graph->NameOf(local));
+  routes_ = RouteSet::FromEntries(compiled.routes);
   resumed_ = false;
-  return built;
+  return local != nullptr;
 }
 
 UpdateStats MapBuilder::Update(const std::vector<InputFile>& changed,
@@ -115,11 +70,11 @@ UpdateStats MapBuilder::Update(const std::vector<InputFile>& changed,
 
   if (!edited && !resumed_) {
     stats.patched = true;  // nothing to compile
-    dirty_route_ids_.clear();
     return stats;
   }
+  const RouteSet previous = std::move(routes_);
   valid_ = Rebuild();
-  stats.routes_changed = dirty_route_ids_.size();
+  stats.routes_changed = CountChangedRoutes(previous, routes_);
   return stats;
 }
 

@@ -1,11 +1,9 @@
 #include "src/incr/state_dir.h"
 
-#include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <filesystem>
-#include <sstream>
-#include <unordered_set>
-#include <vector>
+#include <initializer_list>
+#include <string_view>
 
 #include "src/support/durable_file.h"
 #include "src/support/failpoint.h"
@@ -17,9 +15,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// v1 and v2 stored each file as a parse-op stream; v3 stores the source bytes
-// and ends the manifest with a digest line.
-constexpr int kManifestVersion = 3;
+// v1 and v2 stored each file as a parse-op stream, v3 kept each source in a
+// payload file of its own; v4 carries every source inline.
+constexpr uint64_t kManifestVersion = 4;
 
 // FNV-1a over raw bytes.
 uint64_t DigestBytes(std::string_view bytes) {
@@ -30,75 +28,94 @@ uint64_t DigestBytes(std::string_view bytes) {
   return hash;
 }
 
-// Slot index + digest of the source bytes: content-addressed, so a re-save never
-// overwrites a payload an older manifest still references.
-std::string ArtifactFileName(size_t index, uint64_t digest) {
-  char name[48];
-  std::snprintf(name, sizeof(name), "%04zu-%016llx.pai", index,
-                static_cast<unsigned long long>(digest));
-  return name;
-}
-
-// Durable temp + fsync + rename + parent-dir fsync: a crash mid-save leaves the
-// previous version intact, and a completed save survives power loss.
-bool WriteFileAtomically(const fs::path& path, std::string_view bytes) {
-  std::string error;
-  return support::PublishFileDurably(path.string(), bytes, "state.publish", &error);
-}
-
-std::optional<std::string> ReadWholeFile(const fs::path& path) {
-  if (support::failpoint::Inject("state.read")) {
-    return std::nullopt;
+// Parses "<key> <n>..." with exactly as many decimal numbers as `numbers` holds.
+bool ParseNumbers(std::string_view line, std::string_view key,
+                  std::initializer_list<uint64_t*> numbers) {
+  if (!line.starts_with(key)) {
+    return false;
   }
-  return support::ReadFileFully(path.string(), nullptr);
+  line.remove_prefix(key.size());
+  for (uint64_t* number : numbers) {
+    if (!line.starts_with(' ')) {
+      return false;
+    }
+    line.remove_prefix(1);
+    auto [end, ec] = std::from_chars(line.data(), line.data() + line.size(), *number);
+    if (ec != std::errc()) {
+      return false;
+    }
+    line.remove_prefix(static_cast<size_t>(end - line.data()));
+  }
+  return line.empty();
 }
+
+// A cursor over the manifest body.  Each read checks the bytes left before it
+// takes any.
+class Reader {
+ public:
+  explicit Reader(std::string_view bytes) : rest_(bytes) {}
+
+  // The next "<key> <n>..." line.
+  bool Numbers(std::string_view key, std::initializer_list<uint64_t*> numbers) {
+    size_t end = rest_.find('\n');
+    if (end == std::string_view::npos || !ParseNumbers(rest_.substr(0, end), key, numbers)) {
+      return false;
+    }
+    rest_.remove_prefix(end + 1);
+    return true;
+  }
+
+  // The next `length` bytes, which a newline must follow.
+  bool Bytes(uint64_t length, std::string* bytes) {
+    if (length >= rest_.size() || rest_[length] != '\n') {
+      return false;
+    }
+    bytes->assign(rest_.substr(0, length));
+    rest_.remove_prefix(length + 1);
+    return true;
+  }
+
+  bool done() const { return rest_.empty(); }
+
+ private:
+  std::string_view rest_;
+};
 
 }  // namespace
 
 bool SaveStateDir(const std::string& dir, const StateDirContents& contents) {
   std::error_code ec;
-  fs::create_directories(fs::path(dir) / "artifacts", ec);
+  fs::create_directories(dir, ec);
   if (ec) {
     return false;
   }
-  // Payloads are content-addressed and written via temp+rename, so a save torn at
-  // ANY point leaves the previous manifest's payload set intact and readable; the
-  // manifest rename below is the single commit point.
-  std::unordered_set<std::string> referenced;
-  std::string manifest;
-  manifest += "pathalias-state " + std::to_string(kManifestVersion) + "\n";
-  manifest += "local\t" + contents.local + "\n";
-  manifest += "ignore_case\t" + std::string(contents.ignore_case ? "1" : "0") + "\n";
-  manifest += "generation\t" + std::to_string(contents.image_generation) + "\n";
-  manifest += "files\t" + std::to_string(contents.artifacts.size()) + "\n";
-  for (size_t i = 0; i < contents.artifacts.size(); ++i) {
-    const InputFile& source = contents.artifacts[i];
-    uint64_t digest = DigestBytes(source.content);
-    std::string file_name = ArtifactFileName(i, digest);
-    fs::path payload_path = fs::path(dir) / "artifacts" / file_name;
-    // Content-addressed: a payload that already holds these bytes stays, so a
-    // 1-file update writes one payload, not the whole map's worth.  A damaged
-    // one is written again.
-    if (ReadWholeFile(payload_path) != source.content &&
-        !WriteFileAtomically(payload_path, source.content)) {
-      return false;
-    }
-    manifest += std::to_string(digest) + "\t" + file_name + "\t" + source.name + "\n";
-    referenced.insert(std::move(file_name));
+  size_t size = 96 + contents.local.size();
+  for (const InputFile& source : contents.artifacts) {
+    size += 48 + source.name.size() + source.content.size();
   }
-  manifest += "digest\t" + std::to_string(DigestBytes(manifest)) + "\n";
-  if (!WriteFileAtomically(fs::path(dir) / "manifest", manifest)) {
+  std::string manifest;
+  manifest.reserve(size);
+  manifest += "pathalias-state " + std::to_string(kManifestVersion) + "\n";
+  manifest += "local " + std::to_string(contents.local.size()) + "\n";
+  manifest += contents.local + "\n";
+  manifest += "generation " + std::to_string(contents.image_generation) + "\n";
+  for (const InputFile& source : contents.artifacts) {
+    manifest += "file " + std::to_string(source.name.size()) + " " +
+                std::to_string(source.content.size()) + "\n";
+    manifest += source.name;
+    manifest += '\n';
+    manifest += source.content;
+    manifest += '\n';
+  }
+  manifest += "digest " + std::to_string(DigestBytes(manifest)) + "\n";
+  std::string error;
+  if (!support::PublishFileDurably((fs::path(dir) / "manifest").string(), manifest,
+                                   "state.publish", &error)) {
     return false;
   }
-  // Now that the new manifest is committed, drop payloads nothing references.
-  // Best-effort: a leftover file is dead weight, never a correctness problem.
-  for (const fs::directory_entry& entry :
-       fs::directory_iterator(fs::path(dir) / "artifacts", ec)) {
-    std::string name = entry.path().filename().string();
-    if (name.ends_with(".pai") && !referenced.contains(name)) {
-      fs::remove(entry.path(), ec);
-    }
-  }
+  // A version 3 directory kept its sources under artifacts/, which nothing reads
+  // now.  Best-effort: a leftover is dead weight, never a correctness problem.
+  fs::remove_all(fs::path(dir) / "artifacts", ec);
   return true;
 }
 
@@ -109,102 +126,59 @@ std::optional<StateDirContents> LoadStateDir(const std::string& dir, std::string
     }
     return std::nullopt;
   };
-  std::optional<std::string> manifest = ReadWholeFile(fs::path(dir) / "manifest");
-  if (!manifest.has_value()) {
+  std::optional<std::string> read;
+  if (!support::failpoint::Inject("state.read")) {
+    read = support::ReadFileFully((fs::path(dir) / "manifest").string(), nullptr);
+  }
+  if (!read.has_value()) {
     return fail("cannot read manifest");
   }
-  if (!manifest->ends_with('\n')) {
-    return fail("manifest truncated");
-  }
-  std::istringstream in(*manifest);
-  std::string word;
-  int version = 0;
-  if (!(in >> word >> version) || word != "pathalias-state" || version < 1) {
+  const std::string_view manifest = *read;
+  const size_t header_end = manifest.find('\n');
+  uint64_t version = 0;
+  if (header_end == std::string_view::npos ||
+      !ParseNumbers(manifest.substr(0, header_end), "pathalias-state", {&version}) ||
+      version == 0) {
     return fail("unrecognized manifest header");
   }
   if (version != kManifestVersion) {
     return fail("manifest version " + std::to_string(version) + " is " +
                 (version > kManifestVersion ? "newer than this binary understands"
-                                            : "an older format that stored no sources") +
+                                            : "an older format than this binary reads") +
                 " — rebuild the state dir");
   }
-  StateDirContents contents;
-  std::string line;
-  std::getline(in, line);  // finish the header line
-  auto next_field = [&](std::string_view key, std::string* value) {
-    if (!std::getline(in, line)) {
-      return false;
-    }
-    size_t tab = line.find('\t');
-    if (tab == std::string::npos || std::string_view(line).substr(0, tab) != key) {
-      return false;
-    }
-    *value = line.substr(tab + 1);
-    return true;
-  };
-  std::string field;
-  if (!next_field("local", &contents.local)) {
-    return fail("manifest missing local host");
+  // The last line digests every byte before it, so no damaged field is parsed.
+  if (!manifest.ends_with('\n')) {
+    return fail("manifest truncated");
   }
-  if (!next_field("ignore_case", &field)) {
-    return fail("manifest missing ignore_case");
-  }
-  contents.ignore_case = field == "1";
-  if (!next_field("generation", &field)) {
-    return fail("manifest missing generation");
-  }
-  try {
-    contents.image_generation = std::stoull(field);
-  } catch (...) {
-    return fail("malformed generation");
-  }
-  if (!next_field("files", &field)) {
-    return fail("manifest missing file count");
-  }
-  size_t count = 0;
-  try {
-    count = std::stoul(field);
-  } catch (...) {
-    return fail("malformed file count");
-  }
-  for (size_t i = 0; i < count; ++i) {
-    if (!std::getline(in, line)) {
-      return fail("manifest truncated");
-    }
-    size_t tab1 = line.find('\t');
-    size_t tab2 = tab1 == std::string::npos ? std::string::npos : line.find('\t', tab1 + 1);
-    if (tab2 == std::string::npos) {
-      return fail("malformed manifest line");
-    }
-    uint64_t digest = 0;
-    try {
-      digest = std::stoull(line.substr(0, tab1));
-    } catch (...) {
-      return fail("malformed digest");
-    }
-    std::string artifact_file = line.substr(tab1 + 1, tab2 - tab1 - 1);
-    std::optional<std::string> bytes = ReadWholeFile(fs::path(dir) / "artifacts" / artifact_file);
-    if (!bytes.has_value()) {
-      return fail("cannot read artifact " + artifact_file);
-    }
-    if (DigestBytes(*bytes) != digest) {
-      return fail("artifact " + artifact_file + " does not match its manifest entry");
-    }
-    contents.artifacts.push_back(InputFile{line.substr(tab2 + 1), std::move(*bytes)});
-  }
-  // The last line digests every byte before it, so no damaged field loads.
-  const std::streampos sealed = in.tellg();
-  if (sealed == std::streampos(-1) || !next_field("digest", &field)) {
+  const size_t sealed = manifest.rfind('\n', manifest.size() - 2) + 1;
+  uint64_t seal = 0;
+  if (sealed <= header_end ||
+      !ParseNumbers(manifest.substr(sealed, manifest.size() - 1 - sealed), "digest", {&seal})) {
     return fail("manifest missing digest");
   }
-  uint64_t seal = 0;
-  try {
-    seal = std::stoull(field);
-  } catch (...) {
-    return fail("malformed manifest digest");
-  }
-  if (seal != DigestBytes(std::string_view(*manifest).substr(0, static_cast<size_t>(sealed)))) {
+  if (seal != DigestBytes(manifest.substr(0, sealed))) {
     return fail("manifest does not match its digest");
+  }
+
+  Reader in(manifest.substr(header_end + 1, sealed - header_end - 1));
+  StateDirContents contents;
+  uint64_t length = 0;
+  if (!in.Numbers("local", {&length}) || !in.Bytes(length, &contents.local)) {
+    return fail("malformed local host");
+  }
+  if (!in.Numbers("generation", {&contents.image_generation})) {
+    return fail("malformed generation");
+  }
+  while (!in.done()) {
+    uint64_t name_length = 0;
+    InputFile source;
+    if (!in.Numbers("file", {&name_length, &length}) || !in.Bytes(name_length, &source.name) ||
+        !in.Bytes(length, &source.content)) {
+      return fail("source " + std::to_string(contents.artifacts.size()) +
+                  " runs past the end of the manifest");
+    }
+    contents.artifacts.push_back(std::move(source));
   }
   return contents;
 }

@@ -1,21 +1,25 @@
-// StateDir: the on-disk form of a MapBuilder's kept sources.
+// StateDir: the on-disk form of the map sources an image was built from.
 //
-// Layout (all files under one directory):
-//   manifest            text: format version, local host, ignore_case, generation,
-//                       one line per input file — digest, payload file, input
-//                       name — and last a digest of every line before it
-//   artifacts/NNNN-DIGEST.pai  one input file's bytes, in file order
+// A state dir is a directory holding one file, `manifest` (format version 4):
 //
-// The manifest is written last, via durable temp-file + fsync + rename (see
-// src/support/durable_file.h), so a crashed save leaves the previous state
-// readable.  Digests are FNV-1a-64.  Load recomputes the digest of every payload
-// and of the manifest itself, and rejects the directory wholesale on any
-// mismatch: a state dir is a cache, and the inputs can always rebuild it.
+//   pathalias-state 4
+//   local <n>                 then the local host's n bytes and a newline
+//   generation <g>
+//   file <n> <m>              per input file, in input order: then the name's n
+//                             bytes, a newline, the source's m bytes, a newline
+//   digest <d>                FNV-1a-64 of every byte before this line
 //
-// Manifest format version 3 stores the sources themselves.  Versions 1 and 2
-// stored a parse form that is gone, so they are refused like an unrecognized
-// future version: with a clean rebuild-the-state-dir error, never parsed on
-// faith.
+// Every string is length-prefixed, so any bytes round-trip, a name with a tab or
+// a newline included.  A save is one durable publish (temp file + fsync + rename,
+// src/support/durable_file.h), so a crashed save leaves the previous manifest
+// readable.  A load checks the digest and then every length against the bytes
+// left, and rejects the directory wholesale on any mismatch: a state dir is a
+// cache, and the inputs can always rebuild it.
+//
+// Versions 1 and 2 stored a parse form that is gone, and version 3 kept each
+// source in its own file under artifacts/.  All three are refused like an
+// unrecognized future version: with a clean rebuild-the-state-dir error, never
+// parsed on faith.  A save over a version 3 directory removes its artifacts/.
 //
 // Every state dir accompanies a .pari image, at <image>.state.  The update step
 // (net::UpdateImage in src/net/rollover.h, run by `routedb update` and routedbd's
@@ -37,7 +41,6 @@ struct StateDirContents {
   // pathalint: allow(R1): manifest serialization record — bytes round-tripped
   // through the on-disk state dir, read back before any interner is rebuilt.
   std::string local;        // the effective local host the state was built with
-  bool ignore_case = false;
   // Publish generation of the .pari image this state was saved alongside
   // (ImageHeader::generation).  0 = unstamped, never checked.  The update step
   // compares the two stamps and treats a mismatch as a torn update, never
@@ -49,11 +52,12 @@ struct StateDirContents {
   std::vector<InputFile> artifacts;
 };
 
-// Writes `contents` under `dir` (created if missing).  False on any I/O failure.
+// Writes `contents` to `dir`/manifest (`dir` is created if missing).  False on
+// any I/O failure.
 bool SaveStateDir(const std::string& dir, const StateDirContents& contents);
 
 // Reads a state directory back.  nullopt (with *error set) on a missing, corrupt
-// or other-version manifest, an unreadable payload, or any digest disagreement.
+// or other-version manifest.
 std::optional<StateDirContents> LoadStateDir(const std::string& dir, std::string* error);
 
 }  // namespace incr

@@ -100,8 +100,7 @@ UpdateReport UpdateImage(UpdateRequest request) {
     return report;
   }
 
-  incr::MapBuilder builder(
-      incr::MapBuilderOptions{.local = state->local, .ignore_case = state->ignore_case});
+  incr::MapBuilder builder(incr::MapBuilderOptions{.local = state->local});
   builder.Resume(std::move(state->artifacts));
   report.stats = builder.Update(changed, request.removed);
   report.diag = std::move(builder.diag());
@@ -109,7 +108,7 @@ UpdateReport UpdateImage(UpdateRequest request) {
     return fail("update left no buildable map");
   }
   if (replaced.has_value()) {
-    report.stats.routes_changed = exec::CountChangedRoutes(replaced->routes(), builder.routes());
+    report.stats.routes_changed = incr::CountChangedRoutes(replaced->routes(), builder.routes());
   }
 
   // Image first, then state, both stamped with the same generation: a crash

@@ -3,10 +3,12 @@
 // mixed.
 //
 // UpdateImage() is the one update step; `routedb update` and routedbd's SIGHUP
-// both call it.  It loads <image>.state, pairs it with the image on disk, runs
-// the byte check, compiles once (incr::MapBuilder::Resume), counts the routes
-// the build changed against the replaced image by name, and publishes the
-// image, then the state.  Nothing survives the step.
+// both call it.  It loads <image>.state (one manifest that carries every
+// source), pairs it with the image on disk, runs the byte check, compiles once
+// (incr::MapBuilder::Resume, then pathalias::CompileMap in a fresh id space),
+// counts the routes the build changed against the replaced image by name
+// (incr::CountChangedRoutes), and publishes the image, then the state.  Nothing
+// survives the step.
 //
 //   * Pairing.  A torn pair (a crash between the image rename and the manifest
 //     rename: the image carries edits the state lacks, and the generation

@@ -40,14 +40,6 @@ size_t SplitTabs(std::string_view line, std::string_view (&fields)[3]) {
 
 }  // namespace
 
-RouteSet::RouteSet(const NameInterner& ids) {
-  // An eighth of headroom, as FromText allows, for the names the update adds.
-  names_.Reserve(ids.size() + ids.size() / 8);
-  for (NameId id = 0; id < ids.size(); ++id) {
-    names_.Intern(ids.View(id));
-  }
-}
-
 void RouteSet::Add(std::string_view name, std::string_view route, Cost cost) {
   AddPrehashed(name, names_.HashOf(name), route, cost);
 }

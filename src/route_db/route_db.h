@@ -42,12 +42,6 @@ class RouteSet {
  public:
   RouteSet() = default;
 
-  // A set with no routes that numbers `ids`' names as `ids` does (interning them
-  // in id order reproduces every id).  Routes added next keep those ids and new
-  // names append: how a MapBuilder keeps its names' ids from one update to the
-  // next.
-  explicit RouteSet(const NameInterner& ids);
-
   // Later adds of the same name replace earlier ones.
   void Add(std::string_view name, std::string_view route, Cost cost = -1);
 
@@ -72,6 +66,12 @@ class RouteSet {
   const Route* Find(std::string_view name) const;
   const Route* Find(NameId id) const {
     return id < by_name_.size() && by_name_[id] != 0 ? &routes_[by_name_[id] - 1] : nullptr;
+  }
+  // Find(id) as FrozenRouteSet::FindRouteView gives it, so code that compares two
+  // route sets by name (incr::CountChangedRoutes) takes either kind.
+  RouteView FindRouteView(NameId id) const {
+    const Route* route = Find(id);
+    return route == nullptr ? RouteView{} : RouteView{route->name, route->route, route->cost};
   }
 
   // The interner every route key (and its precomputed domain-suffix chain) lives in.

@@ -15,8 +15,10 @@
 //                                               lookup, rightmost-known rewriting)
 //   routedb update --init [--local NAME] <routes.pari> <map-files...>
 //                                               parse the map, freeze the image, and
-//                                               keep the map sources in
-//                                               <routes.pari>.state for later updates
+//                                               keep the map sources in one file,
+//                                               <routes.pari>.state/manifest, for
+//                                               later updates (this also replaces a
+//                                               state dir of an older format)
 //   routedb update [--remove FILE]... <routes.pari> [changed-map-files...]
 //                                               swap the named files' new bytes into
 //                                               the kept sources (a --remove must
@@ -260,9 +262,9 @@ void PrintDiagnostics(const pathalias::Diagnostics& diag) {
 }
 
 // The incremental image pipeline: map files → one compile → refrozen .pari, with
-// the map sources kept in <image>.state between invocations.
+// the map sources kept in <image>.state/manifest between invocations.
 //
-// --init builds a fresh id space and publishes generation 1.  An update runs the
+// --init compiles once and publishes generation 1.  An update runs the
 // one update step (net::UpdateImage, shared with routedbd's SIGHUP): it loads the
 // kept sources, pairs them with the image on disk, swaps in the new bytes of the
 // files it is given, compiles once, and republishes image and state.  The report

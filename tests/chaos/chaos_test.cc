@@ -24,11 +24,11 @@
 #include <vector>
 
 #include "src/image/frozen_route_set.h"
-#include "src/image/image_format.h"
 #include "src/image/image_writer.h"
 #include "src/incr/map_builder.h"
 #include "src/incr/state_dir.h"
 #include "src/net/daemon.h"
+#include "src/net/rollover.h"
 #include "src/net/wire.h"
 #include "src/support/failpoint.h"
 #include "src/support/rng.h"
@@ -97,24 +97,9 @@ void InitImage(const std::vector<InputFile>& files, const std::string& image_pat
       << error;
   incr::StateDirContents contents;
   contents.local = "hub";
-  contents.ignore_case = false;
   contents.image_generation = 1;
   contents.artifacts = builder.artifacts();
   ASSERT_TRUE(incr::SaveStateDir(image_path + ".state", contents));
-}
-
-// Reads the generation stamp straight from the header bytes — no mmap, no
-// failpoints, usable both mid-run and in the invariant checks.
-std::optional<uint64_t> HeaderGeneration(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  image::ImageHeader header{};
-  if (!in.read(reinterpret_cast<char*>(&header), sizeof(header))) {
-    return std::nullopt;
-  }
-  if (header.magic != image::kMagic) {
-    return std::nullopt;
-  }
-  return header.generation;
 }
 
 // The fault set a publish pipeline can hit.  Schedules are drawn per-run.
@@ -148,50 +133,19 @@ void ArmRandomFaults(Rng& rng, const std::vector<std::string>& sites, size_t cou
   }
 }
 
-// One `routedb update` cycle under whatever faults are armed.  Failures are the
-// POINT — the return value only says whether a republish landed.
-bool TryUpdateCycle(const fs::path& /*dir*/, const std::string& image_path,
-                    const std::vector<InputFile>& files) {
+// One `routedb update` cycle under whatever faults are armed: the files are
+// written, then offered to the product's update step, which pairs the state with
+// the image and heals a torn pair.  Failures are the POINT — the return value only
+// says whether the step left a consistent pair: a republish landed, or every
+// offered file already matched its kept bytes.
+bool TryUpdateCycle(const std::string& image_path, const std::vector<InputFile>& files) {
   WriteMapFiles(files);
-  std::vector<InputFile> loaded;
-  for (const InputFile& file : files) {
-    std::ifstream in(file.name);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    loaded.push_back({file.name, std::move(buffer).str()});
-  }
-
-  std::string error;
-  auto state = incr::LoadStateDir(image_path + ".state", &error);
-  incr::MapBuilder builder(incr::MapBuilderOptions{.local = "hub"});
-  if (state.has_value()) {
-    if (!builder.Build(std::move(state->artifacts))) {
-      return false;
-    }
-    builder.Update(loaded);
-  } else {
-    // Clean rebuild-needed fallback: parse everything from scratch.
-    if (!builder.Build(loaded)) {
-      return false;
-    }
-  }
-  if (!builder.valid()) {
-    return false;
-  }
-  const uint64_t image_generation = HeaderGeneration(image_path).value_or(0);
-  const uint64_t state_generation = state.has_value() ? state->image_generation : 0;
-  const uint64_t next_generation = std::max(image_generation, state_generation) + 1;
-  if (!image::ImageWriter::Refreeze(builder.routes(), image_path, next_generation,
-                                    &error)) {
-    return false;  // publish aborted; the invariants say it must not have torn
-  }
-  incr::StateDirContents contents;
-  contents.local = "hub";
-  contents.ignore_case = false;
-  contents.image_generation = next_generation;
-  contents.artifacts = builder.artifacts();
-  (void)incr::SaveStateDir(image_path + ".state", contents);  // may fail; image leads
-  return true;
+  net::UpdateRequest request;
+  request.image_path = image_path;
+  request.changed = files;
+  net::UpdateReport report = net::UpdateImage(std::move(request));
+  return report.outcome == net::UpdateOutcome::kPublished ||
+         report.outcome == net::UpdateOutcome::kNothingToDo;
 }
 
 // The three on-disk invariants, checked fault-free after every run.
@@ -222,7 +176,7 @@ TEST(PublishChaos, RandomFaultSchedulesNeverTearImageOrState) {
     for (int cycle = 0; cycle < 3; ++cycle) {
       failpoint::Reset();
       ArmRandomFaults(rng, PublishFaultSites(), 1 + rng.Below(2));
-      TryUpdateCycle(dir, image_path, MapVersion(dir, rng.Chance(0.5), rng.Next()));
+      TryUpdateCycle(image_path, MapVersion(dir, rng.Chance(0.5), rng.Next()));
     }
 
     failpoint::Reset();
@@ -378,7 +332,7 @@ TEST(RolloverChaos, ReloadFaultsDegradeButNeverKillOrCorrupt) {
     // update` republishing a consistent pair, which the watch then picks up.
     // Run the heal and require convergence.
     failpoint::Reset();
-    ASSERT_TRUE(TryUpdateCycle(dir, image_path, MapVersion(dir, b_side, 999)))
+    ASSERT_TRUE(TryUpdateCycle(image_path, MapVersion(dir, b_side, 999)))
         << "seed " << seed << ": fault-free update failed";
     std::string expect = b_side ? "mid!leafc!%s" : "far!leafc!%s";
     std::string got;

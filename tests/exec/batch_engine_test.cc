@@ -252,43 +252,6 @@ TEST(BatchEngine, AdoptRoutesCondemnsCachedMissWhoseDomainGainedARoute) {
   EXPECT_EQ(result[0].route.route, "gate!%s");
 }
 
-// The update step's count matches routes by name, so an image that numbers the
-// same names differently changes nothing.
-TEST(BatchEngine, CountChangedRoutesMatchesNamesNotIds) {
-  RouteSet routes = BuildRoutes();
-  FrozenImage served(routes);
-  EXPECT_EQ(CountChangedRoutes(served.routes(), routes), 0u) << "identical";
-
-  RouteSet recost = BuildRoutes();
-  recost.Add("phs", "duke!phs!%s", 801);
-  EXPECT_EQ(CountChangedRoutes(served.routes(), recost), 1u) << "recost";
-
-  RouteSet added = BuildRoutes();
-  added.Add("newa", "newa!%s", 1);
-  added.Add("b.new.example", "newa!b.new.example!%s", 2);
-  EXPECT_EQ(CountChangedRoutes(served.routes(), added), 2u) << "added";
-
-  RouteSet removed;
-  for (const Route& route : routes.routes()) {
-    std::string_view name = routes.NameOf(route);
-    if (name != "duke" && name != ".edu") {
-      removed.Add(name, route.route, route.cost);
-    }
-  }
-  EXPECT_EQ(CountChangedRoutes(served.routes(), removed), 2u) << "removed";
-
-  // The same routes added in reverse: every name is there, under other ids.
-  RouteSet reordered;
-  for (auto it = routes.routes().rbegin(); it != routes.routes().rend(); ++it) {
-    reordered.Add(routes.NameOf(*it), it->route, it->cost);
-  }
-  ASSERT_NE(reordered.names().Find("seismo"), routes.names().Find("seismo"));
-  EXPECT_EQ(CountChangedRoutes(served.routes(), reordered), 0u) << "reordered";
-  reordered.Add("host7", "rerouted!host7!%s", 9999);
-  reordered.Add("newa", "newa!%s", 1);
-  EXPECT_EQ(CountChangedRoutes(served.routes(), reordered), 2u) << "reordered and edited";
-}
-
 // Any image adopts into the same engine, whatever its ids: a two-range engine
 // adopts the same routes added in another order, with one route changed, one
 // removed and one added, and every answer is the fresh image's.

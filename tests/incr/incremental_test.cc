@@ -1,14 +1,14 @@
 // Unit tests for the incremental pipeline's pieces: the MapBuilder's update path,
-// id-by-id comparison, resume and diagnostics, and state-dir persistence.  The
+// the by-name change count, resume and diagnostics, and state-dir persistence.  The
 // randomized-edit equivalence property lives in incremental_fuzz_test.cc.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
 #include "src/core/pathalias.h"
+#include "src/image/frozen_route_set.h"
 #include "src/incr/map_builder.h"
 #include "src/incr/state_dir.h"
 #include "src/mapgen/mapgen.h"
@@ -48,34 +48,77 @@ TEST(MapBuilder, BuildMatchesBatchRunOnGeneratedMap) {
   EXPECT_FALSE(reference.empty());
 }
 
-// An update renumbers its emission in the previous routes' id space and compares
-// the two sets id by id: an identical route is not dirty, an erased name keeps
-// its id, and a re-add dirties that id again.
-TEST(MapBuilder, UpdateDirtiesChangedIdsAndKeepsErasedIds) {
+// An update counts its changed routes by name against the last routes(): each
+// new, changed or removed route once, an identical one not at all.  Every compile
+// numbers names afresh, so a re-added name counts once although the names after
+// it moved to other ids.
+TEST(MapBuilder, UpdateCountsChangedRoutesByName) {
   MapBuilder builder(MapBuilderOptions{.local = "hub"});
   ASSERT_TRUE(builder.Build({{"core.map", "hub\ta(10), b(20), c(30)\n"}}));
-  const NameInterner& names = builder.routes().names();
-  const NameId a = names.Find("a");
-  const NameId b = names.Find("b");
-  const NameId c = names.Find("c");
-  ASSERT_NE(c, kNoName);
 
   UpdateStats stats = builder.Update({{"core.map", "hub\ta(10), b(25), d(40)\n"}});
-  const NameId d = builder.routes().names().Find("d");
-  ASSERT_NE(d, kNoName);
-  EXPECT_EQ(builder.routes().names().Find("a"), a);
-  EXPECT_EQ(builder.routes().names().Find("c"), c) << "an erased name keeps its id";
-  EXPECT_GT(d, c) << "a new name appends";
-  EXPECT_EQ(builder.routes().Find(c), nullptr);
-  EXPECT_EQ(builder.routes().Find(b)->cost, 25);
-  std::vector<NameId> expected = {b, c, d};
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(builder.dirty_route_ids(), expected) << "a and hub are identical: not dirty";
-  EXPECT_EQ(stats.routes_changed, 3u);
+  EXPECT_EQ(stats.routes_changed, 3u) << "b recost, c removed, d new; hub and a identical";
+  EXPECT_EQ(builder.routes().Find("c"), nullptr);
+  EXPECT_EQ(builder.routes().Find("b")->cost, 25);
+  EXPECT_TRUE(builder.dirty_route_ids().empty());
 
-  builder.Update({{"core.map", "hub\ta(10), b(25), c(31), d(40)\n"}});
-  EXPECT_EQ(builder.dirty_route_ids(), std::vector<NameId>{c}) << "a re-add dirties the same id";
-  EXPECT_EQ(builder.routes().Find(c)->route, "c!%s");
+  stats = builder.Update({{"core.map", "hub\ta(10), b(25), c(31), d(40)\n"}});
+  EXPECT_EQ(stats.routes_changed, 1u) << "c re-added";
+  EXPECT_EQ(builder.routes().Find("c")->route, "c!%s");
+}
+
+// The count matches routes by name, so a set that numbers the same names
+// differently changes nothing.  A replaced image and a replaced RouteSet count
+// alike.
+TEST(MapBuilder, CountChangedRoutesMatchesNamesNotIds) {
+  auto build_routes = [] {
+    RouteSet set;
+    set.Add("seismo", "seismo!%s", 100);
+    set.Add(".edu", "seismo!%s", 100);
+    set.Add("duke", "duke!%s", 500);
+    set.Add("phs", "duke!phs!%s", 800);
+    for (int i = 0; i < 10; ++i) {
+      std::string host = "host" + std::to_string(i);
+      set.Add(host, host + "!%s", 100 + i);
+    }
+    return set;
+  };
+  RouteSet routes = build_routes();
+  FrozenImage served(routes);
+  auto expect_changed = [&](const RouteSet& built, size_t count, const char* what) {
+    EXPECT_EQ(CountChangedRoutes(served.routes(), built), count) << what << ", image";
+    EXPECT_EQ(CountChangedRoutes(routes, built), count) << what << ", route set";
+  };
+  expect_changed(routes, 0, "identical");
+
+  RouteSet recost = build_routes();
+  recost.Add("phs", "duke!phs!%s", 801);
+  expect_changed(recost, 1, "recost");
+
+  RouteSet added = build_routes();
+  added.Add("newa", "newa!%s", 1);
+  added.Add("b.new.example", "newa!b.new.example!%s", 2);
+  expect_changed(added, 2, "added");
+
+  RouteSet removed;
+  for (const Route& route : routes.routes()) {
+    std::string_view name = routes.NameOf(route);
+    if (name != "duke" && name != ".edu") {
+      removed.Add(name, route.route, route.cost);
+    }
+  }
+  expect_changed(removed, 2, "removed");
+
+  // The same routes added in reverse: every name is there, under other ids.
+  RouteSet reordered;
+  for (auto it = routes.routes().rbegin(); it != routes.routes().rend(); ++it) {
+    reordered.Add(routes.NameOf(*it), it->route, it->cost);
+  }
+  ASSERT_NE(reordered.names().Find("seismo"), routes.names().Find("seismo"));
+  expect_changed(reordered, 0, "reordered");
+  reordered.Add("host7", "rerouted!host7!%s", 9999);
+  reordered.Add("newa", "newa!%s", 1);
+  expect_changed(reordered, 2, "reordered and edited");
 }
 
 // A resumed builder compiles on its first Update, even with no edit, and an
@@ -130,11 +173,6 @@ TEST_F(MapBuilderPatchTest, RecostPatchesInPlace) {
   UpdateStats stats = builder.Update({edited[0]});
   EXPECT_EQ(stats.files_changed, 1u);
   ExpectGolden(builder, edited);
-
-  // The dirty id list names exactly the changed routes.
-  for (NameId id : builder.dirty_route_ids()) {
-    EXPECT_NE(builder.routes().names().View(id), "");
-  }
 }
 
 TEST_F(MapBuilderPatchTest, UnchangedDigestSkipsReparse) {
@@ -454,7 +492,6 @@ TEST(StateDir, SaveLoadRoundTripAndRejection) {
   fs::remove_all(dir);
   StateDirContents contents;
   contents.local = builder.local_name();
-  contents.ignore_case = false;
   contents.artifacts = builder.artifacts();
   ASSERT_TRUE(SaveStateDir(dir.string(), contents));
 

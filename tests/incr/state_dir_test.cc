@@ -1,6 +1,7 @@
-// State-dir robustness: generation stamping, corrupt/truncated/skewed loads
-// falling back cleanly to rebuild-needed (swept over every truncation and bit
-// flip), and crash-safe manifest publishing under injected faults.  The
+// State-dir robustness: generation stamping, any bytes in a name or a source
+// round-tripping, corrupt/truncated/skewed loads falling back cleanly to
+// rebuild-needed (swept over every truncation and bit flip), lengths that run
+// past the end, and crash-safe manifest publishing under injected faults.  The
 // happy-path round trip lives in incremental_test.cc.
 
 #include "src/incr/state_dir.h"
@@ -35,7 +36,6 @@ fs::path MakeScratchDir() {
 StateDirContents SmallContents() {
   StateDirContents contents;
   contents.local = "hub";
-  contents.ignore_case = false;
   contents.image_generation = 7;
   contents.artifacts.push_back({"a.map", "hub\talpha(3), beta\n"});
   contents.artifacts.push_back({"b.map", "beta\tgamma(2)\n"});
@@ -52,6 +52,28 @@ std::string ReadFileText(const fs::path& path) {
 void WriteFileText(const fs::path& path, const std::string& text) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << text;
+}
+
+// Replaces the manifest's digest line with one that matches the bytes before it,
+// so only the checks after the digest's can refuse the edit.
+std::string Reseal(std::string manifest) {
+  manifest.resize(manifest.rfind("digest "));
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (unsigned char byte : manifest) {
+    hash = (hash ^ byte) * 0x00000100000001B3ull;
+  }
+  return manifest + "digest " + std::to_string(hash) + "\n";
+}
+
+// Loads `manifest` from the state dir at `dir`; the error, or "" if it loaded.
+std::string LoadError(const fs::path& dir, const std::string& manifest) {
+  WriteFileText(dir / "manifest", manifest);
+  std::string error;
+  if (LoadStateDir(dir.string(), &error).has_value()) {
+    return "";
+  }
+  EXPECT_FALSE(error.empty());
+  return error;
 }
 
 class StateDirTest : public ::testing::Test {
@@ -77,33 +99,24 @@ TEST_F(StateDirTest, GenerationRoundTrips) {
 }
 
 // Versions 1 and 2 stored a parse form of each file that this binary no longer
-// reads: both get the clean rebuild-needed refusal, like a future version.
+// reads, and version 3 kept each source in a payload file of its own: all three
+// get the clean rebuild-needed refusal, like a future version.
 TEST_F(StateDirTest, OlderVersionsRejectedCleanly) {
   ASSERT_TRUE(SaveStateDir(dir_.string(), SmallContents()));
   const std::string manifest = ReadFileText(dir_ / "manifest");
-  size_t header_at = manifest.find("pathalias-state 3");
-  ASSERT_NE(header_at, std::string::npos);
-  for (const char* header : {"pathalias-state 1", "pathalias-state 2"}) {
-    std::string old_manifest = manifest;
-    old_manifest.replace(header_at, 17, header);
-    WriteFileText(dir_ / "manifest", old_manifest);
-
-    std::string error;
-    EXPECT_FALSE(LoadStateDir(dir_.string(), &error).has_value()) << header;
-    EXPECT_NE(error.find("rebuild the state dir"), std::string::npos) << error;
+  ASSERT_TRUE(manifest.starts_with("pathalias-state 4\n"));
+  for (const char* header : {"pathalias-state 1", "pathalias-state 2", "pathalias-state 3"}) {
+    std::string error = LoadError(dir_, header + manifest.substr(17));
+    EXPECT_NE(error.find("rebuild the state dir"), std::string::npos) << header << ": " << error;
+    EXPECT_EQ(error.find("stored no sources"), std::string::npos) << error;
   }
 }
 
 TEST_F(StateDirTest, FutureVersionRejectedCleanly) {
   ASSERT_TRUE(SaveStateDir(dir_.string(), SmallContents()));
   std::string manifest = ReadFileText(dir_ / "manifest");
-  size_t header_at = manifest.find("pathalias-state 3");
-  ASSERT_NE(header_at, std::string::npos);
-  manifest.replace(header_at, 17, "pathalias-state 9");
-  WriteFileText(dir_ / "manifest", manifest);
-
-  std::string error;
-  EXPECT_FALSE(LoadStateDir(dir_.string(), &error).has_value());
+  ASSERT_TRUE(manifest.starts_with("pathalias-state 4\n"));
+  std::string error = LoadError(dir_, "pathalias-state 9" + manifest.substr(17));
   EXPECT_NE(error.find("newer"), std::string::npos) << error;
 }
 
@@ -120,78 +133,102 @@ TEST_F(StateDirTest, TruncatedManifestRejectedCleanly) {
   }
 }
 
+// A source's length is checked against the bytes left before it is used: a
+// length that runs past the end of the manifest is refused, even when the digest
+// line was recomputed to match, and nothing past the end is read.
 TEST_F(StateDirTest, TruncatedArtifactRejectedCleanly) {
   ASSERT_TRUE(SaveStateDir(dir_.string(), SmallContents()));
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir_ / "artifacts")) {
-    std::string bytes = ReadFileText(entry.path());
-    ASSERT_GT(bytes.size(), 4u);
-    WriteFileText(entry.path(), bytes.substr(0, bytes.size() / 2));
-    break;  // one torn payload is enough to poison the directory
+  const std::string manifest = ReadFileText(dir_ / "manifest");
+  const std::string last = "file 5 14\nb.map\n";
+  const size_t last_at = manifest.find(last);
+  ASSERT_NE(last_at, std::string::npos) << manifest;
+  ASSERT_EQ(LoadError(dir_, Reseal(manifest)), "") << "the reseal itself must load";
+  for (const char* lengths : {"5 15", "5 1000000", "5 18446744073709551615", "999 14",
+                              "18446744073709551615 14"}) {
+    std::string damaged = manifest;
+    damaged.replace(last_at + 5, 4, lengths);
+    std::string error = LoadError(dir_, Reseal(damaged));
+    EXPECT_NE(error.find("runs past the end"), std::string::npos) << lengths << ": " << error;
   }
-  std::string error;
-  EXPECT_FALSE(LoadStateDir(dir_.string(), &error).has_value());
-  EXPECT_FALSE(error.empty());
+  // A record cut after its header line runs past the end as well.
+  EXPECT_NE(LoadError(dir_, Reseal(manifest.substr(0, last_at) + "file 5 14\n" +
+                                   manifest.substr(manifest.rfind("digest ")))).find(
+                "runs past the end"),
+            std::string::npos);
 }
 
 TEST_F(StateDirTest, DigestMismatchRejectedCleanly) {
   ASSERT_TRUE(SaveStateDir(dir_.string(), SmallContents()));
-  // Corrupt the first digit of the first artifact line's digest.
+  // Same length, other bytes: only the digest can tell.
   std::string manifest = ReadFileText(dir_ / "manifest");
-  size_t files_line = manifest.find("files\t");
-  ASSERT_NE(files_line, std::string::npos);
-  size_t digest_at = manifest.find('\n', files_line) + 1;
-  ASSERT_LT(digest_at, manifest.size());
-  manifest[digest_at] = manifest[digest_at] == '1' ? '2' : '1';
-  WriteFileText(dir_ / "manifest", manifest);
-
-  std::string error;
-  EXPECT_FALSE(LoadStateDir(dir_.string(), &error).has_value());
+  size_t source_at = manifest.find("alpha(3)");
+  ASSERT_NE(source_at, std::string::npos);
+  manifest.replace(source_at, 5, "alphz");
+  std::string error = LoadError(dir_, manifest);
   EXPECT_NE(error.find("does not match"), std::string::npos) << error;
 }
 
 TEST_F(StateDirTest, MalformedGenerationRejectedCleanly) {
   ASSERT_TRUE(SaveStateDir(dir_.string(), SmallContents()));
   std::string manifest = ReadFileText(dir_ / "manifest");
-  size_t generation_at = manifest.find("generation\t7");
+  size_t generation_at = manifest.find("generation 7\n");
   ASSERT_NE(generation_at, std::string::npos);
-  manifest.replace(generation_at, 12, "generation\tx");
-  WriteFileText(dir_ / "manifest", manifest);
-
-  std::string error;
-  EXPECT_FALSE(LoadStateDir(dir_.string(), &error).has_value());
+  manifest.replace(generation_at, 12, "generation x");
+  std::string error = LoadError(dir_, Reseal(manifest));
   EXPECT_NE(error.find("generation"), std::string::npos) << error;
 }
 
-// Every truncation and every single-bit flip of the manifest and of each
-// payload is refused with an error: the payloads' digests sit in the manifest,
-// and the manifest's last line digests the rest of it.
+// Every string is length-prefixed, so names and sources holding tabs, newlines,
+// NULs or text that looks like a manifest line come back byte for byte.
+TEST_F(StateDirTest, AnyBytesInNamesAndSourcesRoundTrip) {
+  StateDirContents contents;
+  contents.local = "hub with spaces\tand a tab";
+  contents.image_generation = 3;
+  contents.artifacts.push_back({"a\nb.map", "hub\talpha(3)\n"});
+  contents.artifacts.push_back({"tab\there.map", std::string("x\0y\nfile 1 1\nz\n\n", 16)});
+  contents.artifacts.push_back({"", ""});
+  contents.artifacts.push_back({"no-newline.map", "hub\tbeta"});
+  ASSERT_TRUE(SaveStateDir(dir_.string(), contents));
+
+  std::string error;
+  auto loaded = LoadStateDir(dir_.string(), &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->local, contents.local);
+  EXPECT_EQ(loaded->image_generation, 3u);
+  ASSERT_EQ(loaded->artifacts.size(), contents.artifacts.size());
+  for (size_t i = 0; i < contents.artifacts.size(); ++i) {
+    EXPECT_EQ(loaded->artifacts[i].name, contents.artifacts[i].name) << i;
+    EXPECT_EQ(loaded->artifacts[i].content, contents.artifacts[i].content) << i;
+  }
+}
+
+// Every truncation and every single-bit flip of the manifest is refused with an
+// error: its last line digests the rest of it.
 TEST_F(StateDirTest, EveryTruncationAndBitFlipIsRefused) {
   ASSERT_TRUE(SaveStateDir(dir_.string(), SmallContents()));
-  std::vector<fs::path> targets = {dir_ / "manifest"};
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir_ / "artifacts")) {
-    targets.push_back(entry.path());
+  std::vector<std::string> entries;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir_)) {
+    entries.push_back(entry.path().filename().string());
   }
-  ASSERT_EQ(targets.size(), 3u);
+  ASSERT_EQ(entries, std::vector<std::string>{"manifest"});
 
-  for (const fs::path& target : targets) {
-    const std::string original = ReadFileText(target);
-    auto expect_refused = [&](const std::string& damaged, const std::string& what) {
-      WriteFileText(target, damaged);
-      std::string error;
-      EXPECT_FALSE(LoadStateDir(dir_.string(), &error).has_value())
-          << what << " of " << target.filename() << " loaded";
-      EXPECT_FALSE(error.empty()) << what;
-    };
-    for (size_t keep = 0; keep < original.size(); ++keep) {
-      expect_refused(original.substr(0, keep), "truncation to " + std::to_string(keep));
-    }
-    for (size_t bit = 0; bit < 8 * original.size(); ++bit) {
-      std::string damaged = original;
-      damaged[bit / 8] = static_cast<char>(damaged[bit / 8] ^ (1 << (bit % 8)));
-      expect_refused(damaged, "flip of bit " + std::to_string(bit));
-    }
-    WriteFileText(target, original);
+  const fs::path target = dir_ / "manifest";
+  const std::string original = ReadFileText(target);
+  auto expect_refused = [&](const std::string& damaged, const std::string& what) {
+    WriteFileText(target, damaged);
+    std::string error;
+    EXPECT_FALSE(LoadStateDir(dir_.string(), &error).has_value()) << what << " loaded";
+    EXPECT_FALSE(error.empty()) << what;
+  };
+  for (size_t keep = 0; keep < original.size(); ++keep) {
+    expect_refused(original.substr(0, keep), "truncation to " + std::to_string(keep));
   }
+  for (size_t bit = 0; bit < 8 * original.size(); ++bit) {
+    std::string damaged = original;
+    damaged[bit / 8] = static_cast<char>(damaged[bit / 8] ^ (1 << (bit % 8)));
+    expect_refused(damaged, "flip of bit " + std::to_string(bit));
+  }
+  WriteFileText(target, original);
   std::string error;
   ASSERT_TRUE(LoadStateDir(dir_.string(), &error).has_value()) << error;
 }

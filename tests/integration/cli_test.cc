@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 namespace pathalias {
 namespace {
@@ -855,6 +856,91 @@ TEST_F(CliTest, RoutedbUpdateRemoveOfAnUnknownFileIsAnError) {
   CommandResult removal = RunCommand(in_dir + " update --remove gw.map routes.pari");
   EXPECT_EQ(WEXITSTATUS(removal.status), 0) << removal.output;
   EXPECT_NE(WEXITSTATUS(RunCommand(in_dir + " get routes.pari gw").status), 0);
+}
+
+// A map file's name may hold any bytes, a newline included: the state keeps
+// every name length-prefixed, so later updates load it.  A state that kept one
+// name per line read such a name back as a malformed line, and every update
+// after the --init failed.
+TEST_F(CliTest, RoutedbUpdateKeepsAMapFileWhoseNameHoldsANewline) {
+  const std::string routedb = ROUTEDB_BIN;
+  fs::path odd = dir_ / "a\nb.map";
+  fs::path core = dir_ / "c.map";
+  {
+    std::ofstream out(odd);
+    out << "hub\tmid(100)\n";
+  }
+  {
+    std::ofstream out(core);
+    out << "mid\thub(100), leafa(50)\n";
+  }
+  fs::path image = dir_ / "routes.pari";
+  CommandResult init = RunCommand(routedb + " update --init --local hub " + image.string() +
+                                  " '" + odd.string() + "' " + core.string());
+  ASSERT_EQ(WEXITSTATUS(init.status), 0) << init.output;
+
+  {
+    std::ofstream out(core, std::ios::trunc);
+    out << "mid\thub(100), leafa(50), leafb(60)\n";
+  }
+  CommandResult update =
+      RunCommand(routedb + " update " + image.string() + " " + core.string());
+  EXPECT_EQ(WEXITSTATUS(update.status), 0) << update.output;
+  EXPECT_NE(update.output.find("rebuilt (1 file(s) changed"), std::string::npos)
+      << update.output;
+  EXPECT_EQ(RunCommand(routedb + " get " + image.string() + " leafb").output,
+            "mid!leafb!%s\n");
+}
+
+// A state dir in the retired version 3 layout (a manifest naming one payload
+// file per source under artifacts/) is refused with the way out, and --init
+// over it leaves the one manifest of the current layout.
+TEST_F(CliTest, RoutedbUpdateRefusesAVersion3StateDirAndInitReplacesIt) {
+  const std::string routedb = ROUTEDB_BIN;
+  fs::path core = dir_ / "core.map";
+  {
+    std::ofstream out(core);
+    out << "hub\tmid(100)\nmid\thub(100)\n";
+  }
+  fs::path image = dir_ / "routes.pari";
+  fs::path state = dir_ / "routes.pari.state";
+  ASSERT_EQ(WEXITSTATUS(RunCommand(routedb + " update --init --local hub " + image.string() +
+                                   " " + core.string())
+                            .status),
+            0);
+  fs::remove_all(state);
+  fs::create_directories(state / "artifacts");
+  {
+    std::ofstream out(state / "artifacts" / "0000-0123456789abcdef.pai");
+    out << "hub\tmid(100)\nmid\thub(100)\n";
+  }
+  {
+    std::ofstream out(state / "manifest");
+    out << "pathalias-state 3\nlocal\thub\nignore_case\t0\ngeneration\t1\nfiles\t1\n"
+           "81985529216486895\t0000-0123456789abcdef.pai\t"
+        << core.string() << "\ndigest\t1\n";
+  }
+
+  CommandResult refused = RunCommand(routedb + " update " + image.string() + " " + core.string());
+  EXPECT_EQ(WEXITSTATUS(refused.status), 1) << refused.output;
+  EXPECT_NE(refused.output.find("rebuild the state dir"), std::string::npos) << refused.output;
+  EXPECT_NE(refused.output.find("--init"), std::string::npos) << refused.output;
+
+  CommandResult init = RunCommand(routedb + " update --init --local hub " + image.string() +
+                                  " " + core.string());
+  EXPECT_EQ(WEXITSTATUS(init.status), 0) << init.output;
+  std::vector<std::string> entries;
+  for (const fs::directory_entry& entry : fs::directory_iterator(state)) {
+    entries.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(entries, std::vector<std::string>{"manifest"});
+  {
+    std::ofstream out(core, std::ios::app);
+    out << "mid\tleafa(5)\n";
+  }
+  CommandResult update = RunCommand(routedb + " update " + image.string() + " " + core.string());
+  EXPECT_EQ(WEXITSTATUS(update.status), 0) << update.output;
+  EXPECT_EQ(RunCommand(routedb + " get " + image.string() + " leafa").output, "mid!leafa!%s\n");
 }
 
 // The batch engine has no result cache: `routedb batch` refuses the flag that

@@ -77,7 +77,6 @@ void InitImage(const std::vector<InputFile>& files, const std::string& image_pat
   ASSERT_TRUE(image::ImageWriter::Refreeze(builder.routes(), image_path));
   incr::StateDirContents contents;
   contents.local = "hub";
-  contents.ignore_case = false;
   contents.artifacts = builder.artifacts();
   ASSERT_TRUE(incr::SaveStateDir(image_path + ".state", contents));
 }
@@ -139,6 +138,14 @@ class Client {
 
 class DaemonTest : public ::testing::Test {
  protected:
+  void TearDown() override {
+    daemon_.reset();
+    if (!dir_.empty()) {
+      std::error_code ec;
+      fs::remove_all(dir_, ec);
+    }
+  }
+
   // Serves the image of `map`'s files, which are also its SIGHUP reload sources.
   void StartDaemon(DaemonOptions options,
                    std::vector<InputFile> (*map)(const fs::path&) = MapFiles) {

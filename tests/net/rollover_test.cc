@@ -40,6 +40,15 @@ fs::path MakeScratchDir() {
   return dir;
 }
 
+// Removes a plain test's scratch directory when the test ends, however it ends.
+struct ScratchDirGuard {
+  fs::path dir;
+  ~ScratchDirGuard() {
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+  }
+};
+
 void WriteFileAt(const fs::path& path, const std::string& content) {
   std::ofstream out(path);
   out << content;
@@ -80,7 +89,6 @@ void InitImage(const std::vector<InputFile>& files, const std::string& image_pat
   ASSERT_TRUE(image::ImageWriter::Refreeze(builder.routes(), image_path, generation));
   incr::StateDirContents contents;
   contents.local = "hub";
-  contents.ignore_case = false;
   contents.image_generation = generation;
   contents.artifacts = builder.artifacts();
   ASSERT_TRUE(incr::SaveStateDir(image_path + ".state", contents));
@@ -99,7 +107,14 @@ UpdateReport OneShotUpdate(const std::string& image_path,
 
 class RolloverDaemonTest : public ::testing::Test {
  protected:
-  void TearDown() override { support::failpoint::Reset(); }
+  void TearDown() override {
+    support::failpoint::Reset();
+    daemon_.reset();
+    if (!dir_.empty()) {
+      std::error_code ec;
+      fs::remove_all(dir_, ec);
+    }
+  }
 
   void StartDaemon(bool with_map_files, int watch_interval_ms) {
     dir_ = MakeScratchDir();
@@ -319,6 +334,7 @@ TEST_F(RolloverDaemonTest, WatchRetriesAfterTransientReopenFailure) {
 // image is untouched.
 TEST(RolloverController, CheckImageIsANoopWhenUntouched) {
   fs::path dir = MakeScratchDir();
+  ScratchDirGuard cleanup{dir};
   std::string image_path = (dir / "routes.pari").string();
   InitImage(FilesA(dir), image_path);
 
@@ -339,6 +355,7 @@ TEST(RolloverController, CheckImageIsANoopWhenUntouched) {
 // image numbers names with.
 TEST(RolloverController, SwappedOutImagesAreFreedAtTheNextRetire) {
   fs::path dir = MakeScratchDir();
+  ScratchDirGuard cleanup{dir};
   std::string image_path = (dir / "routes.pari").string();
   InitImage(FilesA(dir), image_path);
 
@@ -462,6 +479,7 @@ RolloverOptions ServingOptions(const std::string& image_path,
 // results onto other names (".rutgers.edu" came back as a miss).
 TEST(RolloverController, HupAfterAOneShotUpdateAnswersLikeTheImageOnDisk) {
   fs::path dir = MakeScratchDir();
+  ScratchDirGuard cleanup{dir};
   std::string image_path = (dir / "routes.pari").string();
   std::vector<InputFile> files = GatewayFiles(dir);
   InitImage(files, image_path, /*generation=*/1);
@@ -491,6 +509,7 @@ TEST(RolloverController, HupAfterAOneShotUpdateAnswersLikeTheImageOnDisk) {
 // cold.)
 TEST(RolloverController, HupAfterAWatchAdoptionKeepsTheEngine) {
   fs::path dir = MakeScratchDir();
+  ScratchDirGuard cleanup{dir};
   std::string image_path = (dir / "routes.pari").string();
   std::vector<InputFile> files = GatewayFiles(dir);
   InitImage(files, image_path, /*generation=*/1);
@@ -520,6 +539,7 @@ TEST(RolloverController, HupAfterAWatchAdoptionKeepsTheEngine) {
 // and the one-shot update counts the one route it changed.
 TEST(RolloverController, WatchAdoptsAOneShotUpdateAfterAHupWarm) {
   fs::path dir = MakeScratchDir();
+  ScratchDirGuard cleanup{dir};
   std::string image_path = (dir / "routes.pari").string();
   std::vector<InputFile> files = GatewayFiles(dir);
   InitImage(files, image_path, /*generation=*/1);
@@ -550,6 +570,7 @@ TEST(RolloverController, WatchAdoptsAOneShotUpdateAfterAHupWarm) {
 // edit again, republishes and adopts into the same engine.
 TEST(RolloverController, FailedPublishThenRetryRepublishesWarm) {
   fs::path dir = MakeScratchDir();
+  ScratchDirGuard cleanup{dir};
   std::string image_path = (dir / "routes.pari").string();
   std::vector<InputFile> files = GatewayFiles(dir);
   InitImage(files, image_path, /*generation=*/1);
@@ -584,6 +605,7 @@ TEST(RolloverController, FailedPublishThenRetryRepublishesWarm) {
 // not read, nothing is published and the detail names it.
 TEST(RolloverController, HupHealsATornPairOrNamesTheUnreadableSource) {
   fs::path dir = MakeScratchDir();
+  ScratchDirGuard cleanup{dir};
   std::string image_path = (dir / "routes.pari").string();
   std::vector<InputFile> files = FilesA(dir);
   InitImage(files, image_path, /*generation=*/1);
@@ -635,6 +657,7 @@ TEST(RolloverController, HupHealsATornPairOrNamesTheUnreadableSource) {
 // names answers as a resolver over B does.
 TEST(RolloverController, AnImageInternedInAnotherOrderAdoptsWarm) {
   fs::path dir = MakeScratchDir();
+  ScratchDirGuard cleanup{dir};
   std::string image_path = (dir / "routes.pari").string();
   std::vector<InputFile> files = GatewayFiles(dir);
   InitImage(files, image_path, /*generation=*/1);
@@ -667,6 +690,7 @@ TEST(RolloverController, AnImageInternedInAnotherOrderAdoptsWarm) {
 // every SIGHUP keeps the engine.
 TEST(RolloverController, SuffixNamesOfFullyQualifiedHostsAreNotDead) {
   fs::path dir = MakeScratchDir();
+  ScratchDirGuard cleanup{dir};
   std::string image_path = (dir / "routes.pari").string();
   std::vector<InputFile> files = {{(dir / "core.map").string(), "hub\ta.x.com(10), b.y.org(10)\n"}};
   InitImage(files, image_path, /*generation=*/1);
@@ -694,6 +718,7 @@ TEST(RolloverController, SuffixNamesOfFullyQualifiedHostsAreNotDead) {
 
 TEST(RolloverController, ReloadWithoutMapFilesIsAnError) {
   fs::path dir = MakeScratchDir();
+  ScratchDirGuard cleanup{dir};
   std::string image_path = (dir / "routes.pari").string();
   InitImage(FilesA(dir), image_path);
 
