@@ -36,8 +36,6 @@
 #include "src/exec/batch_engine.h"
 #include "src/image/frozen_route_set.h"
 #include "src/image/image_writer.h"
-#include "src/incr/map_builder.h"
-#include "src/incr/state_dir.h"
 #include "src/net/rollover.h"
 #include "src/route_db/address.h"
 #include "src/route_db/resolver.h"
@@ -446,11 +444,7 @@ IncrementalResults MeasureIncrementalUpdate(const IncrementalBench& bench) {
   const std::string image_path = (std::filesystem::temp_directory_path() /
                                   ("bench_incr." + std::to_string(getpid()) + ".pari"))
                                      .string();
-  incr::MapBuilder builder(incr::MapBuilderOptions{.local = "s0"});
-  builder.Build(bench.files);
-  image::ImageWriter::Refreeze(builder.routes(), image_path, /*generation=*/1);
-  incr::SaveStateDir(image_path + ".state",
-                     {.local = "s0", .image_generation = 1, .artifacts = builder.artifacts()});
+  net::InitializeImage(image_path, bench.files, "s0");
   for (int pass = 0; pass < 2 * kPasses; ++pass) {
     const InputFile& edit = pass % 2 == 0 ? bench.edit_b : bench.edit_a;
     net::UpdateRequest request;

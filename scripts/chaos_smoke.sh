@@ -28,7 +28,15 @@ set -euo pipefail
 
 ROUTEDB=${1:?usage: chaos_smoke.sh <routedb-bin> <routedbd-bin> [workdir]}
 ROUTEDBD=${2:?usage: chaos_smoke.sh <routedb-bin> <routedbd-bin> [workdir]}
-DIR=${3:-$(mktemp -d)}
+# A work dir this script makes is removed after a passing run and kept, with its
+# path printed, after a failing one; a work dir given as $3 is always kept.
+MADE_DIR=""
+if [[ -n "${3:-}" ]]; then
+  DIR=$3
+else
+  DIR=$(mktemp -d)
+  MADE_DIR=$DIR
+fi
 IMAGE="$DIR/routes.pari"
 SOCK="$DIR/routedbd.sock"
 DAEMON_PID=""
@@ -37,9 +45,17 @@ say() { printf 'chaos_smoke: %s\n' "$*"; }
 fail() { say "FAIL: $*"; exit 1; }
 
 cleanup() {
+  local status=$?
   if [[ -n "$DAEMON_PID" ]] && kill -0 "$DAEMON_PID" 2>/dev/null; then
     kill -TERM "$DAEMON_PID" 2>/dev/null || true
     wait "$DAEMON_PID" 2>/dev/null || true
+  fi
+  if [[ -n "$MADE_DIR" ]]; then
+    if [[ $status -eq 0 ]]; then
+      rm -rf "$MADE_DIR"
+    else
+      say "work dir kept: $MADE_DIR"
+    fi
   fi
 }
 trap cleanup EXIT

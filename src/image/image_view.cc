@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "src/support/primes.h"
+
 namespace pathalias {
 namespace image {
 namespace {
@@ -80,6 +82,13 @@ std::optional<ImageView> ImageView::Adopt(std::string_view buffer, Verify verify
     // Strictly larger than n: the double-hash probe loop terminates only if the table
     // is guaranteed an empty slot.
     Fail(error, "probe table too small for the name set");
+    return std::nullopt;
+  }
+  if (n > 0 && !IsPrime(header.table_capacity)) {
+    // A double-hash probe visits every slot only if its stride (1 to capacity - 2)
+    // is coprime with the capacity, which a prime capacity guarantees.  A stride
+    // sharing a factor with a composite one cycles short of every empty slot.
+    Fail(error, "probe table capacity is not prime");
     return std::nullopt;
   }
   if (r > n) {

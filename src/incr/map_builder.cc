@@ -16,13 +16,6 @@ bool MapBuilder::Build(std::vector<InputFile> files) {
   return valid_;
 }
 
-void MapBuilder::Resume(std::vector<InputFile> files) {
-  artifacts_ = std::move(files);
-  routes_ = RouteSet();
-  resumed_ = true;
-  valid_ = false;
-}
-
 bool MapBuilder::Rebuild() {
   diag_.Clear();  // each compile reports only its own diagnostics
   RunOptions options;
@@ -31,44 +24,45 @@ bool MapBuilder::Rebuild() {
   const Node* local = compiled.graph->local();
   local_name_ = local == nullptr ? std::string() : std::string(compiled.graph->NameOf(local));
   routes_ = RouteSet::FromEntries(compiled.routes);
-  resumed_ = false;
   return local != nullptr;
 }
 
-UpdateStats MapBuilder::Update(const std::vector<InputFile>& changed,
-                               const std::vector<std::string>& removed) {
-  UpdateStats stats;
-
-  std::unordered_map<std::string, size_t> index_by_name;  // owned keys: artifacts_ moves
-  for (size_t i = 0; i < artifacts_.size(); ++i) {
-    index_by_name[artifacts_[i].name] = i;
+bool MergeSources(std::vector<InputFile>* sources, const std::vector<InputFile>& changed,
+                  const std::vector<std::string>& removed, UpdateStats* stats) {
+  std::unordered_map<std::string, size_t> index_by_name;  // owned keys: sources move
+  for (size_t i = 0; i < sources->size(); ++i) {
+    index_by_name[(*sources)[i].name] = i;
   }
 
   // Take real changes (in place, or appended as new files); skip the rest.
   bool edited = false;
   for (const InputFile& file : changed) {
     auto it = index_by_name.find(file.name);
-    if (it != index_by_name.end() && artifacts_[it->second].content == file.content) {
-      ++stats.files_unchanged;
+    if (it != index_by_name.end() && (*sources)[it->second].content == file.content) {
+      ++stats->files_unchanged;
       continue;
     }
-    ++stats.files_changed;
+    ++stats->files_changed;
     edited = true;
     if (it != index_by_name.end()) {
-      artifacts_[it->second].content = file.content;
+      (*sources)[it->second].content = file.content;
     } else {
-      index_by_name[file.name] = artifacts_.size();
-      artifacts_.push_back(file);
+      index_by_name[file.name] = sources->size();
+      sources->push_back(file);
     }
   }
-  // Names that match no kept file are ignored.
-  if (std::erase_if(artifacts_, [&removed](const InputFile& file) {
+  if (std::erase_if(*sources, [&removed](const InputFile& file) {
         return std::ranges::find(removed, file.name) != removed.end();
       }) > 0) {
     edited = true;
   }
+  return edited;
+}
 
-  if (!edited && !resumed_) {
+UpdateStats MapBuilder::Update(const std::vector<InputFile>& changed,
+                               const std::vector<std::string>& removed) {
+  UpdateStats stats;
+  if (!MergeSources(&artifacts_, changed, removed, &stats)) {
     stats.patched = true;  // nothing to compile
     return stats;
   }

@@ -3,25 +3,23 @@
 //
 // A MapBuilder keeps the map sources (each file's name and bytes) and the last
 // emitted RouteSet; the graph and the mapper result live only while a compile
-// runs.  Build() compiles once.  Resume() takes kept sources without compiling.
-// Update() brings the routes to what a from-scratch run over the edited inputs
-// would produce:
+// runs.  Build() compiles once.  Update() brings the routes to what a
+// from-scratch run over the edited inputs would produce:
 //
-//   1. byte check — a file whose bytes equal the kept copy is unchanged, and an
-//      update that changes nothing returns without compiling (a resumed builder
-//      always compiles on its first Update);
+//   1. merge — MergeSources swaps the offered files into the kept sources; a
+//      file whose bytes equal the kept copy is unchanged, and an update that
+//      changes nothing returns without compiling;
 //   2. compile — every kept source goes through pathalias::CompileMap, the
 //      pipeline a pathalias run uses: parse into a fresh graph, map and emit in
 //      full (back links, paper §Back links, are a fixpoint over the whole graph).
 //      RouteSet::FromEntries numbers the emitted names afresh, in emission order,
 //      on every compile;
 //   3. count — CountChangedRoutes compares the new routes with the last
-//      routes() by name.  After Resume there are no last routes, so every route
-//      counts; the update step counts against the replaced image instead.
+//      routes() by name.
 //
-// Golden equivalence: after any Build/Resume/Update sequence, routes() is
-// ToSortedText byte-identical to a from-scratch pipeline over the current inputs
-// — the randomized-edit fuzz test enforces this per edit.
+// Golden equivalence: after any Build/Update sequence, routes() is ToSortedText
+// byte-identical to a from-scratch pipeline over the current inputs — the
+// randomized-edit fuzz test enforces this per edit.
 //
 // Diagnostics: diag() holds the last compile's diagnostics only, so a fixed
 // file's errors go away and a long-lived builder's record does not grow.
@@ -76,12 +74,20 @@ struct MapBuilderOptions {
 
 struct UpdateStats {
   // True when nothing was compiled: every offered file was byte-identical to its
-  // kept copy and nothing was removed (a resumed builder always compiles).
+  // kept copy and nothing was removed.
   bool patched = false;
   size_t files_changed = 0;    // new, or bytes differ from the kept copy
   size_t files_unchanged = 0;  // byte-identical among the files offered
   size_t routes_changed = 0;   // CountChangedRoutes against the last routes()
 };
+
+// The source merge MapBuilder::Update and net::UpdateImage share: an offered
+// file whose name matches a kept one replaces its bytes (the last kept copy, if
+// a name repeats), a new name is appended, in offer order, and every kept file
+// `removed` names is dropped; removed names that match no kept file are ignored.
+// Counts stats->files_changed and files_unchanged.  True when any source changed.
+bool MergeSources(std::vector<InputFile>* sources, const std::vector<InputFile>& changed,
+                  const std::vector<std::string>& removed, UpdateStats* stats);
 
 class MapBuilder {
  public:
@@ -95,14 +101,8 @@ class MapBuilder {
   // explain.
   bool Build(std::vector<InputFile> files);
 
-  // Takes `files` as the kept sources without compiling; the next Update compiles
-  // even when nothing changed.
-  void Resume(std::vector<InputFile> files);
-
-  // Applies edits: `changed` holds new/updated file contents (unknown names are
-  // appended as new files, in order), `removed` names files to drop; names that
-  // match no kept file are ignored.  Every other file is reused from the kept
-  // sources.
+  // Applies edits through MergeSources, and compiles when a source changed.
+  // Every other file is reused from the kept sources.
   UpdateStats Update(const std::vector<InputFile>& changed,
                      const std::vector<std::string>& removed = {});
 
@@ -127,7 +127,6 @@ class MapBuilder {
   bool valid_ = false;
 
   std::vector<InputFile> artifacts_;
-  bool resumed_ = false;  // set by Resume until the next compile
   // pathalint: allow(R1): survives interner replacement — every compile discards
   // the graph and its interner, so a NameId would dangle; the builder re-derives
   // the id from these bytes on each compile.

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <optional>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "src/image/image_writer.h"
@@ -27,7 +29,84 @@ namespace {
 constexpr size_t kKeptHeapBytes = size_t{32} << 20;
 #endif
 
+// Publishes `builder`'s routes as the image at `generation`, then a state that
+// keeps its sources and `local`, stamped with the same generation: a crash
+// between the two leaves the image ahead of the state, which the next update
+// pairs as torn instead of serving a mixed pair.  False (with *error set) when
+// the image could not be written; then nothing was published.
+bool Publish(const incr::MapBuilder& builder, const std::string& local, uint64_t generation,
+             const std::string& image_path, UpdateReport* report, std::string* error) {
+  if (!image::ImageWriter::Refreeze(builder.routes(), image_path, generation, error)) {
+    return false;
+  }
+  report->outcome = UpdateOutcome::kPublished;
+  report->routes_total = builder.routes().size();
+  report->local = builder.local_name();
+  report->state_saved = incr::SaveStateDir(
+      image_path + ".state",
+      {.local = local, .image_generation = generation, .artifacts = builder.artifacts()});
+  return true;
+}
+
+// An offered file whose name no kept source has is a new file, unless it is a
+// kept source under another spelling (./mid.map for mid.map): merged as new, it
+// would sit beside the kept copy, whose routes would stay.  A kept source the
+// update removes does not stay, so it may come back under a new spelling.
+// Returns the refusal for the first such file, or "".  Each kept name is stat'ed
+// at most once, and only when some offered name is unknown.
+std::string RespelledKeptSource(const std::vector<InputFile>& kept,
+                                const std::vector<InputFile>& offered,
+                                const std::vector<std::string>& removed) {
+  std::unordered_set<std::string_view> kept_names;
+  for (const InputFile& source : kept) {
+    kept_names.insert(source.name);
+  }
+  using FileId = std::pair<dev_t, ino_t>;
+  std::vector<std::optional<FileId>> kept_ids;  // parallel to `kept`, on first need
+  for (const InputFile& file : offered) {
+    struct stat st {};
+    if (kept_names.contains(file.name) || ::stat(file.name.c_str(), &st) != 0) {
+      continue;
+    }
+    if (kept_ids.empty()) {
+      for (const InputFile& source : kept) {
+        struct stat kept_st {};
+        const bool stays = std::ranges::find(removed, source.name) == removed.end();
+        kept_ids.push_back(stays && ::stat(source.name.c_str(), &kept_st) == 0
+                               ? std::optional<FileId>(FileId(kept_st.st_dev, kept_st.st_ino))
+                               : std::nullopt);
+      }
+    }
+    for (size_t i = 0; i < kept.size(); ++i) {
+      if (kept_ids[i] == FileId(st.st_dev, st.st_ino)) {
+        return file.name + " is the kept file " + kept[i].name +
+               " under another name; offer it as " + kept[i].name;
+      }
+    }
+  }
+  return "";
+}
+
 }  // namespace
+
+UpdateReport InitializeImage(const std::string& image_path, std::vector<InputFile> files,
+                             const std::string& local) {
+  UpdateReport report;
+  report.stats.files_changed = files.size();
+  incr::MapBuilder builder(incr::MapBuilderOptions{.local = local});
+  const bool built = builder.Build(std::move(files));
+  report.diag = std::move(builder.diag());
+  if (!built) {
+    report.error = "no routes could be built";
+    return report;
+  }
+  report.stats.routes_changed = builder.routes().size();
+  std::string error;
+  if (!Publish(builder, local, /*generation=*/1, image_path, &report, &error)) {
+    report.error = "cannot write " + image_path + ": " + error;
+  }
+  return report;
+}
 
 UpdateReport UpdateImage(UpdateRequest request) {
   UpdateReport report;
@@ -56,16 +135,22 @@ UpdateReport UpdateImage(UpdateRequest request) {
                   "; nothing published");
     }
   }
+  std::vector<InputFile>& changed = request.changed;
+  if (std::string respelled = RespelledKeptSource(state->artifacts, changed, request.removed);
+      !respelled.empty()) {
+    return fail(respelled + "; nothing published");
+  }
 
   // Pair the state with the image on disk.  Stamps of 0 are pre-generation files
   // and cannot be checked.
-  std::vector<InputFile>& changed = request.changed;
   std::optional<FrozenImage> replaced = FrozenImage::Open(
       image_path, image::ImageView::Verify::kStructure, &error, /*readahead=*/true);
   const uint64_t image_generation =
       replaced.has_value() ? replaced->view().header().generation : 0;
-  if (!replaced.has_value() || (image_generation != 0 && state->image_generation != 0 &&
-                                image_generation != state->image_generation)) {
+  const bool paired = replaced.has_value() &&
+                      (image_generation == 0 || state->image_generation == 0 ||
+                       image_generation == state->image_generation);
+  if (!paired) {
     report.note = (replaced.has_value()
                        ? image_path + " is generation " + std::to_string(image_generation) +
                              " but " + state_dir + " is generation " +
@@ -73,7 +158,7 @@ UpdateReport UpdateImage(UpdateRequest request) {
                        : "cannot pair " + state_dir + " with the image (" + error + ")") +
                   "; re-reading every source and republishing both in step";
     // The image may carry edits the state lacks: offer every kept source as it
-    // is on disk, and the byte check picks up the ones those edits touched.
+    // is on disk, and the merge picks up the ones those edits touched.
     for (const InputFile& source : state->artifacts) {
       if (std::ranges::find(request.removed, source.name) != request.removed.end() ||
           std::ranges::any_of(changed, [&source](const InputFile& file) {
@@ -87,42 +172,29 @@ UpdateReport UpdateImage(UpdateRequest request) {
       }
       changed.push_back({source.name, std::move(*bytes)});
     }
-  } else if (request.removed.empty() &&
-             std::ranges::all_of(changed, [&state](const InputFile& file) {
-               return std::ranges::any_of(state->artifacts, [&file](const InputFile& kept) {
-                 return kept.name == file.name && kept.content == file.content;
-               });
-             })) {
+  }
+
+  std::vector<InputFile> sources = std::move(state->artifacts);
+  if (!incr::MergeSources(&sources, changed, request.removed, &report.stats) && paired) {
     // The byte check: leave the image and the state directory byte-for-byte (and
     // mtime-for-mtime) alone.
     report.outcome = UpdateOutcome::kNothingToDo;
-    report.stats.files_unchanged = changed.size();
     return report;
   }
 
   incr::MapBuilder builder(incr::MapBuilderOptions{.local = state->local});
-  builder.Resume(std::move(state->artifacts));
-  report.stats = builder.Update(changed, request.removed);
+  const bool built = builder.Build(std::move(sources));
   report.diag = std::move(builder.diag());
-  if (!builder.valid()) {
+  if (!built) {
     return fail("update left no buildable map");
   }
-  if (replaced.has_value()) {
-    report.stats.routes_changed = incr::CountChangedRoutes(replaced->routes(), builder.routes());
-  }
-
-  // Image first, then state, both stamped with the same generation: a crash
-  // between the two leaves the image ahead of the state, which the next update
-  // pairs as torn instead of serving a mixed pair.
-  state->image_generation = std::max(image_generation, state->image_generation) + 1;
-  if (!image::ImageWriter::Refreeze(builder.routes(), image_path, state->image_generation,
-                                    &error)) {
+  report.stats.routes_changed =
+      replaced.has_value() ? incr::CountChangedRoutes(replaced->routes(), builder.routes())
+                           : builder.routes().size();
+  const uint64_t generation = std::max(image_generation, state->image_generation) + 1;
+  if (!Publish(builder, state->local, generation, image_path, &report, &error)) {
     return fail("cannot rewrite " + image_path + ": " + error);
   }
-  report.outcome = UpdateOutcome::kPublished;
-  report.routes_total = builder.routes().size();
-  state->artifacts = builder.artifacts();
-  report.state_saved = incr::SaveStateDir(state_dir, *state);
   return report;
 }
 

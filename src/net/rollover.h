@@ -1,19 +1,25 @@
-// The update step and RolloverController: route updates for a published image
-// and for a serving process, swapped in between batches so no reply is torn or
-// mixed.
+// The update step, the init step and RolloverController: route updates for a
+// published image and for a serving process, swapped in between batches so no
+// reply is torn or mixed.
 //
-// UpdateImage() is the one update step; `routedb update` and routedbd's SIGHUP
-// both call it.  It loads <image>.state (one manifest that carries every
-// source), pairs it with the image on disk, runs the byte check, compiles once
-// (incr::MapBuilder::Resume, then pathalias::CompileMap in a fresh id space),
-// counts the routes the build changed against the replaced image by name
-// (incr::CountChangedRoutes), and publishes the image, then the state.  Nothing
-// survives the step.
+// InitializeImage() is `routedb update --init`.  UpdateImage() is the one
+// update step; `routedb update` and routedbd's SIGHUP both call it.  It loads
+// <image>.state (one manifest that carries every source), pairs it with the
+// image on disk, merges the offered files into the kept sources (the byte
+// check, incr::MergeSources), compiles once (incr::MapBuilder::Build, in a fresh
+// id space), and counts the routes the build changed against the replaced image
+// by name (incr::CountChangedRoutes).  Both steps publish the image, then the
+// state, through one function.  Nothing survives either step.
 //
 //   * Pairing.  A torn pair (a crash between the image rename and the manifest
 //     rename: the image carries edits the state lacks, and the generation
 //     stamps differ), a missing image or an unreadable one re-reads every kept
-//     source from disk first; if one cannot be read, nothing is published.
+//     source from disk first, and compiles even when no byte changed; if a kept
+//     source cannot be read, nothing is published.
+//   * Spelling.  An offered file is matched to a kept one by name, as the
+//     manifest spells it.  An offered name that matches none but is the same
+//     file on disk as a kept one the update does not remove (./mid.map for
+//     mid.map) is refused, and nothing is published.
 //
 // RolloverController owns what a long-lived server needs to swap its mapping
 // under live traffic: the current FrozenImage, the FrozenBatchEngine resolving
@@ -75,11 +81,20 @@ struct UpdateReport {
   std::string note;
   bool state_saved = false;
   // Files changed and unchanged, and the routes changed, new or removed against
-  // the replaced image, matched by name (every route when no image paired).
+  // the replaced image, matched by name (every route when no image opened).
   incr::UpdateStats stats;
   size_t routes_total = 0;
+  // The local host the published build mapped from.
+  std::string local;
   Diagnostics diag;  // the published build's diagnostics
 };
+
+// The init step: compiles `files` once, in the order given, from `local` (empty:
+// the first host declared), and publishes the image at generation 1, then a
+// state dir, of the current format, that keeps every file and `local`.  Every
+// file and every route counts as changed.
+UpdateReport InitializeImage(const std::string& image_path, std::vector<InputFile> files,
+                             const std::string& local);
 
 // The one update step (see the header comment).
 UpdateReport UpdateImage(UpdateRequest request);

@@ -22,7 +22,9 @@
 //   routedb update [--remove FILE]... <routes.pari> [changed-map-files...]
 //                                               swap the named files' new bytes into
 //                                               the kept sources (a --remove must
-//                                               name a kept file), compile once,
+//                                               name a kept file, and a kept file
+//                                               must be named as at --init, not
+//                                               by another path), compile once,
 //                                               rewrite the image atomically, and
 //                                               report files changed/unchanged and
 //                                               the routes changed against the
@@ -30,7 +32,8 @@
 //                                               report "nothing to do" and leave
 //                                               image and state untouched.  A torn,
 //                                               missing or unreadable image re-reads
-//                                               every kept source first.
+//                                               every kept source first, and is
+//                                               republished even if no file changed.
 //   routedb batch [--threads N] [--chunk-lines L] <routes.pari> [hosts.txt]
 //                                               bulk host lookup, one per line (stdin
 //                                               if no file): "host<TAB>route-key" per
@@ -70,8 +73,6 @@
 #include "src/exec/batch_engine.h"
 #include "src/image/frozen_route_set.h"
 #include "src/image/image_writer.h"
-#include "src/incr/map_builder.h"
-#include "src/incr/state_dir.h"
 #include "src/net/rollover.h"
 #include "src/net/socket.h"
 #include "src/net/wire.h"
@@ -264,10 +265,11 @@ void PrintDiagnostics(const pathalias::Diagnostics& diag) {
 // The incremental image pipeline: map files → one compile → refrozen .pari, with
 // the map sources kept in <image>.state/manifest between invocations.
 //
-// --init compiles once and publishes generation 1.  An update runs the
-// one update step (net::UpdateImage, shared with routedbd's SIGHUP): it loads the
-// kept sources, pairs them with the image on disk, swaps in the new bytes of the
-// files it is given, compiles once, and republishes image and state.  The report
+// --init runs the init step (net::InitializeImage): it compiles once and
+// publishes generation 1.  An update runs the one update step (net::UpdateImage,
+// shared with routedbd's SIGHUP): it loads the kept sources, pairs them with the
+// image on disk, swaps in the new bytes of the files it is given, compiles once,
+// and republishes image and state.  Both publish through src/net.  The report
 // (files changed, routes changed against the replaced image by name) is what an
 // operator reads for blast radius.  Only the published build's
 // diagnostics are printed and counted.
@@ -314,58 +316,41 @@ int RunUpdate(int argc, char** argv) {
     files.push_back({positional[i], std::move(*bytes)});
   }
 
-  int errors = 0;
-  if (!init) {
-    pathalias::net::UpdateReport report = pathalias::net::UpdateImage(
-        {.image_path = image_path, .changed = std::move(files), .removed = std::move(removed),
-         .local = local});
-    PrintDiagnostics(report.diag);
-    if (!report.note.empty()) {
-      std::cerr << "routedb: " << report.note << "\n";
-    }
-    switch (report.outcome) {
-      case pathalias::net::UpdateOutcome::kError:
-        std::cerr << "routedb: " << report.error << "\n";
-        return 1;
-      case pathalias::net::UpdateOutcome::kNothingToDo:
-        std::cerr << "routedb: nothing to do (no changed files); " << image_path
-                  << " left untouched\n";
-        return 0;
-      case pathalias::net::UpdateOutcome::kPublished:
-        break;
-    }
-    if (!report.state_saved) {
-      std::cerr << "routedb: cannot save " << state_dir << "\n";
+  pathalias::net::UpdateReport report =
+      init ? pathalias::net::InitializeImage(image_path, std::move(files), local)
+           : pathalias::net::UpdateImage({.image_path = image_path,
+                                          .changed = std::move(files),
+                                          .removed = std::move(removed),
+                                          .local = local});
+  PrintDiagnostics(report.diag);
+  if (!report.note.empty()) {
+    std::cerr << "routedb: " << report.note << "\n";
+  }
+  switch (report.outcome) {
+    case pathalias::net::UpdateOutcome::kError:
+      std::cerr << "routedb: " << report.error << "\n";
       return 1;
-    }
+    case pathalias::net::UpdateOutcome::kNothingToDo:
+      std::cerr << "routedb: nothing to do (no changed files); " << image_path
+                << " left untouched\n";
+      return 0;
+    case pathalias::net::UpdateOutcome::kPublished:
+      break;
+  }
+  if (!report.state_saved) {
+    std::cerr << "routedb: cannot save " << state_dir << "\n";
+    return 1;
+  }
+  if (init) {
+    std::cerr << "routedb: initialized " << state_dir << " (" << report.stats.files_changed
+              << " file(s)); froze " << report.routes_total << " routes (local " << report.local
+              << ")\n";
+  } else {
     std::cerr << "routedb: rebuilt (" << report.stats.files_changed << " file(s) changed, "
               << report.stats.files_unchanged << " unchanged); " << report.stats.routes_changed
               << " route(s) changed, " << report.routes_total << " total\n";
-    errors = report.diag.error_count();
-  } else {
-    pathalias::incr::MapBuilder builder(pathalias::incr::MapBuilderOptions{.local = local});
-    bool built = builder.Build(std::move(files));
-    PrintDiagnostics(builder.diag());
-    if (!built) {
-      std::cerr << "routedb: no routes could be built\n";
-      return 1;
-    }
-    std::string publish_error;
-    if (!pathalias::image::ImageWriter::Refreeze(builder.routes(), image_path,
-                                                 /*generation=*/1, &publish_error)) {
-      std::cerr << "routedb: cannot write " << image_path << ": " << publish_error << "\n";
-      return 1;
-    }
-    if (!pathalias::incr::SaveStateDir(
-            state_dir, {.local = local, .image_generation = 1, .artifacts = builder.artifacts()})) {
-      std::cerr << "routedb: cannot save " << state_dir << "\n";
-      return 1;
-    }
-    std::cerr << "routedb: initialized " << state_dir << " (" << builder.artifacts().size()
-              << " file(s)); froze " << builder.routes().size() << " routes (local "
-              << builder.local_name() << ")\n";
-    errors = builder.diag().error_count();
   }
+  const int errors = report.diag.error_count();
   // The image and state were written (a bad line skips one declaration, pathalias
   // style), but an automated updater must see that the inputs were not clean.
   if (errors > 0) {

@@ -24,8 +24,6 @@
 #include <vector>
 
 #include "src/image/frozen_route_set.h"
-#include "src/image/image_writer.h"
-#include "src/incr/map_builder.h"
 #include "src/incr/state_dir.h"
 #include "src/net/daemon.h"
 #include "src/net/rollover.h"
@@ -89,17 +87,9 @@ void WriteMapFiles(const std::vector<InputFile>& files) {
 // `routedb update --init`, in process: image generation 1 and a paired state dir.
 void InitImage(const std::vector<InputFile>& files, const std::string& image_path) {
   WriteMapFiles(files);
-  incr::MapBuilder builder(incr::MapBuilderOptions{.local = "hub"});
-  ASSERT_TRUE(builder.Build(files));
-  std::string error;
-  ASSERT_TRUE(image::ImageWriter::Refreeze(builder.routes(), image_path,
-                                           /*generation=*/1, &error))
-      << error;
-  incr::StateDirContents contents;
-  contents.local = "hub";
-  contents.image_generation = 1;
-  contents.artifacts = builder.artifacts();
-  ASSERT_TRUE(incr::SaveStateDir(image_path + ".state", contents));
+  net::UpdateReport init = net::InitializeImage(image_path, files, "hub");
+  ASSERT_EQ(init.outcome, net::UpdateOutcome::kPublished) << init.error;
+  ASSERT_TRUE(init.state_saved);
 }
 
 // The fault set a publish pipeline can hit.  Schedules are drawn per-run.

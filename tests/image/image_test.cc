@@ -17,6 +17,7 @@
 #include "src/route_db/resolver.h"
 #include "src/route_db/route_db.h"
 #include "src/support/failpoint.h"
+#include "src/support/primes.h"
 
 namespace pathalias {
 namespace {
@@ -260,6 +261,25 @@ TEST(ImageView, StructureCatchesCorruptedRecords) {
     }
     EXPECT_FALSE(Adopt(corrupt, image::ImageView::Verify::kStructure, &error).has_value());
     EXPECT_NE(error.find("occupancy"), std::string::npos) << error;
+  }
+  {  // A probe table whose capacity is composite, every name in a slot and slot 0
+     // empty: a probe whose stride shares a factor with the capacity never reaches
+     // the empty slot, so a miss would spin.  Only Adopt may see this table.
+    std::string corrupt = pristine;
+    image::ImageHeader lying = header;
+    lying.table_capacity = header.name_count + 1;
+    while (IsPrime(lying.table_capacity)) {
+      ++lying.table_capacity;
+    }
+    ASSERT_LT(lying.table_capacity, header.table_capacity);
+    for (uint64_t i = 0; i < lying.table_capacity; ++i) {
+      NameInterner::FrozenSlot slot{
+          i == 0 || i > header.name_count ? kNoName : static_cast<NameId>(i - 1), 0};
+      std::memcpy(corrupt.data() + header.slots_offset + i * sizeof(slot), &slot, sizeof(slot));
+    }
+    std::memcpy(corrupt.data(), &lying, sizeof(lying));
+    EXPECT_FALSE(Adopt(corrupt, image::ImageView::Verify::kStructure, &error).has_value());
+    EXPECT_NE(error.find("not prime"), std::string::npos) << error;
   }
 }
 

@@ -121,30 +121,6 @@ TEST(MapBuilder, CountChangedRoutesMatchesNamesNotIds) {
   expect_changed(reordered, 2, "reordered and edited");
 }
 
-// A resumed builder compiles on its first Update, even with no edit, and an
-// edit lands as a from-scratch run over the edited inputs would have it.
-TEST(MapBuilder, ResumeCompilesOnTheFirstUpdate) {
-  std::vector<InputFile> files = {{"core.map", "hub\tmid(100), gw(50)\n"},
-                                  {"gw.map", "gw\t.rutgers.edu(10)\n.rutgers.edu\tcaip(0)\n"}};
-  MapBuilder served(MapBuilderOptions{.local = "hub"});
-  ASSERT_TRUE(served.Build(files));
-
-  MapBuilder resumed(MapBuilderOptions{.local = "hub"});
-  resumed.Resume(served.artifacts());
-  UpdateStats stats = resumed.Update({});
-  EXPECT_FALSE(stats.patched) << "a resumed builder has compiled nothing yet";
-  ASSERT_TRUE(resumed.valid());
-  EXPECT_EQ(BuilderSortedRoutes(resumed), BuilderSortedRoutes(served));
-  EXPECT_TRUE(resumed.Update({}).patched) << "the second Update has the first's routes";
-
-  MapBuilder edited(MapBuilderOptions{.local = "hub"});
-  edited.Resume(served.artifacts());
-  files[1].content += "gw\tnewhost(5)\n";
-  edited.Update({files[1]});
-  ASSERT_TRUE(edited.valid());
-  EXPECT_EQ(BuilderSortedRoutes(edited), ReferenceSortedRoutes(files, "hub"));
-}
-
 // Every case pins an update's routes to a from-scratch run over the edited inputs.
 // The names date from an in-place patch path that has since been retired; each
 // edit shape they name still has to land byte-identical through the rebuild.

@@ -1,5 +1,6 @@
 // Black-box tests of the command-line tools, exercising the same binaries a
-// downstream user runs.  Binary locations are injected by CMake.
+// downstream user runs.  Binary locations are injected by CMake.  A test may
+// read what a tool published (an image header, a state dir) through the library.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -8,8 +9,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "src/image/frozen_route_set.h"
+#include "src/incr/state_dir.h"
 
 namespace pathalias {
 namespace {
@@ -856,6 +861,100 @@ TEST_F(CliTest, RoutedbUpdateRemoveOfAnUnknownFileIsAnError) {
   CommandResult removal = RunCommand(in_dir + " update --remove gw.map routes.pari");
   EXPECT_EQ(WEXITSTATUS(removal.status), 0) << removal.output;
   EXPECT_NE(WEXITSTATUS(RunCommand(in_dir + " get routes.pari gw").status), 0);
+}
+
+// An offered file is matched to a kept one by its name as the manifest spells
+// it.  A kept file offered under another spelling (./mid.map for mid.map) is
+// refused, naming the kept spelling, and nothing is published: merged as a new
+// file, it sat beside the kept copy, whose routes stayed.
+TEST_F(CliTest, RoutedbUpdateRefusesAKeptFileUnderAnotherName) {
+  const std::string in_dir = "cd " + dir_.string() + " && " + ROUTEDB_BIN;
+  auto write = [this](const char* name, const char* text) {
+    std::ofstream out(dir_ / name, std::ios::trunc);
+    out << text;
+  };
+  auto read_bytes = [](const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  write("core.map", "hub\tmid(100)\n");
+  write("mid.map", "mid\thub(100), leafa(50)\n");
+  ASSERT_EQ(
+      WEXITSTATUS(RunCommand(in_dir + " update --init --local hub img.pari core.map mid.map")
+                      .status),
+      0);
+  const fs::path image = dir_ / "img.pari";
+  const fs::path manifest = dir_ / "img.pari.state" / "manifest";
+  const std::string image_before = read_bytes(image);
+  const std::string manifest_before = read_bytes(manifest);
+
+  write("mid.map", "mid\thub(100), leafb(50)\n");
+  CommandResult respelled = RunCommand(in_dir + " update img.pari ./mid.map");
+  EXPECT_EQ(WEXITSTATUS(respelled.status), 1) << respelled.output;
+  EXPECT_NE(respelled.output.find("kept file mid.map"), std::string::npos) << respelled.output;
+  EXPECT_TRUE(read_bytes(image) == image_before) << "the image was republished";
+  EXPECT_TRUE(read_bytes(manifest) == manifest_before) << "the state was saved";
+
+  // The kept spelling applies the edit.
+  CommandResult update = RunCommand(in_dir + " update img.pari mid.map");
+  EXPECT_EQ(WEXITSTATUS(update.status), 0) << update.output;
+  EXPECT_EQ(RunCommand(in_dir + " get img.pari leafb").output, "mid!leafb!%s\n");
+  EXPECT_NE(WEXITSTATUS(RunCommand(in_dir + " get img.pari leafa").status), 0);
+
+  // Removing the kept spelling in the same update lets the file take the new one.
+  write("mid.map", "mid\thub(100), leafc(50)\n");
+  CommandResult respell = RunCommand(in_dir + " update --remove mid.map img.pari ./mid.map");
+  EXPECT_EQ(WEXITSTATUS(respell.status), 0) << respell.output;
+  EXPECT_EQ(RunCommand(in_dir + " get img.pari leafc").output, "mid!leafc!%s\n");
+  EXPECT_NE(read_bytes(manifest).find("./mid.map"), std::string::npos);
+}
+
+// An update that finds the image gone, or cut short inside its header, rebuilds
+// it from the kept sources even when no file changed, and both the image and the
+// state end one generation past the state's.
+TEST_F(CliTest, RoutedbUpdateRebuildsAMissingImageFromTheKeptSources) {
+  const std::string routedb = ROUTEDB_BIN;
+  fs::path core = dir_ / "core.map";
+  fs::path mid = dir_ / "mid.map";
+  {
+    std::ofstream out(core);
+    out << "hub\tmid(100)\n";
+  }
+  {
+    std::ofstream out(mid);
+    out << "mid\thub(100), leafa(50)\n";
+  }
+  fs::path image = dir_ / "routes.pari";
+  const std::string state_dir = image.string() + ".state";
+  ASSERT_EQ(WEXITSTATUS(RunCommand(routedb + " update --init --local hub " + image.string() +
+                                   " " + core.string() + " " + mid.string())
+                            .status),
+            0);
+
+  for (bool truncate : {false, true}) {
+    std::string error;
+    std::optional<incr::StateDirContents> before = incr::LoadStateDir(state_dir, &error);
+    ASSERT_TRUE(before.has_value()) << error;
+    if (truncate) {
+      fs::resize_file(image, 16);
+    } else {
+      fs::remove(image);
+    }
+    CommandResult update = RunCommand(routedb + " update " + image.string());
+    EXPECT_EQ(WEXITSTATUS(update.status), 0) << truncate << ": " << update.output;
+    EXPECT_NE(update.output.find("cannot pair"), std::string::npos) << update.output;
+    EXPECT_EQ(RunCommand(routedb + " get " + image.string() + " leafa").output,
+              "mid!leafa!%s\n");
+
+    std::optional<incr::StateDirContents> after = incr::LoadStateDir(state_dir, &error);
+    ASSERT_TRUE(after.has_value()) << error;
+    std::optional<FrozenImage> disk =
+        FrozenImage::Open(image.string(), image::ImageView::Verify::kChecksum, &error);
+    ASSERT_TRUE(disk.has_value()) << error;
+    EXPECT_EQ(after->image_generation, before->image_generation + 1) << truncate;
+    EXPECT_EQ(disk->view().header().generation, before->image_generation + 1) << truncate;
+  }
 }
 
 // A map file's name may hold any bytes, a newline included: the state keeps

@@ -16,9 +16,7 @@
 #include <vector>
 
 #include "src/image/frozen_route_set.h"
-#include "src/image/image_writer.h"
-#include "src/incr/map_builder.h"
-#include "src/incr/state_dir.h"
+#include "src/net/rollover.h"
 #include "src/net/wire.h"
 #include "src/route_db/resolver.h"
 
@@ -66,19 +64,15 @@ std::vector<InputFile> DomainFiles(const fs::path& dir) {
   };
 }
 
-// Writes the map files to disk, builds the image, and records the state dir —
-// the `routedb update --init` flow, in process.
+// Writes the map files to disk and runs `routedb update --init` on them, in
+// process.
 void InitImage(const std::vector<InputFile>& files, const std::string& image_path) {
   for (const InputFile& file : files) {
     WriteFileAt(file.name, file.content);
   }
-  incr::MapBuilder builder(incr::MapBuilderOptions{.local = "hub"});
-  ASSERT_TRUE(builder.Build(files));
-  ASSERT_TRUE(image::ImageWriter::Refreeze(builder.routes(), image_path));
-  incr::StateDirContents contents;
-  contents.local = "hub";
-  contents.artifacts = builder.artifacts();
-  ASSERT_TRUE(incr::SaveStateDir(image_path + ".state", contents));
+  UpdateReport init = InitializeImage(image_path, files, "hub");
+  ASSERT_EQ(init.outcome, UpdateOutcome::kPublished) << init.error;
+  ASSERT_TRUE(init.state_saved);
 }
 
 // A unix-domain test client.  Replies decode into views over `buffer`, valid

@@ -81,17 +81,13 @@ void WriteMapFiles(const std::vector<InputFile>& files) {
   }
 }
 
-void InitImage(const std::vector<InputFile>& files, const std::string& image_path,
-               uint64_t generation = 0) {
+// `routedb update --init`, in process: writes the files, then publishes image
+// generation 1 and a paired state dir.
+void InitImage(const std::vector<InputFile>& files, const std::string& image_path) {
   WriteMapFiles(files);
-  incr::MapBuilder builder(incr::MapBuilderOptions{.local = "hub"});
-  ASSERT_TRUE(builder.Build(files));
-  ASSERT_TRUE(image::ImageWriter::Refreeze(builder.routes(), image_path, generation));
-  incr::StateDirContents contents;
-  contents.local = "hub";
-  contents.image_generation = generation;
-  contents.artifacts = builder.artifacts();
-  ASSERT_TRUE(incr::SaveStateDir(image_path + ".state", contents));
+  UpdateReport init = InitializeImage(image_path, files, "hub");
+  ASSERT_EQ(init.outcome, UpdateOutcome::kPublished) << init.error;
+  ASSERT_TRUE(init.state_saved);
 }
 
 // `routedb update <image> <files...>`, in process: writes the files and runs the
@@ -482,7 +478,7 @@ TEST(RolloverController, HupAfterAOneShotUpdateAnswersLikeTheImageOnDisk) {
   ScratchDirGuard cleanup{dir};
   std::string image_path = (dir / "routes.pari").string();
   std::vector<InputFile> files = GatewayFiles(dir);
-  InitImage(files, image_path, /*generation=*/1);
+  InitImage(files, image_path);
 
   // `routedb update routes.pari core.map`: publishes generation 2.
   files[0].content = "hub\tmid(100), gw(50), newa(1)\n";
@@ -512,7 +508,7 @@ TEST(RolloverController, HupAfterAWatchAdoptionKeepsTheEngine) {
   ScratchDirGuard cleanup{dir};
   std::string image_path = (dir / "routes.pari").string();
   std::vector<InputFile> files = GatewayFiles(dir);
-  InitImage(files, image_path, /*generation=*/1);
+  InitImage(files, image_path);
   RolloverController controller(ServingOptions(image_path, files));
   std::string error;
   ASSERT_TRUE(controller.Start(&error)) << error;
@@ -542,7 +538,7 @@ TEST(RolloverController, WatchAdoptsAOneShotUpdateAfterAHupWarm) {
   ScratchDirGuard cleanup{dir};
   std::string image_path = (dir / "routes.pari").string();
   std::vector<InputFile> files = GatewayFiles(dir);
-  InitImage(files, image_path, /*generation=*/1);
+  InitImage(files, image_path);
   RolloverController controller(ServingOptions(image_path, files));
   std::string error;
   ASSERT_TRUE(controller.Start(&error)) << error;
@@ -573,7 +569,7 @@ TEST(RolloverController, FailedPublishThenRetryRepublishesWarm) {
   ScratchDirGuard cleanup{dir};
   std::string image_path = (dir / "routes.pari").string();
   std::vector<InputFile> files = GatewayFiles(dir);
-  InitImage(files, image_path, /*generation=*/1);
+  InitImage(files, image_path);
   RolloverController controller(ServingOptions(image_path, files));
   std::string error;
   ASSERT_TRUE(controller.Start(&error)) << error;
@@ -608,7 +604,7 @@ TEST(RolloverController, HupHealsATornPairOrNamesTheUnreadableSource) {
   ScratchDirGuard cleanup{dir};
   std::string image_path = (dir / "routes.pari").string();
   std::vector<InputFile> files = FilesA(dir);
-  InitImage(files, image_path, /*generation=*/1);
+  InitImage(files, image_path);
   // The daemon lists core.map and mid.map; far.map is kept by the state only.
   RolloverController controller(
       ServingOptions(image_path, std::vector<InputFile>(files.begin(), files.begin() + 2)));
@@ -660,7 +656,7 @@ TEST(RolloverController, AnImageInternedInAnotherOrderAdoptsWarm) {
   ScratchDirGuard cleanup{dir};
   std::string image_path = (dir / "routes.pari").string();
   std::vector<InputFile> files = GatewayFiles(dir);
-  InitImage(files, image_path, /*generation=*/1);
+  InitImage(files, image_path);
   RolloverController controller(ServingOptions(image_path, files));
   std::string error;
   ASSERT_TRUE(controller.Start(&error)) << error;
@@ -693,7 +689,7 @@ TEST(RolloverController, SuffixNamesOfFullyQualifiedHostsAreNotDead) {
   ScratchDirGuard cleanup{dir};
   std::string image_path = (dir / "routes.pari").string();
   std::vector<InputFile> files = {{(dir / "core.map").string(), "hub\ta.x.com(10), b.y.org(10)\n"}};
-  InitImage(files, image_path, /*generation=*/1);
+  InitImage(files, image_path);
   RolloverController controller(ServingOptions(image_path, files));
   std::string error;
   ASSERT_TRUE(controller.Start(&error)) << error;
