@@ -21,11 +21,6 @@ inline const GeneratedMap& UsenetMap() {
   return map;
 }
 
-inline const GeneratedMap& SmallMap() {
-  static const GeneratedMap map = GenerateUsenetMap(MapGenConfig::Small());
-  return map;
-}
-
 class WallTimer {
  public:
   WallTimer() : start_(std::chrono::steady_clock::now()) {}

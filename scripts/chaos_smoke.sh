@@ -26,50 +26,8 @@
 
 set -euo pipefail
 
-ROUTEDB=${1:?usage: chaos_smoke.sh <routedb-bin> <routedbd-bin> [workdir]}
-ROUTEDBD=${2:?usage: chaos_smoke.sh <routedb-bin> <routedbd-bin> [workdir]}
-# A work dir this script makes is removed after a passing run and kept, with its
-# path printed, after a failing one; a work dir given as $3 is always kept.
-MADE_DIR=""
-if [[ -n "${3:-}" ]]; then
-  DIR=$3
-else
-  DIR=$(mktemp -d)
-  MADE_DIR=$DIR
-fi
-IMAGE="$DIR/routes.pari"
-SOCK="$DIR/routedbd.sock"
-DAEMON_PID=""
-
-say() { printf 'chaos_smoke: %s\n' "$*"; }
-fail() { say "FAIL: $*"; exit 1; }
-
-cleanup() {
-  local status=$?
-  if [[ -n "$DAEMON_PID" ]] && kill -0 "$DAEMON_PID" 2>/dev/null; then
-    kill -TERM "$DAEMON_PID" 2>/dev/null || true
-    wait "$DAEMON_PID" 2>/dev/null || true
-  fi
-  if [[ -n "$MADE_DIR" ]]; then
-    if [[ $status -eq 0 ]]; then
-      rm -rf "$MADE_DIR"
-    else
-      say "work dir kept: $MADE_DIR"
-    fi
-  fi
-}
-trap cleanup EXIT
-
-route_of() {
-  "$ROUTEDB" query --socket "$SOCK" --timeout 2000 "$1" | awk -F'\t' '{print $3}'
-}
-
-expect_route() {
-  local host=$1 want=$2 got
-  got=$(route_of "$host") || fail "query for $host failed"
-  [[ "$got" == "$want" ]] || fail "route for $host: got '$got', want '$want'"
-  say "route for $host = $got"
-}
+SMOKE=chaos_smoke
+source "$(dirname "$0")/smoke_common.sh"
 
 expect_miss() {
   local got  # a miss makes the query exit 1, so only its output counts
@@ -78,17 +36,7 @@ expect_miss() {
   say "$1 misses"
 }
 
-wait_for_route() {
-  local host=$1 want=$2
-  for _ in $(seq 1 100); do
-    [[ "$(route_of "$host")" == "$want" ]] && break
-    sleep 0.05
-  done
-  expect_route "$host" "$want"
-}
-
 # --- 1. build the image (leafc reachable via far) ---
-mkdir -p "$DIR"
 printf 'hub\tmid(100), far(400)\n' > "$DIR/core.map"
 printf 'mid\thub(100), leafa(50), leafb(60)\n' > "$DIR/mid.map"
 printf 'far\thub(400), leafc(10)\nleafc\tfar(10)\n' > "$DIR/far.map"
@@ -99,18 +47,12 @@ say "image built: $IMAGE"
 # --- 2. start the daemon with an armed fault schedule: the FIRST image
 # publish rename fails, and the FIRST watch reopen fails.  The arming lives
 # only in the daemon's environment — the routedb invocations below are clean.
-READY="$DIR/ready"
 PATHALIAS_FAILPOINTS="image.publish.rename=nth:1,errno:ENOSPC; rollover.reopen=nth:1" \
 "$ROUTEDBD" --image "$IMAGE" --unix "$SOCK" \
     --map "$DIR/core.map" --map "$DIR/mid.map" --map "$DIR/far.map" \
-    --watch-interval 50 --ready-fd 3 3>"$READY" 2>"$DIR/daemon.log" &
+    --watch-interval 50 --ready-fd 3 3>"$READY" 2>"$LOG" &
 DAEMON_PID=$!
-for _ in $(seq 1 100); do
-  [[ -s "$READY" ]] && break
-  kill -0 "$DAEMON_PID" 2>/dev/null || fail "daemon died during startup"
-  sleep 0.05
-done
-[[ -s "$READY" ]] || fail "daemon never signalled readiness"
+wait_ready
 say "daemon up (pid $DAEMON_PID) with armed failpoints"
 
 expect_route leafc 'far!leafc!%s'
@@ -121,10 +63,10 @@ printf 'mid\thub(100), leafa(50), leafb(60), leafc(55)\nleafc\tmid(55)\n' > "$DI
 printf 'far\thub(400)\n' > "$DIR/far.map"
 kill -HUP "$DAEMON_PID"
 for _ in $(seq 1 100); do
-  grep -q 'reload (SIGHUP) failed' "$DIR/daemon.log" && break
+  grep -q 'reload (SIGHUP) failed' "$LOG" && break
   sleep 0.05
 done
-grep -q 'reload (SIGHUP) failed' "$DIR/daemon.log" \
+grep -q 'reload (SIGHUP) failed' "$LOG" \
     || fail "daemon never logged the failed reload"
 kill -0 "$DAEMON_PID" || fail "daemon died on a failed rollover"
 expect_route leafc 'far!leafc!%s'   # the OLD route: nothing torn, nothing swapped
@@ -135,12 +77,8 @@ say "failed rollover degraded gracefully (old map still serving)"
 # image is now ahead of the served map, which the watch notices and reconciles
 # on its next tick: the route converges with NO further prodding. ---
 kill -HUP "$DAEMON_PID"
-for _ in $(seq 1 100); do
-  [[ "$(route_of leafc)" == 'mid!leafc!%s' ]] && break
-  sleep 0.05
-done
-expect_route leafc 'mid!leafc!%s'
-grep -q 'rollover.reopen' "$DIR/daemon.log" \
+wait_for_route leafc 'mid!leafc!%s'
+grep -q 'rollover.reopen' "$LOG" \
     || fail "the reopen failpoint never fired — the swap path was not exercised"
 kill -0 "$DAEMON_PID" || fail "daemon restarted somewhere along the way"
 say "watch self-healed the published-but-unswapped image (same pid)"
@@ -149,11 +87,7 @@ say "watch self-healed the published-but-unswapped image (same pid)"
 printf 'mid\thub(100), leafa(50), leafb(60)\n' > "$DIR/mid.map"
 printf 'far\thub(400), leafc(10)\nleafc\tfar(10)\n' > "$DIR/far.map"
 "$ROUTEDB" update "$IMAGE" "$DIR/mid.map" "$DIR/far.map"
-for _ in $(seq 1 100); do
-  [[ "$(route_of leafc)" == 'far!leafc!%s' ]] && break
-  sleep 0.05
-done
-expect_route leafc 'far!leafc!%s'
+wait_for_route leafc 'far!leafc!%s'
 say "external update picked up by the watch"
 
 # --- 6. a damaged state dir.  Every SIGHUP loads <image>.state; no builder is
@@ -168,13 +102,13 @@ grep -qxF "$DIR/mid.map" "$STATE/manifest" \
 sed -i "\\|^$DIR/mid.map\$|,/^file [0-9]* [0-9]*\$/ s/leafb/leafz/" "$STATE/manifest"
 grep -q 'leafz' "$STATE/manifest" || fail "the swap missed mid.map's bytes"
 printf 'far\thub(400), leafc(10), leafd(5)\nleafc\tfar(10)\n' > "$DIR/far.map"
-FAILED_BEFORE=$(grep -c 'reload (SIGHUP) failed' "$DIR/daemon.log")
+FAILED_BEFORE=$(grep -c 'reload (SIGHUP) failed' "$LOG")
 kill -HUP "$DAEMON_PID"
 for _ in $(seq 1 100); do
-  (( $(grep -c 'reload (SIGHUP) failed' "$DIR/daemon.log") > FAILED_BEFORE )) && break
+  (( $(grep -c 'reload (SIGHUP) failed' "$LOG") > FAILED_BEFORE )) && break
   sleep 0.05
 done
-(( $(grep -c 'reload (SIGHUP) failed' "$DIR/daemon.log") > FAILED_BEFORE )) \
+(( $(grep -c 'reload (SIGHUP) failed' "$LOG") > FAILED_BEFORE )) \
     || fail "daemon reloaded from a damaged state dir"
 kill -0 "$DAEMON_PID" || fail "daemon died on a damaged state dir"
 expect_route leafb 'mid!leafb!%s'

@@ -28,61 +28,12 @@
 
 set -euo pipefail
 
-ROUTEDB=${1:?usage: daemon_smoke.sh <routedb-bin> <routedbd-bin> [workdir]}
-ROUTEDBD=${2:?usage: daemon_smoke.sh <routedb-bin> <routedbd-bin> [workdir]}
+SMOKE=daemon_smoke
+source "$(dirname "$0")/smoke_common.sh"
 PATHALIAS="$(dirname "$ROUTEDB")/pathalias"
-# A work dir this script makes is removed after a passing run and kept, with its
-# path printed, after a failing one; a work dir given as $3 is always kept.
-MADE_DIR=""
-if [[ -n "${3:-}" ]]; then
-  DIR=$3
-else
-  DIR=$(mktemp -d)
-  MADE_DIR=$DIR
-fi
-IMAGE="$DIR/routes.pari"
-SOCK="$DIR/routedbd.sock"
-LOG="$DIR/daemon.log"
-DAEMON_PID=""
-
-say() { printf 'daemon_smoke: %s\n' "$*"; }
-fail() {
-  say "FAIL: $*"
-  [[ -f "$LOG" ]] && sed 's/^/daemon_smoke: log: /' "$LOG"
-  exit 1
-}
-
-cleanup() {
-  local status=$?
-  if [[ -n "$DAEMON_PID" ]] && kill -0 "$DAEMON_PID" 2>/dev/null; then
-    kill -TERM "$DAEMON_PID" 2>/dev/null || true
-    wait "$DAEMON_PID" 2>/dev/null || true
-  fi
-  if [[ -n "$MADE_DIR" ]]; then
-    if [[ $status -eq 0 ]]; then
-      rm -rf "$MADE_DIR"
-    else
-      say "work dir kept: $MADE_DIR"
-    fi
-  fi
-}
-trap cleanup EXIT
-
-# The query helper: one destination, output is "host<TAB>via<TAB>route".
-route_of() {
-  "$ROUTEDB" query --socket "$SOCK" --timeout 2000 "$1" | awk -F'\t' '{print $3}'
-}
-
-expect_route() {
-  local host=$1 want=$2 got
-  got=$(route_of "$host") || fail "query for $host failed"
-  [[ "$got" == "$want" ]] || fail "route for $host: got '$got', want '$want'"
-  say "route for $host = $got"
-}
 
 # --- 1. build the image from a four-file map (leafc reachable via far, and a
 # domain behind mid) ---
-mkdir -p "$DIR"
 printf 'hub\tmid(100), far(400)\n' > "$DIR/core.map"
 printf 'mid\thub(100), leafa(50), leafb(60)\n' > "$DIR/mid.map"
 printf 'far\thub(400), leafc(10)\nleafc\tfar(10)\n' > "$DIR/far.map"
@@ -92,17 +43,11 @@ printf 'mid\t.rutgers.edu(10)\n.rutgers.edu\tcaip(0), topaz(0)\n' > "$DIR/edu.ma
 say "image built: $IMAGE"
 
 # --- 2. start the daemon; --ready-fd replaces sleep-and-hope ---
-READY="$DIR/ready"
 "$ROUTEDBD" --image "$IMAGE" --unix "$SOCK" \
     --map "$DIR/core.map" --map "$DIR/mid.map" --map "$DIR/far.map" --map "$DIR/edu.map" \
     --watch-interval 50 --ready-fd 3 3>"$READY" 2>"$LOG" &
 DAEMON_PID=$!
-for _ in $(seq 1 100); do
-  [[ -s "$READY" ]] && break
-  kill -0 "$DAEMON_PID" 2>/dev/null || fail "daemon died during startup"
-  sleep 0.05
-done
-[[ -s "$READY" ]] || fail "daemon never signalled readiness"
+wait_ready
 say "daemon up (pid $DAEMON_PID)"
 
 # --- 3. resolve through the daemon ---
@@ -113,22 +58,14 @@ expect_route leafa 'mid!leafa!%s'
 printf 'mid\thub(100), leafa(50), leafb(60), leafc(55)\nleafc\tmid(55)\n' > "$DIR/mid.map"
 printf 'far\thub(400)\n' > "$DIR/far.map"
 kill -HUP "$DAEMON_PID"
-for _ in $(seq 1 100); do
-  [[ "$(route_of leafc)" == 'mid!leafc!%s' ]] && break
-  sleep 0.05
-done
-expect_route leafc 'mid!leafc!%s'
+wait_for_route leafc 'mid!leafc!%s'
 say "SIGHUP rollover applied"
 
 # --- 5b. external update + file-watch rollover (leafc back onto far) ---
 printf 'mid\thub(100), leafa(50), leafb(60)\n' > "$DIR/mid.map"
 printf 'far\thub(400), leafc(10)\nleafc\tfar(10)\n' > "$DIR/far.map"
 "$ROUTEDB" update "$IMAGE" "$DIR/mid.map" "$DIR/far.map"
-for _ in $(seq 1 100); do
-  [[ "$(route_of leafc)" == 'far!leafc!%s' ]] && break
-  sleep 0.05
-done
-expect_route leafc 'far!leafc!%s'
+wait_for_route leafc 'far!leafc!%s'
 say "file-watch rollover applied"
 
 # --- 5c. an external update adds newa; then a map edit and SIGHUP, which loads
@@ -136,22 +73,14 @@ say "file-watch rollover applied"
 # must match the image on disk after it. ---
 printf 'hub\tmid(100), far(400), newa(1)\n' > "$DIR/core.map"
 "$ROUTEDB" update "$IMAGE" "$DIR/core.map"
-for _ in $(seq 1 100); do
-  [[ "$(route_of newa)" == 'newa!%s' ]] && break
-  sleep 0.05
-done
-expect_route newa 'newa!%s'
+wait_for_route newa 'newa!%s'
 NAMES=(hub mid far newa leafa leafb leafc leafz .edu .rutgers.edu
        caip.rutgers.edu topaz.rutgers.edu)
 # (query exits 1 when any name misses; the diff below checks every answer.)
 "$ROUTEDB" query --socket "$SOCK" --timeout 2000 "${NAMES[@]}" > /dev/null || true
 printf 'mid\tleafz(5)\n' >> "$DIR/mid.map"
 kill -HUP "$DAEMON_PID"
-for _ in $(seq 1 100); do
-  [[ "$(route_of leafz)" == 'mid!leafz!%s' ]] && break
-  sleep 0.05
-done
-expect_route leafz 'mid!leafz!%s'
+wait_for_route leafz 'mid!leafz!%s'
 # Every name of NAMES, answered by the daemon, against `routedb batch` on the image.
 expect_answers_like_image() {
   { "$ROUTEDB" query --socket "$SOCK" --timeout 2000 "${NAMES[@]}" || true; } \

@@ -1,48 +1,23 @@
 #include "src/image/mapped_file.h"
 
-#include <cstdio>
-#include <utility>
-
-#include "src/support/failpoint.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define PATHALIAS_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
+
+#include <utility>
+
+#include "src/support/failpoint.h"
+#include "src/support/io_retry.h"
 
 namespace pathalias {
 namespace image {
-namespace {
-
-bool ReadWholeFile(const std::string& path, std::string* out) {
-  if (support::failpoint::Inject("image.read")) {
-    return false;
-  }
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) {
-    return false;
-  }
-  char chunk[1 << 16];
-  size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), in)) > 0) {
-    out->append(chunk, n);
-  }
-  bool ok = std::ferror(in) == 0;
-  std::fclose(in);
-  return ok;
-}
-
-}  // namespace
 
 std::optional<MappedFile> MappedFile::Open(const std::string& path, bool readahead) {
   MappedFile file;
   if (support::failpoint::Inject("image.open")) {
     return std::nullopt;
   }
-#ifdef PATHALIAS_HAVE_MMAP
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd >= 0) {
     struct stat st;
@@ -67,22 +42,22 @@ std::optional<MappedFile> MappedFile::Open(const std::string& path, bool readahe
       return file;
     }
   }
-#else
-  (void)readahead;  // the eager-read fallback is its own readahead
-#endif
-  if (!ReadWholeFile(path, &file.buffer_)) {
+  std::optional<std::string> bytes;
+  if (!support::failpoint::Inject("image.read")) {
+    bytes = support::ReadFileFully(path, nullptr);
+  }
+  if (!bytes.has_value()) {
     return std::nullopt;
   }
+  file.buffer_ = std::move(*bytes);
   return file;
 }
 
 MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
   if (this != &other) {
-#ifdef PATHALIAS_HAVE_MMAP
     if (mapped_ != nullptr) {
       ::munmap(mapped_, size_);
     }
-#endif
     mapped_ = std::exchange(other.mapped_, nullptr);
     size_ = std::exchange(other.size_, 0);
     buffer_ = std::move(other.buffer_);
@@ -91,11 +66,9 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
 }
 
 MappedFile::~MappedFile() {
-#ifdef PATHALIAS_HAVE_MMAP
   if (mapped_ != nullptr) {
     ::munmap(mapped_, size_);
   }
-#endif
 }
 
 }  // namespace image

@@ -1,9 +1,9 @@
 // MappedFile: a read-only file mapping with a heap-buffer fallback.
 //
 // The zero-startup open path: mmap the .pari file and read it in place, paying page
-// faults only for the bytes a query actually touches.  Where mmap is unavailable (or
-// fails — network filesystems, zero-length files), the file is read into an owned
-// buffer instead; callers see the same string_view either way.
+// faults only for the bytes a query actually touches.  Where mmap fails (network
+// filesystems, zero-length files), the file is read into an owned buffer through
+// support::ReadFileFully instead; callers see the same string_view either way.
 
 #ifndef SRC_IMAGE_MAPPED_FILE_H_
 #define SRC_IMAGE_MAPPED_FILE_H_
@@ -52,7 +52,7 @@ class MappedFile {
 
   char* mapped_ = nullptr;  // mmap'd region, or nullptr when using the fallback buffer
   size_t size_ = 0;
-  std::string buffer_;  // fallback when mmap is unavailable
+  std::string buffer_;  // fallback when mmap fails
 };
 
 }  // namespace image

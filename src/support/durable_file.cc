@@ -1,14 +1,12 @@
 #include "src/support/durable_file.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
+
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
 
 #include "src/support/failpoint.h"
 #include "src/support/io_retry.h"
@@ -46,8 +44,6 @@ std::string ParentDir(const std::string& path) {
 }
 
 }  // namespace
-
-#if defined(__unix__) || defined(__APPLE__)
 
 bool PublishFileDurably(const std::string& path, std::string_view bytes,
                         std::string_view failpoint_prefix, std::string* error) {
@@ -123,37 +119,6 @@ bool PublishFileDurably(const std::string& path, std::string_view bytes,
   }
   return true;
 }
-
-#else  // !unix: fall back to stdio temp+rename (no durability guarantee).
-
-bool PublishFileDurably(const std::string& path, std::string_view bytes,
-                        std::string_view failpoint_prefix, std::string* error) {
-  const std::string temp_path = path + ".tmp";
-  std::FILE* f = std::fopen(temp_path.c_str(), "wb");
-  if (f == nullptr) {
-    if (error != nullptr) *error = Describe("open", temp_path);
-    return false;
-  }
-  size_t written = bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
-  bool ok = written == bytes.size() && std::fclose(f) == 0;
-  if (!ok) {
-    if (error != nullptr) *error = Describe("write", temp_path);
-    std::remove(temp_path.c_str());
-    return false;
-  }
-  // pathalint: allow(R4): non-unix stdio fallback — the chaos/failpoint suite
-  // exercises the unix path above; this branch offers no durability to inject
-  // failures into and stays failpoint-free by design.
-  if (std::rename(temp_path.c_str(), path.c_str()) != 0) {
-    if (error != nullptr) *error = Describe("rename", temp_path);
-    std::remove(temp_path.c_str());
-    return false;
-  }
-  (void)failpoint_prefix;
-  return true;
-}
-
-#endif
 
 }  // namespace support
 }  // namespace pathalias

@@ -8,8 +8,9 @@
 // moved or a real error/EOF ends it.  Datagram sockets are different — a datagram
 // sends or receives whole or not at all — so src/net/socket.h wraps sendto/recvfrom
 // with RetryEintr directly rather than a transfer loop.  ReadFileFully is the one
-// whole-file reader: every map source, routes file and state-dir file is read
-// through it, so an unreadable file is an error, never an empty one.
+// whole-file reader: every map source, routes file and state-dir file, and an image
+// that cannot be mapped, is read through it, so an unreadable file is an error,
+// never an empty one.
 //
 // Long-running tools must also ignore SIGPIPE: a peer closing its socket between
 // our poll and our send must surface as EPIPE from the syscall (handled, counted),
@@ -19,19 +20,16 @@
 #ifndef SRC_SUPPORT_IO_RETRY_H_
 #define SRC_SUPPORT_IO_RETRY_H_
 
-#include <cerrno>
-#include <cstddef>
-#include <cstring>
-#include <optional>
-#include <string>
-
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <csignal>
-#endif
+#include <cstddef>
+#include <cstring>
+#include <optional>
+#include <string>
 
 namespace pathalias {
 namespace support {
@@ -47,8 +45,6 @@ auto RetryEintr(Call&& call) -> decltype(call()) {
   } while (result < 0 && errno == EINTR);
   return result;
 }
-
-#if defined(__unix__) || defined(__APPLE__)
 
 // Reads exactly `count` bytes unless EOF or a real error intervenes.  Returns the
 // number of bytes actually read: `count` on success, less on EOF, -1 on error
@@ -123,8 +119,6 @@ inline std::optional<std::string> ReadFileFully(const std::string& path, std::st
 
 // For daemons: a peer disappearing mid-send must be an errno, not a process death.
 inline void IgnoreSigpipe() { ::signal(SIGPIPE, SIG_IGN); }
-
-#endif  // __unix__ || __APPLE__
 
 }  // namespace support
 }  // namespace pathalias

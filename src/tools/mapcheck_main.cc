@@ -3,9 +3,10 @@
 // Usage: mapcheck [-q] [files...]        ("-" or no files reads standard input)
 //   -q  only print findings, skip the summary block
 //
-// Exit status: 0 clean, 1 problems found, 2 usage / I/O errors.  Parse errors are
-// reported by the parser itself; this tool adds the semantic lints (name collisions,
-// one-way links, unenterable networks, ...) described in src/graph/audit.h.
+// Exit status: 0 clean, 1 problems found, 2 usage / I/O errors (a report that
+// cannot be written is one).  Parse errors are reported by the parser itself; this
+// tool adds the semantic lints (name collisions, one-way links, unenterable
+// networks, ...) described in src/graph/audit.h.
 
 #include <iostream>
 #include <optional>
@@ -68,6 +69,10 @@ int main(int argc, char** argv) {
     }
   } else {
     std::cout << report.ToString();
+  }
+  if (!std::cout.flush()) {
+    std::cerr << "mapcheck: cannot write <stdout>\n";
+    return 2;
   }
   return report.clean() && diag.error_count() == 0 ? 0 : 1;
 }

@@ -97,15 +97,31 @@ int main(int argc, char** argv) {
     }
   }
   pathalias::GeneratedMap map = pathalias::GenerateUsenetMap(config);
+  // A map that cannot be written in full is a failure, not a short map and exit 0.
   if (dir.empty()) {
     for (const auto& file : map.files) {
       std::cout << "# ---- " << file.name << " ----\n" << file.content;
     }
+    if (!std::cout.flush()) {
+      std::cerr << "mapgen: cannot write <stdout>\n";
+      return 1;
+    }
   } else {
-    std::filesystem::create_directories(dir);
+    std::error_code error;
+    std::filesystem::create_directories(dir, error);
+    if (error) {
+      std::cerr << "mapgen: cannot write " << dir << ": " << error.message() << "\n";
+      return 1;
+    }
     for (const auto& file : map.files) {
-      std::ofstream out(std::filesystem::path(dir) / file.name, std::ios::trunc);
+      const std::filesystem::path path = std::filesystem::path(dir) / file.name;
+      std::ofstream out(path, std::ios::trunc);
       out << file.content;
+      out.close();
+      if (!out) {
+        std::cerr << "mapgen: cannot write " << path.string() << "\n";
+        return 1;
+      }
     }
   }
   std::cerr << "mapgen: " << map.host_count << " hosts, " << map.link_declarations

@@ -147,15 +147,21 @@ int main(int argc, char** argv) {
 
   pathalias::RunResult result = pathalias::Run(files, options, &diag);
 
+  // A route list that cannot be written in full is a failure: on a full disk a short
+  // list would otherwise exit 0, and the next `routedb freeze` would publish it.
   if (out_file.empty()) {
-    std::cout << result.output;
+    if (!(std::cout << result.output).flush()) {
+      std::cerr << "pathalias: cannot write <stdout>\n";
+      return 1;
+    }
   } else {
     std::ofstream out(out_file, std::ios::trunc);
+    out << result.output;
+    out.close();
     if (!out) {
       std::cerr << "pathalias: cannot write " << out_file << "\n";
       return 1;
     }
-    out << result.output;
   }
 
   if (verbose) {

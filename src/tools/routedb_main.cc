@@ -144,7 +144,7 @@ int RunBatch(const pathalias::FrozenRouteSet& routes, std::istream& in,
   size_t total_resolved = 0;
   size_t malformed_count = 0;
   bool eof = false;
-  while (!eof) {
+  while (!eof && std::cout) {  // output that cannot be written ends the run
     hosts.clear();
     line_numbers.clear();
     malformed.clear();
@@ -299,6 +299,10 @@ int RunUpdate(int argc, char** argv) {
       positional.push_back(argv[i]);
     }
   }
+  if (init && !removed.empty()) {
+    std::cerr << "routedb: --remove does not apply to update --init\n";
+    return Usage();
+  }
   if (positional.empty() || (init && positional.size() < 2)) {
     return Usage();
   }
@@ -362,6 +366,16 @@ int RunUpdate(int argc, char** argv) {
 }
 
 bool ParseCount(const char* flag, const char* text, uint64_t max, uint64_t* out);
+
+// A lookup whose answers cannot be written has failed, whatever it found: a full
+// disk must not leave a short answer file behind an exit status of 0.
+int FlushOutput(int status) {
+  if (!std::cout.flush()) {
+    std::cerr << "routedb: cannot write <stdout>\n";
+    return 1;
+  }
+  return status;
+}
 
 // The routedbd client: one datagram request for all the hosts, retransmit-on-
 // timeout with the SAME request id (the daemon's replay buffer makes the answer
@@ -604,7 +618,7 @@ int main(int argc, char** argv) {
     return RunUpdate(argc, argv);
   }
   if (command == "query") {
-    return RunQuery(argc, argv);
+    return FlushOutput(RunQuery(argc, argv));
   }
   if (command == "get" || command == "resolve" || command == "batch") {
     BatchFlags flags;
@@ -663,7 +677,7 @@ int main(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    return RunQueryCommand(command, image->routes(), operands, flags);
+    return FlushOutput(RunQueryCommand(command, image->routes(), operands, flags));
   }
   return Usage();
 }

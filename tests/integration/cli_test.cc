@@ -1063,9 +1063,55 @@ TEST_F(CliTest, RoutedbBatchCacheAndStatsFlagsAreUnknownOptions) {
   }
 }
 
-// Numeric-flag parsing parity: junk, negative, overflow, and out-of-bounds operands
-// must produce a named-flag diagnostic and exit 2 — never an uncaught exception
-// (mapgen --seed used to die on std::stoull) and never silent truncation.
+// A tool whose output cannot be written fails with "cannot write" instead of
+// exiting 0 with nothing written: on a full disk `pathalias -o` would leave a short
+// route list that the next `routedb freeze` publishes.  mapcheck reports it as the
+// I/O error its exit status 2 stands for.
+TEST_F(CliTest, UnwritableOutputIsAnError) {
+  if (!fs::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this system";
+  }
+  const std::string routes = (dir_ / "routes.txt").string();
+  const std::string pari = (dir_ / "routes.pari").string();
+  ASSERT_EQ(RunCommand(std::string(PATHALIAS_BIN) + " -c -l unc -o " + routes + " " +
+                       map_path_)
+                .status,
+            0);
+  ASSERT_EQ(RunCommand(std::string(ROUTEDB_BIN) + " freeze " + routes + " " + pari).status,
+            0);
+  struct Case {
+    std::string command;  // run in a subshell, so only its stdout goes to /dev/full
+    int status;
+    std::string message;
+  };
+  const std::string pathalias = std::string(PATHALIAS_BIN) + " -l unc ";
+  const std::string routedb = std::string(ROUTEDB_BIN);
+  const Case cases[] = {
+      {pathalias + "-o /dev/full " + map_path_, 1, "cannot write /dev/full"},
+      {pathalias + map_path_ + " > /dev/full", 1, "cannot write <stdout>"},
+      {routedb + " get " + pari + " phs > /dev/full", 1, "cannot write <stdout>"},
+      {routedb + " resolve " + pari + " 'mit-ai!honey' > /dev/full", 1,
+       "cannot write <stdout>"},
+      {"echo phs | " + routedb + " batch " + pari + " > /dev/full", 1, "cannot write <stdout>"},
+      {std::string(MAPCHECK_BIN) + " " + map_path_ + " > /dev/full", 2,
+       "cannot write <stdout>"},
+      {std::string(MAPGEN_BIN) + " --small > /dev/full", 1, "cannot write <stdout>"},
+      {std::string(MAPGEN_BIN) + " --small --dir /dev/full/x", 1, "cannot write /dev/full/x"},
+  };
+  for (const Case& test_case : cases) {
+    CommandResult result = RunCommand("(" + test_case.command + ")");
+    EXPECT_EQ(WEXITSTATUS(result.status), test_case.status)
+        << test_case.command << ": " << result.output;
+    EXPECT_NE(result.output.find(test_case.message), std::string::npos)
+        << test_case.command << ": " << result.output;
+  }
+}
+
+// Flag parsing parity: junk, negative, overflow, and out-of-bounds operands, and a
+// flag the command does not take, must produce a named-flag diagnostic and exit 2 —
+// never an uncaught exception (mapgen --seed used to die on std::stoull), never
+// silent truncation, and never a flag silently dropped (`update --init` kept every
+// file it was given and ignored --remove).
 TEST_F(CliTest, NumericFlagOperandsAreValidatedEverywhere) {
   struct Case {
     std::string label;
@@ -1087,6 +1133,10 @@ TEST_F(CliTest, NumericFlagOperandsAreValidatedEverywhere) {
        "--threads"},
       {"batch threads out of bounds",
        std::string(ROUTEDB_BIN) + " batch --threads 1000000 db < /dev/null", "--threads"},
+      {"update init remove",
+       std::string(ROUTEDB_BIN) + " update --init --remove zzz --local unc " +
+           (dir_ / "init.pari").string() + " " + map_path_,
+       "--remove"},
   };
   for (const Case& test_case : cases) {
     CommandResult result = RunCommand(test_case.command);
