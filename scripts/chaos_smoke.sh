@@ -19,7 +19,13 @@
 #                                     `routedb update --init` re-pairs image
 #                                     and state, the watch adopts it, and the
 #                                     next SIGHUP applies again
-#   7. SIGTERM                        clean exit (status 0)
+#   7. corrupt image + watch, SIGHUP  a copy of the image with one route byte
+#                                     flipped is renamed over it: the adopt
+#                                     must fail its checksum and the old route
+#                                     keep serving; a SIGHUP with no source
+#                                     changed republishes a good image, which
+#                                     the daemon adopts
+#   8. SIGTERM                        clean exit (status 0)
 #
 # Usage: chaos_smoke.sh <routedb-bin> <routedbd-bin> [workdir]
 # Exits nonzero on the first broken step.
@@ -127,7 +133,52 @@ wait_for_route leafe 'far!leafe!%s'
 expect_route leafb 'mid!leafb!%s'
 say "state dir rebuilt; SIGHUP applies again (same pid)"
 
-# --- 7. clean shutdown ---
+# --- 7. a corrupt image.  Copy the published image, flip one byte inside
+# leafb's route string, and rename the copy over the image: the rename gives
+# the file a new inode, which the watch sees.  (Flipping the live file in place
+# would change the bytes the daemon is serving.)  The adopt must fail the image
+# checksum and the old route keep serving.  Then a SIGHUP with no source
+# changed must republish a good image, and the daemon adopt it. ---
+count_log() { grep -c "$1" "$LOG" || true; }
+OFFSET=$(grep -obaF 'mid!leafb!%s' "$IMAGE" | head -n 1 | cut -d: -f1)
+[[ -n "$OFFSET" ]] || fail "leafb's route string is not in $IMAGE"
+cp "$IMAGE" "$DIR/corrupt.pari"
+printf 'X' | dd of="$DIR/corrupt.pari" bs=1 seek=$((OFFSET + 4)) conv=notrunc status=none
+cmp -s "$IMAGE" "$DIR/corrupt.pari" && fail "the flip left the copy unchanged"
+WATCH_FAILED_BEFORE=$(count_log 'reload (watch) failed')
+mv "$DIR/corrupt.pari" "$IMAGE"
+for _ in $(seq 1 100); do
+  (( $(count_log 'reload (watch) failed') > WATCH_FAILED_BEFORE )) && break
+  sleep 0.05
+done
+(( $(count_log 'reload (watch) failed') > WATCH_FAILED_BEFORE )) \
+    || fail "the watch adopted an image with a flipped route byte"
+grep -q 'reload (watch) failed.*checksum mismatch' "$LOG" \
+    || fail "the failed adopt was not a checksum mismatch"
+kill -0 "$DAEMON_PID" || fail "daemon died on a corrupt image"
+expect_route leafb 'mid!leafb!%s'
+say "corrupt image refused (old route still serving)"
+
+APPLIED_BEFORE=$(count_log 'reload (SIGHUP) applied')
+kill -HUP "$DAEMON_PID"
+for _ in $(seq 1 100); do
+  (( $(count_log 'reload (SIGHUP) applied') > APPLIED_BEFORE )) && break
+  sleep 0.05
+done
+(( $(count_log 'reload (SIGHUP) applied') > APPLIED_BEFORE )) \
+    || fail "SIGHUP did not republish over the corrupt image"
+grep 'reload (SIGHUP) applied' "$LOG" | tail -n 1 | grep -q 'image replaced' \
+    || fail "SIGHUP republished but the daemon did not adopt the image"
+[[ "$("$ROUTEDB" get "$IMAGE" leafb)" == 'mid!leafb!%s' ]] \
+    || fail "the republished image still holds the flipped route"
+WATCH_FAILED_AFTER=$(count_log 'reload (watch) failed')
+sleep 0.2
+(( $(count_log 'reload (watch) failed') == WATCH_FAILED_AFTER )) \
+    || fail "the watch still refuses the republished image"
+expect_route leafb 'mid!leafb!%s'
+say "SIGHUP republished the corrupt image; the daemon adopted it (same pid)"
+
+# --- 8. clean shutdown ---
 kill -TERM "$DAEMON_PID"
 wait "$DAEMON_PID" || fail "daemon exited nonzero on SIGTERM"
 DAEMON_PID=""

@@ -30,9 +30,13 @@
 //
 // Integrity: the header carries an endian marker (an image written on a little-endian
 // host reads back swapped on a big-endian one and is rejected), a structural validation
-// pass (section bounds, id ranges, pool termination — O(n) integer checks), and an
-// FNV-1a checksum over the payload for callers that want corruption detection before
-// trusting the bytes.
+// pass (section bounds, id ranges, pool termination — O(n) integer checks), and a
+// checksum over the whole image (ImageChecksum, below) for callers that want corruption
+// detection before trusting the bytes.  routedbd checks it on every image it adopts;
+// the one-shot lookups check structure only.
+//
+// Version 2 replaced version 1's FNV-1a checksum with support::Checksum; the layout is
+// otherwise unchanged.  A version 1 image is refused with the commands that rebuild it.
 
 #ifndef SRC_IMAGE_IMAGE_FORMAT_H_
 #define SRC_IMAGE_IMAGE_FORMAT_H_
@@ -42,13 +46,14 @@
 #include <string_view>
 
 #include "src/graph/cost.h"
+#include "src/support/checksum.h"
 #include "src/support/interner.h"
 
 namespace pathalias {
 namespace image {
 
 inline constexpr uint32_t kMagic = 0x49524150;         // "PARI" when read as LE bytes
-inline constexpr uint32_t kVersion = 1;
+inline constexpr uint32_t kVersion = 2;
 inline constexpr uint32_t kEndianMarker = 0x01020304;  // reads 0x04030201 when foreign
 
 // Header flags (mirror the interner options the image was frozen with).
@@ -61,7 +66,7 @@ struct ImageHeader {
   uint32_t endian;
   uint32_t flags;
   uint64_t file_size;  // total image size in bytes, header included
-  uint64_t checksum;   // FNV-1a 64 over the whole image with this field held at zero
+  uint64_t checksum;   // ImageChecksum: the header with this field zeroed, then the rest
 
   uint32_t name_count;   // interned names (routes + domain-suffix chains)
   uint32_t route_count;
@@ -98,15 +103,17 @@ struct FrozenRoute {
 };
 static_assert(sizeof(FrozenRoute) == 24);
 
-// FNV-1a, 64-bit: small, dependency-free, and fast enough that verifying a full image
-// is still far cheaper than re-parsing the text it replaced.
-inline uint64_t Fnv1a(std::string_view bytes, uint64_t seed = 0xcbf29ce484222325ull) {
-  uint64_t hash = seed;
-  for (unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 0x00000100000001b3ull;
-  }
-  return hash;
+// The image checksum (ImageHeader::checksum): support::Checksum of the header with its
+// checksum field zeroed, then of `payload` (every byte after the header) seeded with
+// that value.  ImageWriter::Freeze and ImageView::Adopt both hash these two spans: a
+// mapped image's header cannot be zeroed in place, and the checksum of the whole image
+// would differ from the two pieces chained.
+inline uint64_t ImageChecksum(const ImageHeader& header, std::string_view payload) {
+  ImageHeader zeroed = header;
+  zeroed.checksum = 0;
+  const uint64_t head = support::Checksum(
+      std::string_view(reinterpret_cast<const char*>(&zeroed), sizeof(zeroed)));
+  return support::Checksum(payload, head);
 }
 
 inline constexpr size_t AlignUp8(size_t value) { return (value + 7) & ~size_t{7}; }

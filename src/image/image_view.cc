@@ -54,7 +54,13 @@ std::optional<ImageView> ImageView::Adopt(std::string_view buffer, Verify verify
     return std::nullopt;
   }
   if (header.version != kVersion) {
-    Fail(error, "unsupported image version");
+    if (error != nullptr) {
+      *error = "image version " + std::to_string(header.version) +
+               (header.version > kVersion
+                    ? " is newer than this binary understands"
+                    : " is an older format than this binary reads; rebuild it with "
+                      "`routedb freeze` or `routedb update --init`");
+    }
     return std::nullopt;
   }
   if (header.file_size != buffer.size()) {
@@ -171,13 +177,7 @@ std::optional<ImageView> ImageView::Adopt(std::string_view buffer, Verify verify
   }
 
   if (verify == Verify::kChecksum) {
-    // The stored checksum was computed with its own field zeroed; reproduce that.
-    ImageHeader zeroed = header;
-    zeroed.checksum = 0;
-    uint64_t actual = Fnv1a(
-        std::string_view(reinterpret_cast<const char*>(&zeroed), sizeof(zeroed)));
-    actual = Fnv1a(buffer.substr(sizeof(ImageHeader)), actual);
-    if (actual != header.checksum) {
+    if (ImageChecksum(header, buffer.substr(sizeof(ImageHeader))) != header.checksum) {
       Fail(error, "checksum mismatch (corrupted image)");
       return std::nullopt;
     }

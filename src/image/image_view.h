@@ -27,8 +27,10 @@ class ImageView {
     // never touches the byte pools beyond their last byte — this is the zero-startup
     // open path.
     kStructure,
-    // Structure plus the FNV-1a payload checksum: detects bit rot anywhere in the
-    // image at the cost of one streaming read.
+    // Structure plus the image checksum (ImageChecksum in image_format.h): detects
+    // bit rot anywhere in the image, header included, at the cost of one streaming
+    // read (about 0.1 ns a byte).  routedbd opens every image it adopts at this
+    // level, as do `routedb update`'s pairing open and `routedb freeze`'s read-back.
     kChecksum,
   };
 

@@ -133,11 +133,10 @@ std::string ImageWriter::Freeze(const RouteSet& routes, uint64_t generation) {
     route_offset += static_cast<uint32_t>(route.route.size()) + 1;
   }
 
-  // Checksum the whole image — header included, with the checksum field held at zero —
-  // so a flipped header bit (flags, counts, offsets) is as detectable as payload rot.
-  header.checksum = 0;
-  std::memcpy(base, &header, sizeof(header));
-  header.checksum = Fnv1a(out);
+  // The checksum covers the header too, so a flipped header bit (flags, counts,
+  // offsets) is as detectable as payload rot.
+  header.checksum =
+      ImageChecksum(header, std::string_view(out).substr(sizeof(ImageHeader)));
   std::memcpy(base, &header, sizeof(header));
   return out;
 }

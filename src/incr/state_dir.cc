@@ -5,6 +5,7 @@
 #include <initializer_list>
 #include <string_view>
 
+#include "src/support/checksum.h"
 #include "src/support/durable_file.h"
 #include "src/support/failpoint.h"
 #include "src/support/io_retry.h"
@@ -16,17 +17,9 @@ namespace {
 namespace fs = std::filesystem;
 
 // v1 and v2 stored each file as a parse-op stream, v3 kept each source in a
-// payload file of its own; v4 carries every source inline.
-constexpr uint64_t kManifestVersion = 4;
-
-// FNV-1a over raw bytes.
-uint64_t DigestBytes(std::string_view bytes) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  for (unsigned char byte : bytes) {
-    hash = (hash ^ byte) * 0x00000100000001B3ull;
-  }
-  return hash;
-}
+// payload file of its own, v4 sealed the inline sources with FNV-1a; v5 seals
+// them with support::Checksum.
+constexpr uint64_t kManifestVersion = 5;
 
 // Parses "<key> <n>..." with exactly as many decimal numbers as `numbers` holds.
 bool ParseNumbers(std::string_view line, std::string_view key,
@@ -107,7 +100,7 @@ bool SaveStateDir(const std::string& dir, const StateDirContents& contents) {
     manifest += source.content;
     manifest += '\n';
   }
-  manifest += "digest " + std::to_string(DigestBytes(manifest)) + "\n";
+  manifest += "digest " + std::to_string(support::Checksum(manifest)) + "\n";
   std::string error;
   if (!support::PublishFileDurably((fs::path(dir) / "manifest").string(), manifest,
                                    "state.publish", &error)) {
@@ -157,7 +150,7 @@ std::optional<StateDirContents> LoadStateDir(const std::string& dir, std::string
       !ParseNumbers(manifest.substr(sealed, manifest.size() - 1 - sealed), "digest", {&seal})) {
     return fail("manifest missing digest");
   }
-  if (seal != DigestBytes(manifest.substr(0, sealed))) {
+  if (seal != support::Checksum(manifest.substr(0, sealed))) {
     return fail("manifest does not match its digest");
   }
 

@@ -1,13 +1,14 @@
 // StateDir: the on-disk form of the map sources an image was built from.
 //
-// A state dir is a directory holding one file, `manifest` (format version 4):
+// A state dir is a directory holding one file, `manifest` (format version 5):
 //
-//   pathalias-state 4
+//   pathalias-state 5
 //   local <n>                 then the local host's n bytes and a newline
 //   generation <g>
 //   file <n> <m>              per input file, in input order: then the name's n
 //                             bytes, a newline, the source's m bytes, a newline
-//   digest <d>                FNV-1a-64 of every byte before this line
+//   digest <d>                support::Checksum (src/support/checksum.h) of
+//                             every byte before this line, in decimal
 //
 // Every string is length-prefixed, so any bytes round-trip, a name with a tab or
 // a newline included.  A save is one durable publish (temp file + fsync + rename,
@@ -16,10 +17,12 @@
 // left, and rejects the directory wholesale on any mismatch: a state dir is a
 // cache, and the inputs can always rebuild it.
 //
-// Versions 1 and 2 stored a parse form that is gone, and version 3 kept each
-// source in its own file under artifacts/.  All three are refused like an
-// unrecognized future version: with a clean rebuild-the-state-dir error, never
-// parsed on faith.  A save over a version 3 directory removes its artifacts/.
+// Versions 1 and 2 stored a parse form that is gone, version 3 kept each source
+// in its own file under artifacts/, and version 4 was this layout sealed with
+// FNV-1a.  All four are refused like an unrecognized future version: with a
+// clean rebuild-the-state-dir error, never parsed on faith (`routedb update
+// --init` rebuilds it).  A save over a version 3 directory removes its
+// artifacts/.
 //
 // Every state dir accompanies a .pari image, at <image>.state.  The update step
 // (net::UpdateImage in src/net/rollover.h, run by `routedb update` and routedbd's

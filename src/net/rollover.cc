@@ -142,9 +142,10 @@ UpdateReport UpdateImage(UpdateRequest request) {
   }
 
   // Pair the state with the image on disk.  Stamps of 0 are pre-generation files
-  // and cannot be checked.
+  // and cannot be checked.  A corrupt image pairs with nothing, so the update
+  // republishes it even when no source changed.
   std::optional<FrozenImage> replaced = FrozenImage::Open(
-      image_path, image::ImageView::Verify::kStructure, &error, /*readahead=*/true);
+      image_path, image::ImageView::Verify::kChecksum, &error, /*readahead=*/true);
   const uint64_t image_generation =
       replaced.has_value() ? replaced->view().header().generation : 0;
   const bool paired = replaced.has_value() &&
@@ -220,7 +221,7 @@ bool RolloverController::StatImage(ImageIdentity* out) const {
 }
 
 bool RolloverController::Start(std::string* error) {
-  auto image = FrozenImage::Open(options_.image_path, image::ImageView::Verify::kStructure,
+  auto image = FrozenImage::Open(options_.image_path, image::ImageView::Verify::kChecksum,
                                  error, /*readahead=*/true);
   if (!image.has_value()) {
     return false;
@@ -298,11 +299,12 @@ ReloadOutcome RolloverController::CheckImage(std::string* detail) {
     return ReloadOutcome::kError;
   }
   std::string error;
-  auto opened = FrozenImage::Open(options_.image_path, image::ImageView::Verify::kStructure,
+  auto opened = FrozenImage::Open(options_.image_path, image::ImageView::Verify::kChecksum,
                                   &error, /*readahead=*/true);
   if (!opened.has_value()) {
-    // Likely caught the replacer mid-write (Refreeze renames atomically, but a
-    // copy-based updater would not).  Keep serving; the next poll retries.
+    // A corrupt image, or the replacer caught mid-write (Refreeze renames
+    // atomically, but a copy-based updater would not).  Keep serving; the next
+    // poll retries, and the next SIGHUP republishes a corrupt image.
     *detail = "changed image fails to open: " + error;
     return ReloadOutcome::kError;
   }

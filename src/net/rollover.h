@@ -13,9 +13,9 @@
 //
 //   * Pairing.  A torn pair (a crash between the image rename and the manifest
 //     rename: the image carries edits the state lacks, and the generation
-//     stamps differ), a missing image or an unreadable one re-reads every kept
-//     source from disk first, and compiles even when no byte changed; if a kept
-//     source cannot be read, nothing is published.
+//     stamps differ), a missing image or one that fails its checksum re-reads
+//     every kept source from disk first, and compiles even when no byte
+//     changed; if a kept source cannot be read, nothing is published.
 //   * Spelling.  An offered file is matched to a kept one by name, as the
 //     manifest spells it.  An offered name that matches none but is the same
 //     file on disk as a kept one the update does not remove (./mid.map for
@@ -29,8 +29,10 @@
 // then the adopt step); the file watch runs the adopt step alone (CheckImage).
 // The adopt step hands any image, whatever its name ids (an update's, one from
 // `routedb update --init` or `routedb freeze`), to the one engine's
-// AdoptRoutes, which points its resolver at it.  The engine keeps no answer
-// between batches, so every batch after the adopt is answered from the new image.
+// AdoptRoutes, which points its resolver at it.  Start and the adopt step open
+// every image at Verify::kChecksum: an image that fails it is a reload error,
+// and the old image keeps serving.  The engine keeps no answer between
+// batches, so every batch after the adopt is answered from the new image.
 //
 // The OLD image is not unmapped inside the swap: it goes on the retired list,
 // and the next RetireDrained() — which routedbd calls at the end of every loop
@@ -118,8 +120,8 @@ class RolloverController {
   // heap, which each reload from sources re-uses (see rollover.cc).
   explicit RolloverController(RolloverOptions options);
 
-  // Opens the image and builds the serving engine.  False (with *error set) if the
-  // image is missing or invalid.
+  // Opens the image, checksum included, and builds the serving engine.  False
+  // (with *error set) if the image is missing, invalid or corrupt.
   bool Start(std::string* error);
 
   // The serving engine: one object from Start on (AdoptRoutes swaps its internals).
@@ -134,9 +136,10 @@ class RolloverController {
 
   // The adopt step, and the file watch: stat the image; if it is not the one
   // being served (a rename by an external `routedb update`, or a SIGHUP's
-  // publish), open it and hand it to the engine's AdoptRoutes.  The old image
-  // goes on the retired list.  kNoop when the file is unchanged: one stat, so
-  // poll freely.
+  // publish), open it, checksum included, and hand it to the engine's
+  // AdoptRoutes.  The old image goes on the retired list.  kError when the
+  // image fails to open or verify; the next call retries.  kNoop when the file
+  // is unchanged: one stat, so poll freely.
   ReloadOutcome CheckImage(std::string* detail);
 
   // Unmaps every image a swap has taken out of service.  Returns how many were

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 
 #include "src/support/failpoint.h"
 #include "src/support/io_retry.h"
@@ -115,6 +116,22 @@ bool PublishFileDurably(const std::string& path, std::string_view bytes,
   if (dir_fd >= 0) ::close(dir_fd);
   if (!dir_synced) {
     if (error != nullptr) *error = Describe("fsync directory", dir);
+    return false;
+  }
+  return true;
+}
+
+bool WriteOutputFile(const std::string& path, std::string_view bytes,
+                     std::string_view failpoint_prefix, std::string* error) {
+  struct stat st;
+  if (::lstat(path.c_str(), &st) != 0 || S_ISREG(st.st_mode)) {
+    return PublishFileDurably(path, bytes, failpoint_prefix, error);
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  if (!out) {
+    if (error != nullptr) *error = "write '" + path + "' failed";
     return false;
   }
   return true;

@@ -27,6 +27,14 @@ namespace support {
 bool PublishFileDurably(const std::string& path, std::string_view bytes,
                         std::string_view failpoint_prefix, std::string* error);
 
+// A tool's output file (`pathalias -o`, `mapgen --dir`): PublishFileDurably when
+// `path` names a regular file or nothing, so a failed write (a full disk, a file
+// size limit) leaves the old file whole.  Any other node (a device such as
+// /dev/null, a FIFO, a symlink) is written through in place, since a rename
+// would replace the node itself.
+bool WriteOutputFile(const std::string& path, std::string_view bytes,
+                     std::string_view failpoint_prefix, std::string* error);
+
 }  // namespace support
 }  // namespace pathalias
 

@@ -12,12 +12,12 @@
 
 #include <charconv>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <string_view>
 
 #include "src/mapgen/mapgen.h"
+#include "src/support/durable_file.h"
 
 namespace {
 
@@ -113,13 +113,12 @@ int main(int argc, char** argv) {
       std::cerr << "mapgen: cannot write " << dir << ": " << error.message() << "\n";
       return 1;
     }
+    // Each site file is replaced only by a complete one.
     for (const auto& file : map.files) {
-      const std::filesystem::path path = std::filesystem::path(dir) / file.name;
-      std::ofstream out(path, std::ios::trunc);
-      out << file.content;
-      out.close();
-      if (!out) {
-        std::cerr << "mapgen: cannot write " << path.string() << "\n";
+      const std::string path = (std::filesystem::path(dir) / file.name).string();
+      std::string reason;
+      if (!pathalias::support::WriteOutputFile(path, file.content, "mapgen.output", &reason)) {
+        std::cerr << "mapgen: cannot write " << path << ": " << reason << "\n";
         return 1;
       }
     }

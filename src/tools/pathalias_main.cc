@@ -21,7 +21,6 @@
 //   files         map files; "-" or none reads standard input
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -29,6 +28,7 @@
 #include <vector>
 
 #include "src/core/pathalias.h"
+#include "src/support/durable_file.h"
 #include "src/support/failpoint.h"
 #include "src/support/io_retry.h"
 
@@ -148,18 +148,18 @@ int main(int argc, char** argv) {
   pathalias::RunResult result = pathalias::Run(files, options, &diag);
 
   // A route list that cannot be written in full is a failure: on a full disk a short
-  // list would otherwise exit 0, and the next `routedb freeze` would publish it.
+  // list would otherwise exit 0, and the next `routedb freeze` would publish it.  An
+  // -o file is replaced only by a complete list, as `routedb freeze` publishes.
   if (out_file.empty()) {
     if (!(std::cout << result.output).flush()) {
       std::cerr << "pathalias: cannot write <stdout>\n";
       return 1;
     }
   } else {
-    std::ofstream out(out_file, std::ios::trunc);
-    out << result.output;
-    out.close();
-    if (!out) {
-      std::cerr << "pathalias: cannot write " << out_file << "\n";
+    std::string error;
+    if (!pathalias::support::WriteOutputFile(out_file, result.output, "pathalias.output",
+                                             &error)) {
+      std::cerr << "pathalias: cannot write " << out_file << ": " << error << "\n";
       return 1;
     }
   }

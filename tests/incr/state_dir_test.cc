@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "src/support/checksum.h"
 #include "src/support/failpoint.h"
 
 namespace pathalias {
@@ -58,11 +59,7 @@ void WriteFileText(const fs::path& path, const std::string& text) {
 // so only the checks after the digest's can refuse the edit.
 std::string Reseal(std::string manifest) {
   manifest.resize(manifest.rfind("digest "));
-  uint64_t hash = 0xcbf29ce484222325ull;
-  for (unsigned char byte : manifest) {
-    hash = (hash ^ byte) * 0x00000100000001B3ull;
-  }
-  return manifest + "digest " + std::to_string(hash) + "\n";
+  return manifest + "digest " + std::to_string(support::Checksum(manifest)) + "\n";
 }
 
 // Loads `manifest` from the state dir at `dir`; the error, or "" if it loaded.
@@ -99,13 +96,15 @@ TEST_F(StateDirTest, GenerationRoundTrips) {
 }
 
 // Versions 1 and 2 stored a parse form of each file that this binary no longer
-// reads, and version 3 kept each source in a payload file of its own: all three
-// get the clean rebuild-needed refusal, like a future version.
+// reads, version 3 kept each source in a payload file of its own, and version 4
+// sealed the manifest with FNV-1a: all four get the clean rebuild-needed
+// refusal, like a future version.
 TEST_F(StateDirTest, OlderVersionsRejectedCleanly) {
   ASSERT_TRUE(SaveStateDir(dir_.string(), SmallContents()));
   const std::string manifest = ReadFileText(dir_ / "manifest");
-  ASSERT_TRUE(manifest.starts_with("pathalias-state 4\n"));
-  for (const char* header : {"pathalias-state 1", "pathalias-state 2", "pathalias-state 3"}) {
+  ASSERT_TRUE(manifest.starts_with("pathalias-state 5\n"));
+  for (const char* header : {"pathalias-state 1", "pathalias-state 2", "pathalias-state 3",
+                             "pathalias-state 4"}) {
     std::string error = LoadError(dir_, header + manifest.substr(17));
     EXPECT_NE(error.find("rebuild the state dir"), std::string::npos) << header << ": " << error;
     EXPECT_EQ(error.find("stored no sources"), std::string::npos) << error;
@@ -115,7 +114,7 @@ TEST_F(StateDirTest, OlderVersionsRejectedCleanly) {
 TEST_F(StateDirTest, FutureVersionRejectedCleanly) {
   ASSERT_TRUE(SaveStateDir(dir_.string(), SmallContents()));
   std::string manifest = ReadFileText(dir_ / "manifest");
-  ASSERT_TRUE(manifest.starts_with("pathalias-state 4\n"));
+  ASSERT_TRUE(manifest.starts_with("pathalias-state 5\n"));
   std::string error = LoadError(dir_, "pathalias-state 9" + manifest.substr(17));
   EXPECT_NE(error.find("newer"), std::string::npos) << error;
 }

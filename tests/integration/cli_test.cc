@@ -6,14 +6,19 @@
 #include <sys/stat.h>
 
 #include <array>
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/image/frozen_route_set.h"
+#include "src/image/image_format.h"
 #include "src/incr/state_dir.h"
 
 namespace pathalias {
@@ -40,6 +45,23 @@ CommandResult RunCommand(const std::string& command) {
   }
   result.status = pclose(pipe);
   return result;
+}
+
+std::string ReadBytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const fs::path& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+// Runs a command under a file size limit with SIGXFSZ ignored, so a write past
+// the limit fails with EFBIG.  The limit is 4 blocks: 2 KiB in a POSIX sh, 4 KiB
+// in bash.
+std::string UnderFileSizeLimit(const std::string& command) {
+  return "ulimit -f 4; trap '' XFSZ; exec " + command;
 }
 
 class CliTest : public ::testing::Test {
@@ -117,6 +139,36 @@ TEST_F(CliTest, PathaliasOutputFile) {
   std::string first_line;
   std::getline(in, first_line);
   EXPECT_EQ(first_line, "unc\t%s");
+}
+
+// An -o file is replaced only by a complete route list.  Under a file size limit
+// the write fails partway: pathalias exits 1, and the existing file keeps its
+// bytes.  It used to keep the part that fit, and `routedb freeze` of that file
+// published a third of the routes.
+TEST_F(CliTest, PathaliasOutputFileIsReplacedOnlyByACompleteList) {
+  fs::path map = dir_ / "star.map";
+  auto write_map = [&map](int cost) {
+    std::ofstream out(map, std::ios::trunc);
+    out << "hub\t";
+    for (int i = 0; i < 1000; ++i) {
+      out << (i == 0 ? "" : ", ") << "leaf" << i << "(" << cost << ")";
+    }
+    out << "\n";
+  };
+  write_map(10);
+  const std::string out = (dir_ / "big.txt").string();
+  const std::string command =
+      std::string(PATHALIAS_BIN) + " -c -l hub -o " + out + " " + map.string();
+  ASSERT_EQ(RunCommand(command).status, 0);
+  const std::string good = ReadBytes(out);
+  ASSERT_GT(good.size(), 8192u);
+
+  write_map(20);
+  CommandResult limited = RunCommand(UnderFileSizeLimit(command));
+  EXPECT_EQ(WEXITSTATUS(limited.status), 1) << limited.output;
+  EXPECT_NE(limited.output.find("cannot write " + out), std::string::npos) << limited.output;
+  EXPECT_TRUE(ReadBytes(out) == good) << "the -o file lost its bytes";
+  EXPECT_FALSE(fs::exists(out + ".tmp"));
 }
 
 // The database build step is `routedb freeze`: the .pari image is the one format.
@@ -227,13 +279,8 @@ TEST_F(CliTest, RoutedbFreezeAndImageBackedQueries) {
 
   // A truncated image is rejected up front, not half-served.
   std::string broken = (dir_ / "broken.pari").string();
-  {
-    std::ifstream in(pari, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    std::ofstream out(broken, std::ios::binary);
-    out << bytes.substr(0, bytes.size() / 2);
-  }
+  const std::string bytes = ReadBytes(pari);
+  WriteBytes(broken, bytes.substr(0, bytes.size() / 2));
   CommandResult rejected = RunCommand(std::string(ROUTEDB_BIN) + " get " + broken + " phs");
   EXPECT_NE(rejected.status, 0);
   EXPECT_NE(rejected.output.find("cannot read"), std::string::npos) << rejected.output;
@@ -389,6 +436,39 @@ TEST_F(CliTest, MapcheckAcceptsGeneratedMaps) {
   ASSERT_EQ(RunCommand(std::string(MAPGEN_BIN) + " --small --dir " + out_dir).status, 0);
   CommandResult result = RunCommand(std::string(MAPCHECK_BIN) + " " + out_dir + "/*.map");
   EXPECT_EQ(result.status, 0) << result.output;
+}
+
+// mapgen --dir replaces each site file only with a complete one: under a file
+// size limit it exits 1, and every file in the directory is a whole file of the
+// old map or of the new one.
+TEST_F(CliTest, MapgenDirReplacesSiteFilesOnlyWithCompleteOnes) {
+  const fs::path maps = dir_ / "maps";
+  const fs::path fresh = dir_ / "fresh";
+  const std::string mapgen = MAPGEN_BIN;
+  ASSERT_EQ(RunCommand(mapgen + " --small --seed 1 --dir " + maps.string()).status, 0);
+  ASSERT_EQ(RunCommand(mapgen + " --small --seed 7 --dir " + fresh.string()).status, 0);
+  std::vector<std::pair<std::string, std::string>> before;
+  for (const fs::directory_entry& entry : fs::directory_iterator(maps)) {
+    before.emplace_back(entry.path().filename().string(), ReadBytes(entry.path()));
+  }
+
+  CommandResult limited =
+      RunCommand(UnderFileSizeLimit(mapgen + " --small --seed 7 --dir " + maps.string()));
+  EXPECT_EQ(WEXITSTATUS(limited.status), 1) << limited.output;
+  size_t kept = 0;
+  for (const auto& [name, bytes] : before) {
+    const std::string now = ReadBytes(maps / name);
+    if (now == bytes) {
+      ++kept;
+    } else {
+      EXPECT_TRUE(now == ReadBytes(fresh / name)) << name << " is neither map's whole file";
+    }
+  }
+  EXPECT_GT(kept, 0u) << "the limit stopped no write";
+  EXPECT_EQ(static_cast<size_t>(std::distance(fs::directory_iterator(maps),
+                                              fs::directory_iterator())),
+            before.size())
+      << "a temp file was left behind";
 }
 
 TEST_F(CliTest, MapgenIsDeterministic) {
@@ -621,19 +701,14 @@ TEST_F(CliTest, RoutedbUpdateHealsATornPairWithoutDroppingEdits) {
   write(mid, "mid\tleafw(5)\n", std::ios::app);
   torn = RunCommand(torn_update + mid.string());
   ASSERT_EQ(WEXITSTATUS(torn.status), 1) << torn.output;
-  auto read_bytes = [](const fs::path& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  };
-  std::string image_before = read_bytes(image);
+  std::string image_before = ReadBytes(image);
   fs::remove(core);
   write(far, "far\tleafv(5)\n", std::ios::app);
   CommandResult refused =
       RunCommand(routedb + " update " + image.string() + " " + far.string());
   EXPECT_EQ(WEXITSTATUS(refused.status), 1) << refused.output;
   EXPECT_NE(refused.output.find(core.string()), std::string::npos) << refused.output;
-  EXPECT_TRUE(read_bytes(image) == image_before) << "the image was republished";
+  EXPECT_TRUE(ReadBytes(image) == image_before) << "the image was republished";
 }
 
 TEST_F(CliTest, RoutedbUpdateWithNothingToDoLeavesImageUntouched) {
@@ -644,12 +719,7 @@ TEST_F(CliTest, RoutedbUpdateWithNothingToDoLeavesImageUntouched) {
   fs::path manifest = dir_ / "routes.pari.state" / "manifest";
   ASSERT_TRUE(fs::exists(manifest));
 
-  auto read_bytes = [](const fs::path& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  };
-  std::string image_before = read_bytes(image);
+  std::string image_before = ReadBytes(image);
   auto image_mtime = fs::last_write_time(image);
   auto manifest_mtime = fs::last_write_time(manifest);
 
@@ -664,7 +734,7 @@ TEST_F(CliTest, RoutedbUpdateWithNothingToDoLeavesImageUntouched) {
       << noop_stats.output;
   // Neither refrozen nor re-saved: bytes AND mtimes are exactly as the init left
   // them (a rewrite-with-identical-bytes would still bump the timestamps).
-  EXPECT_EQ(read_bytes(image), image_before);
+  EXPECT_EQ(ReadBytes(image), image_before);
   EXPECT_EQ(fs::last_write_time(image), image_mtime);
   EXPECT_EQ(fs::last_write_time(manifest), manifest_mtime);
 
@@ -805,15 +875,10 @@ TEST_F(CliTest, RoutedbUpdateOfAnUnchangedFileLeavesImageAndStateUntouched) {
                                    " " + core.string() + " " + gw.string())
                             .status),
             0);
-  auto read_bytes = [](const fs::path& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  };
   struct stat before {};
   ASSERT_EQ(::stat(image.c_str(), &before), 0);
   auto image_mtime = fs::last_write_time(image);
-  std::string manifest_before = read_bytes(manifest);
+  std::string manifest_before = ReadBytes(manifest);
 
   CommandResult noop = RunCommand(routedb + " update " + image.string() + " " + gw.string());
   EXPECT_EQ(WEXITSTATUS(noop.status), 0) << noop.output;
@@ -822,7 +887,7 @@ TEST_F(CliTest, RoutedbUpdateOfAnUnchangedFileLeavesImageAndStateUntouched) {
   ASSERT_EQ(::stat(image.c_str(), &after), 0);
   EXPECT_EQ(after.st_ino, before.st_ino);
   EXPECT_EQ(fs::last_write_time(image), image_mtime);
-  EXPECT_EQ(read_bytes(manifest), manifest_before);
+  EXPECT_EQ(ReadBytes(manifest), manifest_before);
 }
 
 // A --remove must name a file the state keeps, spelled as the manifest spells
@@ -873,11 +938,6 @@ TEST_F(CliTest, RoutedbUpdateRefusesAKeptFileUnderAnotherName) {
     std::ofstream out(dir_ / name, std::ios::trunc);
     out << text;
   };
-  auto read_bytes = [](const fs::path& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  };
   write("core.map", "hub\tmid(100)\n");
   write("mid.map", "mid\thub(100), leafa(50)\n");
   ASSERT_EQ(
@@ -886,15 +946,15 @@ TEST_F(CliTest, RoutedbUpdateRefusesAKeptFileUnderAnotherName) {
       0);
   const fs::path image = dir_ / "img.pari";
   const fs::path manifest = dir_ / "img.pari.state" / "manifest";
-  const std::string image_before = read_bytes(image);
-  const std::string manifest_before = read_bytes(manifest);
+  const std::string image_before = ReadBytes(image);
+  const std::string manifest_before = ReadBytes(manifest);
 
   write("mid.map", "mid\thub(100), leafb(50)\n");
   CommandResult respelled = RunCommand(in_dir + " update img.pari ./mid.map");
   EXPECT_EQ(WEXITSTATUS(respelled.status), 1) << respelled.output;
   EXPECT_NE(respelled.output.find("kept file mid.map"), std::string::npos) << respelled.output;
-  EXPECT_TRUE(read_bytes(image) == image_before) << "the image was republished";
-  EXPECT_TRUE(read_bytes(manifest) == manifest_before) << "the state was saved";
+  EXPECT_TRUE(ReadBytes(image) == image_before) << "the image was republished";
+  EXPECT_TRUE(ReadBytes(manifest) == manifest_before) << "the state was saved";
 
   // The kept spelling applies the edit.
   CommandResult update = RunCommand(in_dir + " update img.pari mid.map");
@@ -907,7 +967,7 @@ TEST_F(CliTest, RoutedbUpdateRefusesAKeptFileUnderAnotherName) {
   CommandResult respell = RunCommand(in_dir + " update --remove mid.map img.pari ./mid.map");
   EXPECT_EQ(WEXITSTATUS(respell.status), 0) << respell.output;
   EXPECT_EQ(RunCommand(in_dir + " get img.pari leafc").output, "mid!leafc!%s\n");
-  EXPECT_NE(read_bytes(manifest).find("./mid.map"), std::string::npos);
+  EXPECT_NE(ReadBytes(manifest).find("./mid.map"), std::string::npos);
 }
 
 // An update that finds the image gone, or cut short inside its header, rebuilds
@@ -1039,6 +1099,69 @@ TEST_F(CliTest, RoutedbUpdateRefusesAVersion3StateDirAndInitReplacesIt) {
   }
   CommandResult update = RunCommand(routedb + " update " + image.string() + " " + core.string());
   EXPECT_EQ(WEXITSTATUS(update.status), 0) << update.output;
+  EXPECT_EQ(RunCommand(routedb + " get " + image.string() + " leafa").output, "mid!leafa!%s\n");
+}
+
+// Image format 2 and manifest format 5 replaced FNV-1a with support::Checksum.
+// A version 1 image is refused by `routedb get` and by routedbd's start, naming
+// the commands that rebuild it.  Over a version 4 state dir, `routedb update`
+// gives the rebuild refusal, and `routedb update --init` leaves one version 5
+// manifest and a version 2 image.  Only the version fields are rewritten here:
+// each is checked before any checksum.
+TEST_F(CliTest, RetiredImageAndStateVersionsAreRefusedAndInitReplacesThem) {
+  const std::string routedb = ROUTEDB_BIN;
+  fs::path core = dir_ / "core.map";
+  {
+    std::ofstream out(core);
+    out << "hub\tmid(100)\nmid\thub(100), leafa(50)\n";
+  }
+  fs::path image = dir_ / "routes.pari";
+  fs::path manifest = dir_ / "routes.pari.state" / "manifest";
+  const std::string init =
+      routedb + " update --init --local hub " + image.string() + " " + core.string();
+  ASSERT_EQ(WEXITSTATUS(RunCommand(init).status), 0);
+
+  std::string bytes = ReadBytes(image);
+  const uint32_t version_1 = 1;
+  std::memcpy(bytes.data() + offsetof(image::ImageHeader, version), &version_1,
+              sizeof(version_1));
+  WriteBytes(image, bytes);
+  // A routedbd that starts would serve until killed: `timeout` ends it with 124.
+  const CommandResult refusals[] = {
+      RunCommand(routedb + " get " + image.string() + " leafa"),
+      RunCommand("timeout 10 " + std::string(ROUTEDBD_BIN) + " --image " + image.string() +
+                 " --unix " + (dir_ / "d.sock").string())};
+  for (const CommandResult& refused : refusals) {
+    EXPECT_EQ(WEXITSTATUS(refused.status), 1) << refused.output;
+    EXPECT_NE(refused.output.find("image version 1"), std::string::npos) << refused.output;
+    EXPECT_NE(refused.output.find("`routedb freeze`"), std::string::npos) << refused.output;
+    EXPECT_NE(refused.output.find("`routedb update --init`"), std::string::npos)
+        << refused.output;
+  }
+
+  std::string state = ReadBytes(manifest);
+  ASSERT_TRUE(state.starts_with("pathalias-state 5\n"));
+  state[16] = '4';
+  WriteBytes(manifest, state);
+  CommandResult update = RunCommand(routedb + " update " + image.string() + " " + core.string());
+  EXPECT_EQ(WEXITSTATUS(update.status), 1) << update.output;
+  EXPECT_NE(update.output.find("manifest version 4"), std::string::npos) << update.output;
+  EXPECT_NE(update.output.find("rebuild the state dir"), std::string::npos) << update.output;
+  EXPECT_NE(update.output.find("routedb update --init"), std::string::npos) << update.output;
+
+  CommandResult reinit = RunCommand(init);
+  EXPECT_EQ(WEXITSTATUS(reinit.status), 0) << reinit.output;
+  std::vector<std::string> entries;
+  for (const fs::directory_entry& entry : fs::directory_iterator(manifest.parent_path())) {
+    entries.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(entries, std::vector<std::string>{"manifest"});
+  EXPECT_TRUE(ReadBytes(manifest).starts_with("pathalias-state 5\n"));
+  std::string error;
+  std::optional<FrozenImage> disk =
+      FrozenImage::Open(image.string(), image::ImageView::Verify::kChecksum, &error);
+  ASSERT_TRUE(disk.has_value()) << error;
+  EXPECT_EQ(disk->view().header().version, 2u);
   EXPECT_EQ(RunCommand(routedb + " get " + image.string() + " leafa").output, "mid!leafa!%s\n");
 }
 

@@ -24,6 +24,7 @@
 #include "src/net/daemon.h"
 #include "src/net/wire.h"
 #include "src/support/failpoint.h"
+#include "src/support/io_retry.h"
 
 namespace pathalias {
 namespace net {
@@ -710,6 +711,50 @@ TEST(RolloverController, SuffixNamesOfFullyQualifiedHostsAreNotDead) {
   }
   EXPECT_EQ(controller.routes()->names().size(), 13u);
   ExpectAnswersLikeTheImageOnDisk(&controller, image_path, warm);
+}
+
+// A copy of the image with one route byte flipped, renamed over it, passes the
+// structure check.  Start refuses it, the adopt step refuses it and keeps the
+// old image serving, and the next SIGHUP, with no source changed, pairs it with
+// nothing and republishes a good image, which it adopts.
+TEST(RolloverController, ACorruptImageIsRefusedAndTheNextHupRepublishesIt) {
+  fs::path dir = MakeScratchDir();
+  ScratchDirGuard cleanup{dir};
+  std::string image_path = (dir / "routes.pari").string();
+  std::vector<InputFile> files = FilesA(dir);
+  InitImage(files, image_path);
+  RolloverController controller(ServingOptions(image_path, files));
+  std::string error;
+  ASSERT_TRUE(controller.Start(&error)) << error;
+
+  std::optional<std::string> bytes = support::ReadFileFully(image_path, &error);
+  ASSERT_TRUE(bytes.has_value()) << error;
+  const size_t at = bytes->find("far!leafc!%s");
+  ASSERT_NE(at, std::string::npos);
+  (*bytes)[at] = 'X';
+  const fs::path corrupt = dir / "corrupt.pari";
+  WriteFileAt(corrupt, *bytes);
+  fs::rename(corrupt, image_path);
+  ASSERT_TRUE(FrozenImage::Open(image_path, image::ImageView::Verify::kStructure, &error))
+      << "the flip must pass the structure check: " << error;
+
+  RolloverController restarted(ServingOptions(image_path, files));
+  EXPECT_FALSE(restarted.Start(&error));
+  EXPECT_NE(error.find("checksum mismatch"), std::string::npos) << error;
+
+  std::string detail;
+  EXPECT_EQ(controller.CheckImage(&detail), ReloadOutcome::kError);
+  EXPECT_NE(detail.find("checksum mismatch"), std::string::npos) << detail;
+  EXPECT_EQ(controller.generation(), 0u);
+  EXPECT_EQ(controller.routes()->FindRouteView("leafc").route, "far!leafc!%s");
+
+  ASSERT_EQ(controller.ReloadFromSources(&detail), ReloadOutcome::kApplied) << detail;
+  EXPECT_NE(detail.find("cannot pair"), std::string::npos) << detail;
+  EXPECT_EQ(controller.generation(), 1u);
+  EXPECT_EQ(controller.routes()->FindRouteView("leafc").route, "far!leafc!%s");
+  EXPECT_TRUE(FrozenImage::Open(image_path, image::ImageView::Verify::kChecksum, &error))
+      << error;
+  EXPECT_EQ(controller.CheckImage(&detail), ReloadOutcome::kNoop) << detail;
 }
 
 TEST(RolloverController, ReloadWithoutMapFilesIsAnError) {
